@@ -262,10 +262,19 @@ def _settings(args, defaults) -> dict:
     }
 
 
-def cmd_run(args) -> int:
+def _scenario_at_gamma(args):
+    """parse_scenario plus the --gamma override; a bad override is a configuration error."""
     problem, defaults = parse_scenario(args.scenario)
     if args.gamma is not None:
-        problem = dataclasses.replace(problem, gamma=args.gamma)
+        try:
+            problem = dataclasses.replace(problem, gamma=args.gamma)
+        except ValueError as exc:
+            raise ScenarioError(f"--gamma {args.gamma!r}: {exc}") from exc
+    return problem, defaults
+
+
+def cmd_run(args) -> int:
+    problem, defaults = _scenario_at_gamma(args)
     settings = _settings(args, defaults)
     try:
         report = run_estimation(problem, args.method, seed=args.seed,
@@ -285,9 +294,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    problem, defaults = parse_scenario(args.scenario)
-    if args.gamma is not None:
-        problem = dataclasses.replace(problem, gamma=args.gamma)
+    problem, defaults = _scenario_at_gamma(args)
     p_bar = args.pbar if args.pbar is not None else float(defaults.get("p_bar", 0.1))
     method = args.levels_method or defaults.get("levels_method", "lb")
     pilot_levels = args.pilot_levels if args.pilot_levels is not None \
@@ -322,9 +329,7 @@ def cmd_verify(args) -> int:
     Exit 0 when the estimate sits within 3 standard errors of the oracle,
     1 when it does not, 2 when the family has no exact oracle.
     """
-    problem, defaults = parse_scenario(args.scenario)
-    if args.gamma is not None:
-        problem = dataclasses.replace(problem, gamma=args.gamma)
+    problem, defaults = _scenario_at_gamma(args)
     exact = oracle_exact(problem)
     if exact is None:
         print("configuration error: no exact oracle covers this problem family "

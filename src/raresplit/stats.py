@@ -129,49 +129,43 @@ def bernoulli_report(method, hits, m, wall_seconds, *, seed=None) -> EstimateRep
     )
 
 
-def _weighted_poisson_enumeration(rates, weights, gamma, max_points) -> float | None:
-    """Sum the joint pmf over the lattice {k : sum_j w_j k_j <= gamma}.
+def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
+    """P[sum_j w_j N_j <= gamma] for independent N_j ~ Poisson(rates[j]).
 
-    Depth-first over coordinates with partial-sum pruning; returns None when
-    the lattice exceeds ``max_points``.
+    Convolves one coordinate at a time into the law of the partial weighted
+    sum, kept on its distinct values <= gamma with equal sums merged.  A sum
+    above gamma by roundoff only (1e-12 of a weight) still counts.  Each
+    (partial sum, count >= 1) pair formed extends a distinct lattice point,
+    so their number never exceeds the lattice size; returns None once it
+    exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
     """
-    n = len(rates)
-    log_lam = [math.log(r) for r in rates]
-    base = -float(np.sum(rates))
-    budget = [int(max_points)]
-    total = [0.0]
-
-    def visit(j, remaining, logp):
-        if j == n:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise OverflowError
-            total[0] += math.exp(logp)
-            return
-        w = weights[j]
-        kmax = int(math.floor(remaining / w + 1e-12)) if w > 0 else None
-        if kmax is None:
-            # zero weight: the coordinate is unconstrained, its pmf sums to 1
-            visit(j + 1, remaining, logp)
-            return
-        lk = 0.0
-        for k in range(kmax + 1):
-            if k > 0:
-                lk += log_lam[j] - math.log(k)
-            visit(j + 1, remaining - k * w, logp + lk)
-
-    try:
-        visit(0, float(gamma), base)
-    except OverflowError:
-        return None
-    return total[0]
+    sums, probs, work = np.zeros(1), np.ones(1), 1.0
+    for lam, w in zip(rates, weights):
+        if w == 0:
+            continue  # unconstrained coordinate: its pmf sums to 1
+        kmax = np.maximum(np.floor((gamma - sums) / w + 1e-12), 0.0)
+        work += kmax.sum()
+        if work > max_pairs:
+            return None
+        k = np.arange(int(kmax.max()) + 1)
+        pmf = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
+        new_sums, new_probs = np.zeros(0), np.zeros(0)
+        step = max(1, (1 << 18) // sums.size)  # pairs per merge
+        for kb in np.split(k, range(step, k.size, step)):
+            rows, cols = np.nonzero(kb <= kmax[:, None])
+            new_sums, inv = np.unique(
+                np.concatenate((new_sums, sums[rows] + kb[cols] * w)), return_inverse=True)
+            new_probs = np.bincount(
+                inv, weights=np.concatenate((new_probs, probs[rows] * pmf[kb[cols]])))
+        sums, probs = new_sums, new_probs
+    return float(probs.sum())
 
 
 def oracle_exact(problem: ProblemSpec, max_lattice: int = 10 ** 8) -> float | None:
     """Exact/semi-exact value of P[S(X) <= gamma] for supported families.
 
     Supported: (a) plain sum of i.i.d. exponentials (Gamma CDF);
-    (b) weighted sums of Poisson counts by lattice enumeration;
+    (b) weighted sums of Poisson counts by a convolution over partial sums;
     (c) two-coordinate ratios by adaptive quadrature over the denominator's
     probability scale.  Returns None for anything else.
     """
@@ -179,7 +173,7 @@ def oracle_exact(problem: ProblemSpec, max_lattice: int = 10 ** 8) -> float | No
     if problem.kind == "poisson":
         if gamma < 0:
             return 0.0
-        return _weighted_poisson_enumeration(
+        return _weighted_poisson_cdf(
             problem.rates(), problem.importance.weight_array(), gamma, max_lattice)
 
     if isinstance(problem.importance, Sum):

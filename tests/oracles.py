@@ -95,6 +95,33 @@ def weighted_poisson_tail(rates, weights, gamma) -> float:
     return total
 
 
+def weighted_poisson_cdf_mp(rates, weights, gamma, dps: int = 40) -> float:
+    """P[sum w_j N_j <= gamma] for integer weights, in dps-digit mpmath.
+
+    Carries the exact law of the partial sum over {0..floor(gamma)} as a
+    dict and folds in one coordinate at a time; each pmf is built by the
+    recurrence p_k = p_{k-1} * lam / k from p_0 = e^{-lam}.
+    """
+    top = math.floor(gamma)
+    with mpmath.workdps(dps):
+        law = {0: mpmath.mpf(1)}
+        for lam, w in zip(rates, weights):
+            if w != int(w) or w < 1:
+                raise ValueError("positive integer weights only")
+            w = int(w)
+            lam = mpmath.mpf(lam)
+            pmf = [mpmath.exp(-lam)]
+            for k in range(1, top // w + 1):
+                pmf.append(pmf[-1] * lam / k)
+            folded = {}
+            for total, p in law.items():
+                for k in range((top - total) // w + 1):
+                    key = total + k * w
+                    folded[key] = folded.get(key, 0) + p * pmf[k]
+            law = folded
+        return float(mpmath.fsum(law.values()))
+
+
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-13) -> float:
     """Plain bisection for a decreasing-sign-change bracket; no scipy."""
     flo, fhi = f(lo), f(hi)

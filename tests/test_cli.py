@@ -260,6 +260,19 @@ class TestCliVerify:
         assert "no exact oracle" in proc.stderr
 
 
+class TestNonFiniteGamma:
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_config_error_exit_2(self, tmp_path, command, value):
+        scen = write_scenario(tmp_path, EXP_SUM)
+        # the = form keeps argparse from reading "-inf" as an option
+        proc = run_cli(command, "--scenario", str(scen), f"--gamma={value}")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestCliReproduce:
     def test_table1_desk_scale(self, tmp_path):
         out = tmp_path / "t1.csv"

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import Exponential, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 from raresplit.process import RngStream
@@ -114,6 +116,52 @@ class TestOracleExact:
         problem = ProblemSpec((Exponential(1.0),) * 2, ("I", "I"), Sum(),
                               0.0, "continuous")
         assert oracle_exact(problem) == 0.0
+
+
+def poisson_pmf(k, lam):
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def brute_force_weighted_poisson(rates, weights, gamma, kmax=40, slack=1e-9):
+    """Sum the joint pmf over every point of the box {0..kmax}^n within gamma.
+
+    ``slack`` admits points whose float weighted sum misses gamma by roundoff.
+    """
+    total = 0.0
+    for point in itertools.product(range(kmax + 1), repeat=len(rates)):
+        if sum(w * k for w, k in zip(weights, point)) <= gamma + slack:
+            total += math.prod(poisson_pmf(k, lam) for k, lam in zip(point, rates))
+    return total
+
+
+class TestWeightedPoissonOracle:
+    @pytest.mark.parametrize("gamma", [30.0, 40.0, 50.0, 60.0])
+    def test_table1_rows_match_mpmath(self, gamma):
+        problem = preset_problem(load_preset("I"), gamma)
+        exact = oracles.weighted_poisson_cdf_mp(
+            problem.rates(), problem.importance.weights, gamma)
+        assert oracle_exact(problem) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_non_integer_and_zero_weights(self):
+        rates, weights = (1.3, 0.7, 2.0), (0.5, 1.5, 0.0)
+        problem = ProblemSpec(tuple(Poisson(r) for r in rates), ("I",) * 3,
+                              WeightedSum(weights), 4.2, "poisson")
+        expected = brute_force_weighted_poisson(rates, weights, 4.2)
+        assert oracle_exact(problem) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_roundoff_boundary_points_count(self):
+        # 3 * 0.1 and 0.1 + 0.2 both exceed 0.3 in floating point, yet the
+        # points (3, 0) and (1, 1) lie on the threshold and must count
+        assert 3 * 0.1 > 0.3 and 0.1 + 0.2 > 0.3
+        rates, weights = (1.0, 2.0), (0.1, 0.2)
+        problem = ProblemSpec((Poisson(1.0), Poisson(2.0)), ("I", "I"),
+                              WeightedSum(weights), 0.3, "poisson")
+        expected = brute_force_weighted_poisson(rates, weights, 0.3, kmax=5)
+        strict = brute_force_weighted_poisson(rates, weights, 0.3, kmax=5, slack=0.0)
+        boundary = poisson_pmf(3, 1.0) * poisson_pmf(0, 2.0) \
+            + poisson_pmf(1, 1.0) * poisson_pmf(1, 2.0)
+        assert expected - strict == pytest.approx(boundary, rel=1e-12, abs=0.0)
+        assert oracle_exact(problem) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestEstimateReport:
