@@ -250,16 +250,46 @@ def _echo_timing(report: EstimateReport):
           file=sys.stderr)
 
 
-def _settings(args, defaults) -> dict:
-    """Run settings: CLI flags win, then preset defaults, then built-ins."""
-    return {
-        "s": args.s if args.s is not None else int(defaults.get("s", 3000)),
-        "m": args.m if args.m is not None else int(defaults.get("m", 200)),
-        "p_bar": args.pbar if args.pbar is not None else float(defaults.get("p_bar", 0.1)),
-        "levels_method": args.levels_method or defaults.get("levels_method", "lb"),
-        "pilot_levels": args.pilot_levels if args.pilot_levels is not None
-                        else int(defaults.get("pilot_levels", 12)),
+def _settings(args, defaults, method) -> dict:
+    """Run settings: CLI flags win, then preset defaults, then built-ins.
+
+    They are checked for ``method`` ("split", "naive", "is", or None for a
+    schedule alone), so a bad value is a configuration error.
+    """
+    def pick(flag, key, cast, builtin):
+        value = getattr(args, flag, None)
+        return value if value is not None else cast(defaults.get(key, builtin))
+
+    settings = {
+        "s": pick("s", "s", int, 3000),
+        "m": pick("m", "m", int, 200),
+        "p_bar": pick("pbar", "p_bar", float, 0.1),
+        "levels_method": pick("levels_method", "levels_method", str, "lb"),
+        "pilot_levels": pick("pilot_levels", "pilot_levels", int, 12),
     }
+    if method in ("split", None):
+        _check_schedule(settings)
+    if method is not None:
+        _check_samples(settings["m"], method)
+    return settings
+
+
+def _check_schedule(settings: dict) -> None:
+    s, p_bar, pilot_levels = settings["s"], settings["p_bar"], settings["pilot_levels"]
+    if not 0.0 < p_bar < 1.0:
+        _fail(f"p_bar = {p_bar!r}", "must lie in (0, 1)")
+    if s < 2:
+        _fail(f"s = {s!r}", "splitting needs at least 2 states per level")
+    if settings["levels_method"] == "iccdf" and s < 100:
+        _fail(f"s = {s!r}", "the iccdf pilot needs at least 100 states per level")
+    if pilot_levels < 2:
+        _fail(f"pilot_levels = {pilot_levels!r}", "a pilot needs at least 2 levels")
+
+
+def _check_samples(m, method):
+    least = 2 if method == "split" else 1
+    if m < least:
+        _fail(f"m = {m!r}", f"{method} needs m >= {least}")
 
 
 def _scenario_at_gamma(args):
@@ -275,7 +305,7 @@ def _scenario_at_gamma(args):
 
 def cmd_run(args) -> int:
     problem, defaults = _scenario_at_gamma(args)
-    settings = _settings(args, defaults)
+    settings = _settings(args, defaults, args.method)
     try:
         report = run_estimation(problem, args.method, seed=args.seed,
                                 workers=args.threads, **settings)
@@ -295,14 +325,12 @@ def cmd_run(args) -> int:
 
 def cmd_levels(args) -> int:
     problem, defaults = _scenario_at_gamma(args)
-    p_bar = args.pbar if args.pbar is not None else float(defaults.get("p_bar", 0.1))
-    method = args.levels_method or defaults.get("levels_method", "lb")
-    pilot_levels = args.pilot_levels if args.pilot_levels is not None \
-        else int(defaults.get("pilot_levels", 12))
-    s = args.s if args.s is not None else int(defaults.get("s", 3000))
+    settings = _settings(args, defaults, method=None)
+    p_bar = settings["p_bar"]
     try:
-        schedule = build_schedule(problem, RngStream(args.seed), levels_method=method,
-                                  p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
+        schedule = build_schedule(problem, RngStream(args.seed),
+                                  levels_method=settings["levels_method"], p_bar=p_bar,
+                                  pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
     except ScenarioError:
         raise
     except (SchedulingError, ValueError) as exc:
@@ -330,13 +358,13 @@ def cmd_verify(args) -> int:
     1 when it does not, 2 when the family has no exact oracle.
     """
     problem, defaults = _scenario_at_gamma(args)
+    settings = _settings(args, defaults, args.method)
     exact = oracle_exact(problem)
     if exact is None:
         print("configuration error: no exact oracle covers this problem family "
               "(supported: i.i.d. exponential sums, weighted Poisson sums, "
               "two-coordinate ratios)", file=sys.stderr)
         return 2
-    settings = _settings(args, defaults)
     try:
         report = run_estimation(problem, args.method, seed=args.seed,
                                 workers=args.threads, **settings)
@@ -365,25 +393,21 @@ def cmd_reproduce(args) -> int:
     preset = load_preset(args.table)
     defaults = preset.get("defaults", {})
     methods = defaults.get("methods", ["split"])
-    s = args.s if args.s is not None else int(defaults.get("s", 3000))
-    m = args.m if args.m is not None else int(defaults.get("m", 200))
+    settings = {"split": _settings(args, defaults, "split")}
+    for method in methods:
+        if method != "split":
+            m = args.baseline_m if args.baseline_m is not None \
+                else int(defaults.get(f"{method}_m", 10 ** 6))
+            _check_samples(m, method)
+            settings[method] = {"m": m}
     rows_out = []
     for row in preset["rows"]:
         gamma = float(row["gamma"])
         problem = preset_problem(preset, gamma)
         for method in methods:
-            if method == "split":
-                kwargs = {"s": s, "m": m}
-            else:
-                default_m = int(defaults.get(f"{method}_m", 10 ** 6))
-                kwargs = {"m": args.baseline_m if args.baseline_m is not None else default_m}
             try:
-                report = run_estimation(
-                    problem, method, seed=args.seed, workers=args.threads,
-                    p_bar=float(defaults.get("p_bar", 0.1)),
-                    levels_method=defaults.get("levels_method", "lb"),
-                    pilot_levels=int(defaults.get("pilot_levels", 12)),
-                    **kwargs)
+                report = run_estimation(problem, method, seed=args.seed,
+                                        workers=args.threads, **settings[method])
             except (SchedulingError, ValueError) as exc:
                 print(f"estimation error at gamma={gamma}, method={method}: {exc}",
                       file=sys.stderr)

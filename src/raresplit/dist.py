@@ -56,6 +56,8 @@ class Marginal:
 
     kind: str = ""
     discrete: bool = False
+    # True where quantile_from_neg_log_tail(g, "upper") is a closed form in g
+    closed_form_upper: bool = False
 
     def cdf(self, x):
         a, scalar = _as_float_array(x)
@@ -145,6 +147,7 @@ class Weibull(Marginal):
     alpha: float
     eta: float
     kind = "weibull"
+    closed_form_upper = True
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, eta=self.eta)
@@ -242,6 +245,7 @@ class Exponential(Marginal):
 
     rate: float
     kind = "exponential"
+    closed_form_upper = True
 
     def __post_init__(self):
         _require_positive(rate=self.rate)

@@ -12,7 +12,9 @@ jump processes and need no embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,12 +127,30 @@ def importance(spec, x):
     return float(out[0]) if single else out
 
 
+# Entries per quantile call.  At 64 KiB of doubles a call's temporaries stay
+# under glibc's default mmap threshold (128 KiB), so they reuse heap pages;
+# one call over a whole 3000 x 15 level matrix faults in fresh pages for
+# each temporary and is slower than calling column by column.
+_EMBED_BLOCK = 8192
+
+
+def _quantile_groups(marginals, directions) -> dict:
+    """Column indices keyed by (marginal, tail), in order of first appearance."""
+    groups = {}
+    for i, (m, d) in enumerate(zip(marginals, directions)):
+        groups.setdefault((m, "upper" if d == "I" else "lower"), []).append(i)
+    return groups
+
+
 def embed(g, marginals, directions):
-    """Map Gamma levels to target-law coordinates, column by column.
+    """Map Gamma levels to target-law coordinates.
 
     ``g`` is a vector (one state) or matrix (batch of states, one row each);
     column i goes through marginal i's tail-stable quantile, on the upper
-    tail for direction "I" and the lower tail for direction "D".
+    tail for direction "I" and the lower tail for direction "D".  Columns
+    that share a (marginal, tail) pair go through one quantile call per
+    block of at most _EMBED_BLOCK entries; the quantiles are elementwise,
+    so the values equal a column-by-column pass.
     """
     arr = np.asarray(g, dtype=float)
     single = arr.ndim == 1
@@ -139,10 +159,63 @@ def embed(g, marginals, directions):
     if rows.shape[1] != n or len(directions) != n:
         raise ValueError("g, marginals and directions must agree in length")
     out = np.empty_like(rows)
-    for i, (m, d) in enumerate(zip(marginals, directions)):
-        tail = "upper" if d == "I" else "lower"
-        out[:, i] = m.quantile_from_neg_log_tail(rows[:, i], tail)
+    for (m, tail), cols in _quantile_groups(marginals, directions).items():
+        step = max(1, _EMBED_BLOCK // len(cols))
+        for lo in range(0, rows.shape[0], step):
+            block = slice(lo, lo + step)
+            out[block, cols] = m.quantile_from_neg_log_tail(rows[block, cols], tail)
     return out[0] if single else out
+
+
+# The survival bracket tabulates each quantile on _BRACKET_CELLS log-uniform
+# cells of g over [_BRACKET_G_MIN, _BRACKET_G_MAX]; g outside that range
+# falls in the end cells, whose outer bounds are the quantiles at 0 and inf.
+_BRACKET_CELLS = 16384
+_BRACKET_G_MIN = 1e-30
+_BRACKET_G_MAX = 1e3
+
+
+class _SurvivalBracket:
+    """Entrywise bounds on the embedding, read from per-group quantile tables.
+
+    The quasi-monotone pairing makes S(embed(g)) nondecreasing in every g_i
+    on either tail, so the embedding of g's enclosing grid points bounds
+    S(embed(g)) from below and above without evaluating any quantile.
+    An entry's cell c = trunc((log g - log g_min) / h), clamped to [0, K],
+    reads the grid point one cell below it and two cells above it: one
+    cell of slack on each side absorbs the rounding in log and trunc.
+    """
+
+    def __init__(self, marginals, directions):
+        K = _BRACKET_CELLS
+        self._shift = math.log(_BRACKET_G_MIN)
+        h = (math.log(_BRACKET_G_MAX) - self._shift) / K
+        self._scale = 1.0 / h
+        grid = np.concatenate(
+            ([0.0], np.exp(self._shift + h * np.arange(K + 1)), [np.inf]))
+        lo, hi = [], []
+        self._offsets = np.empty(len(marginals), dtype=np.intp)
+        for j, ((m, tail), cols) in enumerate(_quantile_groups(marginals, directions).items()):
+            q = m.quantile_from_neg_log_tail(grid, tail)  # q[1 + i]: at grid point i
+            # slot K + 1 holds NaN bounds, so a NaN or negative g stays undecided
+            lo += [q[:K + 1], [np.nan]]
+            hi += [q[3:], [q[-1], np.nan]]
+            self._offsets[cols] = j * (K + 2)
+        self.lo = np.concatenate(lo)
+        self.hi = np.concatenate(hi)
+
+    def cells(self, g: np.ndarray) -> np.ndarray:
+        """Index into ``lo`` and ``hi`` of every entry of ``g``: lo[c] is the
+        embedding at a level at or below the entry, hi[c] at or above it."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.log(g)
+        u -= self._shift
+        u *= self._scale
+        np.clip(u, 0, _BRACKET_CELLS, out=u)
+        np.fmin(u, _BRACKET_CELLS + 1, out=u)  # fmin drops NaN: NaN -> slot K + 1
+        c = u.astype(np.intp)
+        c += self._offsets
+        return c
 
 
 @dataclass(frozen=True)
@@ -208,6 +281,41 @@ class ProblemSpec:
         if self.kind == "poisson":
             return importance(self.importance, np.asarray(states, dtype=float))
         return importance(self.importance, embed(states, self.marginals, self.directions))
+
+    @cached_property
+    def _bracket(self):
+        """The continuous embedding's survival bracket, built on first use;
+        None for Poisson problems and where every column's quantile is a
+        closed form, which costs less than the bracket's own scoring."""
+        if self.kind == "poisson" or all(
+                m.closed_form_upper and d == "I" for m, d in zip(self.marginals, self.directions)):
+            return None
+        return _SurvivalBracket(self.marginals, self.directions)
+
+    def survives(self, states: np.ndarray) -> np.ndarray:
+        """score(states) <= gamma, bit for bit, for one state or a matrix.
+
+        A continuous row passes where S of its bracket's upper end is
+        <= gamma and fails where S of the lower end is > gamma; only the
+        rows the bracket leaves open, a NaN score among them, are embedded
+        exactly and scored.
+        """
+        bracket = self._bracket
+        if bracket is None:
+            return self.score(states) <= self.gamma
+        g = np.asarray(states, dtype=float)
+        if g.ndim == 1:
+            return self.survives(g[None, :])[0]
+        c = bracket.cells(g)
+        # most rows of a level fail, so the upper ends are read for the rest only
+        open_rows = np.flatnonzero(~(importance(self.importance, bracket.lo[c]) > self.gamma))
+        passes = importance(self.importance, bracket.hi[c[open_rows]]) <= self.gamma
+        out = np.zeros(g.shape[0], dtype=bool)
+        out[open_rows[passes]] = True
+        undecided = open_rows[~passes]
+        if undecided.size:
+            out[undecided] = self.score(g[undecided]) <= self.gamma
+        return out
 
     def to_json(self) -> dict:
         return {

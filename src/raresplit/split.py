@@ -70,6 +70,9 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
 
     Per level the generator is consumed in a fixed order (parent indices,
     then increments), so a given stream reproduces the run bit-for-bit.
+    Survival is ``problem.survives``, which equals score <= gamma exactly:
+    continuous rows are decided from a tabulated bracket of the embedding,
+    and only the rows it cannot decide are embedded and scored.
     ``check_invariants`` re-scores every resampled parent before advancing
     (monotonicity guarantees parents still satisfy S <= gamma); it is meant
     for tests, not production runs.
@@ -77,7 +80,6 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     if s < 2:
         raise ValueError("s must be >= 2")
     n = problem.n
-    gamma = problem.gamma
     poisson = problem.kind == "poisson"
     rates = problem.rates() if poisson else None
     gen = rng.gen
@@ -90,13 +92,13 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
         idx = gen.integers(0, current.shape[0], size=s)
         parents = current[idx]
         if check_invariants:
-            assert np.all(problem.score(parents) <= gamma), \
+            assert np.all(problem.score(parents) <= problem.gamma), \
                 "resampled parent violates S <= gamma"
         if poisson:
             advanced = parents + gen.poisson(rates * dt, size=(s, n))
         else:
             advanced = parents + gen.gamma(dt, 1.0, size=(s, n))
-        survive = problem.score(advanced) <= gamma
+        survive = problem.survives(advanced)
         k = int(np.count_nonzero(survive))
         counts.append(k)
         if k == 0:

@@ -11,6 +11,7 @@ from raresplit.cli import (
     ScenarioError,
     TABLES,
     load_preset,
+    main,
     parse_scenario,
     preset_problem,
 )
@@ -271,6 +272,46 @@ class TestNonFiniteGamma:
         assert proc.stderr.startswith("configuration error:")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+
+BAD_SETTINGS = [
+    ("--s", "1"), ("--m", "1"), ("--pbar", "1.5"),
+    ("--levels-method", "iccdf", "--s", "50"), ("--pilot-levels", "1"),
+]
+
+
+class TestBadSettings:
+    """A setting no estimator can run with is a configuration error (exit 2,
+    one stderr line), caught before any estimation starts."""
+
+    @pytest.mark.parametrize("command,table,flags", [
+        *[("run", "V", f) for f in BAD_SETTINGS],
+        *[("levels", "V", f) for f in BAD_SETTINGS if f[0] != "--m"],
+        ("levels", "V", ("--s", "1")),
+        *[("verify", "I", f) for f in BAD_SETTINGS],
+        ("verify", "I", ("--method", "is", "--m", "0")),
+        ("run", "V", ("--method", "naive", "--m", "0")),
+    ])
+    def test_scenario_commands(self, tmp_path, capsys, command, table, flags):
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(load_preset(table)))
+        assert main([command, "--scenario", str(preset), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--s", "1"), ("--m", "1"), ("--baseline-m", "0"),
+        ("--table", "VI", "--s", "50"),
+    ])
+    def test_reproduce(self, capsys, flags):
+        argv = ["reproduce", *flags] if "--table" in flags else ["reproduce", "--table", "I", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestCliReproduce:

@@ -7,6 +7,9 @@ from scipy import stats
 
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma
 from raresplit.model import (
+    _BRACKET_CELLS,
+    _BRACKET_G_MAX,
+    _BRACKET_G_MIN,
     OrderedPartialSum,
     ProblemSpec,
     Ratio,
@@ -240,3 +243,164 @@ class TestProblemSpec:
         ]
         for p in specs:
             assert problem_from_json(p.to_json()) == p
+
+
+def embed_by_column(g, marginals, directions):
+    """Reference embedding: one quantile call per column."""
+    out = np.empty_like(g)
+    for i, (m, d) in enumerate(zip(marginals, directions)):
+        out[:, i] = m.quantile_from_neg_log_tail(g[:, i], "upper" if d == "I" else "lower")
+    return out
+
+
+class TestGroupedEmbed:
+    @pytest.mark.parametrize("marginals,directions", [
+        # Table VI: one upper-tail signal column, ten lower-tail interferers
+        ((LogNormal(20 * math.log(10) / 10, 6 * math.log(10) / 10),)
+         + (LogNormal(0.0, 4 * math.log(10) / 10),) * 10, ("I",) + ("D",) * 10),
+        # two different marginals sharing the upper tail, interleaved
+        ((LogNormal(0.0, 2.0), Gamma(0.5, 1.0), LogNormal(0.0, 2.0), Gamma(0.5, 1.0),
+          Weibull(0.5, 2.0)), ("I",) * 5),
+        # one marginal on both tails
+        ((GeneralizedGamma(0.6, 1.7, 2.0),) * 4, ("I", "D", "D", "D")),
+    ])
+    def test_bit_identical_to_column_loop(self, marginals, directions):
+        n = len(marginals)
+        # 2000 rows span several blocks of one quantile call
+        shape = (2000, n)
+        rng = RngStream(41).gen
+        g = rng.gamma(0.3, size=shape) * 10.0 ** rng.uniform(-12, 3, size=shape)
+        g[0] = 0.0
+        g[1] = 800.0  # e^-g underflows: the quantile saturates
+        got = embed(g, marginals, directions)
+        ref = embed_by_column(g, marginals, directions)
+        assert got.tobytes() == ref.tobytes()
+        assert embed(g[5], marginals, directions).tobytes() == ref[5].tobytes()
+
+
+def grid_point(j):
+    """The survival bracket's j-th grid point, computed as the bracket does."""
+    shift = math.log(_BRACKET_G_MIN)
+    h = (math.log(_BRACKET_G_MAX) - shift) / _BRACKET_CELLS
+    return float(np.exp(shift + h * np.arange(_BRACKET_CELLS + 1))[j])
+
+
+CONTINUOUS_LAWS = st.one_of(
+    st.builds(LogNormal, st.floats(-2.0, 2.0), st.floats(0.2, 3.0)),
+    st.builds(Weibull, st.floats(0.3, 3.0), st.floats(0.2, 5.0)),
+    st.builds(GeneralizedGamma, st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.2, 5.0)),
+    st.builds(Gamma, st.floats(0.3, 5.0), st.floats(0.2, 5.0)),
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+)
+
+# Gamma levels at the bracket's edges: 0, below the first grid point, on a
+# grid point, above the last grid point, past e^-g underflow, and in between
+LEVELS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-300, _BRACKET_G_MIN * 0.999),
+    st.integers(0, _BRACKET_CELLS).map(grid_point),
+    st.floats(_BRACKET_G_MAX * 1.001, 1e6),
+    st.just(math.log(2.0)),
+    st.floats(-35.0, 3.0).map(lambda e: 10.0 ** e),
+)
+
+
+def neighbours(row, levels=()):
+    """row itself and every row that differs from it by one ulp in one
+    entry, or has one entry replaced by one of ``levels``."""
+    out = [row]
+    for i in range(len(row)):
+        for moved_to in [np.nextafter(row[i], -np.inf), np.nextafter(row[i], np.inf), *levels]:
+            moved = row.copy()
+            moved[i] = moved_to
+            if moved_to >= 0.0:
+                out.append(moved)
+    return np.array(out)
+
+
+class TestSurvives:
+    """ProblemSpec.survives decides each row from a bracket of tabulated
+    quantiles and must equal score(states) <= gamma exactly."""
+
+    @given(st.data())
+    def test_equals_score_at_most_gamma(self, data):
+        n = data.draw(st.integers(1, 3))
+        marginals = tuple(data.draw(CONTINUOUS_LAWS) for _ in range(n + 1))
+        aggregate = data.draw(st.sampled_from(["sum", "weighted", "top", "ratio"]))
+        if aggregate == "ratio":
+            spec, directions = Ratio(data.draw(st.floats(1e-3, 2.0))), ("I",) + ("D",) * n
+        else:
+            marginals = marginals[:n]
+            directions = ("I",) * n
+            if aggregate == "sum":
+                spec = Sum()
+            elif aggregate == "top":
+                spec = OrderedPartialSum(data.draw(st.integers(1, n)))
+            else:
+                weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                             min_size=n, max_size=n))
+                spec = WeightedSum(tuple(weights) if any(weights) else (1.0,) * n)
+        base = np.array([data.draw(LEVELS) for _ in marginals])
+        # 740: a finite quantile whose bracket may reach +inf; 1e4: +inf itself,
+        # which makes a zero-weight column's score NaN
+        g = neighbours(base, levels=(740.0, 1e4))
+        probe = ProblemSpec(marginals, directions, spec, 0.0)
+        scores = probe.score(g)
+        finite = scores[np.isfinite(scores)]
+        gamma = float(data.draw(st.sampled_from(finite))) if finite.size else 1.0
+        problem = ProblemSpec(marginals, directions, spec, gamma)
+        got = problem.survives(g)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, problem.score(g) <= gamma)
+
+    @pytest.mark.parametrize("marginal,direction", [
+        (LogNormal(0.0, 2.0), "I"), (Gamma(0.5, 1.0), "I"), (LogNormal(1.0, 0.5), "D"),
+    ])
+    def test_cell_edges(self, marginal, direction):
+        # rows on grid points and one ulp either side, with gamma at each
+        # row's own score: a bracket without its slack cells gets these wrong
+        marginals = (LogNormal(0.0, 1.0), marginal) if direction == "D" else (marginal,)
+        directions = ("I", "D") if direction == "D" else ("I",)
+        spec = Ratio(0.1) if direction == "D" else Sum()
+        js = np.linspace(0, _BRACKET_CELLS, 120).astype(int)
+        col = np.concatenate([neighbours(np.array([grid_point(j)]))[:, 0] for j in js])
+        g = np.column_stack([np.full_like(col, 0.5)] * (len(marginals) - 1) + [col])
+        scores = ProblemSpec(marginals, directions, spec, 0.0).score(g)
+        for gamma in scores[np.isfinite(scores)][::7]:
+            problem = ProblemSpec(marginals, directions, spec, float(gamma))
+            np.testing.assert_array_equal(problem.survives(g), problem.score(g) <= gamma)
+
+    def test_zero_weight_on_infinite_column(self):
+        # g = 1e4 sends the zero-weight column's quantile to +inf, so the
+        # score is 0 * inf = NaN and the row fails; at g = 740 the column is
+        # finite but its bracket's upper end is not
+        problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"),
+                              WeightedSum((1.0, 0.0)), 2.0)
+        g = np.array([[0.1, 1e4], [0.1, 740.0], [0.1, np.inf], [5.0, 740.0], [0.1, 0.1]])
+        scores = problem.score(g)
+        assert np.isnan(scores[0]) and np.isnan(scores[2])
+        np.testing.assert_array_equal(problem.survives(g), [False, True, False, False, True])
+
+    def test_poisson_and_closed_form_problems_score_directly(self):
+        poisson = ProblemSpec((Poisson(1.0), Poisson(2.0)), ("I", "I"),
+                              WeightedSum((1.0, 2.0)), 3.0, "poisson")
+        counts = np.array([[0, 1], [3, 0], [2, 1]])
+        np.testing.assert_array_equal(poisson.survives(counts), [True, True, False])
+        weibull = ProblemSpec((Weibull(0.5, 1.0), Exponential(2.0)), ("I", "I"),
+                              OrderedPartialSum(1), 0.5)
+        assert weibull._bracket is None
+        g = np.array([[0.2, 0.9], [0.8, 0.1]])
+        np.testing.assert_array_equal(weibull.survives(g), weibull.score(g) <= 0.5)
+
+    def test_single_state(self):
+        problem = ProblemSpec((LogNormal(0.0, 1.0), Gamma(2.0, 1.0)), ("I", "D"), Ratio(0.1), 0.5)
+        for g in ([0.0, 0.0], [0.3, 2.0], [2.0, 0.3], [1e-40, 1e4]):
+            state = np.array(g)
+            assert problem.survives(state) == (problem.score(state) <= 0.5)
+
+    def test_negative_level_raises_like_score(self):
+        problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"), Sum(), 2.0)
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            problem.score(np.array([[0.1, -1.0]]))
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            problem.survives(np.array([[0.1, -1.0]]))
