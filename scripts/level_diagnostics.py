@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from raresplit.cli import load_preset, parse_scenario, preset_problem
-from raresplit.model import Ratio
 from raresplit.process import RngStream
 from raresplit.sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule
 from raresplit.split import replicate
@@ -64,14 +63,11 @@ def main():
 
     print(f"problem: n = {problem.n}, gamma = {problem.gamma}, kind = {problem.kind}")
 
-    if isinstance(problem.importance, Ratio):
-        print("\nsurvival-curve schedule (lb): not applicable to ratio problems")
-    else:
-        try:
-            lb = lower_bound_schedule(problem, args.pbar)
-            show("survival-curve schedule (lb)", problem, lb, args)
-        except SchedulingError as exc:
-            print(f"\nsurvival-curve schedule (lb) failed: {exc}")
+    try:
+        lb = lower_bound_schedule(problem, args.pbar)
+        show("survival-curve schedule (lb)", problem, lb, args)
+    except SchedulingError as exc:
+        print(f"\nsurvival-curve schedule (lb) failed: {exc}")
 
     try:
         iccdf = inverse_ccdf_schedule(problem, RngStream(args.seed),

@@ -29,16 +29,8 @@ from .model import (
     embed,
     importance,
     is_quasi_monotone_witness,
-    problem_from_json,
 )
-from .process import (
-    ProcessState,
-    RngStream,
-    advance_gamma,
-    advance_poisson,
-    gamma_variate,
-    zero_state,
-)
+from .process import RngStream, advance_gamma_batch, advance_poisson_batch
 from .sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule
 from .split import LevelSchedule, SplitRunResult, replicate, run_splitting
 from .stats import EstimateReport, oracle_exact, relative_error, wnrv

@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import ProblemSpec, importance
 from .process import RngStream
-from .stats import EstimateReport, bernoulli_report, relative_error, wnrv
+from .stats import EstimateReport, make_report
 
 __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 
@@ -57,7 +57,9 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
         hits += int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma))
         done += c
     wall = time.perf_counter() - t0
-    return bernoulli_report("naive", hits, m, wall, seed=rng.seed)
+    mean = hits / m
+    variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
+    return make_report("naive", mean, variance, m, wall, seed=rng.seed)
 
 
 def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> EstimateReport:
@@ -110,9 +112,4 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     mean = total / m
     variance = (total_sq - m * mean * mean) / (m - 1) if m > 1 else 0.0
     variance = max(variance, 0.0)
-    re = relative_error(mean, variance, m)
-    return EstimateReport(
-        method="is", mean=mean, variance=variance, re=re,
-        wnrv=None if re is None else wnrv(re, wall),
-        wall_seconds=wall, m=m, seed=rng.seed,
-    )
+    return make_report("is", mean, variance, m, wall, seed=rng.seed)

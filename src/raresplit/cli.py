@@ -33,7 +33,7 @@ from .model import ProblemSpec, importance_from_json
 from .process import RngStream
 from .sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule
 from .split import LevelSchedule, replicate
-from .stats import EstimateReport, oracle_exact, wnrv as wnrv_of
+from .stats import EstimateReport, oracle_exact
 
 __all__ = ["ScenarioError", "parse_scenario", "build_schedule", "run_estimation", "main"]
 
@@ -111,14 +111,14 @@ def _build_problem(scen: dict, path: str = "$") -> ProblemSpec:
             marginals.append(marginal_from_json(_convert_marginal(mobj, mpath)))
         except ScenarioError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{mpath}: {exc}") from exc
     ipath = f"{path}.importance"
     try:
         imp = importance_from_json(_convert_importance(scen["importance"], ipath))
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{ipath}: {exc}") from exc
     _require_number(scen, "gamma", path)
     try:
@@ -129,7 +129,7 @@ def _build_problem(scen: dict, path: str = "$") -> ProblemSpec:
             gamma=float(scen["gamma"]),
             kind=scen["kind"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -181,18 +181,15 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=3000, m=200,
         t0 = time.perf_counter()
         schedule = build_schedule(problem, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
-        t_sched = time.perf_counter() - t0
-        report = replicate(problem, schedule, s, m, rng, workers=workers)
-        # wall time covers the full call, schedule construction included
-        wall = report.wall_seconds + t_sched
-        return dataclasses.replace(
-            report, wall_seconds=wall, schedule_seconds=t_sched,
-            wnrv=None if report.re is None else wnrv_of(report.re, wall))
+        return replicate(problem, schedule, s, m, rng, workers=workers,
+                         schedule_seconds=time.perf_counter() - t0)
     if method == "naive":
         return naive_mc(problem, m, rng)
     if method == "is":
         if problem.kind != "poisson":
             raise ScenarioError("--method is requires a poisson scenario")
+        if not problem.gamma > 0:
+            raise ScenarioError(f"gamma = {problem.gamma!r}: --method is needs gamma > 0")
         return poisson_is(problem.rates(), problem.importance.weight_array(),
                           problem.gamma, m, rng)
     raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
@@ -258,7 +255,7 @@ def _settings(args, defaults, method) -> dict:
     """
     def pick(flag, key, cast, builtin):
         value = getattr(args, flag, None)
-        return value if value is not None else cast(defaults.get(key, builtin))
+        return value if value is not None else _default(defaults, key, cast, builtin)
 
     settings = {
         "s": pick("s", "s", int, 3000),
@@ -272,6 +269,15 @@ def _settings(args, defaults, method) -> dict:
     if method is not None:
         _check_samples(settings["m"], method)
     return settings
+
+
+def _default(defaults: dict, key: str, cast, builtin):
+    """A preset default cast to its type; a bad value is a configuration error."""
+    value = defaults.get(key, builtin)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        _fail(f"$.defaults.{key}", f"must be {cast.__name__}, got {value!r}")
 
 
 def _check_schedule(settings: dict) -> None:
@@ -306,14 +312,8 @@ def _scenario_at_gamma(args):
 def cmd_run(args) -> int:
     problem, defaults = _scenario_at_gamma(args)
     settings = _settings(args, defaults, args.method)
-    try:
-        report = run_estimation(problem, args.method, seed=args.seed,
-                                workers=args.threads, **settings)
-    except ScenarioError:
-        raise
-    except (SchedulingError, ValueError) as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return 3
+    report = run_estimation(problem, args.method, seed=args.seed,
+                            workers=args.threads, **settings)
     _echo_timing(report)
     if args.format == "json":
         text = report_json_text(report, args.timing)
@@ -327,16 +327,10 @@ def cmd_levels(args) -> int:
     problem, defaults = _scenario_at_gamma(args)
     settings = _settings(args, defaults, method=None)
     p_bar = settings["p_bar"]
-    try:
-        schedule = build_schedule(problem, RngStream(args.seed),
-                                  levels_method=settings["levels_method"], p_bar=p_bar,
-                                  pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
-    except ScenarioError:
-        raise
-    except (SchedulingError, ValueError) as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return 3
-    targets = [p_bar ** (l + 1) for l in range(len(schedule))]
+    schedule = build_schedule(problem, RngStream(args.seed),
+                              levels_method=settings["levels_method"], p_bar=p_bar,
+                              pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
+    targets = list(schedule.targets)
     if args.format == "json":
         text = json.dumps({"times": list(schedule.times), "p_bar": p_bar,
                            "targets": targets}, indent=2) + "\n"
@@ -365,14 +359,8 @@ def cmd_verify(args) -> int:
               "(supported: i.i.d. exponential sums, weighted Poisson sums, "
               "two-coordinate ratios)", file=sys.stderr)
         return 2
-    try:
-        report = run_estimation(problem, args.method, seed=args.seed,
-                                workers=args.threads, **settings)
-    except ScenarioError:
-        raise
-    except (SchedulingError, ValueError) as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return 3
+    report = run_estimation(problem, args.method, seed=args.seed,
+                            workers=args.threads, **settings)
     se = math.sqrt(report.variance / report.m)
     diff = abs(report.mean - exact)
     ok = diff <= 3.0 * se if se > 0 else report.mean == exact
@@ -397,7 +385,7 @@ def cmd_reproduce(args) -> int:
     for method in methods:
         if method != "split":
             m = args.baseline_m if args.baseline_m is not None \
-                else int(defaults.get(f"{method}_m", 10 ** 6))
+                else _default(defaults, f"{method}_m", int, 10 ** 6)
             _check_samples(m, method)
             settings[method] = {"m": m}
     rows_out = []
@@ -408,10 +396,10 @@ def cmd_reproduce(args) -> int:
             try:
                 report = run_estimation(problem, method, seed=args.seed,
                                         workers=args.threads, **settings[method])
+            except ScenarioError:
+                raise
             except (SchedulingError, ValueError) as exc:
-                print(f"estimation error at gamma={gamma}, method={method}: {exc}",
-                      file=sys.stderr)
-                return 3
+                raise SchedulingError(f"at gamma={gamma}, method={method}: {exc}") from exc
             _echo_timing(report)
             rows_out.append(report_csv_row(report, gamma, args.timing))
         for ref_name, ref in row.get("paper_reference", {}).items():
@@ -503,7 +491,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SchedulingError as exc:
+    except (SchedulingError, ValueError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .model import OrderedPartialSum, ProblemSpec, Sum, WeightedSum
+from .model import ProblemSpec
 from .stats import _weighted_poisson_cdf
 
 __all__ = ["survival_bracket"]
@@ -103,24 +103,25 @@ def survival_bracket(problem: ProblemSpec, ts):
             values.append(v)
         return np.asarray(values), np.asarray(values)
 
-    if not isinstance(spec, (Sum, WeightedSum, OrderedPartialSum)):
+    sum_form = spec.summands(problem.n)
+    if sum_form is None:
         return None
-    top = isinstance(spec, OrderedPartialSum) and spec.n_bar < problem.n
+    weights, kept = sum_form
+    top = kept < problem.n
     if top and len(set(problem.marginals)) > 1:
         return None
     if gamma <= 0:
         return np.zeros_like(ts), np.zeros_like(ts)
 
-    weights = spec.weights if isinstance(spec, WeightedSum) else (1.0,) * problem.n
     terms = [(m, w) for m, w in zip(problem.marginals, weights) if w > 0]
-    summands = spec.n_bar if top else len(terms)
+    summands = kept if top else len(terms)
     cells = max(CELLS, 32 * summands)
     cache = {}  # i.i.d. columns share one pmf
     for term in terms:
         if term not in cache:
             cache[term] = _cell_pmf(*term, gamma, cells, ts)
     if top:
-        law = _top_sum_law(cache[terms[0]], problem.n, spec.n_bar)
+        law = _top_sum_law(cache[terms[0]], problem.n, kept)
     else:
         law = _sum_law([cache[term] for term in terms])
     cdf = np.cumsum(law, axis=1)

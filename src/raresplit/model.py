@@ -13,12 +13,12 @@ jump processes and need no embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .dist import Marginal, Poisson, marginal_from_json
+from .dist import Marginal, Poisson
 
 __all__ = [
     "Sum",
@@ -30,29 +30,85 @@ __all__ = [
     "importance",
     "is_quasi_monotone_witness",
     "importance_from_json",
-    "problem_from_json",
 ]
 
 
+class _Aggregate:
+    """What every aggregate S provides.  Subclasses are frozen dataclasses
+    whose fields are also their JSON fields, next to ``kind``."""
+
+    kind: str
+    # Poisson problems read the weights of S (oracle, IS tilt, survival curve)
+    poisson_ok = False
+
+    def pairs_with(self, directions) -> bool:
+        """True iff S is nondecreasing in every coordinate under ``directions``
+        ("I" increasing, "D" decreasing): the quasi-monotone pairing."""
+        return len(directions) >= 1 and all(d == "I" for d in directions)
+
+    def score_rows(self, rows: np.ndarray) -> np.ndarray:
+        """S of every row of a 2-d array whose width passed check_arity."""
+        raise NotImplementedError
+
+    def check_arity(self, n: int) -> None:
+        """Raise ValueError unless S is defined on n coordinates."""
+
+    def summands(self, n: int):
+        """(weights, top) when S(x) is the sum of the ``top`` largest of the
+        terms w_i x_i over n coordinates; None when S is no such sum."""
+        return (1.0,) * n, n
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        for f in fields(cls):
+            if f.name not in obj:
+                raise ValueError(f"{cls.kind} importance requires {f.name!r}")
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Aggregate):
     kind = "sum"
 
+    def score_rows(self, rows):
+        return rows.sum(axis=1)
+
 
 @dataclass(frozen=True)
-class Ratio:
+class Ratio(_Aggregate):
     """S(x) = x_1 / (x_2 + ... + x_n + eta) with noise floor eta > 0."""
 
     eta: float
     kind = "ratio"
 
     def __post_init__(self):
+        object.__setattr__(self, "eta", float(self.eta))
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta!r}")
 
+    def pairs_with(self, directions) -> bool:
+        return (len(directions) >= 2 and directions[0] == "I"
+                and all(d == "D" for d in directions[1:]))
+
+    def check_arity(self, n):
+        if n < 2:
+            raise ValueError("Ratio needs at least two coordinates")
+
+    def summands(self, n):
+        return None
+
+    def score_rows(self, rows):
+        denom = rows[:, 1:].sum(axis=1) + self.eta
+        # early times send D-coordinates to +inf; the ratio is then 0, not NaN
+        return np.divide(rows[:, 0], denom, out=np.zeros(rows.shape[0]),
+                         where=~np.isinf(denom))
+
 
 @dataclass(frozen=True)
-class OrderedPartialSum:
+class OrderedPartialSum(_Aggregate):
     """S(x) = sum of the n_bar largest coordinates."""
 
     n_bar: int
@@ -62,13 +118,27 @@ class OrderedPartialSum:
         if not (isinstance(self.n_bar, int) and self.n_bar >= 1):
             raise ValueError(f"n_bar must be an integer >= 1, got {self.n_bar!r}")
 
+    def check_arity(self, n):
+        if n < self.n_bar:
+            raise ValueError(f"n_bar is {self.n_bar}, more than the {n} coordinates")
+
+    def summands(self, n):
+        return (1.0,) * n, self.n_bar
+
+    def score_rows(self, rows):
+        n = rows.shape[1]
+        if self.n_bar == n:
+            return rows.sum(axis=1)
+        return np.partition(rows, n - self.n_bar, axis=1)[:, n - self.n_bar:].sum(axis=1)
+
 
 @dataclass(frozen=True)
-class WeightedSum:
+class WeightedSum(_Aggregate):
     """S(x) = sum_i w_i x_i with nonnegative weights, at least one positive."""
 
     weights: tuple
     kind = "weighted_sum"
+    poisson_ok = True
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -79,6 +149,22 @@ class WeightedSum:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
+    def check_arity(self, n):
+        if n != len(self.weights):
+            raise ValueError(f"weights has {len(self.weights)} entries for {n} coordinates")
+
+    def summands(self, n):
+        return self.weights, n
+
+    def score_rows(self, rows):
+        # a zero weight on an infinite coordinate gives a NaN score, which
+        # fails every threshold; numpy's warning about it says nothing more
+        with np.errstate(invalid="ignore"):
+            return rows @ self.weight_array()
+
+
+_AGGREGATES = {cls.kind: cls for cls in (Sum, Ratio, OrderedPartialSum, WeightedSum)}
+
 
 def is_quasi_monotone_witness(spec, directions) -> bool:
     """True iff (spec, directions) is one of the sanctioned monotone pairings.
@@ -86,14 +172,7 @@ def is_quasi_monotone_witness(spec, directions) -> bool:
     Sum / OrderedPartialSum / WeightedSum require every direction "I";
     Ratio requires "I" on coordinate 1 and "D" on all the rest.
     """
-    directions = tuple(directions)
-    if isinstance(spec, Ratio):
-        return (len(directions) >= 2
-                and directions[0] == "I"
-                and all(d == "D" for d in directions[1:]))
-    if isinstance(spec, (Sum, OrderedPartialSum, WeightedSum)):
-        return len(directions) >= 1 and all(d == "I" for d in directions)
-    return False
+    return spec.pairs_with(tuple(directions))
 
 
 def importance(spec, x):
@@ -101,29 +180,8 @@ def importance(spec, x):
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     rows = arr[None, :] if single else arr
-    if isinstance(spec, Sum):
-        out = rows.sum(axis=1)
-    elif isinstance(spec, WeightedSum):
-        if rows.shape[1] != len(spec.weights):
-            raise ValueError(f"x has {rows.shape[1]} coordinates, weights has {len(spec.weights)}")
-        out = rows @ spec.weight_array()
-    elif isinstance(spec, OrderedPartialSum):
-        nb = spec.n_bar
-        if rows.shape[1] < nb:
-            raise ValueError(f"x has {rows.shape[1]} coordinates, n_bar is {nb}")
-        if nb == rows.shape[1]:
-            out = rows.sum(axis=1)
-        else:
-            top = np.partition(rows, rows.shape[1] - nb, axis=1)[:, rows.shape[1] - nb:]
-            out = top.sum(axis=1)
-    elif isinstance(spec, Ratio):
-        if rows.shape[1] < 2:
-            raise ValueError("Ratio needs at least two coordinates")
-        denom = rows[:, 1:].sum(axis=1) + spec.eta
-        # early times send D-coordinates to +inf; the ratio is then 0, not NaN
-        out = np.where(np.isinf(denom), 0.0, rows[:, 0] / denom)
-    else:
-        raise TypeError(f"unknown importance spec {spec!r}")
+    spec.check_arity(rows.shape[1])
+    out = spec.score_rows(rows)
     return float(out[0]) if single else out
 
 
@@ -248,23 +306,17 @@ class ProblemSpec:
             raise ValueError("gamma must be finite")
         if self.kind not in ("continuous", "poisson"):
             raise ValueError(f"kind must be 'continuous' or 'poisson', got {self.kind!r}")
-        if not is_quasi_monotone_witness(self.importance, self.directions):
+        if not self.importance.pairs_with(self.directions):
             raise ValueError("importance/directions pair is not quasi-monotone")
+        self.importance.check_arity(n)
         poisson_marginals = [isinstance(m, Poisson) for m in self.marginals]
         if self.kind == "poisson":
             if not all(poisson_marginals):
                 raise ValueError("poisson problems require every marginal to be Poisson")
-            if not isinstance(self.importance, WeightedSum):
+            if not self.importance.poisson_ok:
                 raise ValueError("poisson problems require a weighted-sum importance")
-            if len(self.importance.weights) != n:
-                raise ValueError("weights must have one entry per marginal")
-        else:
-            if any(poisson_marginals):
-                raise ValueError("continuous problems cannot contain Poisson marginals")
-            if isinstance(self.importance, WeightedSum) and len(self.importance.weights) != n:
-                raise ValueError("weights must have one entry per marginal")
-            if isinstance(self.importance, OrderedPartialSum) and self.importance.n_bar > n:
-                raise ValueError("n_bar cannot exceed the number of marginals")
+        elif any(poisson_marginals):
+            raise ValueError("continuous problems cannot contain Poisson marginals")
 
     @property
     def n(self) -> int:
@@ -321,55 +373,17 @@ class ProblemSpec:
         return {
             "marginals": [m.to_json() for m in self.marginals],
             "directions": list(self.directions),
-            "importance": importance_to_json(self.importance),
+            "importance": self.importance.to_json(),
             "gamma": self.gamma,
             "kind": self.kind,
         }
 
 
-def importance_to_json(spec) -> dict:
-    if isinstance(spec, Sum):
-        return {"kind": "sum"}
-    if isinstance(spec, Ratio):
-        return {"kind": "ratio", "eta": spec.eta}
-    if isinstance(spec, OrderedPartialSum):
-        return {"kind": "ordered_partial_sum", "n_bar": spec.n_bar}
-    if isinstance(spec, WeightedSum):
-        return {"kind": "weighted_sum", "weights": list(spec.weights)}
-    raise TypeError(f"unknown importance spec {spec!r}")
-
-
 def importance_from_json(obj: dict):
+    """The aggregate named by the object's ``kind``, built from its fields."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("importance JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "sum":
-        return Sum()
-    if kind == "ratio":
-        if "eta" not in obj:
-            raise ValueError("ratio importance requires 'eta'")
-        return Ratio(eta=float(obj["eta"]))
-    if kind == "ordered_partial_sum":
-        if "n_bar" not in obj:
-            raise ValueError("ordered_partial_sum importance requires 'n_bar'")
-        return OrderedPartialSum(n_bar=int(obj["n_bar"]))
-    if kind == "weighted_sum":
-        if "weights" not in obj:
-            raise ValueError("weighted_sum importance requires 'weights'")
-        return WeightedSum(weights=tuple(float(w) for w in obj["weights"]))
-    raise ValueError(f"unknown importance kind {kind!r}")
-
-
-def problem_from_json(obj: dict) -> ProblemSpec:
-    """Build a ProblemSpec from the scenario JSON schema."""
-    for key in ("marginals", "directions", "importance", "gamma", "kind"):
-        if key not in obj:
-            raise ValueError(f"scenario JSON missing required field {key!r}")
-    marginals = tuple(marginal_from_json(m) for m in obj["marginals"])
-    return ProblemSpec(
-        marginals=marginals,
-        directions=tuple(obj["directions"]),
-        importance=importance_from_json(obj["importance"]),
-        gamma=float(obj["gamma"]),
-        kind=obj["kind"],
-    )
+    if not (isinstance(kind, str) and kind in _AGGREGATES):
+        raise ValueError(f"unknown importance kind {kind!r}")
+    return _AGGREGATES[kind].from_json(obj)

@@ -8,22 +8,9 @@ Every coordinate path is nondecreasing in t for every realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "RngStream",
-    "ProcessState",
-    "zero_state",
-    "advance_gamma",
-    "advance_poisson",
-    "advance_gamma_batch",
-    "advance_poisson_batch",
-    "gamma_variate",
-]
-
-_T_SLACK = 1e-12
+__all__ = ["RngStream", "advance_gamma_batch", "advance_poisson_batch"]
 
 
 class RngStream:
@@ -47,32 +34,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
-@dataclass(frozen=True)
-class ProcessState:
-    """Snapshot of a monotone path: time ``t`` and the coordinate vector.
-
-    ``values`` holds Gamma levels (floats) or Poisson counts (integers);
-    it is treated as immutable, advances return fresh states.
-    """
-
-    t: float
-    values: np.ndarray
-    kind: str = "gamma"
-
-    def __post_init__(self):
-        if self.kind not in ("gamma", "poisson"):
-            raise ValueError(f"kind must be 'gamma' or 'poisson', got {self.kind!r}")
-        if not (0.0 <= self.t <= 1.0 + _T_SLACK):
-            raise ValueError(f"t must lie in [0, 1], got {self.t!r}")
-        if np.any(np.asarray(self.values) < 0):
-            raise ValueError("coordinate values must be nonnegative")
-
-
-def zero_state(n: int, kind: str = "gamma") -> ProcessState:
-    dtype = np.int64 if kind == "poisson" else float
-    return ProcessState(0.0, np.zeros(n, dtype=dtype), kind)
-
-
 def _check_dt(dt: float) -> float:
     dt = float(dt)
     if not dt > 0:
@@ -92,34 +53,6 @@ def advance_poisson_batch(values: np.ndarray, dt: float, rates: np.ndarray, rng:
     rates = np.asarray(rates, dtype=float)
     if np.any(rates <= 0):
         raise ValueError("all rates must be > 0")
+    if rates.shape != values.shape[-1:]:
+        raise ValueError("rates must have one entry per column")
     return values + rng.gen.poisson(rates * dt, size=values.shape)
-
-
-def advance_gamma(state: ProcessState, dt: float, rng: RngStream) -> ProcessState:
-    """Advance a Gamma-process state by dt; the input state is unchanged."""
-    if state.kind != "gamma":
-        raise ValueError("advance_gamma requires a gamma-kind state")
-    dt = _check_dt(dt)
-    if state.t + dt > 1.0 + _T_SLACK:
-        raise ValueError(f"advance past t=1: t={state.t}, dt={dt}")
-    return ProcessState(state.t + dt, advance_gamma_batch(state.values, dt, rng), "gamma")
-
-
-def advance_poisson(state: ProcessState, dt: float, rates, rng: RngStream) -> ProcessState:
-    """Advance a Poisson jump state by dt with per-coordinate rates."""
-    if state.kind != "poisson":
-        raise ValueError("advance_poisson requires a poisson-kind state")
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != state.values.shape:
-        raise ValueError("rates must have one entry per coordinate")
-    return ProcessState(state.t + _check_dt(dt),
-                        advance_poisson_batch(state.values, dt, rates, rng),
-                        "poisson")
-
-
-def gamma_variate(shape: float, rng: RngStream) -> float:
-    """One Gamma(shape, 1) draw; valid for arbitrarily small positive shape."""
-    shape = float(shape)
-    if not shape > 0:
-        raise ValueError(f"shape must be > 0, got {shape!r}")
-    return float(rng.gen.gamma(shape))

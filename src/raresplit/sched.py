@@ -19,7 +19,7 @@ from scipy import special
 
 from .curve import survival_bracket
 from .dist import poisson_cdf_at
-from .model import ProblemSpec, Ratio
+from .model import ProblemSpec
 from .process import RngStream
 from .split import LevelSchedule, run_splitting
 
@@ -38,7 +38,8 @@ def _log_bound_continuous(problem: ProblemSpec):
     the survival of a top-n_bar sum.  Each factor equals the Gamma(t, 1) CDF
     at -ln(1 - F_j(gamma / n_bar)).
     """
-    c = problem.gamma / problem.importance.n_bar
+    _, top = problem.importance.summands(problem.n)
+    c = problem.gamma / top
     xs = []
     for m in problem.marginals:
         F = m.cdf(c)
@@ -101,9 +102,9 @@ def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1,
     level is exactly 1.  Ratio problems have no curve of this form, use
     ``inverse_ccdf_schedule`` for those.
     """
-    if isinstance(problem.importance, Ratio):
+    if problem.importance.summands(problem.n) is None:
         raise SchedulingError(
-            "lower_bound_schedule does not apply to ratio problems; "
+            f"lower_bound_schedule does not apply to {problem.importance.kind} problems; "
             "use inverse_ccdf_schedule instead")
     if not (0.0 < p_bar < 1.0):
         raise ValueError("p_bar must lie in (0, 1)")
@@ -121,13 +122,13 @@ def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1,
     levels = max(1, math.ceil(log_end / math.log(p_bar)))
     if levels > _MAX_LEVELS:
         raise SchedulingError(f"more than {_MAX_LEVELS} levels requested; check p_bar")
-    times = []
+    times, targets = [], []
     for l in range(1, levels):
         t = _invert_decreasing(ts, log_c, log_end * l / levels)
         if t < t_max and (not times or t > times[-1]):
             times.append(t)
-    times.append(1.0)
-    return LevelSchedule(tuple(times), p_bar)
+            targets.append(math.exp(log_end * l / levels))
+    return LevelSchedule((*times, 1.0), (*targets, math.exp(log_end)))
 
 
 def _invert_decreasing(ts, ys, y):
@@ -162,7 +163,7 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
         raise ValueError("p_bar must lie in (0, 1)")
 
     pilot_times = tuple((l + 1) / l_pilot for l in range(l_pilot))
-    pilot = run_splitting(problem, LevelSchedule(pilot_times, p_bar), s_pilot, rng)
+    pilot = run_splitting(problem, LevelSchedule(pilot_times), s_pilot, rng)
     if pilot.extinct_at is not None and pilot.extinct_at < l_pilot - 1:
         raise SchedulingError(
             f"pilot run went extinct at level {pilot.extinct_at + 1}/{l_pilot}; "
@@ -183,7 +184,7 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
 
     log_p = math.log(p_bar)
     end = log_surv[-1]
-    times = []
+    times, targets = [], []
     level = 1
     # the 1e-9 slack keeps a target that matches the curve's end (up to
     # accumulation roundoff) from spawning a zero-width final step
@@ -191,8 +192,8 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
         t = _invert_decreasing(ts, log_surv, level * log_p)
         if t < 1.0 - 1e-12 and (not times or t > times[-1]):
             times.append(t)
+            targets.append(p_bar ** level)
         level += 1
         if level > _MAX_LEVELS:
             raise SchedulingError(f"more than {_MAX_LEVELS} levels requested; check p_bar")
-    times.append(1.0)
-    return LevelSchedule(tuple(times), p_bar)
+    return LevelSchedule((*times, 1.0), (*targets, math.exp(end)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .process import RngStream
+from .process import RngStream, advance_gamma_batch, advance_poisson_batch
 from .stats import EstimateReport, make_report
 
 __all__ = ["LevelSchedule", "SplitRunResult", "run_splitting", "replicate"]
@@ -24,10 +24,11 @@ __all__ = ["LevelSchedule", "SplitRunResult", "run_splitting", "replicate"]
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """Strictly increasing times 0 < t_1 < ... < t_L = 1 and the survival target."""
+    """Strictly increasing times 0 < t_1 < ... < t_L = 1 and, from the
+    schedule builders, the survival P[S(X(t_l)) <= gamma] each level aims at."""
 
     times: tuple
-    p_bar: float = 0.1
+    targets: tuple | None = None
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -40,8 +41,8 @@ class LevelSchedule:
             raise ValueError("levels must be strictly increasing")
         if times[-1] != 1.0:
             raise ValueError(f"last level must be exactly 1, got {times[-1]!r}")
-        if not (0.0 < self.p_bar < 1.0):
-            raise ValueError("p_bar must lie in (0, 1)")
+        if self.targets is not None and len(self.targets) != len(times):
+            raise ValueError("targets must have one entry per level")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -95,9 +96,9 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
             assert np.all(problem.score(parents) <= problem.gamma), \
                 "resampled parent violates S <= gamma"
         if poisson:
-            advanced = parents + gen.poisson(rates * dt, size=(s, n))
+            advanced = advance_poisson_batch(parents, dt, rates, rng)
         else:
-            advanced = parents + gen.gamma(dt, 1.0, size=(s, n))
+            advanced = advance_gamma_batch(parents, dt, rng)
         survive = problem.survives(advanced)
         k = int(np.count_nonzero(survive))
         counts.append(k)
@@ -124,6 +125,8 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     Replication i always uses rng.substream(i), and results are aggregated
     in replication order, so the report is identical for any ``workers``.
     Extinct runs contribute a zero estimate to the sample, not an error.
+    ``wall_seconds`` covers the replications plus ``schedule_seconds``, the
+    time the caller spent building the schedule, when given.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -137,8 +140,10 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
             results = [r for f in futures for r in f.result()]
     wall = time.perf_counter() - t0
+    if schedule_seconds is not None:
+        wall += schedule_seconds
 
-    estimates = [r.estimate for r in results]
+    estimates = np.asarray([r.estimate for r in results])
     L = len(schedule)
     fractions = np.zeros((m, L))
     for row, r in enumerate(results):
@@ -147,7 +152,7 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     per_level = fractions.mean(axis=0)
 
     return make_report(
-        "split", estimates, wall,
+        "split", float(estimates.mean()), float(estimates.var(ddof=1)), m, wall,
         s=s, levels=schedule.times, per_level=per_level,
         seed=rng.seed, schedule_seconds=schedule_seconds,
     )

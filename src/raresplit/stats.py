@@ -93,13 +93,9 @@ class EstimateReport:
         return cls(**{k: obj.get(k) for k in REPORT_FIELDS})
 
 
-def make_report(method, estimates, wall_seconds, *, s=None, levels=None,
+def make_report(method, mean, variance, m, wall_seconds, *, s=None, levels=None,
                 per_level=None, seed=None, schedule_seconds=None) -> EstimateReport:
-    """Summarize a replication sample into a report."""
-    est = np.asarray(estimates, dtype=float)
-    m = est.size
-    mean = float(est.mean())
-    variance = float(est.var(ddof=1)) if m > 1 else 0.0
+    """The report of an estimator whose m samples have this mean and variance."""
     re = relative_error(mean, variance, m)
     return EstimateReport(
         method=method,
@@ -114,18 +110,6 @@ def make_report(method, estimates, wall_seconds, *, s=None, levels=None,
         per_level_survival=None if per_level is None else [float(p) for p in per_level],
         seed=seed,
         schedule_seconds=schedule_seconds,
-    )
-
-
-def bernoulli_report(method, hits, m, wall_seconds, *, seed=None) -> EstimateReport:
-    """Report for an indicator-mean estimator with ``hits`` successes out of m."""
-    mean = hits / m
-    variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
-    re = relative_error(mean, variance, m)
-    return EstimateReport(
-        method=method, mean=mean, variance=variance, re=re,
-        wnrv=None if re is None else wnrv(re, wall_seconds),
-        wall_seconds=wall_seconds, m=m, seed=seed,
     )
 
 

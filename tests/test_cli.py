@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from scipy import special
 
 from raresplit.cli import (
     CSV_COLUMNS,
@@ -102,6 +103,17 @@ class TestParseScenario:
         scen["marginals"] = [{"kind": "rice", "params": {}}]
         scen["directions"] = ["I"]
         with pytest.raises(ScenarioError, match="unknown distribution kind"):
+            parse_scenario(write_scenario(tmp_path, scen))
+
+    @pytest.mark.parametrize("field,value,path", [
+        ("marginals", [{"kind": "exponential", "params": {"rate": None}}] * 4, r"\$\.marginals\[0\]"),
+        ("importance", {"kind": "ratio", "eta": None}, r"\$\.importance"),
+        ("importance", {"kind": "weighted_sum", "weights": 5}, r"\$\.importance"),
+        ("directions", 5, r"\$: "),
+    ])
+    def test_wrong_json_types_rejected(self, tmp_path, field, value, path):
+        scen = {**EXP_SUM, field: value}
+        with pytest.raises(ScenarioError, match=path):
             parse_scenario(write_scenario(tmp_path, scen))
 
     def test_missing_file(self):
@@ -210,10 +222,16 @@ class TestCliLevels:
         proc = run_cli("levels", "--scenario", str(scen), "--gamma", "0.1")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        times = payload["times"]
+        times, targets = payload["times"], payload["targets"]
         assert times[-1] == 1.0
         assert all(b > a for a, b in zip(times, times[1:]))
-        assert payload["targets"][0] == pytest.approx(0.1)
+        # lb levels aim at P^(l/L), P the survival curve at t = 1: here the
+        # Gamma(4, 1) CDF at 0.1, up to the curve bracket's resolution
+        L = len(targets)
+        assert L == len(times)
+        for l, q in enumerate(targets, start=1):
+            assert math.log(q) == pytest.approx(l / L * math.log(targets[-1]), rel=1e-12)
+        assert targets[-1] == pytest.approx(special.gammainc(4, 0.1), rel=0.03)
 
     def test_levels_csv(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
@@ -291,11 +309,25 @@ class TestBadSettings:
         *[("verify", "I", f) for f in BAD_SETTINGS],
         ("verify", "I", ("--method", "is", "--m", "0")),
         ("run", "V", ("--method", "naive", "--m", "0")),
+        ("run", "I", ("--method", "is", "--gamma=-1")),
+        ("verify", "I", ("--method", "is", "--gamma=-1")),
     ])
     def test_scenario_commands(self, tmp_path, capsys, command, table, flags):
         preset = tmp_path / "preset.json"
         preset.write_text(json.dumps(load_preset(table)))
         assert main([command, "--scenario", str(preset), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    def test_bad_preset_default(self, tmp_path, capsys, command):
+        data = load_preset("I")
+        data["defaults"]["s"] = "abc"
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main([command, "--scenario", str(preset)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert len(err.splitlines()) == 1

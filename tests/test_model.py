@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from raresplit.cli import parse_scenario
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma
 from raresplit.model import (
     _BRACKET_CELLS,
@@ -18,7 +20,6 @@ from raresplit.model import (
     embed,
     importance,
     is_quasi_monotone_witness,
-    problem_from_json,
 )
 from raresplit.process import RngStream, advance_gamma_batch
 
@@ -231,7 +232,7 @@ class TestProblemSpec:
                         WeightedSum((1.0, 2.0)), 3.0, "poisson")
         assert np.allclose(q.score(np.array([[1, 1]])), [3.0])
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         specs = [
             ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 1.5, "continuous"),
             ProblemSpec((Weibull(0.5, 1.0),) * 8, ("I",) * 8,
@@ -241,8 +242,10 @@ class TestProblemSpec:
             ProblemSpec((Poisson(1.0), Poisson(1.2)), ("I", "I"),
                         WeightedSum((1.0, 2.0)), 30.0, "poisson"),
         ]
+        path = tmp_path / "scenario.json"
         for p in specs:
-            assert problem_from_json(p.to_json()) == p
+            path.write_text(json.dumps(p.to_json()))
+            assert parse_scenario(path) == (p, {})
 
 
 def embed_by_column(g, marginals, directions):
@@ -318,9 +321,11 @@ def neighbours(row, levels=()):
     return np.array(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSurvives:
     """ProblemSpec.survives decides each row from a bracket of tabulated
-    quantiles and must equal score(states) <= gamma exactly."""
+    quantiles and must equal score(states) <= gamma exactly, without
+    RuntimeWarnings from the infinite ends of the bracket."""
 
     @given(st.data())
     def test_equals_score_at_most_gamma(self, data):

@@ -5,16 +5,7 @@ import pytest
 from scipy import stats
 
 from raresplit.dist import reg_lower_inc_gamma
-from raresplit.process import (
-    ProcessState,
-    RngStream,
-    advance_gamma,
-    advance_gamma_batch,
-    advance_poisson,
-    advance_poisson_batch,
-    gamma_variate,
-    zero_state,
-)
+from raresplit.process import RngStream, advance_gamma_batch, advance_poisson_batch
 
 KS_1PCT = 1.63  # critical coefficient: reject if D > 1.63 / sqrt(n)
 
@@ -67,37 +58,30 @@ class TestAdvanceGamma:
         # increments are a.s. positive; ties can only come from float
         # underflow of a tiny Gamma(dt) draw against the accumulated level
         rng = RngStream(3)
-        state = zero_state(4, "gamma")
+        values = np.zeros(4)
         strict = 0
         total = 0
         for _ in range(10):
-            new = advance_gamma(state, 0.1, rng)
-            assert np.all(new.values >= state.values)
-            assert new.t > state.t
-            strict += int(np.sum(new.values > state.values))
-            total += state.values.size
-            state = new
+            new = advance_gamma_batch(values, 0.1, rng)
+            assert np.all(new >= values)
+            strict += int(np.sum(new > values))
+            total += values.size
+            values = new
         assert strict >= 0.9 * total
 
     def test_value_semantics(self):
         rng = RngStream(4)
-        state = zero_state(3, "gamma")
-        before = state.values.copy()
-        advance_gamma(state, 0.5, rng)
-        assert np.array_equal(state.values, before)
-        assert state.t == 0.0
+        values = np.zeros(3)
+        advance_gamma_batch(values, 0.5, rng)
+        assert np.array_equal(values, np.zeros(3))
 
     def test_validation(self):
         rng = RngStream(5)
-        state = zero_state(2, "gamma")
+        values = np.zeros(2)
         with pytest.raises(ValueError):
-            advance_gamma(state, 0.0, rng)
+            advance_gamma_batch(values, 0.0, rng)
         with pytest.raises(ValueError):
-            advance_gamma(state, -0.1, rng)
-        with pytest.raises(ValueError):
-            advance_gamma(advance_gamma(state, 0.9, rng), 0.2, rng)
-        with pytest.raises(ValueError):
-            advance_gamma(zero_state(2, "poisson"), 0.1, rng)
+            advance_gamma_batch(values, -0.1, rng)
 
     def test_increment_independence(self):
         n = 100_000
@@ -106,6 +90,11 @@ class TestAdvanceGamma:
         second = advance_gamma_batch(first, 0.5, rng) - first
         r = np.corrcoef(first[:, 0], second[:, 0])[0, 1]
         assert abs(r) < 4.0 / math.sqrt(n)
+
+    def test_determinism_bit_exact(self):
+        a = advance_gamma_batch(np.zeros(5), 0.3, RngStream(99))
+        b = advance_gamma_batch(np.zeros(5), 0.3, RngStream(99))
+        assert np.array_equal(a, b)
 
 
 class TestAdvancePoisson:
@@ -136,25 +125,22 @@ class TestAdvancePoisson:
 
     def test_counts_never_decrease(self):
         rng = RngStream(9)
-        state = zero_state(3, "poisson")
+        counts = np.zeros((100, 3), dtype=np.int64)
         rates = np.array([0.5, 1.0, 2.0])
         for _ in range(5):
-            new = advance_poisson(state, 0.2, rates, rng)
-            assert np.all(new.values >= state.values)
-            state = new
-        assert state.t == pytest.approx(1.0)
+            new = advance_poisson_batch(counts, 0.2, rates, rng)
+            assert np.all(new >= counts)
+            counts = new
 
     def test_validation(self):
         rng = RngStream(10)
-        state = zero_state(2, "poisson")
+        counts = np.zeros((4, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            advance_poisson(state, 0.0, np.array([1.0, 1.0]), rng)
+            advance_poisson_batch(counts, 0.0, np.array([1.0, 1.0]), rng)
         with pytest.raises(ValueError):
-            advance_poisson(state, 0.1, np.array([1.0, 0.0]), rng)
+            advance_poisson_batch(counts, 0.1, np.array([1.0, 0.0]), rng)
         with pytest.raises(ValueError):
-            advance_poisson(state, 0.1, np.array([1.0]), rng)
-        with pytest.raises(ValueError):
-            advance_poisson(zero_state(2, "gamma"), 0.1, np.array([1.0, 1.0]), rng)
+            advance_poisson_batch(counts, 0.1, np.array([1.0]), rng)
 
 
 class TestGammaVariate:
@@ -167,7 +153,7 @@ class TestGammaVariate:
     def test_small_shape_left_tail(self):
         # P[draw < 1e-6] must match the Gamma(0.05, 1) CDF
         rng = RngStream(12)
-        draws = np.array([gamma_variate(0.05, rng) for _ in range(200_000)])
+        draws = advance_gamma_batch(np.zeros(200_000), 0.05, rng)
         target = reg_lower_inc_gamma(0.05, 1e-6)
         se = math.sqrt(target * (1.0 - target) / draws.size)
         assert abs(np.mean(draws < 1e-6) - target) < 3.0 * se
@@ -175,45 +161,21 @@ class TestGammaVariate:
     def test_mean_over_million_draws(self):
         rng = RngStream(15)
         shape = 0.7
-        draws = np.array([gamma_variate(shape, rng) for _ in range(1_000_000)])
+        draws = advance_gamma_batch(np.zeros(1_000_000), shape, rng)
         se = math.sqrt(shape / draws.size)  # Var[Gamma(k,1)] = k
         assert abs(draws.mean() - shape) < 4.0 * se
 
     def test_shape_three_moments(self):
         rng = RngStream(13)
-        draws = np.array([gamma_variate(3.0, rng) for _ in range(100_000)])
+        draws = advance_gamma_batch(np.zeros(100_000), 3.0, rng)
         n = draws.size
         assert abs(draws.mean() - 3.0) < 4.0 * math.sqrt(3.0 / n)
         assert abs(draws.var() - 3.0) < 4.0 * math.sqrt(15.0 * 3.0 / n)
 
     def test_positive_and_validated(self):
         rng = RngStream(14)
-        assert gamma_variate(0.5, rng) > 0
+        assert np.all(advance_gamma_batch(np.zeros(1000), 0.5, rng) > 0)
         with pytest.raises(ValueError):
-            gamma_variate(0.0, rng)
+            advance_gamma_batch(np.zeros(1), 0.0, rng)
         with pytest.raises(ValueError):
-            gamma_variate(-1.0, rng)
-
-
-class TestProcessState:
-    def test_zero_state(self):
-        s = zero_state(3, "poisson")
-        assert s.t == 0.0
-        assert s.values.dtype == np.int64
-        assert np.all(s.values == 0)
-
-    def test_invalid_states_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessState(0.0, np.zeros(2), "brownian")
-        with pytest.raises(ValueError):
-            ProcessState(-0.1, np.zeros(2), "gamma")
-        with pytest.raises(ValueError):
-            ProcessState(1.5, np.zeros(2), "gamma")
-        with pytest.raises(ValueError):
-            ProcessState(0.5, np.array([0.1, -0.2]), "gamma")
-
-    def test_determinism_bit_exact(self):
-        a = advance_gamma(zero_state(5, "gamma"), 0.3, RngStream(99))
-        b = advance_gamma(zero_state(5, "gamma"), 0.3, RngStream(99))
-        assert np.array_equal(a.values, b.values)
-        assert a.t == b.t
+            advance_gamma_batch(np.zeros(1), -1.0, rng)

@@ -60,11 +60,10 @@ class TestLevelSchedule:
         with pytest.raises(ValueError):
             LevelSchedule(times)
 
-    def test_p_bar_bounds(self):
+    def test_targets_one_per_level(self):
+        assert LevelSchedule((0.5, 1.0), (0.1, 0.01)).targets == (0.1, 0.01)
         with pytest.raises(ValueError):
-            LevelSchedule((1.0,), p_bar=0.0)
-        with pytest.raises(ValueError):
-            LevelSchedule((1.0,), p_bar=1.0)
+            LevelSchedule((0.5, 1.0), (0.1,))
 
 
 class TestSplitRunResult:
