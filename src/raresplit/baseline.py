@@ -16,7 +16,23 @@ from .stats import EstimateReport, make_report
 
 __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 
-_CHUNK = 1 << 20  # fixed so the draw sequence is independent of m
+# Rows per generator call, which bounds a call's memory.  numpy fills a
+# (c, n) draw in C order from one stream, so the draws and every estimate
+# are the same for any block size.  At 2^12 rows a column's quantile
+# temporaries (32 KiB) stay under glibc's mmap threshold: naive MC on
+# Table V ran fastest of 2^12..2^17 on a 2-core VM, and IS, bound by its
+# Poisson draws, did not depend on the size.
+_BLOCK = 1 << 12
+# IS sums its weights once per _CHUNK samples, in one pairwise np.sum each;
+# the constant pins those sum boundaries, and with them the bits of the IS
+# moments.  A multiple of _BLOCK, so no block straddles two sums.
+_CHUNK = 1 << 20
+
+
+def _blocks(m: int, draw):
+    """(first row, draw(c)) for consecutive blocks of c <= _BLOCK rows, m rows in all."""
+    for start in range(0, m, _BLOCK):
+        yield start, draw(min(_BLOCK, m - start))
 
 
 def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
@@ -42,20 +58,18 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     poisson = problem.kind == "poisson"
     rates = problem.rates() if poisson else None
 
-    t0 = time.perf_counter()
-    hits = 0
-    done = 0
-    while done < m:
-        c = min(_CHUNK, m - done)
+    def draw(c):
         if poisson:
-            x = gen.poisson(rates, size=(c, n)).astype(float)
-        else:
-            u = gen.random((c, n))
-            x = np.empty((c, n))
-            for i, marginal in enumerate(problem.marginals):
-                x[:, i] = marginal.quantile(u[:, i])
-        hits += int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma))
-        done += c
+            return gen.poisson(rates, size=(c, n))
+        u = gen.random((c, n))
+        x = np.empty((c, n))
+        for i, marginal in enumerate(problem.marginals):
+            x[:, i] = marginal.quantile(u[:, i])
+        return x
+
+    t0 = time.perf_counter()
+    hits = sum(int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma))
+               for _, x in _blocks(m, draw))
     wall = time.perf_counter() - t0
     mean = hits / m
     variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
@@ -97,16 +111,17 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     t0 = time.perf_counter()
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < m:
-        c = min(_CHUNK, m - done)
-        x = gen.poisson(lambdas * theta, size=(c, lambdas.size))
-        inside = (x @ weights) <= gamma
+    tilted = lambdas * theta
+    vals = np.empty(min(_CHUNK, m))
+    for start, x in _blocks(m, lambda c: gen.poisson(tilted, size=(c, tilted.size))):
+        i = start % _CHUNK
+        j = i + x.shape[0]
         log_w = const - log_theta * x.sum(axis=1)
-        vals = np.where(inside, np.exp(log_w), 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += c
+        vals[i:j] = np.where((x @ weights) <= gamma, np.exp(log_w), 0.0)
+        if j == _CHUNK or start + x.shape[0] == m:
+            filled = vals[:j]
+            total += float(filled.sum())
+            total_sq += float((filled * filled).sum())
     wall = time.perf_counter() - t0
 
     mean = total / m

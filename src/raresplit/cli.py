@@ -258,11 +258,11 @@ def _settings(args, defaults, method) -> dict:
         return value if value is not None else _default(defaults, key, cast, builtin)
 
     settings = {
-        "s": pick("s", "s", int, 3000),
-        "m": pick("m", "m", int, 200),
+        "s": pick("s", "s", _count, 3000),
+        "m": pick("m", "m", _count, 200),
         "p_bar": pick("pbar", "p_bar", float, 0.1),
         "levels_method": pick("levels_method", "levels_method", str, "lb"),
-        "pilot_levels": pick("pilot_levels", "pilot_levels", int, 12),
+        "pilot_levels": pick("pilot_levels", "pilot_levels", _count, 12),
     }
     if method in ("split", None):
         _check_schedule(settings)
@@ -271,13 +271,25 @@ def _settings(args, defaults, method) -> dict:
     return settings
 
 
+def _count(value) -> int:
+    """A count from JSON: an int or an integral float such as 6e6, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+_CAST_NAMES = {_count: "an integer", float: "a number"}  # str() takes any JSON value
+
+
 def _default(defaults: dict, key: str, cast, builtin):
     """A preset default cast to its type; a bad value is a configuration error."""
     value = defaults.get(key, builtin)
     try:
         return cast(value)
     except (TypeError, ValueError):
-        _fail(f"$.defaults.{key}", f"must be {cast.__name__}, got {value!r}")
+        _fail(f"$.defaults.{key}", f"must be {_CAST_NAMES[cast]}, got {value!r}")
 
 
 def _check_schedule(settings: dict) -> None:
@@ -313,7 +325,7 @@ def cmd_run(args) -> int:
     problem, defaults = _scenario_at_gamma(args)
     settings = _settings(args, defaults, args.method)
     report = run_estimation(problem, args.method, seed=args.seed,
-                            workers=args.threads, **settings)
+                            workers=args.workers, **settings)
     _echo_timing(report)
     if args.format == "json":
         text = report_json_text(report, args.timing)
@@ -360,7 +372,7 @@ def cmd_verify(args) -> int:
               "two-coordinate ratios)", file=sys.stderr)
         return 2
     report = run_estimation(problem, args.method, seed=args.seed,
-                            workers=args.threads, **settings)
+                            workers=args.workers, **settings)
     se = math.sqrt(report.variance / report.m)
     diff = abs(report.mean - exact)
     ok = diff <= 3.0 * se if se > 0 else report.mean == exact
@@ -385,7 +397,7 @@ def cmd_reproduce(args) -> int:
     for method in methods:
         if method != "split":
             m = args.baseline_m if args.baseline_m is not None \
-                else _default(defaults, f"{method}_m", int, 10 ** 6)
+                else _default(defaults, f"{method}_m", _count, 10 ** 6)
             _check_samples(m, method)
             settings[method] = {"m": m}
     rows_out = []
@@ -395,7 +407,7 @@ def cmd_reproduce(args) -> int:
         for method in methods:
             try:
                 report = run_estimation(problem, method, seed=args.seed,
-                                        workers=args.threads, **settings[method])
+                                        workers=args.workers, **settings[method])
             except ScenarioError:
                 raise
             except (SchedulingError, ValueError) as exc:
@@ -422,8 +434,10 @@ def _add_common(p):
     p.add_argument("--timing", action="store_true",
                    help="write measured timing fields instead of nulls "
                         "(makes reports non-reproducible byte-for-byte)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--workers", type=int, default=1,
                    help="max worker processes for replications")
+    # the flag's first name, kept so existing command lines still run
+    p.add_argument("--threads", type=int, dest="workers", help=argparse.SUPPRESS)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .dist import Exponential
 from .model import ProblemSpec, Ratio, Sum
@@ -175,6 +175,8 @@ def oracle_exact(problem: ProblemSpec, max_lattice: int = 10 ** 8) -> float | No
         f1 = problem.marginals[0]
         q2 = problem.marginals[1]
         eta = problem.importance.eta
+
+        from scipy import integrate  # loads optimize, sparse, linalg and fft; only this branch needs it
 
         def integrand(u):
             return f1.cdf(gamma * (q2.quantile(u) + eta))

@@ -179,3 +179,62 @@ def lognormal_cdf_mp(x, mu, sigma) -> float:
         if x <= 0:
             return 0.0
         return float(mpmath.ncdf((mpmath.log(x) - mu) / sigma))
+
+
+def _log_cdf_and_sf(marginal: dict):
+    """ln F(x) and ln P[X > x] in mpmath for a marginal given by its JSON form."""
+    kind = marginal["kind"]
+    p = {k: mpmath.mpf(v) for k, v in marginal["params"].items()}
+    if kind == "lognormal":
+        def z(x):
+            return (mpmath.log(x) - p["mu"]) / p["sigma"]
+        return (lambda x: mpmath.log(mpmath.ncdf(z(x))),
+                lambda x: mpmath.log(mpmath.ncdf(-z(x))))
+    if kind in ("weibull", "exponential"):
+        alpha, scale = (p["alpha"], p["eta"]) if kind == "weibull" else (1, 1 / p["rate"])
+        def h(x):
+            return (x / scale) ** alpha
+        return lambda x: mpmath.log(-mpmath.expm1(-h(x))), lambda x: -h(x)
+    if kind in ("gamma", "gengamma"):
+        k, power, scale = ((p["shape"], 1, 1 / p["rate"]) if kind == "gamma"
+                           else (p["d"] / p["p"], p["p"], p["a"]))
+        def y(x):
+            return (x / scale) ** power
+        return (lambda x: mpmath.log(mpmath.gammainc(k, 0, y(x), regularized=True)),
+                lambda x: mpmath.log(mpmath.gammainc(k, y(x), mpmath.inf, regularized=True)))
+    raise ValueError(f"no mpmath tails for {kind!r}")
+
+
+def neg_log_tail_quantile_mp(marginal: dict, g: float, tail: str, dps: int = 30) -> float:
+    """x with P[X > x] = e^{-g} (tail="upper") or F(x) = e^{-g} ("lower").
+
+    Matches whichever of e^{-g} and 1 - e^{-g} is the smaller mass, in log
+    space, by bisection on ln x over a bracket grown by doubling from
+    [-1, 1]; returns the double nearest x (0 or inf outside their range).
+    """
+    if not 0 < g < math.inf:
+        raise ValueError("g must be finite and > 0")
+    with mpmath.workdps(dps):
+        log_cdf, log_sf = _log_cdf_and_sf(marginal)
+        g = mpmath.mpf(g)
+        mass_is_tail = g >= mpmath.log(2)
+        target = -g if mass_is_tail else mpmath.log(-mpmath.expm1(-g))
+
+        def rising(y):  # increasing in y = ln x, zero at the quantile
+            x = mpmath.exp(y)
+            if (tail == "upper") == mass_is_tail:
+                return target - log_sf(x)
+            return log_cdf(x) - target
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while rising(lo) > 0:
+            lo *= 2
+        while rising(hi) < 0:
+            hi *= 2
+        while hi - lo > mpmath.mpf(2) ** -60:
+            mid = (lo + hi) / 2
+            if rising(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.exp((lo + hi) / 2))

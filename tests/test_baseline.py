@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from raresplit import baseline
 from raresplit.baseline import naive_mc, poisson_is, poisson_is_tilt
-from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
-from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum
+from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
+from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, importance
 from raresplit.process import RngStream
 
 import oracles
@@ -118,6 +120,71 @@ class TestPoissonIs:
         a = poisson_is([1.0, 2.0], [1.0, 1.0], 1.0, 50_000, RngStream(10))
         b = poisson_is([1.0, 2.0], [1.0, 1.0], 1.0, 50_000, RngStream(10))
         assert a.mean == b.mean and a.variance == b.variance
+
+
+def one_chunk_naive(problem, m, seed):
+    """naive_mc's (mean, variance) from one (m, n) draw, as before row blocks."""
+    gen = RngStream(seed).gen
+    if problem.kind == "poisson":
+        x = gen.poisson(problem.rates(), size=(m, problem.n)).astype(float)
+    else:
+        u = gen.random((m, problem.n))
+        x = np.empty((m, problem.n))
+        for i, marginal in enumerate(problem.marginals):
+            x[:, i] = marginal.quantile(u[:, i])
+    mean = int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma)) / m
+    return mean, mean * (1.0 - mean) * m / (m - 1)
+
+
+def one_chunk_is(lambdas, weights, gamma, m, seed, chunk=1 << 20):
+    """poisson_is's (mean, variance) from one (c, n) draw per ``chunk`` samples,
+    as before row blocks."""
+    gen = RngStream(seed).gen
+    lambdas, weights = np.asarray(lambdas, dtype=float), np.asarray(weights, dtype=float)
+    theta = poisson_is_tilt(lambdas, weights, gamma)
+    const = -float(lambdas.sum()) * (1.0 - theta)
+    total = total_sq = 0.0
+    for done in range(0, m, chunk):
+        x = gen.poisson(lambdas * theta, size=(min(chunk, m - done), lambdas.size))
+        log_w = const - math.log(theta) * x.sum(axis=1)
+        vals = np.where((x @ weights) <= gamma, np.exp(log_w), 0.0)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / m
+    return mean, max((total_sq - m * mean * mean) / (m - 1), 0.0)
+
+
+class TestRowBlocks:
+    """The baselines stream fixed row blocks and report the bits of one draw."""
+
+    # several blocks, the last one partial
+    M = 3 * baseline._BLOCK + 123
+
+    def test_naive_poisson_matches_one_chunk(self):
+        problem = ProblemSpec((Poisson(1.0), Poisson(2.5), Poisson(0.7)), ("I",) * 3,
+                              WeightedSum((1.0, 0.5, 2.25)), 3.0, "poisson")
+        rep = naive_mc(problem, self.M, RngStream(21))
+        assert (rep.mean, rep.variance) == one_chunk_naive(problem, self.M, 21)
+        assert 0.0 < rep.mean < 1.0
+
+    def test_naive_continuous_matches_one_chunk(self):
+        problem = ProblemSpec((Weibull(0.7, 1.0), LogNormal(0.0, 1.0), Exponential(2.0)),
+                              ("I",) * 3, Sum(), 2.0, "continuous")
+        rep = naive_mc(problem, self.M, RngStream(22))
+        assert (rep.mean, rep.variance) == one_chunk_naive(problem, self.M, 22)
+        assert 0.0 < rep.mean < 1.0
+
+    def test_is_matches_one_chunk(self):
+        args = ([1.0, 2.0, 0.5], [1.0, 1.5, 3.0], 1.2)
+        rep = poisson_is(*args, self.M, RngStream(23))
+        assert (rep.mean, rep.variance) == one_chunk_is(*args, self.M, 23)
+
+    def test_is_across_the_chunk_sum_boundary(self):
+        m = (1 << 20) + 5
+        args = ([1.0, 2.0], [1.0, 2.0], 0.9)
+        rep = poisson_is(*args, m, RngStream(24))
+        assert (rep.mean, rep.variance) == one_chunk_is(*args, m, 24)
+        assert rep.mean > 0.0
 
 
 class TestLogNormalRatioSmoke:

@@ -3,10 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from scipy import special
 
+from raresplit import cli
 from raresplit.cli import (
     CSV_COLUMNS,
     ScenarioError,
@@ -121,6 +123,18 @@ class TestParseScenario:
             parse_scenario("/nonexistent/scenario.json")
 
 
+class TestColdStart:
+    def test_cli_import_loads_no_scipy_integrate(self):
+        # scipy.integrate pulls these in; only the ratio oracle's quadrature needs it
+        heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.fft"]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); import raresplit.cli; "
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestPresets:
     @pytest.mark.parametrize("table", sorted(TABLES))
     def test_presets_round_trip(self, table, tmp_path):
@@ -164,6 +178,20 @@ class TestCliRun:
         assert report["method"] == "split"
         assert report["wall_seconds"] is None  # timing suppressed by default
         assert report["seed"] == 77
+
+    def test_threads_is_a_hidden_alias_of_workers(self, tmp_path, capsys):
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(load_preset("V")))
+        outs = []
+        for flag in ("--workers", "--threads"):
+            assert main(["run", "--scenario", str(preset), "--s", "300", "--m", "4",
+                         "--seed", "3", flag, "2"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        usage = capsys.readouterr().out
+        assert "--workers" in usage and "--threads" not in usage
 
     def test_csv_format_and_columns(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
@@ -321,17 +349,41 @@ class TestBadSettings:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
-    def test_bad_preset_default(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,key,value", [
+        pytest.param("run", "s", "abc", id="run"),
+        pytest.param("levels", "s", "abc", id="levels"),
+        pytest.param("verify", "s", "abc", id="verify"),
+        pytest.param("run", "s", 300.9, id="run-s-fraction"),
+        pytest.param("run", "m", True, id="run-m-bool"),
+        pytest.param("levels", "pilot_levels", 2.5, id="levels-pilot_levels-fraction"),
+        pytest.param("verify", "m", 2.9, id="verify-m-fraction"),
+        pytest.param("reproduce", "naive_m", 1e6 + 0.5, id="reproduce-naive_m-fraction"),
+        pytest.param("reproduce", "is_m", True, id="reproduce-is_m-bool"),
+    ])
+    def test_bad_preset_default(self, tmp_path, capsys, monkeypatch, command, key, value):
         data = load_preset("I")
-        data["defaults"]["s"] = "abc"
-        preset = tmp_path / "preset.json"
-        preset.write_text(json.dumps(data))
-        assert main([command, "--scenario", str(preset)]) == 2
+        data["defaults"][key] = value
+        if command == "reproduce":
+            monkeypatch.setattr(cli, "load_preset", lambda table: data)
+            argv = ["reproduce", "--table", "I"]
+        else:
+            preset = tmp_path / "preset.json"
+            preset.write_text(json.dumps(data))
+            argv = [command, "--scenario", str(preset)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
+        assert err.startswith(f"configuration error: $.defaults.{key}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_integral_float_default_accepted(self, tmp_path, capsys):
+        data = load_preset("I")
+        data["defaults"].update(s=3e2, m=4.0)
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(preset)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["s"] == 300 and report["m"] == 4
 
     @pytest.mark.parametrize("flags", [
         ("--s", "1"), ("--m", "1"), ("--baseline-m", "0"),

@@ -183,6 +183,66 @@ class TestNegLogTailQuantile:
                     <= d.quantile_from_neg_log_tail(hi, "upper"))
 
 
+# One member of every continuous law, with parameters off the unit values.
+EXTREME_LAWS = [
+    LogNormal(0.3, 1.7),
+    Weibull(0.6, 2.0),
+    GeneralizedGamma(2.5, 0.7, 1.3),
+    Gamma(0.4, 2.0),
+    Exponential(1.5),
+]
+_LN2 = math.log(2.0)
+# Largest g at which e^{-g} is still a normal double.
+_NORMAL_G = -math.log(np.finfo(float).tiny)
+# g = 0, tiny g, both sides of the ln 2 branch switch, deep tail, the edge
+# of normal doubles, subnormal e^{-g}, and past its underflow to 0 (g > 745.13).
+EDGE_GS = [
+    0.0, 5e-324, 1e-300, 1e-12,
+    math.nextafter(_LN2, 0.0), _LN2, math.nextafter(_LN2, 1.0), _LN2 - 1e-9, _LN2 + 1e-9,
+    1.0, 50.0, 699.0, 700.0, 708.0, 720.0, 745.0, 745.2, 800.0, 1e4,
+]
+edge_or_any_g = st.one_of(st.sampled_from(EDGE_GS), st.floats(min_value=0.0, max_value=1e4))
+
+
+class TestNegLogTailQuantileExtremes:
+    """Every law, both tails, from g = 0 to past the underflow of e^{-g}."""
+
+    @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_against_mpmath_while_tail_mass_is_normal(self, law, tail):
+        # 5e-324 is left out: scipy's gammainccinv loses digits at a
+        # subnormal argument (1.4e-4 relative on the Gamma lower tail)
+        for g in [x for x in EDGE_GS if 1e-300 <= x <= _NORMAL_G]:
+            expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
+            assert law.quantile_from_neg_log_tail(g, tail) == pytest.approx(
+                expected, rel=1e-10), f"g = {g!r}"
+
+    @given(edge_or_any_g, edge_or_any_g)
+    def test_monotone_in_g_and_never_nan(self, g1, g2):
+        lo, hi = sorted((g1, g2))
+        for d in EXTREME_LAWS:
+            up = d.quantile_from_neg_log_tail(np.array([lo, hi]), "upper")
+            down = d.quantile_from_neg_log_tail(np.array([lo, hi]), "lower")
+            assert not np.any(np.isnan(up)) and not np.any(np.isnan(down))
+            assert 0.0 <= up[0] <= up[1], d
+            assert down[0] >= down[1] >= 0.0, d
+
+    @given(st.one_of(st.sampled_from([g for g in EDGE_GS if 0.0 < g <= _NORMAL_G]),
+                     st.floats(min_value=5e-324, max_value=_NORMAL_G)))
+    def test_finite_while_tail_mass_is_positive_and_normal(self, g):
+        for d in EXTREME_LAWS:
+            assert math.isfinite(d.quantile_from_neg_log_tail(g, "upper")), d
+            assert math.isfinite(d.quantile_from_neg_log_tail(g, "lower")), d
+
+    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d.closed_form_upper],
+                             ids=lambda d: d.kind)
+    def test_closed_form_upper_tail_exact_past_underflow(self, law):
+        for g in (745.2, 800.0, 1e4):
+            got = law.quantile_from_neg_log_tail(g, "upper")
+            assert got == pytest.approx(
+                oracles.neg_log_tail_quantile_mp(law.to_json(), g, "upper"), rel=1e-12)
+
+
 class TestRegLowerIncGamma:
     def test_reduces_to_exponential(self):
         assert reg_lower_inc_gamma(1.0, 0.5) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-13)
