@@ -117,7 +117,8 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
         i = start % _CHUNK
         j = i + x.shape[0]
         log_w = const - log_theta * x.sum(axis=1)
-        vals[i:j] = np.where((x @ weights) <= gamma, np.exp(log_w), 0.0)
+        score = np.einsum("ij,j->i", x, weights)  # row sums independent of the block
+        vals[i:j] = np.where(score <= gamma, np.exp(log_w), 0.0)
         if j == _CHUNK or start + x.shape[0] == m:
             filled = vals[:j]
             total += float(filled.sum())

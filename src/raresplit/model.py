@@ -157,10 +157,12 @@ class WeightedSum(_Aggregate):
         return self.weights, n
 
     def score_rows(self, rows):
-        # a zero weight on an infinite coordinate gives a NaN score, which
-        # fails every threshold; numpy's warning about it says nothing more
+        # einsum sums each row in a fixed order, so a row's score does not
+        # depend on the rows passed with it, as BLAS's ``@`` can.  A zero
+        # weight on an infinite coordinate gives a NaN score, which fails
+        # every threshold; numpy's warning about it says nothing more.
         with np.errstate(invalid="ignore"):
-            return rows @ self.weight_array()
+            return np.einsum("ij,j->i", rows, self.weight_array())
 
 
 _AGGREGATES = {cls.kind: cls for cls in (Sum, Ratio, OrderedPartialSum, WeightedSum)}

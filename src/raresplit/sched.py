@@ -1,24 +1,23 @@
 """Level-selection heuristics targeting per-level survival p_bar.
 
-Two constructions are provided.  ``inverse_ccdf_schedule`` is universally
-applicable: it runs a pilot splitting pass on equally spaced times,
-log-linearly interpolates the estimated survival curve, and inverts it at
-p_bar, p_bar^2, ....  ``lower_bound_schedule`` applies to sum-type
-importance functions only: it computes the survival curve
-c(t) = P[S(X(t)) <= gamma] without sampling (``curve.py``) and places L
-levels of equal conditional survival c(1)^(1/L) on it, the fewest with
-survival at least p_bar.
+Both builders place levels on a curve of (t, log survival) points, inverted
+piecewise linearly by one routine.  ``lower_bound_schedule`` takes the
+curve c(t) = P[S(X(t)) <= gamma] from the sample-free engine of
+``curve.py`` and places L levels of equal conditional survival c(1)^(1/L),
+the fewest with survival at least p_bar; problems the engine does not
+cover are rejected.  ``inverse_ccdf_schedule`` applies to every problem: it
+runs a pilot splitting pass on equally spaced times and inverts the
+estimated curve at p_bar, p_bar^2, ....
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy import special
 
 from .curve import survival_bracket
-from .dist import poisson_cdf_at
 from .model import ProblemSpec
 from .process import RngStream
 from .split import LevelSchedule, run_splitting
@@ -33,102 +32,56 @@ class SchedulingError(RuntimeError):
     """Raised when a schedule cannot be constructed from the given inputs."""
 
 
-def _log_bound_continuous(problem: ProblemSpec):
-    """log of prod_j P[X_j(t) <= gamma / n_bar], the component-wise bound on
-    the survival of a top-n_bar sum.  Each factor equals the Gamma(t, 1) CDF
-    at -ln(1 - F_j(gamma / n_bar)).
-    """
-    _, top = problem.importance.summands(problem.n)
-    c = problem.gamma / top
-    xs = []
-    for m in problem.marginals:
-        F = m.cdf(c)
-        if F >= 1.0:
-            continue
-        x = -math.log1p(-F)
-        if x <= 0.0:
-            raise SchedulingError(
-                f"threshold {c!r} is below the representable support of {m!r}; "
-                "the component-wise bound is identically 0")
-        xs.append(x)
-    if not xs:
-        return lambda t: 0.0  # gamma so large that the bound is identically 1
-    xs = np.asarray(xs)
-
-    def log_bound(t):
-        return float(np.sum(np.log(special.gammainc(t, xs))))
-
-    return log_bound
-
-
-def _log_bound_poisson(problem: ProblemSpec):
-    """log of prod_j P[N_j(t) <= floor(gamma / (w_j n))] over the counts with
-    w_j > 0, for gamma >= 0."""
-    weights = problem.importance.weight_array()
-    on = weights > 0
-    lams = problem.rates()[on]
-    ks = np.floor(problem.gamma / (weights[on] * problem.n))
-    return lambda t: float(np.sum(np.log(poisson_cdf_at(lams * t, ks))))
-
-
-def _log_survival_curve(problem: ProblemSpec, ts) -> np.ndarray:
-    """log c(t) at each time in ``ts``: the geometric middle of the curve
-    engine's bracket, or the component-wise bound where the engine does
-    not apply."""
-    bracket = survival_bracket(problem, ts)
-    if bracket is None:
-        if problem.kind == "poisson":
-            log_bound = _log_bound_poisson(problem)
-        else:
-            log_bound = _log_bound_continuous(problem)
-        return np.asarray([log_bound(t) for t in ts])
-    lo, hi = bracket
-    with np.errstate(divide="ignore"):
-        return 0.5 * (np.log(lo) + np.log(hi))
-
-
-def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1,
-                         t_max: float = 1.0) -> LevelSchedule:
+def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1) -> LevelSchedule:
     """Levels of equal survival on the sample-free survival curve.
 
     With c(t) = P[S(X(t)) <= gamma], P = c(1) and L = max(1, ceil(log P /
     log p_bar)), level l solves c(t_l) = P^(l/L), so every level, the last
-    one included, survives P^(1/L) >= p_bar.  log c is evaluated on a grid
-    of _GRID + 1 equally spaced times and inverted piecewise linearly.  The
-    curve comes from ``curve.survival_bracket``; where that does not apply
-    (top-n_bar sums over marginals that are not identical, Poisson DPs past
-    the lattice cap) the component-wise lower bound prod_j B_j(t) stands in
-    for it.  Interior levels at or past ``t_max`` are dropped; the final
-    level is exactly 1.  Ratio problems have no curve of this form, use
-    ``inverse_ccdf_schedule`` for those.
+    one included, survives P^(1/L) >= p_bar.  log c is the geometric middle
+    of ``curve.survival_bracket`` on a grid of _GRID + 1 equally spaced
+    times.  Problems the engine does not cover (ratios, top-n_bar sums over
+    marginals that are not identical, Poisson DPs past the lattice cap)
+    raise SchedulingError; use ``inverse_ccdf_schedule`` for those.
     """
-    if problem.importance.summands(problem.n) is None:
-        raise SchedulingError(
-            f"lower_bound_schedule does not apply to {problem.importance.kind} problems; "
-            "use inverse_ccdf_schedule instead")
     if not (0.0 < p_bar < 1.0):
         raise ValueError("p_bar must lie in (0, 1)")
-    if not (0.0 < t_max <= 1.0):
-        raise ValueError("t_max must lie in (0, 1]")
-
     ts = np.linspace(0.0, 1.0, _GRID + 1)
-    log_c = np.minimum.accumulate(
-        np.concatenate(([0.0], _log_survival_curve(problem, ts[1:]))))
+    bracket = survival_bracket(problem, ts[1:])
+    if bracket is None:
+        raise SchedulingError(
+            f"lower_bound_schedule has no exact survival curve for this "
+            f"{problem.importance.kind} problem; use --levels-method iccdf "
+            "(inverse_ccdf_schedule) instead")
+    with np.errstate(divide="ignore"):
+        log_mid = 0.5 * (np.log(bracket[0]) + np.log(bracket[1]))
+    log_c = np.minimum.accumulate(np.concatenate(([0.0], log_mid)))
     log_end = log_c[-1]
     if not np.isfinite(log_end):
         raise SchedulingError(
             f"the survival curve at t = 1 is 0 to double precision "
             f"(gamma = {problem.gamma!r}); no schedule can reach it")
     levels = max(1, math.ceil(log_end / math.log(p_bar)))
-    if levels > _MAX_LEVELS:
+    goals = (log_end * l / levels for l in range(1, levels))
+    return _place_levels(ts, log_c, ((g, math.exp(g)) for g in goals))
+
+
+def _place_levels(ts, log_c, goals) -> LevelSchedule:
+    """Levels where the curve through (ts, log_c) meets each goal.
+
+    ``goals`` yields (log target, target) pairs with decreasing log targets
+    inside the curve's range.  Times that are not strictly increasing or
+    not below 1 are dropped; the last level is 1 and aims at the curve's end.
+    """
+    goals = list(itertools.islice(goals, _MAX_LEVELS))
+    if len(goals) == _MAX_LEVELS:
         raise SchedulingError(f"more than {_MAX_LEVELS} levels requested; check p_bar")
     times, targets = [], []
-    for l in range(1, levels):
-        t = _invert_decreasing(ts, log_c, log_end * l / levels)
-        if t < t_max and (not times or t > times[-1]):
+    for log_goal, goal in goals:
+        t = _invert_decreasing(ts, log_c, log_goal)
+        if t < 1.0 - 1e-12 and (not times or t > times[-1]):
             times.append(t)
-            targets.append(math.exp(log_end * l / levels))
-    return LevelSchedule((*times, 1.0), (*targets, math.exp(log_end)))
+            targets.append(goal)
+    return LevelSchedule((*times, 1.0), (*targets, math.exp(log_c[-1])))
 
 
 def _invert_decreasing(ts, ys, y):
@@ -169,31 +122,19 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
             f"pilot run went extinct at level {pilot.extinct_at + 1}/{l_pilot}; "
             "increase s_pilot or decrease l_pilot")
 
-    counts = pilot.survivor_counts
     ts = [0.0]
     log_surv = [0.0]
     acc = 0.0
-    for t, k in zip(pilot_times, counts):
+    for t, k in zip(pilot_times, pilot.survivor_counts):
         if k == 0:
             break  # only the extinct final level can land here
         acc += math.log(k / s_pilot)
         ts.append(t)
         log_surv.append(acc)
-    if len(ts) < 2:
-        raise SchedulingError("pilot produced no usable levels; increase s_pilot")
 
     log_p = math.log(p_bar)
     end = log_surv[-1]
-    times, targets = [], []
-    level = 1
     # the 1e-9 slack keeps a target that matches the curve's end (up to
     # accumulation roundoff) from spawning a zero-width final step
-    while level * log_p > end + 1e-9:
-        t = _invert_decreasing(ts, log_surv, level * log_p)
-        if t < 1.0 - 1e-12 and (not times or t > times[-1]):
-            times.append(t)
-            targets.append(p_bar ** level)
-        level += 1
-        if level > _MAX_LEVELS:
-            raise SchedulingError(f"more than {_MAX_LEVELS} levels requested; check p_bar")
-    return LevelSchedule((*times, 1.0), (*targets, math.exp(end)))
+    levels = itertools.takewhile(lambda l: l * log_p > end + 1e-9, itertools.count(1))
+    return _place_levels(ts, log_surv, ((l * log_p, p_bar ** l) for l in levels))

@@ -10,6 +10,7 @@ short-circuits the run with estimate 0.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from dataclasses import dataclass
 
@@ -124,6 +125,7 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
 
     Replication i always uses rng.substream(i), and results are aggregated
     in replication order, so the report is identical for any ``workers``.
+    At most min(workers, m, CPU count) processes are started.
     Extinct runs contribute a zero estimate to the sample, not an error.
     ``wall_seconds`` covers the replications plus ``schedule_seconds``, the
     time the caller spent building the schedule, when given.
@@ -131,6 +133,7 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
+    workers = min(workers, m, os.cpu_count() or 1)
     if workers <= 1:
         results = _replicate_chunk(problem, schedule, s, rng, 0, m)
     else:

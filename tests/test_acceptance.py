@@ -281,15 +281,10 @@ class TestAcceptance:
                     "all preset rows >= 90% of levels in [0.033, 0.3]" if ok
                     else f"rows below 90%: {failures}")
         if failures:
-            # Known limitation, left red deliberately: the analytic
-            # lower-bound schedule is loose at early levels whenever the
-            # component-wise bound badly underestimates survival (Poisson
-            # presets force most coordinates to zero counts; sigma = 2
-            # lognormal sums are far heavier-tailed than any per-coordinate
-            # box), and both heuristics pin the final level at t = 1, whose
-            # conditional survival F(1)/p^(L-1) can sit anywhere in (p, 1].
-            # The pilot-calibrated schedules (table VI rows above) stay in
-            # band at every level.
+            # lb levels (tables I-V) sit at equal survival on the exact
+            # curve, so an lb row out of band points at the curve engine.
+            # iccdf (table VI) pins its final level at t = 1, whose
+            # conditional survival can sit anywhere in (p, 1].
             print("note: high-side excursions only; no level fell below 0.033")
         assert not failures, failures
 

@@ -280,6 +280,28 @@ class TestCliLevels:
         assert len(payload["times"]) >= 2
 
 
+    def test_levels_lb_uncovered_exit_3(self, tmp_path):
+        # top 2 of 4 marginals that are not identical: no exact curve for lb
+        mixed = {
+            "marginals": [
+                {"kind": "weibull", "params": {"alpha": 0.5, "eta": 1.0}},
+                {"kind": "weibull", "params": {"alpha": 0.8, "eta": 1.0}},
+                {"kind": "exponential", "params": {"rate": 1.0}},
+                {"kind": "weibull", "params": {"alpha": 0.5, "eta": 2.0}},
+            ],
+            "directions": ["I"] * 4,
+            "importance": {"kind": "ordered_partial_sum", "n_bar": 2},
+            "gamma": 0.3,
+            "kind": "continuous",
+        }
+        scen = write_scenario(tmp_path, mixed)
+        proc = run_cli("levels", "--scenario", str(scen), "--levels-method", "lb")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "--levels-method iccdf" in lines[0]
+
+
 class TestCliVerify:
     def test_verified_within_three_se(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)

@@ -115,6 +115,16 @@ class TestImportance:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.allclose(importance(Sum(), x), [3.0, 7.0])
 
+    def test_weighted_sum_independent_of_row_blocks(self):
+        # a row's score must not depend on how many rows share the call
+        gen = np.random.default_rng(5)
+        spec = WeightedSum(tuple(gen.random(12) * 3.7 + 0.1))
+        rows = gen.random((300_005, 12)) * 50.0
+        whole = spec.score_rows(rows)
+        blocks = np.concatenate([spec.score_rows(rows[i:i + (1 << 14)])
+                                 for i in range(0, rows.shape[0], 1 << 14)])
+        assert np.array_equal(whole, blocks)
+
 
 class TestQuasiMonotoneWitness:
     def test_sanctioned_pairs(self):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma, poisson_cdf_at
+from raresplit.cli import TABLES, load_preset, preset_problem
+from raresplit.curve import survival_bracket
+from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
 from raresplit.model import (
     OrderedPartialSum,
     ProblemSpec,
@@ -13,6 +15,7 @@ from raresplit.model import (
 )
 from raresplit.process import RngStream
 from raresplit.sched import (
+    _GRID,
     SchedulingError,
     inverse_ccdf_schedule,
     lower_bound_schedule,
@@ -38,51 +41,29 @@ def weibull_ordered(alpha=0.5, gamma=1.0):
 
 
 def mixed_ordered(gamma=0.3):
-    """Top 2 of 4 marginals that are not identical: the schedule falls back
-    to the component-wise bound."""
+    """Top 2 of 4 marginals that are not identical: the curve engine does not
+    cover it, so only the pilot-built schedule applies."""
     marginals = (Weibull(0.5, 1.0), Weibull(0.8, 1.0), Exponential(1.0), Weibull(0.5, 2.0))
     return ProblemSpec(marginals, ("I",) * 4, OrderedPartialSum(2), gamma, "continuous")
-
-
-def bound_log_product(problem, t):
-    """Independent evaluation of the component-wise bound at time t."""
-    n = problem.n
-    if problem.kind == "poisson":
-        total = 0.0
-        for lam, w in zip(problem.rates(), problem.importance.weight_array()):
-            k = math.floor(problem.gamma / (w * n))
-            total += math.log(poisson_cdf_at(lam * t, k))
-        return total
-    if isinstance(problem.importance, OrderedPartialSum):
-        cs = [problem.gamma / problem.importance.n_bar] * n
-    else:
-        cs = [problem.gamma / n] * n
-    total = 0.0
-    for m, c in zip(problem.marginals, cs):
-        total += math.log(reg_lower_inc_gamma(t, -math.log1p(-m.cdf(c))))
-    return total
 
 
 def reference_log_curve(problem, t):
     """log c(t) = log P[S(X(t)) <= gamma] by a route that shares no code with
     the schedule: the Gamma CDF for Exp(1) sums (X_i(t) = G_i(t)), the mpmath
     Poisson DP at rates lambda * t, the order-statistic sum of oracles for
-    i.i.d. Weibull top-n_bar sums, and the component-wise bound where the
-    schedule falls back to it."""
+    i.i.d. Weibull top-n_bar sums."""
     spec = problem.importance
     if problem.kind == "poisson":
         return math.log(oracles.weighted_poisson_cdf_mp(
             [lam * t for lam in problem.rates()], spec.weights, problem.gamma))
     if isinstance(spec, Sum):
         return math.log(oracles.reg_lower_inc_gamma_series(problem.n * t, problem.gamma))
-    if len(set(problem.marginals)) == 1:
-        law = problem.marginals[0]
+    law = problem.marginals[0]
 
-        def cdf(x):
-            return oracles.reg_lower_inc_gamma_series(t, (x / law.eta) ** law.alpha)
+    def cdf(x):
+        return oracles.reg_lower_inc_gamma_series(t, (x / law.eta) ** law.alpha)
 
-        return math.log(oracles.top_sum_cdf(cdf, problem.n, spec.n_bar, problem.gamma))
-    return bound_log_product(problem, t)
+    return math.log(oracles.top_sum_cdf(cdf, problem.n, spec.n_bar, problem.gamma))
 
 
 def assert_equal_survival_levels(problem, sched, p_bar=0.1, tol=0.02,
@@ -126,29 +107,33 @@ class TestLowerBoundSchedule:
         weibull_ordered(0.8, 0.38),
         table1_problem(30.0),
         table1_problem(60.0),
-        mixed_ordered(0.3),
     ])
     def test_residuals_at_interior_levels(self, problem):
         assert_equal_survival_levels(problem, lower_bound_schedule(problem))
 
-    def test_poisson_lattice_cap_falls_back_to_bound(self, monkeypatch):
-        monkeypatch.setattr("raresplit.curve.MAX_PAIRS", 1)
-        problem = table1_problem(30.0)
-        assert_equal_survival_levels(problem, lower_bound_schedule(problem),
-                                     log_curve=bound_log_product)
-
-    def test_bound_strictly_decreasing_in_t(self):
-        for problem in (exp_sum(4, 0.5), table1_problem(30.0)):
-            ts = np.linspace(0.02, 1.0, 50)
-            vals = [bound_log_product(problem, t) for t in ts]
-            assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_ratio_rejected_with_guidance(self):
-        marginals = (LogNormal(2.0, 0.6),) + (LogNormal(0.0, 0.9),) * 3
-        problem = ProblemSpec(marginals, ("I",) + ("D",) * 3, Ratio(0.1),
-                              0.02, "continuous")
-        with pytest.raises(SchedulingError, match="inverse_ccdf_schedule"):
+    @pytest.mark.parametrize("case", ["ratio", "mixed_top_sum", "poisson_past_cap"])
+    def test_uncovered_problems_rejected_with_guidance(self, case, monkeypatch):
+        if case == "ratio":
+            marginals = (LogNormal(2.0, 0.6),) + (LogNormal(0.0, 0.9),) * 3
+            problem = ProblemSpec(marginals, ("I",) + ("D",) * 3, Ratio(0.1),
+                                  0.02, "continuous")
+        elif case == "mixed_top_sum":
+            problem = mixed_ordered(0.3)
+        else:
+            monkeypatch.setattr("raresplit.curve.MAX_PAIRS", 1)
+            problem = table1_problem(30.0)
+        with pytest.raises(SchedulingError, match="inverse_ccdf_schedule") as info:
             lower_bound_schedule(problem)
+        assert "--levels-method iccdf" in str(info.value)
+
+    @pytest.mark.parametrize("table", [t for t in TABLES if t != "VI"])
+    def test_every_sum_preset_row_is_covered(self, table):
+        # no preset row of the sum family may need a curve the engine lacks
+        preset = load_preset(table)
+        ts = np.linspace(0.0, 1.0, _GRID + 1)[1:]
+        for row in preset["rows"]:
+            problem = preset_problem(preset, row["gamma"])
+            assert survival_bracket(problem, ts) is not None, (table, row["gamma"])
 
     def test_huge_gamma_gives_single_level(self):
         sched = lower_bound_schedule(exp_sum(4, 1e9))
@@ -163,8 +148,6 @@ class TestLowerBoundSchedule:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             lower_bound_schedule(exp_sum(), p_bar=0.0)
-        with pytest.raises(ValueError):
-            lower_bound_schedule(exp_sum(), t_max=1.5)
 
     def test_zero_weight_coordinates_skipped(self):
         marginals = (Poisson(1.0), Poisson(2.0))

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -208,6 +210,34 @@ class TestReplicate:
         assert seq.mean == par.mean
         assert seq.variance == par.variance
         assert seq.per_level_survival == par.per_level_survival
+
+    def test_pool_capped_at_replications(self, monkeypatch):
+        # an in-process stand-in for the pool records the size it was asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        problem = exp_sum_problem(4, 1.0)
+        schedule = lower_bound_schedule(problem)
+        par = replicate(problem, schedule, 100, 2, RngStream(5), workers=4)
+        seq = replicate(problem, schedule, 100, 2, RngStream(5))
+        assert sizes == [2]
+        assert (par.mean, par.variance) == (seq.mean, seq.variance)
 
     def test_extinct_runs_contribute_zero(self):
         # s = 2 on a moderately rare one-level problem: most runs go extinct
