@@ -12,7 +12,6 @@ jump processes and need no embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -227,12 +226,12 @@ def embed(g, marginals, directions):
     return out[0] if single else out
 
 
-# The survival bracket tabulates each quantile on _BRACKET_CELLS log-uniform
-# cells of g over [_BRACKET_G_MIN, _BRACKET_G_MAX]; g outside that range
-# falls in the end cells, whose outer bounds are the quantiles at 0 and inf.
-_BRACKET_CELLS = 16384
-_BRACKET_G_MIN = 1e-30
-_BRACKET_G_MAX = 1e3
+# The survival bracket's grid points are the doubles in [2^_BRACKET_MIN_EXP,
+# 2^_BRACKET_MAX_EXP] whose mantissa keeps only its top _BRACKET_BITS bits:
+# 2^_BRACKET_BITS cells per binade, and a double's cell is read off its bits.
+_BRACKET_BITS = 8
+_BRACKET_MIN_EXP = -100
+_BRACKET_MAX_EXP = 10
 
 
 class _SurvivalBracket:
@@ -241,40 +240,44 @@ class _SurvivalBracket:
     The quasi-monotone pairing makes S(embed(g)) nondecreasing in every g_i
     on either tail, so the embedding of g's enclosing grid points bounds
     S(embed(g)) from below and above without evaluating any quantile.
-    An entry's cell c = trunc((log g - log g_min) / h), clamped to [0, K],
-    reads the grid point one cell below it and two cells above it: one
-    cell of slack on each side absorbs the rounding in log and trunc.
+    Cell k holds [v_k, v_{k+1}) and reads its bounds at v_{k-1} and
+    v_{k+2}: one grid point of slack on each side absorbs ulp-level
+    non-monotonicity of the quantile kernels.  Cell 0 also holds [0, v_0)
+    and reads its lower bound at 0.
     """
 
     def __init__(self, marginals, directions):
-        K = _BRACKET_CELLS
-        self._shift = math.log(_BRACKET_G_MIN)
-        h = (math.log(_BRACKET_G_MAX) - self._shift) / K
-        self._scale = 1.0 / h
-        grid = np.concatenate(
-            ([0.0], np.exp(self._shift + h * np.arange(K + 1)), [np.inf]))
+        shift = 52 - _BRACKET_BITS
+        self._first = (1023 + _BRACKET_MIN_EXP) << _BRACKET_BITS  # v_0's bits >> shift
+        K = self._cells = (_BRACKET_MAX_EXP - _BRACKET_MIN_EXP) << _BRACKET_BITS
+        bits = (np.arange(self._first, self._first + K + 2, dtype=np.uint64)
+                << np.uint64(shift))
+        grid = np.concatenate(([0.0], bits.view(float)))  # 0, then v_0 .. v_{K+1}
         lo, hi = [], []
-        self._offsets = np.empty(len(marginals), dtype=np.intp)
+        offsets = np.empty(len(marginals), dtype=np.intp)
         for j, ((m, tail), cols) in enumerate(_quantile_groups(marginals, directions).items()):
-            q = m.quantile_from_neg_log_tail(grid, tail)  # q[1 + i]: at grid point i
-            # slot K + 1 holds NaN bounds, so a NaN or negative g stays undecided
-            lo += [q[:K + 1], [np.nan]]
-            hi += [q[3:], [q[-1], np.nan]]
-            self._offsets[cols] = j * (K + 2)
+            q = m.quantile_from_neg_log_tail(grid, tail)  # q[1 + k]: at v_k
+            # slot K holds NaN bounds: rows with a NaN, negative, infinite or
+            # g >= 2^_BRACKET_MAX_EXP entry stay undecided and are scored exactly
+            lo += [q[:K], [np.nan]]
+            hi += [q[3:], [np.nan]]
+            offsets[cols] = j * (K + 1)
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
+        # subtracted from the clipped bits; a scalar when one group holds
+        # every column, which spares numpy a broadcast over short rows
+        base = self._first - offsets
+        self._base = int(base[0]) if (base == base[0]).all() else base
 
     def cells(self, g: np.ndarray) -> np.ndarray:
         """Index into ``lo`` and ``hi`` of every entry of ``g``: lo[c] is the
         embedding at a level at or below the entry, hi[c] at or above it."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.log(g)
-        u -= self._shift
-        u *= self._scale
-        np.clip(u, 0, _BRACKET_CELLS, out=u)
-        np.fmin(u, _BRACKET_CELLS + 1, out=u)  # fmin drops NaN: NaN -> slot K + 1
-        c = u.astype(np.intp)
-        c += self._offsets
+        # sign, exponent and top mantissa bits; a set sign bit (negative
+        # values, -0.0) and the all-ones exponent (inf, NaN) clip to slot K
+        u = g.view(np.uint64) >> np.uint64(52 - _BRACKET_BITS)
+        np.clip(u, self._first, self._first + self._cells, out=u)
+        c = u.view(np.intp)
+        c -= self._base
         return c
 
 

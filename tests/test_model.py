@@ -9,9 +9,9 @@ from scipy import stats
 from raresplit.cli import parse_scenario
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma
 from raresplit.model import (
-    _BRACKET_CELLS,
-    _BRACKET_G_MAX,
-    _BRACKET_G_MIN,
+    _BRACKET_BITS,
+    _BRACKET_MAX_EXP,
+    _BRACKET_MIN_EXP,
     OrderedPartialSum,
     ProblemSpec,
     Ratio,
@@ -291,11 +291,18 @@ class TestGroupedEmbed:
         assert embed(g[5], marginals, directions).tobytes() == ref[5].tobytes()
 
 
-def grid_point(j):
-    """The survival bracket's j-th grid point, computed as the bracket does."""
-    shift = math.log(_BRACKET_G_MIN)
-    h = (math.log(_BRACKET_G_MAX) - shift) / _BRACKET_CELLS
-    return float(np.exp(shift + h * np.arange(_BRACKET_CELLS + 1))[j])
+# the survival bracket's cells: K of them between its first and last grid point
+BRACKET_CELLS = (_BRACKET_MAX_EXP - _BRACKET_MIN_EXP) << _BRACKET_BITS
+BRACKET_G_MIN = 2.0 ** _BRACKET_MIN_EXP
+BRACKET_G_MAX = 2.0 ** _BRACKET_MAX_EXP
+
+
+def grid_point(k):
+    """The survival bracket's k-th grid point 2^e * (1 + i / 2^B), with
+    e = _BRACKET_MIN_EXP + k // 2^B and i = k % 2^B: a double whose
+    mantissa keeps only its top B bits."""
+    e, i = divmod(int(k), 1 << _BRACKET_BITS)
+    return math.ldexp(1.0 + i / (1 << _BRACKET_BITS), _BRACKET_MIN_EXP + e)
 
 
 CONTINUOUS_LAWS = st.one_of(
@@ -310,9 +317,9 @@ CONTINUOUS_LAWS = st.one_of(
 # grid point, above the last grid point, past e^-g underflow, and in between
 LEVELS = st.one_of(
     st.just(0.0),
-    st.floats(1e-300, _BRACKET_G_MIN * 0.999),
-    st.integers(0, _BRACKET_CELLS).map(grid_point),
-    st.floats(_BRACKET_G_MAX * 1.001, 1e6),
+    st.floats(1e-300, BRACKET_G_MIN * 0.999),
+    st.integers(0, BRACKET_CELLS).map(grid_point),
+    st.floats(BRACKET_G_MAX * 1.001, 1e6),
     st.just(math.log(2.0)),
     st.floats(-35.0, 3.0).map(lambda e: 10.0 ** e),
 )
@@ -329,6 +336,47 @@ def neighbours(row, levels=()):
             if moved_to >= 0.0:
                 out.append(moved)
     return np.array(out)
+
+
+class TestBracketCells:
+    # two groups: column 0 reads the first table, columns 1 and 2 the second
+    marginals = (LogNormal(0.0, 1.0), Gamma(0.5, 1.0), Gamma(0.5, 1.0))
+    bracket = ProblemSpec(marginals, ("I",) * 3, Sum(), 1.0)._bracket
+
+    def cells(self, column):
+        """Cells of one column of levels, each read from every group."""
+        col = np.asarray(column, dtype=float)
+        c = self.bracket.cells(np.column_stack([col] * 3))
+        np.testing.assert_array_equal(c[:, 2], c[:, 1])
+        np.testing.assert_array_equal(c[:, 1], c[:, 0] + BRACKET_CELLS + 1)
+        return c[:, 0]
+
+    def test_grid_points_open_their_cells(self):
+        ks = np.unique(np.linspace(0, BRACKET_CELLS - 1, 997).astype(int))
+        ks = np.concatenate([ks, np.arange(1, (1 << _BRACKET_BITS) + 1)])  # a whole binade
+        v = np.array([grid_point(k) for k in ks])
+        np.testing.assert_array_equal(self.cells(v), ks)
+        np.testing.assert_array_equal(self.cells(np.nextafter(v[ks > 0], -np.inf)),
+                                      ks[ks > 0] - 1)
+
+    def test_below_the_grid_shares_cell_zero(self):
+        below = [0.0, 5e-324, 1e-300, np.nextafter(BRACKET_G_MIN, 0.0)]
+        np.testing.assert_array_equal(self.cells(below), 0)
+
+    def test_entries_off_the_grid_reach_the_nan_slot(self):
+        off = [np.nan, -np.nan, -0.0, -5e-324, -1.0, -np.inf, np.inf,
+               BRACKET_G_MAX, 1e6, np.finfo(float).max]
+        c = self.cells(off)
+        np.testing.assert_array_equal(c, BRACKET_CELLS)
+        assert np.isnan(self.bracket.lo[c]).all() and np.isnan(self.bracket.hi[c]).all()
+        last = self.cells([np.nextafter(BRACKET_G_MAX, 0.0)])
+        assert last[0] == BRACKET_CELLS - 1 and not np.isnan(self.bracket.hi[last]).any()
+
+    def test_bounds_enclose_the_embedding(self):
+        g = RngStream(43).gen.gamma(0.2, size=(4000, 3)) * 10.0 ** np.arange(-20, 1, 10)
+        c = self.bracket.cells(g)
+        x = embed(g, self.marginals, ("I",) * 3)
+        assert np.all(self.bracket.lo[c] <= x) and np.all(x <= self.bracket.hi[c])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -377,7 +425,7 @@ class TestSurvives:
         marginals = (LogNormal(0.0, 1.0), marginal) if direction == "D" else (marginal,)
         directions = ("I", "D") if direction == "D" else ("I",)
         spec = Ratio(0.1) if direction == "D" else Sum()
-        js = np.linspace(0, _BRACKET_CELLS, 120).astype(int)
+        js = np.linspace(0, BRACKET_CELLS, 120).astype(int)
         col = np.concatenate([neighbours(np.array([grid_point(j)]))[:, 0] for j in js])
         g = np.column_stack([np.full_like(col, 0.5)] * (len(marginals) - 1) + [col])
         scores = ProblemSpec(marginals, directions, spec, 0.0).score(g)
