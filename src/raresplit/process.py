@@ -8,6 +8,8 @@ Every coordinate path is nondecreasing in t for every realization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["RngStream", "advance_gamma_batch", "advance_poisson_batch"]
@@ -36,15 +38,44 @@ class RngStream:
 
 def _check_dt(dt: float) -> float:
     dt = float(dt)
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     return dt
 
 
+def _gs_candidates(a: float, n: int, gen: np.random.Generator):
+    """n candidates of GS rejection (Ahrens & Dieter 1974) for Gamma(a, 1),
+    0 < a <= 1, from n uniforms U and then n standard exponentials E, and
+    which of them are accepted."""
+    u = gen.random(n)
+    e = gen.standard_exponential(n)
+    tail = np.flatnonzero(u > 1.0 - a)
+    y = -np.log((1.0 - u[tail]) / a)
+    x = np.power(u, 1.0 / a, out=u)  # U^(1/a) where U <= 1 - a
+    x[tail] = np.power(1.0 - a + a * y, 1.0 / a)
+    e[tail] += y  # the tail accepts X <= E + Y
+    return x, x <= e
+
+
 def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
-    """Add independent Gamma(dt, 1) increments to every entry of ``values``."""
+    """Add independent Gamma(dt, 1) increments to every entry of ``values``.
+
+    Shape f = dt - (ceil(dt) - 1) in (0, 1] is drawn by the GS rejection
+    numpy runs entry by entry for shapes below 1, over the whole array at
+    once, redrawing rejected entries in index order until none are left;
+    dt > 1 adds ceil(dt) - 1 exponentials.  numpy's law, not its stream."""
     dt = _check_dt(dt)
-    return values + rng.gen.gamma(dt, 1.0, size=values.shape)
+    whole = math.ceil(dt) - 1
+    inc, keep = _gs_candidates(dt - whole, values.size, rng.gen)
+    redo = np.flatnonzero(~keep)
+    while redo.size:
+        x, keep = _gs_candidates(dt - whole, redo.size, rng.gen)
+        inc[redo[keep]] = x[keep]
+        redo = redo[~keep]
+    inc = inc.reshape(values.shape)
+    for _ in range(whole):
+        inc += rng.gen.standard_exponential(values.shape)
+    return np.add(inc, values, out=inc)
 
 
 def advance_poisson_batch(values: np.ndarray, dt: float, rates: np.ndarray, rng: RngStream) -> np.ndarray:

@@ -2,12 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from raresplit.dist import reg_lower_inc_gamma
 from raresplit.process import RngStream, advance_gamma_batch, advance_poisson_batch
 
 KS_1PCT = 1.63  # critical coefficient: reject if D > 1.63 / sqrt(n)
+
+
+def ks_distance_above(draws, cdf, floor):
+    """Kolmogorov-Smirnov distance between the draws' empirical CDF and
+    ``cdf``, taken over x >= floor only.  Draws below the floor still count
+    in the empirical CDF, so the distance is at most the full KS distance,
+    and the full test's critical value still holds; the floor keeps draws
+    that underflowed to 0 out of the supremum."""
+    x = np.sort(draws)
+    n = x.size
+    first = np.searchsorted(x, floor)
+    f = cdf(x[first:])
+    ranks = np.arange(first, n)
+    return max(abs(first / n - cdf(floor)),
+               float(np.max((ranks + 1) / n - f, initial=0.0)),
+               float(np.max(f - ranks / n, initial=0.0)))
 
 
 class TestRngStream:
@@ -171,6 +187,37 @@ class TestGammaVariate:
         n = draws.size
         assert abs(draws.mean() - 3.0) < 4.0 * math.sqrt(3.0 / n)
         assert abs(draws.var() - 3.0) < 4.0 * math.sqrt(15.0 * 3.0 / n)
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.036, 0.1, 0.22, 0.5, 1.0, 2.5, 3.0])
+    def test_ks_against_gamma_law(self, shape):
+        # shapes below 1 are drawn by GS rejection alone, 1 takes its tail
+        # branch on every entry, and 2.5 and 3.0 add exponentials to it;
+        # at 1e-3 about 47% of the draws underflow to exactly 0
+        n = 100_000
+        draws = advance_gamma_batch(np.zeros(n), shape, RngStream(16))
+        d = ks_distance_above(draws, stats.gamma(shape).cdf, 1e-300)
+        assert d < KS_1PCT / math.sqrt(n)
+
+    def test_mean_log_is_digamma(self):
+        # E[log X] = psi(a) and Var[log X] = psi'(a): a test of the far
+        # left tail, where U^(1/a) carries the draws down to 1e-300
+        shape, n = 0.05, 200_000
+        logs = np.log(advance_gamma_batch(np.zeros(n), shape, RngStream(17)))
+        se = math.sqrt(special.polygamma(1, shape) / n)
+        assert abs(logs.mean() - special.digamma(shape)) < 4.0 * se
+
+    @pytest.mark.parametrize("shape", [(7,), (40, 3), (0, 4)])
+    def test_output_shape_and_values(self, shape):
+        values = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        for dt in (0.3, 2.5):
+            out = advance_gamma_batch(values, dt, RngStream(18))
+            assert out.shape == shape and out.dtype == float
+            assert np.all(out >= values)
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            advance_gamma_batch(np.zeros(3), dt, RngStream(19))
 
     def test_positive_and_validated(self):
         rng = RngStream(14)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from raresplit import split
 from raresplit.baseline import naive_mc
 from raresplit.dist import Exponential, Poisson, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Sum, WeightedSum
@@ -29,7 +30,7 @@ class ScriptedGen:
         assert out.size == size and np.all(out < hi)
         return out
 
-    def gamma(self, shape, scale=1.0, size=None):
+    def increments(self, size):
         out = np.asarray(self._increments.pop(0), dtype=float)
         assert out.shape == size
         return out
@@ -48,6 +49,13 @@ class ScriptedStream:
 
     def substream(self, *indices):
         raise AssertionError("scripted stream has no substreams")
+
+
+@pytest.fixture
+def scripted_gamma(monkeypatch):
+    """Splitting advances continuous states by the scripted increments."""
+    monkeypatch.setattr(split, "advance_gamma_batch",
+                        lambda values, dt, rng: values + rng.gen.increments(values.shape))
 
 
 class TestLevelSchedule:
@@ -78,6 +86,7 @@ class TestSplitRunResult:
             SplitRunResult(0.5, (1, 0), 1)
 
 
+@pytest.mark.usefixtures("scripted_gamma")
 class TestRunSplittingScripted:
     def test_one_survivor_per_level_gives_one_eighth(self):
         # s = 2, L = 3, exactly one of two states survives each level
@@ -166,6 +175,7 @@ class TestRunSplitting:
 
 
 class TestReplicate:
+    @pytest.mark.usefixtures("scripted_gamma")
     def test_stub_rng_zero_variance(self):
         problem = exp_sum_problem(n=1, gamma=1.0)
         schedule = LevelSchedule((1.0,))
