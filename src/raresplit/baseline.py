@@ -116,7 +116,8 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     for start, x in _blocks(m, lambda c: gen.poisson(tilted, size=(c, tilted.size))):
         i = start % _CHUNK
         j = i + x.shape[0]
-        log_w = const - log_theta * x.sum(axis=1)
+        x = x.astype(float)  # exact; einsum would cast int64 through a buffer twice
+        log_w = const - log_theta * np.einsum("ij->i", x)
         score = np.einsum("ij,j->i", x, weights)  # row sums independent of the block
         vals[i:j] = np.where(score <= gamma, np.exp(log_w), 0.0)
         if j == _CHUNK or start + x.shape[0] == m:

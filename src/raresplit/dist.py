@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_NEG_LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
 def _require_positive(**params) -> None:
@@ -135,6 +136,15 @@ class LogNormal(Marginal):
     def _isf(self, q):
         # ndtri stays accurate down to the smallest normal doubles
         return np.exp(self.mu - self.sigma * special.ndtri(q))
+
+    def quantile_from_neg_log_tail(self, g, tail="upper"):
+        out = np.atleast_1d(super().quantile_from_neg_log_tail(g, tail))
+        a, scalar = _as_float_array(g)
+        far = a > _NEG_LOG_TINY  # e^{-g} is no normal double; ndtri_exp takes -g
+        with np.errstate(over="ignore"):  # +inf past g ~ 2.5e5 / sigma^2
+            z = self.sigma * special.ndtri_exp(-a[far])
+            out[far] = np.exp(self.mu - z if tail == "upper" else self.mu + z)
+        return _maybe_scalar(out, scalar)
 
     def to_json(self) -> dict:
         return {"kind": "lognormal", "params": {"mu": self.mu, "sigma": self.sigma}}

@@ -226,9 +226,8 @@ def embed(g, marginals, directions):
     return out[0] if single else out
 
 
-# The survival bracket's grid points are the doubles in [2^_BRACKET_MIN_EXP,
-# 2^_BRACKET_MAX_EXP] whose mantissa keeps only its top _BRACKET_BITS bits:
-# 2^_BRACKET_BITS cells per binade, and a double's cell is read off its bits.
+# The survival bracket's grid: the doubles in [2^MIN_EXP, 2^MAX_EXP] whose
+# mantissa keeps only its top _BRACKET_BITS bits, 2^_BRACKET_BITS per binade.
 _BRACKET_BITS = 8
 _BRACKET_MIN_EXP = -100
 _BRACKET_MAX_EXP = 10
@@ -240,19 +239,15 @@ class _SurvivalBracket:
     The quasi-monotone pairing makes S(embed(g)) nondecreasing in every g_i
     on either tail, so the embedding of g's enclosing grid points bounds
     S(embed(g)) from below and above without evaluating any quantile.
-    Cell k holds [v_k, v_{k+1}) and reads its bounds at v_{k-1} and
-    v_{k+2}: one grid point of slack on each side absorbs ulp-level
-    non-monotonicity of the quantile kernels.  Cell 0 also holds [0, v_0)
-    and reads its lower bound at 0.
-    """
+    Cell k holds [v_k, v_{k+1}), cell 0 also [0, v_0), and reads its bounds
+    at v_{k-1} (0 for cell 0) and v_{k+2}: one grid point of slack on each
+    side absorbs ulp-level non-monotonicity of the quantile kernels."""
 
     def __init__(self, marginals, directions):
-        shift = 52 - _BRACKET_BITS
-        self._first = (1023 + _BRACKET_MIN_EXP) << _BRACKET_BITS  # v_0's bits >> shift
+        self._first = (1023 + _BRACKET_MIN_EXP) << _BRACKET_BITS  # v_0's bits >> (52 - B)
         K = self._cells = (_BRACKET_MAX_EXP - _BRACKET_MIN_EXP) << _BRACKET_BITS
-        bits = (np.arange(self._first, self._first + K + 2, dtype=np.uint64)
-                << np.uint64(shift))
-        grid = np.concatenate(([0.0], bits.view(float)))  # 0, then v_0 .. v_{K+1}
+        v = np.arange(self._first, self._first + K + 2, dtype=np.uint64) << (52 - _BRACKET_BITS)
+        grid = np.concatenate(([0.0], v.view(float)))  # 0, then v_0 .. v_{K+1}
         lo, hi = [], []
         offsets = np.empty(len(marginals), dtype=np.intp)
         for j, ((m, tail), cols) in enumerate(_quantile_groups(marginals, directions).items()):
@@ -264,8 +259,7 @@ class _SurvivalBracket:
             offsets[cols] = j * (K + 1)
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
-        # subtracted from the clipped bits; a scalar when one group holds
-        # every column, which spares numpy a broadcast over short rows
+        # a scalar for one group spares numpy a broadcast over short rows
         base = self._first - offsets
         self._base = int(base[0]) if (base == base[0]).all() else base
 

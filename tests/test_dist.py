@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from raresplit.dist import (
     Exponential,
     Gamma,
     GeneralizedGamma,
     LogNormal,
+    Marginal,
     Poisson,
     Weibull,
     marginal_from_json,
@@ -242,6 +244,28 @@ class TestNegLogTailQuantileExtremes:
             assert got == pytest.approx(
                 oracles.neg_log_tail_quantile_mp(law.to_json(), g, "upper"), rel=1e-12)
 
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_lognormal_past_underflow(self, tail):
+        law = EXTREME_LAWS[0]
+        for g in (720.0, 745.2, 800.0, 1e4):
+            got = law.quantile_from_neg_log_tail(g, tail)
+            assert got == pytest.approx(
+                oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail), rel=1e-10), g
+
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_lognormal_routes_agree_at_the_switch(self, tail):
+        # within 5 ulps of the last g whose e^{-g} is normal, the quantile
+        # through e^{-g} and the one through ndtri_exp(-g) are the same double
+        law = EXTREME_LAWS[0]
+        g = np.array([_NORMAL_G])
+        for _ in range(5):
+            g = np.concatenate([np.nextafter(g[:1], 0.0), g, np.nextafter(g[-1:], np.inf)])
+        through_mass = Marginal.quantile_from_neg_log_tail(law, g, tail)
+        z = special.ndtri_exp(-g)
+        through_log = np.exp(law.mu - law.sigma * z if tail == "upper" else law.mu + law.sigma * z)
+        assert through_mass.tobytes() == through_log.tobytes()
+        assert law.quantile_from_neg_log_tail(g, tail).tobytes() == through_mass.tobytes()
+
 
 class TestRegLowerIncGamma:
     def test_reduces_to_exponential(self):
@@ -264,7 +288,6 @@ class TestRegLowerIncGamma:
         assert np.all(np.diff(vals_a) <= 0)
 
     def test_complement_identity(self):
-        from scipy import special
         for a in (0.2, 1.0, 3.7, 25.0):
             for x in (0.01, 0.5, 2.0, 40.0):
                 assert reg_lower_inc_gamma(a, x) + special.gammaincc(a, x) == pytest.approx(

@@ -404,9 +404,11 @@ class TestSurvives:
                                              min_size=n, max_size=n))
                 spec = WeightedSum(tuple(weights) if any(weights) else (1.0,) * n)
         base = np.array([data.draw(LEVELS) for _ in marginals])
-        # 740: a finite quantile whose bracket may reach +inf; 1e4: +inf itself,
-        # which makes a zero-weight column's score NaN
-        g = neighbours(base, levels=(740.0, 1e4))
+        # 740: a finite quantile whose bracket may reach +inf (the Gamma
+        # laws, once e^-g underflows at 745.13); 1e4: +inf itself for the
+        # Gamma laws, finite for LogNormal; 1e6: +inf for LogNormal too.
+        # A zero-weight column at +inf makes the score NaN.
+        g = neighbours(base, levels=(740.0, 1e4, 1e6))
         probe = ProblemSpec(marginals, directions, spec, 0.0)
         scores = probe.score(g)
         finite = scores[np.isfinite(scores)]
@@ -434,12 +436,12 @@ class TestSurvives:
             np.testing.assert_array_equal(problem.survives(g), problem.score(g) <= gamma)
 
     def test_zero_weight_on_infinite_column(self):
-        # g = 1e4 sends the zero-weight column's quantile to +inf, so the
-        # score is 0 * inf = NaN and the row fails; at g = 740 the column is
-        # finite but its bracket's upper end is not
+        # g = 1e6 sends the zero-weight column's quantile to +inf, so the
+        # score is 0 * inf = NaN and the row fails; at g = 740, past the
+        # underflow of e^-g, the column is finite
         problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"),
                               WeightedSum((1.0, 0.0)), 2.0)
-        g = np.array([[0.1, 1e4], [0.1, 740.0], [0.1, np.inf], [5.0, 740.0], [0.1, 0.1]])
+        g = np.array([[0.1, 1e6], [0.1, 740.0], [0.1, np.inf], [5.0, 740.0], [0.1, 0.1]])
         scores = problem.score(g)
         assert np.isnan(scores[0]) and np.isnan(scores[2])
         np.testing.assert_array_equal(problem.survives(g), [False, True, False, False, True])
