@@ -437,8 +437,8 @@ class TestSurvives:
 
     def test_zero_weight_on_infinite_column(self):
         # g = 1e6 sends the zero-weight column's quantile to +inf, so the
-        # score is 0 * inf = NaN and the row fails; at g = 740, past the
-        # underflow of e^-g, the column is finite
+        # score is 0 * inf = NaN and the row fails; at g = 740, where e^-g
+        # is subnormal, the column is finite
         problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"),
                               WeightedSum((1.0, 0.0)), 2.0)
         g = np.array([[0.1, 1e6], [0.1, 740.0], [0.1, np.inf], [5.0, 740.0], [0.1, 0.1]])
