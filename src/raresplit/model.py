@@ -85,8 +85,8 @@ class Ratio(_Aggregate):
 
     def __post_init__(self):
         object.__setattr__(self, "eta", float(self.eta))
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta!r}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
 
     def pairs_with(self, directions) -> bool:
         return (len(directions) >= 2 and directions[0] == "I"
@@ -133,7 +133,7 @@ class OrderedPartialSum(_Aggregate):
 
 @dataclass(frozen=True)
 class WeightedSum(_Aggregate):
-    """S(x) = sum_i w_i x_i with nonnegative weights, at least one positive."""
+    """S(x) = sum_i w_i x_i with finite nonnegative weights, at least one positive."""
 
     weights: tuple
     kind = "weighted_sum"
@@ -142,8 +142,8 @@ class WeightedSum(_Aggregate):
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
         object.__setattr__(self, "weights", w)
-        if len(w) == 0 or any(v < 0 for v in w) or not any(v > 0 for v in w):
-            raise ValueError("weights must be nonnegative with at least one positive entry")
+        if not (all(0 <= v < np.inf for v in w) and any(v > 0 for v in w)):
+            raise ValueError("weights must be finite, nonnegative and not all zero")
 
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)

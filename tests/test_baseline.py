@@ -7,7 +7,7 @@ from raresplit import baseline
 from raresplit.baseline import naive_mc, poisson_is, poisson_is_tilt
 from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, importance
-from raresplit.process import RngStream
+from raresplit.process import RngStream, poisson_sampler
 
 import oracles
 
@@ -116,6 +116,14 @@ class TestPoissonIs:
         with pytest.raises(ValueError):
             poisson_is([1.0, 1.0], [1.0], 1.0, 100, RngStream(0))
 
+    @pytest.mark.parametrize("lambdas,weights", [
+        ([1.0, math.nan], [1.0, 1.0]), ([1.0, math.inf], [1.0, 1.0]),
+        ([1.0, 1.0], [math.nan, 1.0]), ([1.0, 1.0], [1.0, math.inf]),
+    ])
+    def test_non_finite_inputs_rejected(self, lambdas, weights):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_is(lambdas, weights, 1.0, 100, RngStream(0))
+
     def test_deterministic(self):
         a = poisson_is([1.0, 2.0], [1.0, 1.0], 1.0, 50_000, RngStream(10))
         b = poisson_is([1.0, 2.0], [1.0, 1.0], 1.0, 50_000, RngStream(10))
@@ -126,7 +134,7 @@ def one_chunk_naive(problem, m, seed):
     """naive_mc's (mean, variance) from one (m, n) draw, as before row blocks."""
     gen = RngStream(seed).gen
     if problem.kind == "poisson":
-        x = gen.poisson(problem.rates(), size=(m, problem.n)).astype(float)
+        x = poisson_sampler(problem.rates())(gen, m)
     else:
         u = gen.random((m, problem.n))
         x = np.empty((m, problem.n))
@@ -136,20 +144,21 @@ def one_chunk_naive(problem, m, seed):
     return mean, mean * (1.0 - mean) * m / (m - 1)
 
 
-def one_chunk_is(lambdas, weights, gamma, m, seed, chunk=1 << 20):
-    """poisson_is's (mean, variance) from one (c, n) draw per ``chunk`` samples,
-    as before row blocks."""
+def one_chunk_is(lambdas, weights, gamma, m, seed, block=1 << 12):
+    """poisson_is's (mean, variance) from one (m, n) draw, its moments summed
+    ``block`` rows at a time, in order."""
     gen = RngStream(seed).gen
     lambdas, weights = np.asarray(lambdas, dtype=float), np.asarray(weights, dtype=float)
     theta = poisson_is_tilt(lambdas, weights, gamma)
     const = -float(lambdas.sum()) * (1.0 - theta)
+    x = poisson_sampler(lambdas * theta)(gen, m)
+    log_w = const - math.log(theta) * x.sum(axis=1)
+    vals = np.where((x @ weights) <= gamma, np.exp(log_w), 0.0)
     total = total_sq = 0.0
-    for done in range(0, m, chunk):
-        x = gen.poisson(lambdas * theta, size=(min(chunk, m - done), lambdas.size))
-        log_w = const - math.log(theta) * x.sum(axis=1)
-        vals = np.where((x @ weights) <= gamma, np.exp(log_w), 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+    for done in range(0, m, block):
+        part = vals[done:done + block]
+        total += float(part.sum())
+        total_sq += float((part * part).sum())
     mean = total / m
     return mean, max((total_sq - m * mean * mean) / (m - 1), 0.0)
 

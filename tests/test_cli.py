@@ -420,6 +420,42 @@ class TestBadSettings:
         assert "Traceback" not in err
 
 
+class TestNonFiniteScenario:
+    """JSON reads the literal NaN (and Infinity); a non-finite weight or
+    noise floor is a configuration error at its JSON path, whatever runs."""
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ("--method", "naive", "--m", "100")),
+        ("run", ("--method", "split", "--s", "300", "--m", "2")),
+        ("run", ("--method", "is", "--m", "100")),
+        ("verify", ("--s", "300", "--m", "2")),
+    ])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_weighted_sum_weight(self, tmp_path, capsys, command, flags, weight):
+        data = load_preset("I")
+        data["scenario"]["importance"]["weights"][0] = weight
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main([command, "--scenario", str(preset), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: $.scenario.importance: weights must be finite,")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("importance", [
+        {"kind": "ratio", "eta": math.nan}, {"kind": "ratio", "eta": math.inf},
+        {"kind": "ratio", "eta_db": math.inf},
+    ])
+    def test_ratio_eta(self, tmp_path, capsys, importance):
+        data = load_preset("VI")
+        data["scenario"]["importance"] = importance
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(preset), "--method", "naive", "--m", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: $.scenario.importance: eta must be finite")
+        assert len(err.splitlines()) == 1
+
+
 class TestCliReproduce:
     def test_table1_desk_scale(self, tmp_path):
         out = tmp_path / "t1.csv"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from raresplit.dist import reg_lower_inc_gamma
-from raresplit.process import RngStream, advance_gamma_batch, advance_poisson_batch
+from raresplit.dist import poisson_cdf_at, reg_lower_inc_gamma
+from raresplit.process import (RngStream, advance_gamma_batch, advance_poisson_batch,
+                               poisson_sampler)
 
 KS_1PCT = 1.63  # critical coefficient: reject if D > 1.63 / sqrt(n)
 
@@ -157,6 +158,83 @@ class TestAdvancePoisson:
             advance_poisson_batch(counts, 0.1, np.array([1.0, 0.0]), rng)
         with pytest.raises(ValueError):
             advance_poisson_batch(counts, 0.1, np.array([1.0]), rng)
+
+
+SAMPLER_RATES = [1e-6, 0.26, 0.83, 3.2, 9.99, 10.01, 50.0, 1e4]
+
+
+def poisson_chi_square_p(counts, lam):
+    """p-value of ``counts[k]``, the draws equal to k, against Poisson(lam).
+    Cells of consecutive k are merged until each expects at least 2 draws
+    (the draws of a tiny rate have no more to give); the last cell holds
+    every k above the others."""
+    n = counts.sum()
+    cdf = stats.poisson.cdf(np.arange(counts.size), lam)
+    edges, below = [], 0.0
+    for k, f in enumerate(cdf):
+        if n * (f - below) >= 2 and n * (1.0 - f) >= 2:
+            edges.append(k)
+            below = f
+    observed = np.diff(np.cumsum(counts)[edges], prepend=0, append=n)
+    expected = n * np.diff(cdf[edges], prepend=0.0, append=1.0)
+    return stats.chisquare(observed, expected).pvalue
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestPoissonSampler:
+    def test_law_chi_square(self):
+        draw = poisson_sampler(SAMPLER_RATES)
+        gen = RngStream(31).gen
+        counts = np.zeros((len(SAMPLER_RATES), 12_000), dtype=np.int64)
+        for _ in range(40):  # 2.6 M draws per column, 65536 rows at a time
+            for j, col in enumerate(draw(gen, 1 << 16).astype(np.int64).T):
+                counts[j] += np.bincount(col, minlength=counts.shape[1])
+        for lam, col in zip(SAMPLER_RATES, counts):
+            assert poisson_chi_square_p(col, lam) > 1e-3, lam
+
+    def test_inverts_the_cdf_of_the_same_uniforms(self):
+        # X = min{k : u < F(k)}, which scipy's ppf gives but at u == F(k)
+        u = RngStream(32).gen.random((20_000, len(SAMPLER_RATES)))
+        x = poisson_sampler(SAMPLER_RATES)(RngStream(32).gen, 20_000)
+        assert np.array_equal(x, stats.poisson.ppf(u, SAMPLER_RATES))
+
+    def test_counts_do_not_depend_on_the_blocks(self):
+        draw = poisson_sampler([0.3, 4.0, 1e4])
+        gen = RngStream(33).gen
+        parts = [draw(gen, c) for c in (1, 0, 700, 5000)]
+        assert np.array_equal(np.concatenate(parts), draw(RngStream(33).gen, 5701))
+
+    def test_ends_of_the_table(self):
+        rates = [1e-6, 3.2, 1e4]
+        k = np.arange(11_000.0)
+        cdf = [poisson_cdf_at(lam, k) for lam in rates]
+        lowest = [np.argmax(f > 0) for f in cdf]  # 0, 0 and about 6469
+        top = [np.argmax(f == 1.0) for f in cdf]
+        draw = poisson_sampler(rates)
+        assert lowest[2] > 6000
+        assert np.array_equal(draw(_FixedUniforms(0.0), 2), [lowest] * 2)
+        assert np.array_equal(draw(_FixedUniforms(1.0 - 2.0 ** -53), 1), [top])
+
+    def test_shape_and_float_counts(self):
+        draw = poisson_sampler([1.0, 2.0])
+        assert draw(RngStream(34).gen, 0).shape == (0, 2)
+        x = draw(RngStream(34).gen, 3)
+        assert x.shape == (3, 2) and x.dtype == np.float64
+
+    @pytest.mark.parametrize("rates", [[1.0, math.nan], [math.inf], [0.0], [-1.0], [],
+                                       [[1.0, 2.0]]])
+    def test_bad_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates"):
+            poisson_sampler(rates)
 
 
 class TestGammaVariate:
