@@ -22,7 +22,8 @@ __all__ = ["RngStream", "advance_gamma_batch", "advance_poisson_batch", "poisson
 _GUIDE_BINS = 1 << 10
 # Entries per pass of a Poisson draw: the temporaries (64 KiB) stay under
 # glibc's mmap threshold, so their pages are not faulted in afresh on every
-# call, as they were 31% of the time in one pass over 4096 x 12 entries.
+# call: one pass over 4096 x 12 entries spent 31% of its time in page faults
+# (2-core VM).
 _DRAW_ENTRIES = 8192
 
 
