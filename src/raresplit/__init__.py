@@ -28,7 +28,6 @@ from .model import (
     WeightedSum,
     embed,
     importance,
-    is_quasi_monotone_witness,
 )
 from .process import RngStream, advance_gamma_batch, advance_poisson_batch
 from .sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule

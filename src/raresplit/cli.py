@@ -104,6 +104,8 @@ def _build_problem(scen: dict, path: str = "$") -> ProblemSpec:
             _fail(path, f"missing required field '{key}'")
     if not isinstance(scen["marginals"], list) or not scen["marginals"]:
         _fail(f"{path}.marginals", "must be a non-empty array")
+    if not isinstance(scen["directions"], list):
+        _fail(f"{path}.directions", f"must be an array, got {scen['directions']!r}")
     marginals = []
     for i, mobj in enumerate(scen["marginals"]):
         mpath = f"{path}.marginals[{i}]"
@@ -251,8 +253,14 @@ def _settings(args, defaults, method) -> dict:
     """Run settings: CLI flags win, then preset defaults, then built-ins.
 
     They are checked for ``method`` ("split", "naive", "is", or None for a
-    schedule alone), so a bad value is a configuration error.
+    schedule alone), so a bad value is a configuration error; so are a
+    negative --seed and a --workers below 1.
     """
+    if args.seed < 0:
+        _fail(f"--seed {args.seed}", "must be a non-negative integer")
+    if args.workers < 1:
+        _fail(f"--workers {args.workers}", "must be at least 1")
+
     def pick(flag, key, cast, builtin):
         value = getattr(args, flag, None)
         return value if value is not None else _default(defaults, key, cast, builtin)

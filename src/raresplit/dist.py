@@ -9,7 +9,7 @@ epsilon (g up to ~700) never round through ``1 - e^{-g}``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -50,19 +50,31 @@ def _maybe_scalar(a, scalar):
 class Marginal:
     """Base class for the supported marginal laws.
 
+    A law is a frozen dataclass that states its parameters as fields, checks
+    their ranges in ``__post_init__`` and supplies the kernels below; the
+    base derives the CDF's support mask, the quantiles and the JSON form.
     Continuous members have support (0, inf); ``Poisson`` is the only
     discrete member.  All parameter validation happens at construction,
     so the evaluation methods never raise on parameter grounds.
     """
 
     kind: str = ""
-    discrete: bool = False
-    # True where quantile_from_neg_log_tail(g, "upper") is a closed form in g
-    closed_form_upper: bool = False
+    # Optional tail hooks, None where a law has none.  _upper_from_g(g) is
+    # F^{-1}(1 - e^{-g}) in closed form for every g >= 0.  _past_underflow(g,
+    # tail) is the quantile at g > -log(tiny), where e^{-g} is no normal double.
+    _upper_from_g = None
+    _past_underflow = None
+
+    @property
+    def closed_form_upper(self) -> bool:
+        return self._upper_from_g is not None
 
     def cdf(self, x):
         a, scalar = _as_float_array(x)
-        return _maybe_scalar(self._cdf(a), scalar)
+        out = np.zeros_like(a)
+        pos = a > 0
+        out[pos] = self._cdf(a[pos])
+        return _maybe_scalar(out, scalar)
 
     def quantile(self, p):
         """Inverse CDF.  p=0 maps to the support infimum (0), p=1 to +inf."""
@@ -84,9 +96,15 @@ class Marginal:
             raise ValueError("g must be >= 0")
         if tail not in ("upper", "lower"):
             raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
+        if tail == "upper" and self._upper_from_g is not None:
+            return _maybe_scalar(self._upper_from_g(a), scalar)
         out = np.empty_like(a)
         small = a < _LN2
         big = ~small
+        if self._past_underflow is not None:
+            far = a > _NEG_LOG_TINY
+            big &= ~far
+            out[far] = self._past_underflow(a[far], tail)
         with np.errstate(divide="ignore"):  # g = 0 on the lower tail is +inf
             if tail == "upper":
                 out[small] = self._ppf(-np.expm1(-a[small]))
@@ -98,6 +116,7 @@ class Marginal:
 
     # law-specific kernels, vectorized over their argument
     def _cdf(self, x):
+        """F at x > 0 (the base sets F = 0 off the support)."""
         raise NotImplementedError
 
     def _ppf(self, p):
@@ -107,8 +126,26 @@ class Marginal:
         """Complementary quantile: x with P[X > x] = q."""
         raise NotImplementedError
 
+    # the JSON params are the fields, under the name their metadata may give
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, "params": {
+            f.metadata.get("json", f.name): getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Marginal":
+        """The law from {"kind": ..., "params": {...}}: each field once, as a JSON number."""
+        params = obj.get("params", {})
+        names = {f.metadata.get("json", f.name): f.name for f in fields(cls)}
+        missing = [n for n in names if n not in params]
+        if missing:
+            raise ValueError(f"{cls.kind} params missing {missing}")
+        extra = [n for n in params if n not in names]
+        if extra:
+            raise ValueError(f"{cls.kind} params has unknown fields {extra}")
+        for n, v in params.items():
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"{cls.kind} param {n!r} must be a number, got {v!r}")
+        return cls(**{names[n]: float(v) for n, v in params.items()})
 
 
 @dataclass(frozen=True)
@@ -125,10 +162,7 @@ class LogNormal(Marginal):
         _require_positive(sigma=self.sigma)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
-        return out
+        return special.ndtr((np.log(x) - self.mu) / self.sigma)
 
     def _ppf(self, p):
         return np.exp(self.mu + self.sigma * special.ndtri(p))
@@ -137,17 +171,11 @@ class LogNormal(Marginal):
         # ndtri stays accurate down to the smallest normal doubles
         return np.exp(self.mu - self.sigma * special.ndtri(q))
 
-    def quantile_from_neg_log_tail(self, g, tail="upper"):
-        out = np.atleast_1d(super().quantile_from_neg_log_tail(g, tail))
-        a, scalar = _as_float_array(g)
-        far = a > _NEG_LOG_TINY  # e^{-g} is no normal double; ndtri_exp takes -g
+    def _past_underflow(self, g, tail):
+        # ndtri_exp takes log q = -g, so e^{-g} is never formed
         with np.errstate(over="ignore"):  # +inf past g ~ 2.5e5 / sigma^2
-            z = self.sigma * special.ndtri_exp(-a[far])
-            out[far] = np.exp(self.mu - z if tail == "upper" else self.mu + z)
-        return _maybe_scalar(out, scalar)
-
-    def to_json(self) -> dict:
-        return {"kind": "lognormal", "params": {"mu": self.mu, "sigma": self.sigma}}
+            z = self.sigma * special.ndtri_exp(-g)
+            return np.exp(self.mu - z if tail == "upper" else self.mu + z)
 
 
 @dataclass(frozen=True)
@@ -157,16 +185,12 @@ class Weibull(Marginal):
     alpha: float
     eta: float
     kind = "weibull"
-    closed_form_upper = True
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, eta=self.eta)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = -np.expm1(-((x[pos] / self.eta) ** self.alpha))
-        return out
+        return -np.expm1(-((x / self.eta) ** self.alpha))
 
     def _ppf(self, p):
         return self.eta * (-np.log1p(-p)) ** (1.0 / self.alpha)
@@ -174,17 +198,8 @@ class Weibull(Marginal):
     def _isf(self, q):
         return self.eta * (-np.log(q)) ** (1.0 / self.alpha)
 
-    def quantile_from_neg_log_tail(self, g, tail="upper"):
-        # F^{-1}(1 - e^{-g}) = eta * g^{1/alpha} exactly; keep the closed form.
-        if tail == "upper":
-            a, scalar = _as_float_array(g)
-            if np.any(a < 0):
-                raise ValueError("g must be >= 0")
-            return _maybe_scalar(self.eta * a ** (1.0 / self.alpha), scalar)
-        return super().quantile_from_neg_log_tail(g, tail)
-
-    def to_json(self) -> dict:
-        return {"kind": "weibull", "params": {"alpha": self.alpha, "eta": self.eta}}
+    def _upper_from_g(self, g):
+        return self.eta * g ** (1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -207,19 +222,13 @@ class GeneralizedGamma(Marginal):
         return self.d / self.p
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = special.gammainc(self._k, (x[pos] / self.a) ** self.p)
-        return out
+        return special.gammainc(self._k, (x / self.a) ** self.p)
 
     def _ppf(self, p):
         return self.a * special.gammaincinv(self._k, p) ** (1.0 / self.p)
 
     def _isf(self, q):
         return self.a * special.gammainccinv(self._k, q) ** (1.0 / self.p)
-
-    def to_json(self) -> dict:
-        return {"kind": "gengamma", "params": {"d": self.d, "p": self.p, "a": self.a}}
 
 
 @dataclass(frozen=True)
@@ -234,19 +243,13 @@ class Gamma(Marginal):
         _require_positive(shape=self.shape, rate=self.rate)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = special.gammainc(self.shape, self.rate * x[pos])
-        return out
+        return special.gammainc(self.shape, self.rate * x)
 
     def _ppf(self, p):
         return special.gammaincinv(self.shape, p) / self.rate
 
     def _isf(self, q):
         return special.gammainccinv(self.shape, q) / self.rate
-
-    def to_json(self) -> dict:
-        return {"kind": "gamma", "params": {"shape": self.shape, "rate": self.rate}}
 
 
 @dataclass(frozen=True)
@@ -255,16 +258,12 @@ class Exponential(Marginal):
 
     rate: float
     kind = "exponential"
-    closed_form_upper = True
 
     def __post_init__(self):
         _require_positive(rate=self.rate)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = -np.expm1(-self.rate * x[pos])
-        return out
+        return -np.expm1(-self.rate * x)
 
     def _ppf(self, p):
         return -np.log1p(-p) / self.rate
@@ -272,30 +271,20 @@ class Exponential(Marginal):
     def _isf(self, q):
         return -np.log(q) / self.rate
 
-    def quantile_from_neg_log_tail(self, g, tail="upper"):
-        # F^{-1}(1 - e^{-g}) = g / rate identically.
-        if tail == "upper":
-            a, scalar = _as_float_array(g)
-            if np.any(a < 0):
-                raise ValueError("g must be >= 0")
-            return _maybe_scalar(a / self.rate, scalar)
-        return super().quantile_from_neg_log_tail(g, tail)
-
-    def to_json(self) -> dict:
-        return {"kind": "exponential", "params": {"rate": self.rate}}
+    def _upper_from_g(self, g):
+        return g / self.rate
 
 
 @dataclass(frozen=True)
 class Poisson(Marginal):
-    """Poisson counts with rate ``lam``; support {0, 1, 2, ...}.
+    """Poisson counts with rate ``lam`` (``lambda`` in JSON); support {0, 1, 2, ...}.
 
     Only the CDF is defined: no caller needs the Poisson quantile, and the
     embedding applies to continuous marginals only.
     """
 
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     kind = "poisson"
-    discrete = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -309,9 +298,6 @@ class Poisson(Marginal):
 
     def quantile_from_neg_log_tail(self, g, tail="upper"):
         raise ValueError("Poisson has no continuous quantile; use the jump process directly")
-
-    def to_json(self) -> dict:
-        return {"kind": "poisson", "params": {"lambda": self.lam}}
 
 
 def reg_lower_inc_gamma(a, x):
@@ -338,23 +324,8 @@ def poisson_cdf_at(lam, k):
     return _maybe_scalar(out, scalar and np.ndim(lam) == 0)
 
 
-_KINDS = {
-    "lognormal": LogNormal,
-    "weibull": Weibull,
-    "gengamma": GeneralizedGamma,
-    "gamma": Gamma,
-    "exponential": Exponential,
-    "poisson": Poisson,
-}
-
-_PARAM_NAMES = {
-    "lognormal": ("mu", "sigma"),
-    "weibull": ("alpha", "eta"),
-    "gengamma": ("d", "p", "a"),
-    "gamma": ("shape", "rate"),
-    "exponential": ("rate",),
-    "poisson": ("lambda",),
-}
+_KINDS = {cls.kind: cls for cls in
+          (LogNormal, Weibull, GeneralizedGamma, Gamma, Exponential, Poisson)}
 
 
 def marginal_from_json(obj: dict) -> Marginal:
@@ -362,17 +333,6 @@ def marginal_from_json(obj: dict) -> Marginal:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("marginal JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in _KINDS:
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"unknown distribution kind {kind!r}")
-    params = obj.get("params", {})
-    names = _PARAM_NAMES[kind]
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ValueError(f"{kind} params missing {missing}")
-    extra = [n for n in params if n not in names]
-    if extra:
-        raise ValueError(f"{kind} params has unknown fields {extra}")
-    values = [float(params[n]) for n in names]
-    if kind == "poisson":
-        return Poisson(lam=values[0])
-    return _KINDS[kind](*values)
+    return _KINDS[kind].from_json(obj)

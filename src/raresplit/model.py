@@ -27,7 +27,6 @@ __all__ = [
     "ProblemSpec",
     "embed",
     "importance",
-    "is_quasi_monotone_witness",
     "importance_from_json",
 ]
 
@@ -114,7 +113,8 @@ class OrderedPartialSum(_Aggregate):
     kind = "ordered_partial_sum"
 
     def __post_init__(self):
-        if not (isinstance(self.n_bar, int) and self.n_bar >= 1):
+        if not (isinstance(self.n_bar, int) and not isinstance(self.n_bar, bool)
+                and self.n_bar >= 1):
             raise ValueError(f"n_bar must be an integer >= 1, got {self.n_bar!r}")
 
     def check_arity(self, n):
@@ -165,15 +165,6 @@ class WeightedSum(_Aggregate):
 
 
 _AGGREGATES = {cls.kind: cls for cls in (Sum, Ratio, OrderedPartialSum, WeightedSum)}
-
-
-def is_quasi_monotone_witness(spec, directions) -> bool:
-    """True iff (spec, directions) is one of the sanctioned monotone pairings.
-
-    Sum / OrderedPartialSum / WeightedSum require every direction "I";
-    Ratio requires "I" on coordinate 1 and "D" on all the rest.
-    """
-    return spec.pairs_with(tuple(directions))
 
 
 def importance(spec, x):

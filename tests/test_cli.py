@@ -111,7 +111,13 @@ class TestParseScenario:
         ("marginals", [{"kind": "exponential", "params": {"rate": None}}] * 4, r"\$\.marginals\[0\]"),
         ("importance", {"kind": "ratio", "eta": None}, r"\$\.importance"),
         ("importance", {"kind": "weighted_sum", "weights": 5}, r"\$\.importance"),
-        ("directions", 5, r"\$: "),
+        ("directions", 5, r"\$\.directions"),
+        ("importance", {"kind": "ordered_partial_sum", "n_bar": True}, r"\$\.importance"),
+        ("directions", "IIII", r"\$\.directions"),
+        ("marginals", [{"kind": "weibull", "params": {"alpha": True, "eta": 1.0}}] * 4,
+         r"\$\.marginals\[0\]"),
+        ("marginals", [{"kind": "weibull", "params": {"alpha": "0.5", "eta": 1.0}}] * 4,
+         r"\$\.marginals\[0\]"),
     ])
     def test_wrong_json_types_rejected(self, tmp_path, field, value, path):
         scen = {**EXP_SUM, field: value}
@@ -346,6 +352,8 @@ BAD_SETTINGS = [
     ("--s", "1"), ("--m", "1"), ("--pbar", "1.5"),
     ("--levels-method", "iccdf", "--s", "50"), ("--pilot-levels", "1"),
 ]
+# every command takes these flags; listed apart so the ids above keep their numbers
+BAD_COMMON_FLAGS = [("--seed", "-1"), ("--workers", "0")]
 
 
 class TestBadSettings:
@@ -361,6 +369,8 @@ class TestBadSettings:
         ("run", "V", ("--method", "naive", "--m", "0")),
         ("run", "I", ("--method", "is", "--gamma=-1")),
         ("verify", "I", ("--method", "is", "--gamma=-1")),
+        *[(command, table, f) for command, table in (("run", "V"), ("levels", "V"), ("verify", "I"))
+          for f in BAD_COMMON_FLAGS],
     ])
     def test_scenario_commands(self, tmp_path, capsys, command, table, flags):
         preset = tmp_path / "preset.json"
@@ -409,7 +419,7 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("flags", [
         ("--s", "1"), ("--m", "1"), ("--baseline-m", "0"),
-        ("--table", "VI", "--s", "50"),
+        ("--table", "VI", "--s", "50"), ("--seed", "-1"),
     ])
     def test_reproduce(self, capsys, flags):
         argv = ["reproduce", *flags] if "--table" in flags else ["reproduce", "--table", "I", *flags]

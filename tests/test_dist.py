@@ -366,3 +366,20 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             marginal_from_json({"kind": "weibull",
                                 "params": {"alpha": 1.0, "eta": 1.0, "shift": 2.0}})
+
+    @pytest.mark.parametrize("law,expected", [
+        (LogNormal(0.3, 1.7), {"kind": "lognormal", "params": {"mu": 0.3, "sigma": 1.7}}),
+        (Weibull(0.6, 2.0), {"kind": "weibull", "params": {"alpha": 0.6, "eta": 2.0}}),
+        (GeneralizedGamma(2.5, 0.7, 1.3),
+         {"kind": "gengamma", "params": {"d": 2.5, "p": 0.7, "a": 1.3}}),
+        (Gamma(0.4, 2.0), {"kind": "gamma", "params": {"shape": 0.4, "rate": 2.0}}),
+        (Exponential(1.5), {"kind": "exponential", "params": {"rate": 1.5}}),
+        (Poisson(2.5), {"kind": "poisson", "params": {"lambda": 2.5}}),
+    ], ids=lambda v: getattr(v, "kind", "to_json"))
+    def test_json_format(self, law, expected):
+        # scenario files and oracles.neg_log_tail_quantile_mp read these keys
+        assert law.to_json() == expected
+
+    def test_closed_form_upper_only_for_weibull_and_exponential(self):
+        flagged = [d.kind for d in EXTREME_LAWS + [Poisson(2.5)] if d.closed_form_upper]
+        assert flagged == ["weibull", "exponential"]

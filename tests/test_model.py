@@ -19,7 +19,6 @@ from raresplit.model import (
     WeightedSum,
     embed,
     importance,
-    is_quasi_monotone_witness,
 )
 from raresplit.process import RngStream, advance_gamma_batch
 
@@ -128,16 +127,16 @@ class TestImportance:
 
 class TestQuasiMonotoneWitness:
     def test_sanctioned_pairs(self):
-        assert is_quasi_monotone_witness(Sum(), ("I", "I", "I"))
-        assert is_quasi_monotone_witness(Ratio(1.0), ("I", "D", "D"))
-        assert is_quasi_monotone_witness(OrderedPartialSum(2), ("I", "I", "I"))
-        assert is_quasi_monotone_witness(WeightedSum((1.0, 2.0)), ("I", "I"))
+        assert Sum().pairs_with(("I", "I", "I"))
+        assert Ratio(1.0).pairs_with(("I", "D", "D"))
+        assert OrderedPartialSum(2).pairs_with(("I", "I", "I"))
+        assert WeightedSum((1.0, 2.0)).pairs_with(("I", "I"))
 
     def test_rejected_pairs(self):
-        assert not is_quasi_monotone_witness(Ratio(1.0), ("I", "I", "I"))
-        assert not is_quasi_monotone_witness(Ratio(1.0), ("D", "D"))
-        assert not is_quasi_monotone_witness(Sum(), ("I", "D"))
-        assert not is_quasi_monotone_witness(WeightedSum((1.0,)), ("D",))
+        assert not Ratio(1.0).pairs_with(("I", "I", "I"))
+        assert not Ratio(1.0).pairs_with(("D", "D"))
+        assert not Sum().pairs_with(("I", "D"))
+        assert not WeightedSum((1.0,)).pairs_with(("D",))
 
     def test_ten_thousand_ordered_pairs(self):
         # bulk randomized check: 1e4 pairs ordered per (I, D) never decrease S
