@@ -18,6 +18,7 @@ written as null so reports are byte-stable for a fixed seed; pass
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -31,7 +32,8 @@ from .baseline import naive_mc, poisson_is
 from .dist import marginal_from_json
 from .model import ProblemSpec, importance_from_json
 from .process import RngStream
-from .sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule
+from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
+                    lower_bound_schedule)
 from .split import LevelSchedule, replicate
 from .stats import EstimateReport, oracle_exact
 
@@ -53,13 +55,50 @@ def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
+# what a bad input value raises; OverflowError is float() of a huge JSON integer
+_BAD_INPUT = (TypeError, ValueError, OverflowError)
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Re-raise a bad input value met in the block as a ScenarioError at ``path``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except _BAD_INPUT as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _count(value) -> int:
+    """A count from JSON: an int or an integral float such as 6e6, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+# One row per run setting: preset key -> (flag, cast, built-in, help).  The rows build
+# every subcommand's flags; in _settings the flag wins, then the preset default, then the built-in.
+_SETTINGS = {
+    "s": ("--s", _count, 3000, "states per level (split, and the iccdf pilot)"),
+    "m": ("--m", _count, 200, "replications (split) or samples (naive/is)"),
+    "p_bar": ("--pbar", float, 0.1, "per-level survival target"),
+    "levels_method": ("--levels-method", str, "lb", "level heuristic"),
+    "pilot_levels": ("--pilot-levels", _count, 12, "levels of the iccdf pilot run"),
+}
+_BUILTIN = {key: row[2] for key, row in _SETTINGS.items()}  # the library calls' defaults
+
+
 def _require_number(obj, key, path):
     if key not in obj:
         _fail(path, f"missing required field '{key}'")
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    return float(v)
+    with _at(f"{path}.{key}"):
+        return float(v)
 
 
 def _convert_marginal(obj, path) -> dict:
@@ -109,30 +148,15 @@ def _build_problem(scen: dict, path: str = "$") -> ProblemSpec:
     marginals = []
     for i, mobj in enumerate(scen["marginals"]):
         mpath = f"{path}.marginals[{i}]"
-        try:
+        with _at(mpath):
             marginals.append(marginal_from_json(_convert_marginal(mobj, mpath)))
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{mpath}: {exc}") from exc
     ipath = f"{path}.importance"
-    try:
+    with _at(ipath):
         imp = importance_from_json(_convert_importance(scen["importance"], ipath))
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{ipath}: {exc}") from exc
-    _require_number(scen, "gamma", path)
-    try:
-        return ProblemSpec(
-            marginals=tuple(marginals),
-            directions=tuple(scen["directions"]),
-            importance=imp,
-            gamma=float(scen["gamma"]),
-            kind=scen["kind"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    gamma = _require_number(scen, "gamma", path)
+    with _at(path):
+        return ProblemSpec(marginals=tuple(marginals), directions=tuple(scen["directions"]),
+                           importance=imp, gamma=gamma, kind=scen["kind"])
 
 
 def parse_scenario(path) -> tuple[ProblemSpec, dict]:
@@ -157,15 +181,22 @@ def load_preset(table: str) -> dict:
     return json.loads(text)
 
 
+def _with_gamma(problem: ProblemSpec, gamma, path: str) -> ProblemSpec:
+    """The problem at threshold ``gamma`` (None keeps its own); a bad one fails at ``path``."""
+    if gamma is None:
+        return problem
+    with _at(path):
+        return dataclasses.replace(problem, gamma=float(gamma))
+
+
 def preset_problem(preset: dict, gamma=None) -> ProblemSpec:
     problem = _build_problem(preset["scenario"], "$.scenario")
-    if gamma is not None:
-        problem = dataclasses.replace(problem, gamma=float(gamma))
-    return problem
+    return _with_gamma(problem, gamma, f"gamma = {gamma!r}")
 
 
-def build_schedule(problem, rng, *, levels_method="lb", p_bar=0.1,
-                   pilot_levels=12, pilot_s=3000) -> LevelSchedule:
+def build_schedule(problem, rng, *, levels_method=_BUILTIN["levels_method"],
+                   p_bar=_BUILTIN["p_bar"], pilot_levels=_BUILTIN["pilot_levels"],
+                   pilot_s=_BUILTIN["s"]) -> LevelSchedule:
     if levels_method == "lb":
         return lower_bound_schedule(problem, p_bar)
     if levels_method == "iccdf":
@@ -174,9 +205,9 @@ def build_schedule(problem, rng, *, levels_method="lb", p_bar=0.1,
     raise ScenarioError(f"unknown levels method {levels_method!r} (use 'lb' or 'iccdf')")
 
 
-def run_estimation(problem: ProblemSpec, method: str, *, s=3000, m=200,
-                   p_bar=0.1, levels_method="lb", pilot_levels=12,
-                   seed=0, workers=1) -> EstimateReport:
+def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUILTIN["m"],
+                   p_bar=_BUILTIN["p_bar"], levels_method=_BUILTIN["levels_method"],
+                   pilot_levels=_BUILTIN["pilot_levels"], seed=0, workers=1) -> EstimateReport:
     """Schedule (when splitting) plus estimation, with full-call wall time."""
     rng = RngStream(seed)
     if method == "split":
@@ -197,15 +228,15 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=3000, m=200,
     raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
 
 
-def _strip_timing(d: dict) -> dict:
-    return {**d, "wall_seconds": None, "wnrv": None, "schedule_seconds": None}
+def _report_fields(report: EstimateReport, include_timing: bool) -> dict:
+    """The report's JSON fields, with the timing ones blanked unless asked for."""
+    d = report.to_json_dict()
+    return d if include_timing else {**d, "wall_seconds": None, "wnrv": None,
+                                     "schedule_seconds": None}
 
 
 def report_json_text(report: EstimateReport, include_timing: bool) -> str:
-    d = report.to_json_dict()
-    if not include_timing:
-        d = _strip_timing(d)
-    return json.dumps(d, indent=2) + "\n"
+    return json.dumps(_report_fields(report, include_timing), indent=2) + "\n"
 
 
 def _csv_cell(v):
@@ -214,25 +245,20 @@ def _csv_cell(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def csv_rows_text(rows: list[dict]) -> str:
+def csv_rows_text(rows: list[dict], columns=CSV_COLUMNS) -> str:
+    """CSV text: a header of ``columns``, then one line per row; a missing cell is blank."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+        writer.writerow([_csv_cell(row.get(col)) for col in columns])
     return buf.getvalue()
 
 
 def report_csv_row(report: EstimateReport, gamma: float, include_timing: bool) -> dict:
-    return {
-        "gamma": gamma,
-        "method": report.method,
-        "mean": report.mean,
-        "re_percent": None if report.re is None else 100.0 * report.re,
-        "wnrv": report.wnrv if include_timing else None,
-        "wall_seconds": report.wall_seconds if include_timing else None,
-        "seed": report.seed,
-    }
+    """The report's fields plus the CSV's gamma and re_percent; csv_rows_text picks the columns."""
+    d = _report_fields(report, include_timing)
+    return {**d, "gamma": gamma, "re_percent": None if d["re"] is None else 100.0 * d["re"]}
 
 
 def _write_output(text: str, out_path):
@@ -250,28 +276,18 @@ def _echo_timing(report: EstimateReport):
 
 
 def _settings(args, defaults, method) -> dict:
-    """Run settings: CLI flags win, then preset defaults, then built-ins.
+    """Run settings from the _SETTINGS rows, checked for ``method``.
 
-    They are checked for ``method`` ("split", "naive", "is", or None for a
-    schedule alone), so a bad value is a configuration error; so are a
+    ``method`` is "split", "naive", "is", or None for a schedule alone; a
+    value no such run can use is a configuration error, and so are a
     negative --seed and a --workers below 1.
     """
     if args.seed < 0:
         _fail(f"--seed {args.seed}", "must be a non-negative integer")
     if args.workers < 1:
         _fail(f"--workers {args.workers}", "must be at least 1")
-
-    def pick(flag, key, cast, builtin):
-        value = getattr(args, flag, None)
-        return value if value is not None else _default(defaults, key, cast, builtin)
-
-    settings = {
-        "s": pick("s", "s", _count, 3000),
-        "m": pick("m", "m", _count, 200),
-        "p_bar": pick("pbar", "p_bar", float, 0.1),
-        "levels_method": pick("levels_method", "levels_method", str, "lb"),
-        "pilot_levels": pick("pilot_levels", "pilot_levels", _count, 12),
-    }
+    settings = {key: _pick(getattr(args, key, None), defaults, key, cast, builtin)
+                for key, (_, cast, builtin, _) in _SETTINGS.items()}
     if method in ("split", None):
         _check_schedule(settings)
     if method is not None:
@@ -279,25 +295,16 @@ def _settings(args, defaults, method) -> dict:
     return settings
 
 
-def _count(value) -> int:
-    """A count from JSON: an int or an integral float such as 6e6, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(value)
-
-
-_CAST_NAMES = {_count: "an integer", float: "a number"}  # str() takes any JSON value
-
-
-def _default(defaults: dict, key: str, cast, builtin):
-    """A preset default cast to its type; a bad value is a configuration error."""
+def _pick(flag, defaults: dict, key: str, cast, builtin):
+    """The flag if given, else the preset default cast to its type, else the built-in."""
+    if flag is not None:
+        return flag
     value = defaults.get(key, builtin)
     try:
         return cast(value)
-    except (TypeError, ValueError):
-        _fail(f"$.defaults.{key}", f"must be {_CAST_NAMES[cast]}, got {value!r}")
+    except _BAD_INPUT:  # only _count and float can fail: str() takes any JSON value
+        kind = "an integer" if cast is _count else "a number"
+        _fail(f"$.defaults.{key}", f"must be {kind}, got {value!r}")
 
 
 def _check_schedule(settings: dict) -> None:
@@ -310,6 +317,8 @@ def _check_schedule(settings: dict) -> None:
         _fail(f"s = {s!r}", "the iccdf pilot needs at least 100 states per level")
     if pilot_levels < 2:
         _fail(f"pilot_levels = {pilot_levels!r}", "a pilot needs at least 2 levels")
+    if pilot_levels > _MAX_LEVELS:
+        _fail(f"pilot_levels = {pilot_levels!r}", f"a pilot takes at most {_MAX_LEVELS} levels")
 
 
 def _check_samples(m, method):
@@ -318,20 +327,15 @@ def _check_samples(m, method):
         _fail(f"m = {m!r}", f"{method} needs m >= {least}")
 
 
-def _scenario_at_gamma(args):
-    """parse_scenario plus the --gamma override; a bad override is a configuration error."""
+def _load_scenario(args, method):
+    """The --scenario problem at --gamma, and its run settings checked for ``method``."""
     problem, defaults = parse_scenario(args.scenario)
-    if args.gamma is not None:
-        try:
-            problem = dataclasses.replace(problem, gamma=args.gamma)
-        except ValueError as exc:
-            raise ScenarioError(f"--gamma {args.gamma!r}: {exc}") from exc
-    return problem, defaults
+    problem = _with_gamma(problem, args.gamma, f"--gamma {args.gamma!r}")
+    return problem, _settings(args, defaults, method)
 
 
 def cmd_run(args) -> int:
-    problem, defaults = _scenario_at_gamma(args)
-    settings = _settings(args, defaults, args.method)
+    problem, settings = _load_scenario(args, args.method)
     report = run_estimation(problem, args.method, seed=args.seed,
                             workers=args.workers, **settings)
     _echo_timing(report)
@@ -344,23 +348,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    problem, defaults = _scenario_at_gamma(args)
-    settings = _settings(args, defaults, method=None)
-    p_bar = settings["p_bar"]
+    problem, settings = _load_scenario(args, None)
     schedule = build_schedule(problem, RngStream(args.seed),
-                              levels_method=settings["levels_method"], p_bar=p_bar,
+                              levels_method=settings["levels_method"], p_bar=settings["p_bar"],
                               pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
     targets = list(schedule.targets)
     if args.format == "json":
-        text = json.dumps({"times": list(schedule.times), "p_bar": p_bar,
+        text = json.dumps({"times": list(schedule.times), "p_bar": settings["p_bar"],
                            "targets": targets}, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["level", "time", "target"])
-        for i, (t, q) in enumerate(zip(schedule.times, targets), start=1):
-            writer.writerow([i, repr(t), repr(q)])
-        text = buf.getvalue()
+        text = csv_rows_text([{"level": i, "time": t, "target": q} for i, (t, q)
+                              in enumerate(zip(schedule.times, targets), start=1)],
+                             ("level", "time", "target"))
     _write_output(text, args.out)
     return 0
 
@@ -371,28 +370,19 @@ def cmd_verify(args) -> int:
     Exit 0 when the estimate sits within 3 standard errors of the oracle,
     1 when it does not, 2 when the family has no exact oracle.
     """
-    problem, defaults = _scenario_at_gamma(args)
-    settings = _settings(args, defaults, args.method)
+    problem, settings = _load_scenario(args, args.method)
     exact = oracle_exact(problem)
     if exact is None:
-        print("configuration error: no exact oracle covers this problem family "
-              "(supported: i.i.d. exponential sums, weighted Poisson sums, "
-              "two-coordinate ratios)", file=sys.stderr)
-        return 2
+        raise ScenarioError("no exact oracle covers this problem family (supported: "
+                            "i.i.d. exponential sums, weighted Poisson sums, "
+                            "two-coordinate ratios)")
     report = run_estimation(problem, args.method, seed=args.seed,
                             workers=args.workers, **settings)
     se = math.sqrt(report.variance / report.m)
     diff = abs(report.mean - exact)
     ok = diff <= 3.0 * se if se > 0 else report.mean == exact
-    verdict = {
-        "method": report.method,
-        "mean": report.mean,
-        "oracle": exact,
-        "abs_diff": diff,
-        "three_se": 3.0 * se,
-        "verified": ok,
-        "seed": report.seed,
-    }
+    verdict = {"method": report.method, "mean": report.mean, "oracle": exact, "abs_diff": diff,
+               "three_se": 3.0 * se, "verified": ok, "seed": report.seed}
     _write_output(json.dumps(verdict, indent=2) + "\n", args.out)
     return 0 if ok else 1
 
@@ -404,8 +394,7 @@ def cmd_reproduce(args) -> int:
     settings = {"split": _settings(args, defaults, "split")}
     for method in methods:
         if method != "split":
-            m = args.baseline_m if args.baseline_m is not None \
-                else _default(defaults, f"{method}_m", _count, 10 ** 6)
+            m = _pick(args.baseline_m, defaults, f"{method}_m", _count, 10 ** 6)
             _check_samples(m, method)
             settings[method] = {"m": m}
     rows_out = []
@@ -422,21 +411,20 @@ def cmd_reproduce(args) -> int:
                 raise SchedulingError(f"at gamma={gamma}, method={method}: {exc}") from exc
             _echo_timing(report)
             rows_out.append(report_csv_row(report, gamma, args.timing))
-        for ref_name, ref in row.get("paper_reference", {}).items():
-            rows_out.append({
-                "gamma": gamma,
-                "method": f"paper_reference:{ref_name}",
-                "mean": ref.get("mean"),
-                "re_percent": ref.get("re_percent"),
-                "wnrv": ref.get("wnrv"),
-                "wall_seconds": None,
-                "seed": None,
-            })
+        rows_out += ({**ref, "gamma": gamma, "method": f"paper_reference:{name}"}
+                     for name, ref in row.get("paper_reference", {}).items())
     _write_output(csv_rows_text(rows_out), args.out)
     return 0
 
 
-def _add_common(p):
+def _add_settings(p, keys):
+    for key in keys:
+        flag, cast, _, text = _SETTINGS[key]
+        p.add_argument(flag, dest=key, type=int if cast is _count else cast, default=None,
+                       choices=("lb", "iccdf") if key == "levels_method" else None, help=text)
+
+
+def _add_common(p, func):
     p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--timing", action="store_true",
@@ -446,6 +434,7 @@ def _add_common(p):
                    help="max worker processes for replications")
     # the flag's first name, kept so existing command lines still run
     p.add_argument("--threads", type=int, dest="workers", help=argparse.SUPPRESS)
+    p.set_defaults(func=func)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -454,54 +443,28 @@ def make_parser() -> argparse.ArgumentParser:
         description="Rare-event probability estimation by multilevel splitting "
                     "over a monotone process embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="estimate one scenario")
-    run.add_argument("--scenario", required=True, help="scenario or preset JSON file")
-    run.add_argument("--method", choices=("split", "naive", "is"), default="split")
-    run.add_argument("--gamma", type=float, default=None, help="threshold override")
-    run.add_argument("--s", type=int, default=None, help="states per level (split)")
-    run.add_argument("--m", type=int, default=None,
-                     help="replications (split) or samples (naive/is)")
-    run.add_argument("--pbar", type=float, default=None, help="per-level survival target")
-    run.add_argument("--levels-method", choices=("lb", "iccdf"), default=None)
-    run.add_argument("--pilot-levels", type=int, default=None)
-    run.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(run)
-    run.set_defaults(func=cmd_run)
-
-    levels = sub.add_parser("levels", help="print a level schedule and its targets")
-    levels.add_argument("--scenario", required=True)
-    levels.add_argument("--gamma", type=float, default=None)
-    levels.add_argument("--pbar", type=float, default=None)
-    levels.add_argument("--levels-method", choices=("lb", "iccdf"), default=None)
-    levels.add_argument("--pilot-levels", type=int, default=None)
-    levels.add_argument("--s", type=int, default=None, help="pilot states per level")
-    levels.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(levels)
-    levels.set_defaults(func=cmd_levels)
-
-    verify = sub.add_parser("verify",
-                            help="check an estimator against the exact oracle")
-    verify.add_argument("--scenario", required=True)
-    verify.add_argument("--method", choices=("split", "naive", "is"), default="split")
-    verify.add_argument("--gamma", type=float, default=None)
-    verify.add_argument("--s", type=int, default=None)
-    verify.add_argument("--m", type=int, default=None)
-    verify.add_argument("--pbar", type=float, default=None)
-    verify.add_argument("--levels-method", choices=("lb", "iccdf"), default=None)
-    verify.add_argument("--pilot-levels", type=int, default=None)
-    _add_common(verify)
-    verify.set_defaults(func=cmd_verify)
+    method = ("--method", {"choices": ("split", "naive", "is"), "default": "split"})
+    fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
+    for name, func, text, options in (
+            ("run", cmd_run, "estimate one scenario", (method, fmt)),
+            ("levels", cmd_levels, "print a level schedule and its targets", (fmt,)),
+            ("verify", cmd_verify, "check an estimator against the exact oracle", (method,))):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--scenario", required=True, help="scenario or preset JSON file")
+        p.add_argument("--gamma", type=float, default=None, help="threshold override")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        # a schedule alone takes no replication count
+        _add_settings(p, [key for key in _SETTINGS if name != "levels" or key != "m"])
+        _add_common(p, func)
 
     rep = sub.add_parser("reproduce", help="rerun a published table preset")
     rep.add_argument("--table", required=True, choices=sorted(TABLES),
                      help="table id (I..VI)")
-    rep.add_argument("--s", type=int, default=None, help="states per level override")
-    rep.add_argument("--m", type=int, default=None, help="replication override")
+    _add_settings(rep, ("s", "m"))
     rep.add_argument("--baseline-m", type=int, default=None,
                      help="sample-count override for naive/is columns")
-    _add_common(rep)
-    rep.set_defaults(func=cmd_reproduce)
+    _add_common(rep, cmd_reproduce)
     return parser
 
 

@@ -110,6 +110,8 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
     """
     if l_pilot < 2:
         raise ValueError("l_pilot must be >= 2")
+    if l_pilot > _MAX_LEVELS:
+        raise ValueError(f"l_pilot must be <= {_MAX_LEVELS}")
     if s_pilot < 100:
         raise ValueError("s_pilot must be >= 100")
     if not (0.0 < p_bar < 1.0):

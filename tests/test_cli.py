@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import math
 import subprocess
@@ -118,6 +120,16 @@ class TestParseScenario:
          r"\$\.marginals\[0\]"),
         ("marginals", [{"kind": "weibull", "params": {"alpha": "0.5", "eta": 1.0}}] * 4,
          r"\$\.marginals\[0\]"),
+        # float() of an integer past the double range raises OverflowError
+        pytest.param("gamma", 10 ** 400, r"\$\.gamma", id="gamma-huge-int"),
+        pytest.param("marginals", [{"kind": "lognormal",
+                                    "params": {"mu": 10 ** 400, "sigma": 1.0}}] * 4,
+                     r"\$\.marginals\[0\]", id="marginals-huge-mu"),
+        pytest.param("marginals", [{"kind": "lognormal",
+                                    "params": {"mu_db": 10 ** 400, "sigma_db": 4.0}}] * 4,
+                     r"\$\.marginals\[0\]\.params\.mu_db", id="marginals-huge-mu_db"),
+        pytest.param("importance", {"kind": "weighted_sum", "weights": [10 ** 400, 1, 1, 1]},
+                     r"\$\.importance", id="importance-huge-weight"),
     ])
     def test_wrong_json_types_rejected(self, tmp_path, field, value, path):
         scen = {**EXP_SUM, field: value}
@@ -371,6 +383,9 @@ class TestBadSettings:
         ("verify", "I", ("--method", "is", "--gamma=-1")),
         *[(command, table, f) for command, table in (("run", "V"), ("levels", "V"), ("verify", "I"))
           for f in BAD_COMMON_FLAGS],
+        # one past the schedules' level cap; a larger value is never run
+        *[(command, table, ("--pilot-levels", "10001"))
+          for command, table in (("run", "V"), ("levels", "V"), ("verify", "I"))],
     ])
     def test_scenario_commands(self, tmp_path, capsys, command, table, flags):
         preset = tmp_path / "preset.json"
@@ -391,6 +406,7 @@ class TestBadSettings:
         pytest.param("verify", "m", 2.9, id="verify-m-fraction"),
         pytest.param("reproduce", "naive_m", 1e6 + 0.5, id="reproduce-naive_m-fraction"),
         pytest.param("reproduce", "is_m", True, id="reproduce-is_m-bool"),
+        pytest.param("run", "p_bar", 10 ** 400, id="run-p_bar-huge-int"),
     ])
     def test_bad_preset_default(self, tmp_path, capsys, monkeypatch, command, key, value):
         data = load_preset("I")
@@ -407,6 +423,16 @@ class TestBadSettings:
         assert err.startswith(f"configuration error: $.defaults.{key}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_pilot_levels_cap_from_preset_default(self, tmp_path, capsys):
+        data = load_preset("V")
+        data["defaults"]["pilot_levels"] = 10_001
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main(["levels", "--scenario", str(preset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: pilot_levels = 10001: ")
+        assert len(err.splitlines()) == 1
 
     def test_integral_float_default_accepted(self, tmp_path, capsys):
         data = load_preset("I")
@@ -464,6 +490,94 @@ class TestNonFiniteScenario:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: $.scenario.importance: eta must be finite")
         assert len(err.splitlines()) == 1
+
+
+class TestHugeJsonIntegers:
+    """A JSON integer past the double range is a configuration error at its
+    JSON path (exit 2, one stderr line), not an OverflowError traceback."""
+
+    @pytest.mark.parametrize("table,where,path", [
+        pytest.param("I", ("gamma",), "$.scenario.gamma", id="gamma"),
+        pytest.param("V", ("marginals", 0, "params", "mu"), "$.scenario.marginals[0]",
+                     id="marginal-mu"),
+        pytest.param("VI", ("marginals", 0, "params", "mu_db"),
+                     "$.scenario.marginals[0].params.mu_db", id="marginal-mu_db"),
+    ])
+    def test_scenario_field(self, tmp_path, capsys, table, where, path):
+        data = load_preset(table)
+        node = data["scenario"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = 10 ** 400
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(preset), "--s", "300", "--m", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ")
+        assert len(err.splitlines()) == 1
+
+
+# every subcommand's option strings; the settings table must neither add nor drop one
+COMMON_FLAGS = {"-h", "--help", "--seed", "--out", "--timing", "--workers", "--threads"}
+SCENARIO_FLAGS = {"--scenario", "--gamma", "--s", "--pbar", "--levels-method", "--pilot-levels"}
+FLAGS = {
+    "run": SCENARIO_FLAGS | {"--method", "--format", "--m"},
+    "levels": SCENARIO_FLAGS | {"--format"},
+    "verify": SCENARIO_FLAGS | {"--method", "--m"},
+    "reproduce": {"--table", "--s", "--m", "--baseline-m"},
+}
+
+
+class TestParser:
+    def test_option_strings(self):
+        sub = next(a for a in cli.make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(FLAGS)
+        for command, parser in sub.choices.items():
+            got = {flag for action in parser._actions for flag in action.option_strings}
+            assert got == FLAGS[command] | COMMON_FLAGS, command
+
+
+class TestCsvForms:
+    """The digests hash only the JSON forms; the CSV forms carry the same numbers."""
+
+    @pytest.mark.parametrize("table", ["V", "VI"])  # an lb and an iccdf schedule
+    def test_levels_csv_matches_json(self, tmp_path, capsys, table):
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(load_preset(table)))
+        argv = ["levels", "--scenario", str(preset), "--s", "300", "--seed", "4"]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["level"] for r in rows] == [str(i) for i in range(1, len(rows) + 1)]
+        assert [r["time"] for r in rows] == [repr(t) for t in payload["times"]]
+        assert [r["target"] for r in rows] == [repr(q) for q in payload["targets"]]
+
+    @pytest.mark.parametrize("table,gamma,flags", [
+        ("V", 1.39, ("--method", "split", "--s", "300", "--m", "4")),
+        ("I", 120.0, ("--method", "naive", "--m", "3000")),  # P near 0.034: hits occur
+        ("I", 50.0, ("--method", "is", "--m", "3000")),
+    ])
+    def test_run_csv_matches_json(self, tmp_path, capsys, table, gamma, flags):
+        data = load_preset(table)
+        data["scenario"]["gamma"] = gamma
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        argv = ["run", "--scenario", str(preset), *flags, "--seed", "2"]
+        assert main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row == {
+            "gamma": repr(gamma),
+            "method": report["method"],
+            "mean": repr(report["mean"]),
+            "re_percent": repr(100.0 * report["re"]),
+            "wnrv": "",
+            "wall_seconds": "",
+            "seed": "2",
+        }
 
 
 class TestCliReproduce:

@@ -210,6 +210,11 @@ class TestInverseCcdfSchedule:
         with pytest.raises(ValueError):
             inverse_ccdf_schedule(exp_sum(), RngStream(0), p_bar=1.5)
 
+    def test_pilot_level_cap(self):
+        # one past the cap: rejected before any pilot level is built
+        with pytest.raises(ValueError, match="l_pilot must be <= 10000"):
+            inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=10_001)
+
     def test_estimates_match_oracle_through_schedule(self):
         problem = exp_sum(4, 0.5)
         sched = inverse_ccdf_schedule(problem, RngStream(8), l_pilot=8, s_pilot=1000)
