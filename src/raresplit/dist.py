@@ -27,6 +27,10 @@ __all__ = [
     "marginal_from_json",
 ]
 
+# Largest Poisson rate: ``process.poisson_sampler`` tabulates about 80
+# sqrt(lambda) CDF entries per column, built in about 0.1 s at the cap (2-core VM).
+MAX_POISSON_RATE = 1e6
+
 _LN2 = math.log(2.0)
 _NEG_LOG_TINY = -math.log(np.finfo(float).tiny)
 
@@ -277,7 +281,8 @@ class Exponential(Marginal):
 
 @dataclass(frozen=True)
 class Poisson(Marginal):
-    """Poisson counts with rate ``lam`` (``lambda`` in JSON); support {0, 1, 2, ...}.
+    """Poisson counts with rate ``lam`` (``lambda`` in JSON), at most
+    MAX_POISSON_RATE; support {0, 1, 2, ...}.
 
     Only the CDF is defined: no caller needs the Poisson quantile, and the
     embedding applies to continuous marginals only.
@@ -288,6 +293,8 @@ class Poisson(Marginal):
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
+        if self.lam > MAX_POISSON_RATE:
+            raise ValueError(f"lam must be <= {MAX_POISSON_RATE:g}, got {self.lam!r}")
 
     def cdf(self, x):
         a, scalar = _as_float_array(x)

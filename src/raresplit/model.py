@@ -321,7 +321,7 @@ class ProblemSpec:
     def score(self, states: np.ndarray) -> np.ndarray:
         """S evaluated on raw process states (embedding applied when needed)."""
         if self.kind == "poisson":
-            return importance(self.importance, np.asarray(states, dtype=float))
+            return importance(self.importance, states)
         return importance(self.importance, embed(states, self.marginals, self.directions))
 
     @cached_property

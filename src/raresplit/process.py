@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dist import poisson_cdf_at
+from .dist import MAX_POISSON_RATE, poisson_cdf_at
 
 __all__ = ["RngStream", "advance_gamma_batch", "advance_poisson_batch", "poisson_sampler"]
 
@@ -106,14 +106,18 @@ def poisson_sampler(rates):
     column j, by inversion with a guide table (Chen & Asau 1974).
 
     Each column's CDF F is tabulated once, from the first k with F(k) > 0 to
-    the first k where F rounds to 1.0.  ``draw`` makes one ``gen.random((c,
-    n))`` call and returns X = min{k : u < F(k)}, one uniform per count in C
-    order, so the counts do not depend on how the rows are split into calls.
+    the first k where F rounds to 1.0: about 80 sqrt(rate) entries, so rates
+    above ``dist.MAX_POISSON_RATE`` are rejected.  ``draw`` makes one
+    ``gen.random((c, n))`` call and returns X = min{k : u < F(k)}, one uniform
+    per count in C order, so the counts do not depend on how the rows are
+    split into calls.
     The law is exact up to the rounding of F and the 2^-53 grid of u.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or rates.size == 0 or not np.all(np.isfinite(rates) & (rates > 0)):
-        raise ValueError("rates must be a non-empty 1-d array of finite values > 0")
+    if (rates.ndim != 1 or rates.size == 0
+            or not np.all((rates > 0) & (rates <= MAX_POISSON_RATE))):
+        raise ValueError(
+            f"rates must be a non-empty 1-d array of values in (0, {MAX_POISSON_RATE:g}]")
     n, cdfs, counts = rates.size, [], []
     for lam, sd in zip(rates, np.sqrt(rates)):
         # Chernoff: F < 1e-347 (0.0) 40 sd below lam, and 1 - F < 1e-26 at the top

@@ -1,18 +1,17 @@
 """Level-selection heuristics targeting per-level survival p_bar.
 
-Both builders place levels on a curve of (t, log survival) points, inverted
-piecewise linearly by one routine.  ``lower_bound_schedule`` takes the
-curve c(t) = P[S(X(t)) <= gamma] from the sample-free engine of
-``curve.py`` and places L levels of equal conditional survival c(1)^(1/L),
-the fewest with survival at least p_bar; problems the engine does not
-cover are rejected.  ``inverse_ccdf_schedule`` applies to every problem: it
-runs a pilot splitting pass on equally spaced times and inverts the
-estimated curve at p_bar, p_bar^2, ....
+Both builders hand a curve of (t, log survival) points to one placement
+rule: with P the curve's end value, L levels of equal conditional survival
+P^(1/L), the fewest with survival at least p_bar, where the piecewise-linear
+curve meets P^(l/L).  ``lower_bound_schedule`` takes the curve
+c(t) = P[S(X(t)) <= gamma] from the sample-free engine of ``curve.py`` and
+rejects problems the engine does not cover.  ``inverse_ccdf_schedule``
+applies to every problem: its curve is estimated by a pilot splitting pass
+on equally spaced times.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -55,33 +54,29 @@ def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1) -> LevelSched
     with np.errstate(divide="ignore"):
         log_mid = 0.5 * (np.log(bracket[0]) + np.log(bracket[1]))
     log_c = np.minimum.accumulate(np.concatenate(([0.0], log_mid)))
-    log_end = log_c[-1]
-    if not np.isfinite(log_end):
+    if not np.isfinite(log_c[-1]):
         raise SchedulingError(
             f"the survival curve at t = 1 is 0 to double precision "
             f"(gamma = {problem.gamma!r}); no schedule can reach it")
-    levels = max(1, math.ceil(log_end / math.log(p_bar)))
-    goals = (log_end * l / levels for l in range(1, levels))
-    return _place_levels(ts, log_c, ((g, math.exp(g)) for g in goals))
+    return _place_levels(ts, log_c, p_bar)
 
 
-def _place_levels(ts, log_c, goals) -> LevelSchedule:
-    """Levels where the curve through (ts, log_c) meets each goal.
+def _place_levels(ts, log_c, p_bar) -> LevelSchedule:
+    """Levels of equal survival on the curve through (ts, log_c).
 
-    ``goals`` yields (log target, target) pairs with decreasing log targets
-    inside the curve's range.  Times that are not strictly increasing or
-    not below 1 are dropped; the last level is 1 and aims at the curve's end.
+    ``log_c`` is nonincreasing from 0 to a finite end log P.  L = max(1,
+    ceil(log P / log p_bar)), the fewest levels that each survive at least
+    p_bar; the 1e-9 slack keeps an end that equals p_bar^L up to roundoff
+    from adding a level.  Level l < L sits where the piecewise-linear curve
+    meets (l/L) log P and aims at P^(l/L); level L is t = 1 and aims at P.
     """
-    goals = list(itertools.islice(goals, _MAX_LEVELS))
-    if len(goals) == _MAX_LEVELS:
+    log_end = log_c[-1]
+    levels = max(1, math.ceil(log_end / math.log(p_bar) - 1e-9))
+    if levels > _MAX_LEVELS:
         raise SchedulingError(f"more than {_MAX_LEVELS} levels requested; check p_bar")
-    times, targets = [], []
-    for log_goal, goal in goals:
-        t = _invert_decreasing(ts, log_c, log_goal)
-        if t < 1.0 - 1e-12 and (not times or t > times[-1]):
-            times.append(t)
-            targets.append(goal)
-    return LevelSchedule((*times, 1.0), (*targets, math.exp(log_c[-1])))
+    goals = [log_end * l / levels for l in range(1, levels)]
+    times = [_invert_decreasing(ts, log_c, g) for g in goals]
+    return LevelSchedule((*times, 1.0), (*map(math.exp, goals), math.exp(log_end)))
 
 
 def _invert_decreasing(ts, ys, y):
@@ -104,9 +99,10 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
     """Levels by inverting a pilot estimate of the survival curve.
 
     A pilot splitting pass at equally spaced times l/l_pilot estimates the
-    survival products; the points (t, log survival) are linearly
-    interpolated and inverted at p_bar^1, p_bar^2, ... until the curve's
-    terminal value is reached, and the final level is pinned to exactly 1.
+    survival products.  Levels are placed at equal survival on the points
+    (t, log survival), up to the last level the pilot survived, by the same
+    rule as ``lower_bound_schedule``: with P the pilot's end value, level l
+    of L aims at P^(l/L), and level L is t = 1.
     """
     if l_pilot < 2:
         raise ValueError("l_pilot must be >= 2")
@@ -124,19 +120,10 @@ def inverse_ccdf_schedule(problem: ProblemSpec, rng: RngStream, *,
             f"pilot run went extinct at level {pilot.extinct_at + 1}/{l_pilot}; "
             "increase s_pilot or decrease l_pilot")
 
-    ts = [0.0]
-    log_surv = [0.0]
-    acc = 0.0
+    ts, log_surv = [0.0], [0.0]
     for t, k in zip(pilot_times, pilot.survivor_counts):
         if k == 0:
             break  # only the extinct final level can land here
-        acc += math.log(k / s_pilot)
         ts.append(t)
-        log_surv.append(acc)
-
-    log_p = math.log(p_bar)
-    end = log_surv[-1]
-    # the 1e-9 slack keeps a target that matches the curve's end (up to
-    # accumulation roundoff) from spawning a zero-width final step
-    levels = itertools.takewhile(lambda l: l * log_p > end + 1e-9, itertools.count(1))
-    return _place_levels(ts, log_surv, ((l * log_p, p_bar ** l) for l in levels))
+        log_surv.append(log_surv[-1] + math.log(k / s_pilot))
+    return _place_levels(ts, log_surv, p_bar)

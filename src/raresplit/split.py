@@ -67,17 +67,15 @@ class SplitRunResult:
 
 
 def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
-                  rng: RngStream, check_invariants: bool = False) -> SplitRunResult:
+                  rng: RngStream) -> SplitRunResult:
     """One fixed-effort splitting run with ``s`` states per level.
 
     Per level the generator is consumed in a fixed order (parent indices,
     then increments), so a given stream reproduces the run bit-for-bit.
     Survival is ``problem.survives``, which equals score <= gamma exactly:
     continuous rows are decided from a tabulated bracket of the embedding,
-    and only the rows it cannot decide are embedded and scored.
-    ``check_invariants`` re-scores every resampled parent before advancing
-    (monotonicity guarantees parents still satisfy S <= gamma); it is meant
-    for tests, not production runs.
+    and only the rows it cannot decide are embedded and scored.  States are
+    float64 for both processes; Poisson counts are exact integers in them.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -86,16 +84,13 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     rates = problem.rates() if poisson else None
     gen = rng.gen
 
-    current = np.zeros((s, n), dtype=np.int64 if poisson else float)
+    current = np.zeros((s, n))
     counts = []
     t_prev = 0.0
     for level, t in enumerate(schedule.times):
         dt = t - t_prev
         idx = gen.integers(0, current.shape[0], size=s)
         parents = current[idx]
-        if check_invariants:
-            assert np.all(problem.score(parents) <= problem.gamma), \
-                "resampled parent violates S <= gamma"
         if poisson:
             advanced = advance_poisson_batch(parents, dt, rates, rng)
         else:

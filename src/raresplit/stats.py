@@ -21,6 +21,8 @@ from .model import ProblemSpec, Ratio, Sum
 
 __all__ = ["EstimateReport", "relative_error", "wnrv", "oracle_exact"]
 
+MAX_LATTICE = 10 ** 8  # lattice cap of oracle_exact's Poisson convolution
+
 REPORT_FIELDS = (
     "method", "mean", "variance", "re", "wnrv", "wall_seconds",
     "m", "s", "levels", "per_level_survival", "seed", "schedule_seconds",
@@ -147,18 +149,19 @@ def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
     return float(probs.sum())
 
 
-def oracle_exact(problem: ProblemSpec, max_lattice: int = 10 ** 8) -> float | None:
+def oracle_exact(problem: ProblemSpec) -> float | None:
     """Exact/semi-exact value of P[S(X) <= gamma] for supported families.
 
     Supported: (a) plain sum of i.i.d. exponentials (Gamma CDF);
     (b) weighted sums of Poisson counts by a convolution over partial sums;
     (c) two-coordinate ratios by adaptive quadrature over the denominator's
-    probability scale.  Returns None for anything else.
+    probability scale.  Returns None for anything else, and for Poisson
+    sums whose convolution passes MAX_LATTICE pairs.
     """
     gamma = problem.gamma
     if problem.kind == "poisson":
         return _weighted_poisson_cdf(
-            problem.rates(), problem.importance.weight_array(), gamma, max_lattice)
+            problem.rates(), problem.importance.weight_array(), gamma, MAX_LATTICE)
 
     if isinstance(problem.importance, Sum):
         rates = {m.rate for m in problem.marginals if isinstance(m, Exponential)}

@@ -517,6 +517,19 @@ class TestHugeJsonIntegers:
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_poisson_rate_above_cap(tmp_path, capsys, command):
+    # a rate one ulp above dist.MAX_POISSON_RATE fails at its marginal
+    data = load_preset("I")
+    data["scenario"]["marginals"][0]["params"]["lambda"] = math.nextafter(1e6, math.inf)
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(preset), "--s", "300", "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: $.scenario.marginals[0]: lam must be <= 1e+06")
+    assert len(err.splitlines()) == 1
+
+
 # every subcommand's option strings; the settings table must neither add nor drop one
 COMMON_FLAGS = {"-h", "--help", "--seed", "--out", "--timing", "--workers", "--threads"}
 SCENARIO_FLAGS = {"--scenario", "--gamma", "--s", "--pbar", "--levels-method", "--pilot-levels"}

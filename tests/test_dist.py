@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 from raresplit.dist import (
+    MAX_POISSON_RATE,
     Exponential,
     Gamma,
     GeneralizedGamma,
@@ -347,13 +348,14 @@ class TestValidationAndJson:
         lambda: Gamma(1.0, -1.0),
         lambda: Exponential(0.0),
         lambda: Poisson(-2.0),
+        lambda: Poisson(math.nextafter(MAX_POISSON_RATE, math.inf)),
     ])
     def test_bad_params_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
 
     def test_json_round_trip(self):
-        for d in CONTINUOUS + [Poisson(2.5)]:
+        for d in CONTINUOUS + [Poisson(2.5), Poisson(MAX_POISSON_RATE)]:
             assert marginal_from_json(d.to_json()) == d
 
     def test_unknown_kind(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from raresplit.dist import poisson_cdf_at, reg_lower_inc_gamma
+from raresplit.dist import MAX_POISSON_RATE, poisson_cdf_at, reg_lower_inc_gamma
 from raresplit.process import (RngStream, advance_gamma_batch, advance_poisson_batch,
                                poisson_sampler)
 
@@ -230,8 +230,15 @@ class TestPoissonSampler:
         x = draw(RngStream(34).gen, 3)
         assert x.shape == (3, 2) and x.dtype == np.float64
 
+    def test_rate_at_cap(self):
+        # the cap's table (about 80,000 entries) is built and draws its mean
+        c = 4000
+        x = poisson_sampler([MAX_POISSON_RATE])(RngStream(35).gen, c)
+        assert abs(x.mean() - MAX_POISSON_RATE) < 4.0 * math.sqrt(MAX_POISSON_RATE / c)
+
     @pytest.mark.parametrize("rates", [[1.0, math.nan], [math.inf], [0.0], [-1.0], [],
-                                       [[1.0, 2.0]]])
+                                       [[1.0, 2.0]],
+                                       [1.0, math.nextafter(MAX_POISSON_RATE, math.inf)]])
     def test_bad_rates_rejected(self, rates):
         with pytest.raises(ValueError, match="rates"):
             poisson_sampler(rates)

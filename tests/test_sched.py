@@ -17,6 +17,7 @@ from raresplit.process import RngStream
 from raresplit.sched import (
     _GRID,
     SchedulingError,
+    _place_levels,
     inverse_ccdf_schedule,
     lower_bound_schedule,
 )
@@ -184,6 +185,32 @@ class TestInverseCcdfSchedule:
         sched = inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=12, s_pilot=1000)
         assert sched.times[-1] == 1.0
         assert np.allclose(sched.times[:-1], [l / 12 for l in range(1, 11)], rtol=1e-9)
+
+    def test_uneven_pilot_end_gets_equal_survival_levels(self, monkeypatch):
+        # the pilot curve ends at 0.1^11 * 0.3, no power of p_bar: every
+        # level still aims at P^(l/L), at the times the one placement rule
+        # gives on that curve
+        s = 1000
+        counts = (100,) * 11 + (300,)
+
+        def fake_run(problem, schedule, s_pilot, rng):
+            return SplitRunResult(math.prod(k / s_pilot for k in counts), counts, None)
+
+        monkeypatch.setattr("raresplit.sched.run_splitting", fake_run)
+        sched = inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=12, s_pilot=s)
+        ts, log_c = [0.0], [0.0]
+        for l, k in enumerate(counts, start=1):
+            ts.append(l / 12)
+            log_c.append(log_c[-1] + math.log(k / s))
+        L = len(sched)
+        assert L == 12
+        end = math.exp(log_c[-1])
+        for l, target in enumerate(sched.targets, start=1):
+            assert target == pytest.approx(end ** (l / L), rel=1e-12)
+        ratios = np.asarray(sched.targets[1:]) / np.asarray(sched.targets[:-1])
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+        np.testing.assert_allclose(sched.times, _place_levels(ts, log_c, 0.1).times,
+                                   rtol=1e-12)
 
     def test_strictly_increasing_terminal_one(self):
         sched = inverse_ccdf_schedule(exp_sum(4, 0.1), RngStream(4),

@@ -163,10 +163,22 @@ class TestRunSplitting:
         b = run_splitting(problem, schedule, 200, RngStream(11))
         assert a == b
 
-    def test_check_invariants_path(self):
+    def test_resampled_parents_satisfy_threshold(self, monkeypatch):
+        # S is monotone along the paths, so every parent drawn from a level's
+        # survivors still has S <= gamma before it is advanced
         problem = exp_sum_problem(4, 1.0)
         schedule = lower_bound_schedule(problem)
-        run_splitting(problem, schedule, 100, RngStream(1), check_invariants=True)
+        advance = split.advance_gamma_batch
+        seen = []
+
+        def checked(values, dt, rng):
+            seen.append(values.shape[0])
+            assert np.all(problem.score(values) <= problem.gamma)
+            return advance(values, dt, rng)
+
+        monkeypatch.setattr(split, "advance_gamma_batch", checked)
+        result = run_splitting(problem, schedule, 100, RngStream(1))
+        assert len(seen) == len(result.survivor_counts) > 1
 
     def test_s_validation(self):
         problem = exp_sum_problem()

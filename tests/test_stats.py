@@ -74,12 +74,14 @@ class TestOracleExact:
                               0.0, "poisson")
         assert oracle_exact(problem) == pytest.approx(math.exp(-2.0), rel=1e-11)
 
-    def test_enumeration_cap_reports_unsupported(self):
+    def test_enumeration_cap_reports_unsupported(self, monkeypatch):
         marginals = tuple(Poisson(1.0 + 0.2 * i) for i in range(12))
         problem = ProblemSpec(marginals, ("I",) * 12,
                               WeightedSum(tuple(float(i) for i in range(1, 13))),
                               40.0, "poisson")
-        assert oracle_exact(problem, max_lattice=1000) is None
+        assert oracle_exact(problem) is not None
+        monkeypatch.setattr("raresplit.stats.MAX_LATTICE", 1000)
+        assert oracle_exact(problem) is None
 
     def test_ratio_quadrature_closed_form(self):
         # exp/exp ratio has the closed form 1 - e^{-gamma eta} / (1 + gamma)
