@@ -29,7 +29,7 @@ from .model import (
     embed,
     importance,
 )
-from .process import RngStream, advance_gamma_batch, advance_poisson_batch
+from .process import RngStream, advance_gamma_batch
 from .sched import SchedulingError, inverse_ccdf_schedule, lower_bound_schedule
 from .split import LevelSchedule, SplitRunResult, replicate, run_splitting
 from .stats import EstimateReport, oracle_exact, relative_error, wnrv

@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import ProblemSpec, importance
 from .process import RngStream, poisson_sampler
-from .stats import EstimateReport, make_report
+from .stats import EstimateReport
 
 __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 
@@ -69,7 +69,8 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     wall = time.perf_counter() - t0
     mean = hits / m
     variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
-    return make_report("naive", mean, variance, m, wall, seed=rng.seed)
+    return EstimateReport(method="naive", mean=mean, variance=variance, wall_seconds=wall,
+                          m=m, seed=rng.seed)
 
 
 def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> EstimateReport:
@@ -119,4 +120,5 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     mean = total / m
     variance = (total_sq - m * mean * mean) / (m - 1) if m > 1 else 0.0
     variance = max(variance, 0.0)
-    return make_report("is", mean, variance, m, wall, seed=rng.seed)
+    return EstimateReport(method="is", mean=mean, variance=variance, wall_seconds=wall,
+                          m=m, seed=rng.seed)

@@ -29,13 +29,13 @@ import time
 from importlib import resources
 
 from .baseline import naive_mc, poisson_is
-from .dist import marginal_from_json
+from .dist import _is_number, marginal_from_json
 from .model import ProblemSpec, importance_from_json
 from .process import RngStream
 from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
                     lower_bound_schedule)
 from .split import LevelSchedule, replicate
-from .stats import EstimateReport, oracle_exact
+from .stats import MAX_LATTICE, EstimateReport, oracle_exact
 
 __all__ = ["ScenarioError", "parse_scenario", "build_schedule", "run_estimation", "main"]
 
@@ -95,7 +95,7 @@ def _require_number(obj, key, path):
     if key not in obj:
         _fail(path, f"missing required field '{key}'")
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         _fail(f"{path}.{key}", f"must be a number, got {v!r}")
     with _at(f"{path}.{key}"):
         return float(v)
@@ -131,7 +131,8 @@ def _convert_importance(obj, path) -> dict:
         if "eta" in obj:
             _fail(path, "give either eta or eta_db, not both")
         eta_db = _require_number(obj, "eta_db", path)
-        return {"kind": "ratio", "eta": 10.0 ** (eta_db / 10.0)}
+        rest = {k: v for k, v in obj.items() if k != "eta_db"}
+        return {**rest, "eta": 10.0 ** (eta_db / 10.0)}
     return obj
 
 
@@ -169,7 +170,10 @@ def parse_scenario(path) -> tuple[ProblemSpec, dict]:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}")
     if isinstance(data, dict) and "scenario" in data:
-        return _build_problem(data["scenario"], "$.scenario"), dict(data.get("defaults", {}))
+        defaults = data.get("defaults", {})
+        if not isinstance(defaults, dict):
+            _fail("$.defaults", f"must be an object, got {defaults!r}")
+        return _build_problem(data["scenario"], "$.scenario"), dict(defaults)
     return _build_problem(data, "$"), {}
 
 
@@ -372,6 +376,9 @@ def cmd_verify(args) -> int:
     """
     problem, settings = _load_scenario(args, args.method)
     exact = oracle_exact(problem)
+    if exact is None and problem.kind == "poisson":
+        raise ScenarioError("this weighted Poisson sum's lattice passes the exact oracle's "
+                            f"cap of {MAX_LATTICE:,} pairs (stats.MAX_LATTICE)")
     if exact is None:
         raise ScenarioError("no exact oracle covers this problem family (supported: "
                             "i.i.d. exponential sums, weighted Poisson sums, "

@@ -35,6 +35,11 @@ _LN2 = math.log(2.0)
 _NEG_LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
+def _is_number(v) -> bool:
+    """True for a JSON number: an int or a float, never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _require_positive(**params) -> None:
     for name, value in params.items():
         if not (math.isfinite(value) and value > 0):
@@ -147,7 +152,7 @@ class Marginal:
         if extra:
             raise ValueError(f"{cls.kind} params has unknown fields {extra}")
         for n, v in params.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
+            if not _is_number(v):
                 raise ValueError(f"{cls.kind} param {n!r} must be a number, got {v!r}")
         return cls(**{names[n]: float(v) for n, v in params.items()})
 

@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import Marginal, Poisson
+from .dist import Marginal, Poisson, _is_number
+from .process import RngStream, _check_dt, advance_gamma_batch
 
 __all__ = [
     "Sum",
@@ -61,10 +62,21 @@ class _Aggregate:
 
     @classmethod
     def from_json(cls, obj: dict):
+        """S from {"kind": ..., <its fields>}: each field once, as a JSON
+        number, or as an array of JSON numbers where the field is a tuple."""
+        names = [f.name for f in fields(cls)]
+        extra = [k for k in obj if k not in ("kind", *names)]
+        if extra:
+            raise ValueError(f"{cls.kind} importance has unknown fields {extra}")
         for f in fields(cls):
             if f.name not in obj:
                 raise ValueError(f"{cls.kind} importance requires {f.name!r}")
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+            v = obj[f.name]
+            array = f.type == "tuple"  # annotations are strings (postponed evaluation)
+            if not (isinstance(v, (list, tuple)) and all(map(_is_number, v)) if array else _is_number(v)):
+                shape = "an array of numbers" if array else "a number"
+                raise ValueError(f"{cls.kind} {f.name!r} must be {shape}, got {v!r}")
+        return cls(**{name: obj[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -317,6 +329,18 @@ class ProblemSpec:
         if self.kind != "poisson":
             raise ValueError("rates() is only defined for poisson problems")
         return np.asarray([m.lam for m in self.marginals], dtype=float)
+
+    @cached_property
+    def _rates(self) -> np.ndarray:
+        return self.rates()  # built once; advance reads it at every level
+
+    def advance(self, states: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
+        """``states`` a finite dt > 0 later: plus independent counts
+        Poisson(lambda_i * dt) for a Poisson problem, plus Gamma(dt, 1)
+        increments for a continuous one, so no coordinate ever decreases."""
+        if self.kind == "continuous":
+            return advance_gamma_batch(states, dt, rng)
+        return states + rng.gen.poisson(self._rates * _check_dt(dt), size=states.shape)
 
     def score(self, states: np.ndarray) -> np.ndarray:
         """S evaluated on raw process states (embedding applied when needed)."""

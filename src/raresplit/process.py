@@ -1,11 +1,10 @@
-"""Monotone driving processes advanced by stationary independent increments.
+"""Seeded random streams and the samplers behind the monotone processes.
 
-Two processes are supported: the multivariate Gamma subordinator (each
-coordinate gains independent Gamma(dt, 1) increments) and the multivariate
-Poisson jump process (independent Poisson(lambda_i * dt) increments).
-Every coordinate path is nondecreasing in t for every realization.
-``poisson_sampler`` draws whole Poisson vectors by inversion for the
-baselines.
+``advance_gamma_batch`` adds independent Gamma(dt, 1) increments, the
+multivariate Gamma subordinator that continuous problems are embedded in;
+``model.ProblemSpec.advance`` moves either process, and adds the Poisson
+jump process's increments itself.  ``poisson_sampler`` draws whole Poisson
+vectors by inversion for the baselines.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .dist import MAX_POISSON_RATE, poisson_cdf_at
 
-__all__ = ["RngStream", "advance_gamma_batch", "advance_poisson_batch", "poisson_sampler"]
+__all__ = ["RngStream", "advance_gamma_batch", "poisson_sampler"]
 
 # Bins of u in each column's guide table.
 _GUIDE_BINS = 1 << 10
@@ -88,17 +87,6 @@ def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.nda
     for _ in range(whole):
         inc += rng.gen.standard_exponential(values.shape)
     return np.add(inc, values, out=inc)
-
-
-def advance_poisson_batch(values: np.ndarray, dt: float, rates: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Add independent Poisson(rates * dt) increments, one rate per column."""
-    dt = _check_dt(dt)
-    rates = np.asarray(rates, dtype=float)
-    if np.any(rates <= 0):
-        raise ValueError("all rates must be > 0")
-    if rates.shape != values.shape[-1:]:
-        raise ValueError("rates must have one entry per column")
-    return values + rng.gen.poisson(rates * dt, size=values.shape)
 
 
 def poisson_sampler(rates):

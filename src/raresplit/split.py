@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .process import RngStream, advance_gamma_batch, advance_poisson_batch
-from .stats import EstimateReport, make_report
+from .process import RngStream
+from .stats import EstimateReport
 
 __all__ = ["LevelSchedule", "SplitRunResult", "run_splitting", "replicate"]
 
@@ -71,7 +71,8 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     """One fixed-effort splitting run with ``s`` states per level.
 
     Per level the generator is consumed in a fixed order (parent indices,
-    then increments), so a given stream reproduces the run bit-for-bit.
+    then ``problem.advance``'s increments), so a given stream reproduces
+    the run bit-for-bit.
     Survival is ``problem.survives``, which equals score <= gamma exactly:
     continuous rows are decided from a tabulated bracket of the embedding,
     and only the rows it cannot decide are embedded and scored.  States are
@@ -79,22 +80,12 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    n = problem.n
-    poisson = problem.kind == "poisson"
-    rates = problem.rates() if poisson else None
-    gen = rng.gen
-
-    current = np.zeros((s, n))
+    current = np.zeros((s, problem.n))
     counts = []
     t_prev = 0.0
     for level, t in enumerate(schedule.times):
-        dt = t - t_prev
-        idx = gen.integers(0, current.shape[0], size=s)
-        parents = current[idx]
-        if poisson:
-            advanced = advance_poisson_batch(parents, dt, rates, rng)
-        else:
-            advanced = advance_gamma_batch(parents, dt, rng)
+        idx = rng.gen.integers(0, current.shape[0], size=s)
+        advanced = problem.advance(current[idx], t - t_prev, rng)
         survive = problem.survives(advanced)
         k = int(np.count_nonzero(survive))
         counts.append(k)
@@ -149,8 +140,9 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
         fractions[row, :got.size] = got  # extinct runs count as zero beyond
     per_level = fractions.mean(axis=0)
 
-    return make_report(
-        "split", float(estimates.mean()), float(estimates.var(ddof=1)), m, wall,
-        s=s, levels=schedule.times, per_level=per_level,
-        seed=rng.seed, schedule_seconds=schedule_seconds,
+    return EstimateReport(
+        method="split", mean=float(estimates.mean()), variance=float(estimates.var(ddof=1)),
+        wall_seconds=wall, m=m, s=s, levels=list(schedule.times),
+        per_level_survival=per_level.tolist(), seed=rng.seed,
+        schedule_seconds=schedule_seconds,
     )

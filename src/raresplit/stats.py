@@ -11,22 +11,17 @@ the sampled estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import special
 
-from .dist import Exponential
+from .dist import Exponential, _is_number
 from .model import ProblemSpec, Ratio, Sum
 
 __all__ = ["EstimateReport", "relative_error", "wnrv", "oracle_exact"]
 
 MAX_LATTICE = 10 ** 8  # lattice cap of oracle_exact's Poisson convolution
-
-REPORT_FIELDS = (
-    "method", "mean", "variance", "re", "wnrv", "wall_seconds",
-    "m", "s", "levels", "per_level_survival", "seed", "schedule_seconds",
-)
 
 
 def relative_error(mean: float, variance: float, m: int):
@@ -51,17 +46,18 @@ def wnrv(re: float, wall_seconds: float) -> float:
 class EstimateReport:
     """Outcome of one estimation run: point estimate plus dispersion and cost.
 
-    ``re`` and ``wnrv`` are None when the mean is zero (relative error is
-    undefined there).  ``schedule_seconds`` carries the level-construction
-    time separately so the cost can be accounted either way.
+    ``re`` and ``wnrv`` are derived from the other fields: ``re`` is None
+    when the mean is zero (relative error is undefined there), and ``wnrv``
+    also when ``wall_seconds`` is None.  ``schedule_seconds`` carries the
+    level-construction time separately so the cost can be accounted either way.
     """
 
     method: str
     mean: float
     variance: float
-    re: float | None
-    wnrv: float | None
-    wall_seconds: float
+    re: float | None = field(init=False)
+    wnrv: float | None = field(init=False)
+    wall_seconds: float | None
     m: int
     s: int | None = None
     levels: list | None = None
@@ -74,45 +70,30 @@ class EstimateReport:
         # nonnegativity is enforced here
         if self.mean < 0:
             raise ValueError("mean must be >= 0")
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
-        if self.re is not None and self.wall_seconds is not None:
-            expected = wnrv(self.re, self.wall_seconds)
-            if self.wnrv is not None and not math.isclose(self.wnrv, expected, rel_tol=1e-9, abs_tol=1e-300):
-                raise ValueError("wnrv inconsistent with re and wall_seconds")
+        self.re = relative_error(self.mean, self.variance, self.m)
+        self.wnrv = (None if self.re is None or self.wall_seconds is None
+                     else wnrv(self.re, self.wall_seconds))
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in REPORT_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EstimateReport":
+        """The report from its JSON fields, whose ``re`` and ``wnrv`` must
+        agree with the values derived from the rest (rel 1e-9)."""
         # schedule_seconds is this implementation's addition; accept
         # reports that carry only the 11 base keys
-        missing = [k for k in REPORT_FIELDS if k not in obj and k != "schedule_seconds"]
+        missing = [f.name for f in fields(cls) if f.name not in obj and f.name != "schedule_seconds"]
         if missing:
             raise ValueError(f"report JSON missing fields {missing}")
-        return cls(**{k: obj.get(k) for k in REPORT_FIELDS})
-
-
-def make_report(method, mean, variance, m, wall_seconds, *, s=None, levels=None,
-                per_level=None, seed=None, schedule_seconds=None) -> EstimateReport:
-    """The report of an estimator whose m samples have this mean and variance."""
-    re = relative_error(mean, variance, m)
-    return EstimateReport(
-        method=method,
-        mean=mean,
-        variance=variance,
-        re=re,
-        wnrv=None if re is None else wnrv(re, wall_seconds),
-        wall_seconds=wall_seconds,
-        m=m,
-        s=s,
-        levels=None if levels is None else [float(t) for t in levels],
-        per_level_survival=None if per_level is None else [float(p) for p in per_level],
-        seed=seed,
-        schedule_seconds=schedule_seconds,
-    )
+        report = cls(**{f.name: obj.get(f.name) for f in fields(cls) if f.init})
+        for key in ("re", "wnrv"):
+            given, derived = obj[key], getattr(report, key)
+            if not (given is derived is None or (
+                    derived is not None and _is_number(given)
+                    and math.isclose(given, derived, rel_tol=1e-9))):
+                raise ValueError(f"report JSON {key} = {given!r}, derived {derived!r}")
+        return report
 
 
 def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:

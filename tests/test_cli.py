@@ -130,6 +130,26 @@ class TestParseScenario:
                      r"\$\.marginals\[0\]\.params\.mu_db", id="marginals-huge-mu_db"),
         pytest.param("importance", {"kind": "weighted_sum", "weights": [10 ** 400, 1, 1, 1]},
                      r"\$\.importance", id="importance-huge-weight"),
+        # importance fields follow the marginals' rules: no unknown field, and
+        # each value a JSON number (weights: an array of them)
+        pytest.param("importance", {"kind": "sum", "weights": [1, 100]},
+                     r"\$\.importance: .*unknown fields", id="importance-sum-weights"),
+        pytest.param("importance", {"kind": "weighted_sum", "weights": [1, 1, 1, 1], "w": 2},
+                     r"\$\.importance: .*unknown fields", id="importance-weighted_sum-extra"),
+        pytest.param("importance", {"kind": "ordered_partial_sum", "n_bar": 2, "eta": 1},
+                     r"\$\.importance: .*unknown fields", id="importance-ordered_partial_sum-extra"),
+        pytest.param("importance", {"kind": "ratio", "eta": 0.5, "n_bar": 2},
+                     r"\$\.importance: .*unknown fields", id="importance-ratio-extra"),
+        pytest.param("importance", {"kind": "ratio", "eta_db": -10.0, "weights": [1, 1]},
+                     r"\$\.importance: .*unknown fields", id="importance-ratio-eta_db-extra"),
+        pytest.param("importance", {"kind": "weighted_sum", "weights": "1212"},
+                     r"\$\.importance", id="importance-weights-string"),
+        pytest.param("importance", {"kind": "weighted_sum", "weights": [True, 1, 1, 1]},
+                     r"\$\.importance", id="importance-weights-bool"),
+        pytest.param("importance", {"kind": "ratio", "eta": "0.5"},
+                     r"\$\.importance", id="importance-eta-string"),
+        pytest.param("importance", {"kind": "ratio", "eta": True},
+                     r"\$\.importance", id="importance-eta-bool"),
     ])
     def test_wrong_json_types_rejected(self, tmp_path, field, value, path):
         scen = {**EXP_SUM, field: value}
@@ -338,6 +358,20 @@ class TestCliVerify:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verified"] is True
 
+    def test_poisson_lattice_cap_exit_2(self, tmp_path, capsys):
+        # a weighted Poisson sum is a supported family; only the cap stops it
+        scen = write_scenario(tmp_path, {
+            "marginals": [{"kind": "poisson", "params": {"lambda": 1e6}},
+                          {"kind": "poisson", "params": {"lambda": 1.0}}],
+            "directions": ["I", "I"],
+            "importance": {"kind": "weighted_sum", "weights": [1, 1]},
+            "gamma": 999000, "kind": "poisson"})
+        assert main(["verify", "--scenario", str(scen), "--s", "300", "--m", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "cap of 100,000,000 pairs" in err and "supported" not in err
+        assert len(err.splitlines()) == 1
+
     def test_unsupported_family_exit_2(self, tmp_path):
         preset_path = tmp_path / "t6.json"
         preset_path.write_text(json.dumps(load_preset("VI")))
@@ -423,6 +457,19 @@ class TestBadSettings:
         assert err.startswith(f"configuration error: $.defaults.{key}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defaults", [5, None, "abc", [["s", 100]]],
+                             ids=["number", "null", "string", "pairs"])
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    def test_defaults_not_an_object(self, tmp_path, capsys, command, defaults):
+        data = load_preset("I")
+        data["defaults"] = defaults
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(data))
+        assert main([command, "--scenario", str(preset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: $.defaults: must be an object")
+        assert len(err.splitlines()) == 1
 
     def test_pilot_levels_cap_from_preset_default(self, tmp_path, capsys):
         data = load_preset("V")

@@ -19,6 +19,7 @@ from raresplit.model import (
     WeightedSum,
     embed,
     importance,
+    importance_from_json,
 )
 from raresplit.process import RngStream, advance_gamma_batch
 
@@ -109,6 +110,23 @@ class TestImportance:
             importance(WeightedSum((1.0, 2.0)), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             importance(OrderedPartialSum(4), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "sum", "weights": [1, 100]},
+        {"kind": "ratio", "eta": 0.5, "eta_db": -3.0},
+        {"kind": "ratio", "eta": "0.5"},
+        {"kind": "ratio", "eta": True},
+        {"kind": "ordered_partial_sum"},
+        {"kind": "weighted_sum", "weights": "12"},
+        {"kind": "weighted_sum", "weights": [1.0, None]},
+    ])
+    def test_from_json_rejects(self, obj):
+        with pytest.raises(ValueError):
+            importance_from_json(obj)
+
+    def test_from_json_round_trip(self):
+        for spec in (Sum(), Ratio(0.5), OrderedPartialSum(2), WeightedSum((1.0, 2.5))):
+            assert importance_from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
     def test_batch(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -240,6 +258,25 @@ class TestProblemSpec:
         q = ProblemSpec((Poisson(1.0), Poisson(1.0)), ("I", "I"),
                         WeightedSum((1.0, 2.0)), 3.0, "poisson")
         assert np.allclose(q.score(np.array([[1, 1]])), [3.0])
+
+    @pytest.mark.parametrize("kind", ["continuous", "poisson"])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_advance_rejects_bad_dt(self, kind, dt):
+        law = Poisson(1.0) if kind == "poisson" else Exponential(1.0)
+        p = ProblemSpec((law,) * 2, ("I", "I"), WeightedSum((1.0, 2.0)), 3.0, kind)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            p.advance(np.zeros((4, 2)), dt, RngStream(0))
+
+    def test_advance_draws(self):
+        # the benchmark's replay makes these same generator calls
+        p = ProblemSpec((Exponential(1.0),) * 2, ("I", "I"), Sum(), 1.0, "continuous")
+        states = np.full((50, 2), 0.5)
+        assert np.array_equal(p.advance(states, 0.3, RngStream(4)),
+                              advance_gamma_batch(states, 0.3, RngStream(4)))
+        q = ProblemSpec((Poisson(1.0), Poisson(2.5)), ("I", "I"),
+                        WeightedSum((1.0, 2.0)), 3.0, "poisson")
+        expected = states + RngStream(5).gen.poisson(np.array([1.0, 2.5]) * 0.3, size=(50, 2))
+        assert np.array_equal(q.advance(states, 0.3, RngStream(5)), expected)
 
     def test_json_round_trip(self, tmp_path):
         specs = [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from raresplit.dist import MAX_POISSON_RATE, poisson_cdf_at, reg_lower_inc_gamma
-from raresplit.process import (RngStream, advance_gamma_batch, advance_poisson_batch,
-                               poisson_sampler)
+from raresplit.dist import MAX_POISSON_RATE, Poisson, poisson_cdf_at, reg_lower_inc_gamma
+from raresplit.model import ProblemSpec, WeightedSum
+from raresplit.process import RngStream, advance_gamma_batch, poisson_sampler
 
 KS_1PCT = 1.63  # critical coefficient: reject if D > 1.63 / sqrt(n)
 
@@ -114,12 +114,19 @@ class TestAdvanceGamma:
         assert np.array_equal(a, b)
 
 
+def poisson_problem(*rates):
+    """A Poisson problem on these rates; only its ``advance`` is used here."""
+    return ProblemSpec(tuple(Poisson(lam) for lam in rates), ("I",) * len(rates),
+                       WeightedSum((1.0,) * len(rates)), 1.0, "poisson")
+
+
 class TestAdvancePoisson:
+    """ProblemSpec.advance on a Poisson problem: the jump process's law."""
+
     def test_marginal_law_at_t1(self):
         n = 100_000
         rng = RngStream(7)
-        counts = advance_poisson_batch(np.zeros((n, 1), dtype=np.int64), 1.0,
-                                       np.array([1.0]), rng)
+        counts = poisson_problem(1.0).advance(np.zeros((n, 1)), 1.0, rng)
         p0 = np.mean(counts[:, 0] == 0)
         se = math.sqrt(math.exp(-1.0) * (1.0 - math.exp(-1.0)) / n)
         assert abs(p0 - math.exp(-1.0)) < 3.0 * se
@@ -127,14 +134,11 @@ class TestAdvancePoisson:
     def test_dt_additivity_chi_square(self):
         n = 100_000
         rng = RngStream(8)
-        halves = advance_poisson_batch(
-            advance_poisson_batch(np.zeros((n, 1), dtype=np.int64), 0.5, np.array([1.0]), rng),
-            0.5, np.array([1.0]), rng)[:, 0]
-        single = advance_poisson_batch(np.zeros((n, 1), dtype=np.int64), 1.0,
-                                       np.array([1.0]), rng)[:, 0]
-        bins = np.arange(12)  # counts 0..10 plus overflow
-        h1 = np.bincount(np.minimum(halves, 11), minlength=12)
-        h2 = np.bincount(np.minimum(single, 11), minlength=12)
+        problem = poisson_problem(1.0)
+        halves = problem.advance(problem.advance(np.zeros((n, 1)), 0.5, rng), 0.5, rng)[:, 0]
+        single = problem.advance(np.zeros((n, 1)), 1.0, rng)[:, 0]
+        h1 = np.bincount(np.minimum(halves, 11).astype(int), minlength=12)  # 0..10, overflow
+        h2 = np.bincount(np.minimum(single, 11).astype(int), minlength=12)
         table = np.vstack([h1, h2])
         keep = table.sum(axis=0) > 0
         _, p, _, _ = stats.chi2_contingency(table[:, keep])
@@ -142,22 +146,23 @@ class TestAdvancePoisson:
 
     def test_counts_never_decrease(self):
         rng = RngStream(9)
-        counts = np.zeros((100, 3), dtype=np.int64)
-        rates = np.array([0.5, 1.0, 2.0])
+        problem = poisson_problem(0.5, 1.0, 2.0)
+        counts = np.zeros((100, 3))
         for _ in range(5):
-            new = advance_poisson_batch(counts, 0.2, rates, rng)
+            new = problem.advance(counts, 0.2, rng)
             assert np.all(new >= counts)
+            assert np.array_equal(new, np.round(new))
             counts = new
 
     def test_validation(self):
         rng = RngStream(10)
-        counts = np.zeros((4, 2), dtype=np.int64)
+        problem = poisson_problem(1.0, 1.0)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            problem.advance(np.zeros((4, 2)), 0.0, rng)
         with pytest.raises(ValueError):
-            advance_poisson_batch(counts, 0.0, np.array([1.0, 1.0]), rng)
+            problem.advance(np.zeros((4, 3)), 0.1, rng)  # one rate per column
         with pytest.raises(ValueError):
-            advance_poisson_batch(counts, 0.1, np.array([1.0, 0.0]), rng)
-        with pytest.raises(ValueError):
-            advance_poisson_batch(counts, 0.1, np.array([1.0]), rng)
+            Poisson(0.0)
 
 
 SAMPLER_RATES = [1e-6, 0.26, 0.83, 3.2, 9.99, 10.01, 50.0, 1e4]

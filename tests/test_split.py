@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from raresplit import split
+from raresplit import model
 from raresplit.baseline import naive_mc
 from raresplit.dist import Exponential, Poisson, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Sum, WeightedSum
@@ -54,7 +54,7 @@ class ScriptedStream:
 @pytest.fixture
 def scripted_gamma(monkeypatch):
     """Splitting advances continuous states by the scripted increments."""
-    monkeypatch.setattr(split, "advance_gamma_batch",
+    monkeypatch.setattr(model, "advance_gamma_batch",
                         lambda values, dt, rng: values + rng.gen.increments(values.shape))
 
 
@@ -168,7 +168,7 @@ class TestRunSplitting:
         # survivors still has S <= gamma before it is advanced
         problem = exp_sum_problem(4, 1.0)
         schedule = lower_bound_schedule(problem)
-        advance = split.advance_gamma_batch
+        advance = model.advance_gamma_batch
         seen = []
 
         def checked(values, dt, rng):
@@ -176,7 +176,7 @@ class TestRunSplitting:
             assert np.all(problem.score(values) <= problem.gamma)
             return advance(values, dt, rng)
 
-        monkeypatch.setattr(split, "advance_gamma_batch", checked)
+        monkeypatch.setattr(model, "advance_gamma_batch", checked)
         result = run_splitting(problem, schedule, 100, RngStream(1))
         assert len(seen) == len(result.survivor_counts) > 1
 

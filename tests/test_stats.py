@@ -167,38 +167,64 @@ class TestWeightedPoissonOracle:
 
 
 class TestEstimateReport:
-    def make(self):
+    def make(self, **timing):
+        timing = {"wall_seconds": 12.5, "schedule_seconds": 0.25, **timing}
         return EstimateReport(
-            method="split", mean=1e-4, variance=1.6e-7,
-            re=relative_error(1e-4, 1.6e-7, 200),
-            wnrv=wnrv(relative_error(1e-4, 1.6e-7, 200), 12.5),
-            wall_seconds=12.5, m=200, s=3000,
+            method="split", mean=1e-4, variance=1.6e-7, m=200, s=3000,
             levels=[0.25, 0.5, 1.0], per_level_survival=[0.1, 0.12, 0.3],
-            seed=42, schedule_seconds=0.25)
+            seed=42, **timing)
 
     def test_json_round_trip_lossless(self):
         report = self.make()
         d = report.to_json_dict()
+        assert list(d) == ["method", "mean", "variance", "re", "wnrv", "wall_seconds", "m",
+                           "s", "levels", "per_level_survival", "seed", "schedule_seconds"]
         again = EstimateReport.from_json_dict(d)
         assert again == report
         assert again.to_json_dict() == d
 
+    def test_round_trip_without_timing_fields(self):
+        # a report written without timing has null wall_seconds, wnrv and
+        # schedule_seconds; one from before schedule_seconds lacks the key
+        d = self.make(wall_seconds=None, schedule_seconds=None).to_json_dict()
+        assert d["wnrv"] is None and d["re"] is not None
+        assert EstimateReport.from_json_dict(d).to_json_dict() == d
+        d.pop("schedule_seconds")
+        assert EstimateReport.from_json_dict(d).schedule_seconds is None
+
+    def test_derived_fields_bit_for_bit(self):
+        report = self.make()
+        assert report.re == relative_error(1e-4, 1.6e-7, 200)
+        assert report.wnrv == wnrv(relative_error(1e-4, 1.6e-7, 200), 12.5)
+
     def test_absent_re_round_trips(self):
-        report = EstimateReport(method="naive", mean=0.0, variance=0.0,
-                                re=None, wnrv=None, wall_seconds=1.0, m=10)
+        report = EstimateReport(method="naive", mean=0.0, variance=0.0, wall_seconds=1.0, m=10)
+        assert report.re is None and report.wnrv is None
         again = EstimateReport.from_json_dict(report.to_json_dict())
         assert again.re is None and again.wnrv is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EstimateReport(method="x", mean=-0.1, variance=0.0, re=None,
-                           wnrv=None, wall_seconds=1.0, m=2)
+            EstimateReport(method="x", mean=-0.1, variance=0.0, wall_seconds=1.0, m=2)
         with pytest.raises(ValueError):
-            EstimateReport(method="x", mean=0.5, variance=-1.0, re=None,
-                           wnrv=None, wall_seconds=1.0, m=2)
-        with pytest.raises(ValueError):
-            EstimateReport(method="x", mean=0.5, variance=0.1, re=0.2,
-                           wnrv=99.0, wall_seconds=1.0, m=2)
+            EstimateReport(method="x", mean=0.5, variance=-1.0, wall_seconds=1.0, m=2)
+        with pytest.raises(TypeError):
+            EstimateReport(method="x", mean=0.5, variance=0.1, re=0.2, wall_seconds=1.0, m=2)
+
+    @pytest.mark.parametrize("key,value", [
+        ("re", 0.2), ("re", None), ("re", "0.2"),
+        ("wnrv", 99.0), ("wnrv", None),
+    ])
+    def test_inconsistent_derived_field_rejected(self, key, value):
+        d = self.make().to_json_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"report JSON {key} = "):
+            EstimateReport.from_json_dict(d)
+
+    def test_derived_field_within_tolerance_accepted(self):
+        d = self.make().to_json_dict()
+        d["wnrv"] *= 1 + 1e-12  # a JSON writer's last-digit rounding
+        assert EstimateReport.from_json_dict(d) == self.make()
 
     def test_missing_field_rejected(self):
         d = self.make().to_json_dict()
