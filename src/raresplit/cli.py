@@ -1,13 +1,12 @@
-"""Command-line front end: scenario ingestion (including dB conventions),
-the run/levels/verify/reproduce subcommands, and report emission.
+"""Command-line front end: the run/levels/verify/reproduce subcommands
+and report emission.
 
-Scenario files are JSON: {"marginals": [...], "directions": [...],
-"importance": {...}, "gamma": x, "kind": "continuous"|"poisson"}.
-Log-normal parameters may be given as mu_db/sigma_db and the ratio noise
-floor as eta_db; powers follow the 10*log10 convention, so a dB pair maps
-to log-scale mu = mu_db * ln(10)/10, sigma = sigma_db * ln(10)/10 and
-eta = 10^(eta_db/10).  Preset files wrap a scenario with run defaults and
-per-gamma rows carrying the published reference numbers.
+A scenario file holds the JSON object ``ProblemSpec.to_json`` writes, which
+``ProblemSpec.from_json`` reads.  A preset file wraps one as
+{"scenario": {...}, "defaults": {...}, "rows": [...]}: run defaults, and
+per-gamma rows carrying the published reference numbers; ``--scenario``
+takes either.  An error names the JSON path of the bad value, $-rooted at
+the file's top level.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime estimation error.
 By default the timing fields (wall_seconds, wnrv, schedule_seconds) are
@@ -18,7 +17,6 @@ written as null so reports are byte-stable for a fixed seed; pass
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import io
@@ -29,8 +27,8 @@ import time
 from importlib import resources
 
 from .baseline import naive_mc, poisson_is
-from .dist import _is_number, marginal_from_json
-from .model import ProblemSpec, importance_from_json
+from .dist import _BAD_INPUT, ScenarioError, _at, _fail, _json_value
+from .model import ProblemSpec
 from .process import RngStream
 from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
                     lower_bound_schedule)
@@ -39,35 +37,12 @@ from .stats import MAX_LATTICE, EstimateReport, oracle_exact
 
 __all__ = ["ScenarioError", "parse_scenario", "build_schedule", "run_estimation", "main"]
 
-_DB = math.log(10.0) / 10.0  # power quantities, 10*log10 convention
-
 CSV_COLUMNS = ("gamma", "method", "mean", "re_percent", "wnrv", "wall_seconds", "seed")
+
+METHODS = ("split", "naive", "is")
 
 TABLES = {"I": "table1", "II": "table2", "III": "table3",
           "IV": "table4", "V": "table5", "VI": "table6"}
-
-
-class ScenarioError(ValueError):
-    """Configuration-level failure; the message carries the offending JSON path."""
-
-
-def _fail(path: str, msg: str):
-    raise ScenarioError(f"{path}: {msg}")
-
-
-# what a bad input value raises; OverflowError is float() of a huge JSON integer
-_BAD_INPUT = (TypeError, ValueError, OverflowError)
-
-
-@contextlib.contextmanager
-def _at(path: str):
-    """Re-raise a bad input value met in the block as a ScenarioError at ``path``."""
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except _BAD_INPUT as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _count(value) -> int:
@@ -91,73 +66,14 @@ _SETTINGS = {
 _BUILTIN = {key: row[2] for key, row in _SETTINGS.items()}  # the library calls' defaults
 
 
-def _require_number(obj, key, path):
-    if key not in obj:
-        _fail(path, f"missing required field '{key}'")
-    v = obj[key]
-    if not _is_number(v):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    with _at(f"{path}.{key}"):
-        return float(v)
-
-
-def _convert_marginal(obj, path) -> dict:
-    """Resolve dB-tagged Log-normal parameters to natural log-scale units."""
-    if not isinstance(obj, dict):
-        _fail(path, "marginal must be an object")
-    if "kind" not in obj:
-        _fail(path, "missing required field 'kind'")
-    params = obj.get("params")
-    if not isinstance(params, dict):
-        _fail(f"{path}.params", "must be an object")
-    if obj["kind"] != "lognormal":
-        return obj
-    has_db = "mu_db" in params or "sigma_db" in params
-    has_nat = "mu" in params or "sigma" in params
-    if has_db and has_nat:
-        _fail(f"{path}.params", "mix of dB and natural log-normal parameters")
-    if not has_db:
-        return obj
-    mu_db = _require_number(params, "mu_db", f"{path}.params")
-    sigma_db = _require_number(params, "sigma_db", f"{path}.params")
-    return {"kind": "lognormal",
-            "params": {"mu": mu_db * _DB, "sigma": sigma_db * _DB}}
-
-
-def _convert_importance(obj, path) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, "importance must be an object")
-    if obj.get("kind") == "ratio" and "eta_db" in obj:
-        if "eta" in obj:
-            _fail(path, "give either eta or eta_db, not both")
-        eta_db = _require_number(obj, "eta_db", path)
-        rest = {k: v for k, v in obj.items() if k != "eta_db"}
-        return {**rest, "eta": 10.0 ** (eta_db / 10.0)}
-    return obj
-
-
-def _build_problem(scen: dict, path: str = "$") -> ProblemSpec:
-    if not isinstance(scen, dict):
-        _fail(path, "scenario must be a JSON object")
-    for key in ("marginals", "directions", "importance", "gamma", "kind"):
-        if key not in scen:
-            _fail(path, f"missing required field '{key}'")
-    if not isinstance(scen["marginals"], list) or not scen["marginals"]:
-        _fail(f"{path}.marginals", "must be a non-empty array")
-    if not isinstance(scen["directions"], list):
-        _fail(f"{path}.directions", f"must be an array, got {scen['directions']!r}")
-    marginals = []
-    for i, mobj in enumerate(scen["marginals"]):
-        mpath = f"{path}.marginals[{i}]"
-        with _at(mpath):
-            marginals.append(marginal_from_json(_convert_marginal(mobj, mpath)))
-    ipath = f"{path}.importance"
-    with _at(ipath):
-        imp = importance_from_json(_convert_importance(scen["importance"], ipath))
-    gamma = _require_number(scen, "gamma", path)
-    with _at(path):
-        return ProblemSpec(marginals=tuple(marginals), directions=tuple(scen["directions"]),
-                           importance=imp, gamma=gamma, kind=scen["kind"])
+def _read_scenario(data) -> tuple[ProblemSpec, dict]:
+    """The problem and run defaults of a scenario object, or of a preset wrapping one."""
+    if not (isinstance(data, dict) and "scenario" in data):
+        return ProblemSpec.from_json(data), {}
+    defaults = data.get("defaults", {})
+    if not isinstance(defaults, dict):
+        _fail("$.defaults", f"must be an object, got {defaults!r}")
+    return ProblemSpec.from_json(data["scenario"], "$.scenario"), dict(defaults)
 
 
 def parse_scenario(path) -> tuple[ProblemSpec, dict]:
@@ -169,12 +85,7 @@ def parse_scenario(path) -> tuple[ProblemSpec, dict]:
         raise ScenarioError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}")
-    if isinstance(data, dict) and "scenario" in data:
-        defaults = data.get("defaults", {})
-        if not isinstance(defaults, dict):
-            _fail("$.defaults", f"must be an object, got {defaults!r}")
-        return _build_problem(data["scenario"], "$.scenario"), dict(defaults)
-    return _build_problem(data, "$"), {}
+    return _read_scenario(data)
 
 
 def load_preset(table: str) -> dict:
@@ -190,12 +101,11 @@ def _with_gamma(problem: ProblemSpec, gamma, path: str) -> ProblemSpec:
     if gamma is None:
         return problem
     with _at(path):
-        return dataclasses.replace(problem, gamma=float(gamma))
+        return dataclasses.replace(problem, gamma=_json_value(gamma, "float", path))
 
 
 def preset_problem(preset: dict, gamma=None) -> ProblemSpec:
-    problem = _build_problem(preset["scenario"], "$.scenario")
-    return _with_gamma(problem, gamma, f"gamma = {gamma!r}")
+    return _with_gamma(_read_scenario(preset)[0], gamma, f"gamma = {gamma!r}")
 
 
 def build_schedule(problem, rng, *, levels_method=_BUILTIN["levels_method"],
@@ -395,19 +305,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    """Every row of a table's preset, each checked before the first estimate."""
     preset = load_preset(args.table)
-    defaults = preset.get("defaults", {})
+    base, defaults = _read_scenario(preset)
     methods = defaults.get("methods", ["split"])
+    if not (isinstance(methods, list) and all(m in METHODS for m in methods)):
+        _fail("$.defaults.methods", f"must be an array of {list(METHODS)}, got {methods!r}")
     settings = {"split": _settings(args, defaults, "split")}
     for method in methods:
         if method != "split":
             m = _pick(args.baseline_m, defaults, f"{method}_m", _count, 10 ** 6)
             _check_samples(m, method)
             settings[method] = {"m": m}
+    rows = [(row, _with_gamma(base, row["gamma"], f"$.rows[{i}].gamma"))
+            for i, row in enumerate(preset["rows"])]
     rows_out = []
-    for row in preset["rows"]:
-        gamma = float(row["gamma"])
-        problem = preset_problem(preset, gamma)
+    for row, problem in rows:
         for method in methods:
             try:
                 report = run_estimation(problem, method, seed=args.seed,
@@ -415,10 +328,10 @@ def cmd_reproduce(args) -> int:
             except ScenarioError:
                 raise
             except (SchedulingError, ValueError) as exc:
-                raise SchedulingError(f"at gamma={gamma}, method={method}: {exc}") from exc
+                raise SchedulingError(f"at gamma={problem.gamma}, method={method}: {exc}") from exc
             _echo_timing(report)
-            rows_out.append(report_csv_row(report, gamma, args.timing))
-        rows_out += ({**ref, "gamma": gamma, "method": f"paper_reference:{name}"}
+            rows_out.append(report_csv_row(report, problem.gamma, args.timing))
+        rows_out += ({**ref, "gamma": problem.gamma, "method": f"paper_reference:{name}"}
                      for name, ref in row.get("paper_reference", {}).items())
     _write_output(csv_rows_text(rows_out), args.out)
     return 0
@@ -450,7 +363,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Rare-event probability estimation by multilevel splitting "
                     "over a monotone process embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
-    method = ("--method", {"choices": ("split", "naive", "is"), "default": "split"})
+    method = ("--method", {"choices": METHODS, "default": "split"})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
     for name, func, text, options in (
             ("run", cmd_run, "estimate one scenario", (method, fmt)),

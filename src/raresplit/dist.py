@@ -1,4 +1,4 @@
-"""Marginal laws and the special functions used by the level heuristics.
+"""Marginal laws, the JSON field reader, and the level heuristics' special functions.
 
 Each marginal exposes the CDF, the quantile, and a tail-stable quantile
 ``quantile_from_neg_log_tail`` that evaluates F^{-1}(1 - e^{-g}) (or
@@ -8,6 +8,7 @@ epsilon (g up to ~700) never round through ``1 - e^{-g}``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -35,9 +36,110 @@ _LN2 = math.log(2.0)
 _NEG_LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
+class ScenarioError(ValueError):
+    """A configuration error; bad input is named by its JSON path (or flag)."""
+
+
+def _fail(path: str, msg: str):
+    raise ScenarioError(f"{path}: {msg}")
+
+
+# what a bad input value raises; OverflowError is float() of a huge JSON integer
+_BAD_INPUT = (TypeError, ValueError, OverflowError)
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Re-raise a bad input value met in the block as a ScenarioError at
+    ``path``; one raised deeper keeps its own, longer path."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except _BAD_INPUT as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _is_number(v) -> bool:
     """True for a JSON number: an int or a float, never a bool."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
+# field annotation -> (what its JSON value must be, the check, the conversion)
+_JSON_TYPES = {
+    "float": ("a number", _is_number, float),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "tuple": ("an array of numbers", _is_numbers, lambda v: tuple(map(float, v))),
+    "list": ("an array of numbers", _is_numbers, lambda v: list(map(float, v))),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+}
+
+
+def _json_value(v, annotation: str, path: str):
+    """The JSON value ``v`` at ``path`` as a field annotated ``annotation``
+    (a key of _JSON_TYPES, or one of them ``| None``, which also takes null)."""
+    nullable = annotation.endswith(" | None")
+    shape, check, convert = _JSON_TYPES[annotation.removesuffix(" | None")]
+    if v is None and nullable:
+        return None
+    if not check(v):
+        _fail(path, f"must be {shape}{' or null' if nullable else ''}, got {v!r}")
+    with _at(path):
+        return convert(v)
+
+
+def _json_object(obj, names, path: str, optional=()) -> dict:
+    """``obj`` once it is a JSON object at ``path`` that holds each of
+    ``names`` but the ``optional`` ones, and no other key."""
+    if not isinstance(obj, dict):
+        _fail(path, f"must be an object, got {obj!r}")
+    missing = [n for n in names if n not in obj and n not in optional]
+    if missing:
+        _fail(path, f"missing required field {missing[0]!r}")
+    extra = [k for k in obj if k not in names]
+    if extra:
+        _fail(path, f"unknown fields {extra}")
+    return obj
+
+
+def _json_fields(cls, obj, path: str) -> dict:
+    """The keyword arguments of the dataclass ``cls`` from the JSON object
+    ``obj`` at ``path``, each field once and as its annotation reads.
+
+    A field is named in JSON by its ``json`` metadata, else its own name.
+    Fields with ``db`` metadata, (dB name, conversion to natural units),
+    may come in dB instead: all of them or none, never a mix.
+    """
+    names = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    db = {f.metadata["db"][0]: f for f in names.values() if "db" in f.metadata}
+    if isinstance(obj, dict) and not db.keys().isdisjoint(obj):
+        if any(n in obj for n, f in names.items() if "db" in f.metadata):
+            _fail(path, "mix of dB and natural fields")
+        names = {**{n: f for n, f in names.items() if "db" not in f.metadata}, **db}
+    obj = _json_object(obj, names, path)
+    out = {f.name: _json_value(obj[n], f.type, f"{path}.{n}") for n, f in names.items()}
+    for n in db.keys() & obj.keys():
+        with _at(f"{path}.{n}"):
+            out[db[n].name] = db[n].metadata["db"][1](out[db[n].name])
+    return out
+
+
+def _json_kind(kinds: dict, obj, path: str, what: str):
+    """The class that ``kinds`` maps the JSON object's ``kind`` to."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _fail(path, f"must be an object with a 'kind' field, got {obj!r}")
+    kind = obj["kind"]
+    if not (isinstance(kind, str) and kind in kinds):
+        _fail(path, f"unknown {what} kind {kind!r}")
+    return kinds[kind]
+
+
+# a power's dB value times _DB is its natural log, 10*log10 convention
+_DB = math.log(10.0) / 10.0
 
 
 def _require_positive(**params) -> None:
@@ -61,7 +163,8 @@ class Marginal:
 
     A law is a frozen dataclass that states its parameters as fields, checks
     their ranges in ``__post_init__`` and supplies the kernels below; the
-    base derives the CDF's support mask, the quantiles and the JSON form.
+    base derives the CDF's support mask, the quantiles and the JSON form
+    (``marginal_from_json`` reads it back).
     Continuous members have support (0, inf); ``Poisson`` is the only
     discrete member.  All parameter validation happens at construction,
     so the evaluation methods never raise on parameter grounds.
@@ -140,29 +243,14 @@ class Marginal:
         return {"kind": self.kind, "params": {
             f.metadata.get("json", f.name): getattr(self, f.name) for f in fields(self)}}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Marginal":
-        """The law from {"kind": ..., "params": {...}}: each field once, as a JSON number."""
-        params = obj.get("params", {})
-        names = {f.metadata.get("json", f.name): f.name for f in fields(cls)}
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise ValueError(f"{cls.kind} params missing {missing}")
-        extra = [n for n in params if n not in names]
-        if extra:
-            raise ValueError(f"{cls.kind} params has unknown fields {extra}")
-        for n, v in params.items():
-            if not _is_number(v):
-                raise ValueError(f"{cls.kind} param {n!r} must be a number, got {v!r}")
-        return cls(**{names[n]: float(v) for n, v in params.items()})
-
 
 @dataclass(frozen=True)
 class LogNormal(Marginal):
-    """Log-normal with log-scale location ``mu`` and log-scale std ``sigma``."""
+    """Log-normal with log-scale location ``mu`` and log-scale std ``sigma``;
+    in JSON also as ``mu_db`` and ``sigma_db``, a power's dB mean and spread."""
 
-    mu: float
-    sigma: float
+    mu: float = field(metadata={"db": ("mu_db", lambda x: x * _DB)})
+    sigma: float = field(metadata={"db": ("sigma_db", lambda x: x * _DB)})
     kind = "lognormal"
 
     def __post_init__(self):
@@ -340,11 +428,11 @@ _KINDS = {cls.kind: cls for cls in
           (LogNormal, Weibull, GeneralizedGamma, Gamma, Exponential, Poisson)}
 
 
-def marginal_from_json(obj: dict) -> Marginal:
-    """Build a marginal from {"kind": ..., "params": {...}} (natural units)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("marginal JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if not (isinstance(kind, str) and kind in _KINDS):
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    return _KINDS[kind].from_json(obj)
+def marginal_from_json(obj, path: str = "$") -> Marginal:
+    """The law of {"kind": ..., "params": {...}} at JSON path ``path``; a bad
+    value raises ScenarioError at its own path."""
+    cls = _json_kind(_KINDS, obj, path, "distribution")
+    params = _json_fields(cls, _json_object(obj, ("kind", "params"), path)["params"],
+                          f"{path}.params")
+    with _at(path):
+        return cls(**params)

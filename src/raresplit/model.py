@@ -12,12 +12,13 @@ jump processes and need no embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .dist import Marginal, Poisson, _is_number
+from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
+                   _json_value, marginal_from_json)
 from .process import RngStream, _check_dt, advance_gamma_batch
 
 __all__ = [
@@ -34,7 +35,8 @@ __all__ = [
 
 class _Aggregate:
     """What every aggregate S provides.  Subclasses are frozen dataclasses
-    whose fields are also their JSON fields, next to ``kind``."""
+    whose fields are also their JSON fields, next to ``kind``
+    (``importance_from_json`` reads them back)."""
 
     kind: str
     # Poisson problems read the weights of S (oracle, IS tilt, survival curve)
@@ -60,24 +62,6 @@ class _Aggregate:
     def to_json(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
-    @classmethod
-    def from_json(cls, obj: dict):
-        """S from {"kind": ..., <its fields>}: each field once, as a JSON
-        number, or as an array of JSON numbers where the field is a tuple."""
-        names = [f.name for f in fields(cls)]
-        extra = [k for k in obj if k not in ("kind", *names)]
-        if extra:
-            raise ValueError(f"{cls.kind} importance has unknown fields {extra}")
-        for f in fields(cls):
-            if f.name not in obj:
-                raise ValueError(f"{cls.kind} importance requires {f.name!r}")
-            v = obj[f.name]
-            array = f.type == "tuple"  # annotations are strings (postponed evaluation)
-            if not (isinstance(v, (list, tuple)) and all(map(_is_number, v)) if array else _is_number(v)):
-                shape = "an array of numbers" if array else "a number"
-                raise ValueError(f"{cls.kind} {f.name!r} must be {shape}, got {v!r}")
-        return cls(**{name: obj[name] for name in names})
-
 
 @dataclass(frozen=True)
 class Sum(_Aggregate):
@@ -89,9 +73,10 @@ class Sum(_Aggregate):
 
 @dataclass(frozen=True)
 class Ratio(_Aggregate):
-    """S(x) = x_1 / (x_2 + ... + x_n + eta) with noise floor eta > 0."""
+    """S(x) = x_1 / (x_2 + ... + x_n + eta) with noise floor eta > 0, in
+    JSON also as ``eta_db``, its power in dB."""
 
-    eta: float
+    eta: float = field(metadata={"db": ("eta_db", lambda x: 10.0 ** (x / 10.0))})
     kind = "ratio"
 
     def __post_init__(self):
@@ -392,12 +377,27 @@ class ProblemSpec:
             "kind": self.kind,
         }
 
+    @classmethod
+    def from_json(cls, obj, path: str = "$") -> "ProblemSpec":
+        """The problem of a JSON scenario, the object ``to_json`` writes, at
+        JSON path ``path``; a bad value raises ScenarioError at its own path."""
+        scen = _json_object(obj, [f.name for f in fields(cls)], path)
+        if not isinstance(scen["marginals"], list) or not scen["marginals"]:
+            _fail(f"{path}.marginals", "must be a non-empty array")
+        if not isinstance(scen["directions"], list):
+            _fail(f"{path}.directions", f"must be an array, got {scen['directions']!r}")
+        marginals = [marginal_from_json(m, f"{path}.marginals[{i}]")
+                     for i, m in enumerate(scen["marginals"])]
+        importance = importance_from_json(scen["importance"], f"{path}.importance")
+        gamma = _json_value(scen["gamma"], "float", f"{path}.gamma")
+        with _at(path):
+            return cls(marginals, scen["directions"], importance, gamma, scen["kind"])
 
-def importance_from_json(obj: dict):
-    """The aggregate named by the object's ``kind``, built from its fields."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("importance JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if not (isinstance(kind, str) and kind in _AGGREGATES):
-        raise ValueError(f"unknown importance kind {kind!r}")
-    return _AGGREGATES[kind].from_json(obj)
+
+def importance_from_json(obj, path: str = "$"):
+    """The aggregate named by the object's ``kind``, built from its other
+    fields, at JSON path ``path``; a bad value raises ScenarioError at its own path."""
+    cls = _json_kind(_AGGREGATES, obj, path, "importance")
+    values = _json_fields(cls, {k: v for k, v in obj.items() if k != "kind"}, path)
+    with _at(path):
+        return cls(**values)

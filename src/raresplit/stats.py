@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy import special
 
-from .dist import Exponential, _is_number
+from .dist import Exponential, _is_number, _json_object, _json_value
 from .model import ProblemSpec, Ratio, Sum
 
 __all__ = ["EstimateReport", "relative_error", "wnrv", "oracle_exact"]
@@ -79,14 +79,13 @@ class EstimateReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EstimateReport":
-        """The report from its JSON fields, whose ``re`` and ``wnrv`` must
-        agree with the values derived from the rest (rel 1e-9)."""
+        """The report from its JSON fields, each as its annotation reads, whose
+        ``re`` and ``wnrv`` must agree with the values derived from the rest (rel 1e-9)."""
         # schedule_seconds is this implementation's addition; accept
         # reports that carry only the 11 base keys
-        missing = [f.name for f in fields(cls) if f.name not in obj and f.name != "schedule_seconds"]
-        if missing:
-            raise ValueError(f"report JSON missing fields {missing}")
-        report = cls(**{f.name: obj.get(f.name) for f in fields(cls) if f.init})
+        obj = _json_object(obj, [f.name for f in fields(cls)], "$", optional=("schedule_seconds",))
+        report = cls(**{f.name: _json_value(obj.get(f.name), f.type, f"$.{f.name}")
+                        for f in fields(cls) if f.init})
         for key in ("re", "wnrv"):
             given, derived = obj[key], getattr(report, key)
             if not (given is derived is None or (

@@ -150,6 +150,10 @@ class TestParseScenario:
                      r"\$\.importance", id="importance-eta-string"),
         pytest.param("importance", {"kind": "ratio", "eta": True},
                      r"\$\.importance", id="importance-eta-bool"),
+        # a marginal holds only kind and params, and a scenario only its five fields
+        pytest.param("marginals", [{"kind": "exponential", "params": {"rate": 1.0}, "rate_db": 3}] * 4,
+                     r"\$\.marginals\[0\]: unknown fields \['rate_db'\]", id="marginal-extra-key"),
+        pytest.param("gama", 2, r"\$: unknown fields \['gama'\]", id="scenario-extra-key"),
     ])
     def test_wrong_json_types_rejected(self, tmp_path, field, value, path):
         scen = {**EXP_SUM, field: value}
@@ -471,6 +475,30 @@ class TestBadSettings:
         assert err.startswith("configuration error: $.defaults: must be an object")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("where,value,path", [
+        pytest.param(("rows", 2, "gamma"), "abc", "$.rows[2].gamma", id="row-gamma-string"),
+        pytest.param(("rows", 1, "gamma"), math.inf, "$.rows[1].gamma", id="row-gamma-inf"),
+        pytest.param(("defaults", "methods"), ["split", "bogus"], "$.defaults.methods",
+                     id="methods-unknown"),
+        pytest.param(("defaults", "methods"), "split", "$.defaults.methods", id="methods-string"),
+    ])
+    def test_reproduce_checks_preset_first(self, capsys, monkeypatch, where, value, path):
+        data = load_preset("I")
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        monkeypatch.setattr(cli, "load_preset", lambda table: data)
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before the preset was checked")
+
+        monkeypatch.setattr(cli, "run_estimation", no_estimate)
+        assert main(["reproduce", "--table", "I"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_pilot_levels_cap_from_preset_default(self, tmp_path, capsys):
         data = load_preset("V")
         data["defaults"]["pilot_levels"] = 10_001
@@ -545,7 +573,7 @@ class TestHugeJsonIntegers:
 
     @pytest.mark.parametrize("table,where,path", [
         pytest.param("I", ("gamma",), "$.scenario.gamma", id="gamma"),
-        pytest.param("V", ("marginals", 0, "params", "mu"), "$.scenario.marginals[0]",
+        pytest.param("V", ("marginals", 0, "params", "mu"), "$.scenario.marginals[0].params.mu",
                      id="marginal-mu"),
         pytest.param("VI", ("marginals", 0, "params", "mu_db"),
                      "$.scenario.marginals[0].params.mu_db", id="marginal-mu_db"),

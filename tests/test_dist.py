@@ -369,6 +369,17 @@ class TestValidationAndJson:
             marginal_from_json({"kind": "weibull",
                                 "params": {"alpha": 1.0, "eta": 1.0, "shift": 2.0}})
 
+    @pytest.mark.parametrize("obj", [
+        {"kind": "weibull", "params": 5},
+        {"kind": "weibull", "params": [0.5, 1.0]},
+        {"kind": "weibull"},
+        {"kind": "exponential", "params": {"rate": 1.0}, "rate_db": 3},
+        ["weibull"],
+    ])
+    def test_malformed_object_rejected(self, obj):
+        with pytest.raises(ValueError, match=r"^\$"):
+            marginal_from_json(obj)
+
     @pytest.mark.parametrize("law,expected", [
         (LogNormal(0.3, 1.7), {"kind": "lognormal", "params": {"mu": 0.3, "sigma": 1.7}}),
         (Weibull(0.6, 2.0), {"kind": "weibull", "params": {"alpha": 0.6, "eta": 2.0}}),

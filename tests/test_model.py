@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from raresplit.cli import parse_scenario
-from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma
+from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma,
+                            marginal_from_json)
 from raresplit.model import (
     _BRACKET_BITS,
     _BRACKET_MAX_EXP,
@@ -278,7 +278,7 @@ class TestProblemSpec:
         expected = states + RngStream(5).gen.poisson(np.array([1.0, 2.5]) * 0.3, size=(50, 2))
         assert np.array_equal(q.advance(states, 0.3, RngStream(5)), expected)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         specs = [
             ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 1.5, "continuous"),
             ProblemSpec((Weibull(0.5, 1.0),) * 8, ("I",) * 8,
@@ -288,10 +288,35 @@ class TestProblemSpec:
             ProblemSpec((Poisson(1.0), Poisson(1.2)), ("I", "I"),
                         WeightedSum((1.0, 2.0)), 30.0, "poisson"),
         ]
-        path = tmp_path / "scenario.json"
         for p in specs:
-            path.write_text(json.dumps(p.to_json()))
-            assert parse_scenario(path) == (p, {})
+            assert ProblemSpec.from_json(p.to_json()) == p
+            assert ProblemSpec.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+    def test_db_and_natural_forms(self):
+        # the dB forms convert as x * (ln 10 / 10) and 10 ** (x / 10), bit for bit
+        db = math.log(10.0) / 10.0
+        law = marginal_from_json({"kind": "lognormal", "params": {"mu_db": 20.0, "sigma_db": 6.0}})
+        assert law == LogNormal(20.0 * db, 6.0 * db)
+        assert law.to_json() == {"kind": "lognormal", "params": {"mu": 20.0 * db, "sigma": 6.0 * db}}
+        eta = importance_from_json({"kind": "ratio", "eta_db": -10.0})
+        assert eta == Ratio(10.0 ** (-10.0 / 10.0))
+        assert eta.to_json() == {"kind": "ratio", "eta": 10.0 ** (-10.0 / 10.0)}
+
+    @pytest.mark.parametrize("where,value,path", [
+        (("marginals", 0, "params"), {"mu": 0.0, "sigma_db": 4.0}, r"\$\.marginals\[0\]\.params"),
+        (("marginals", 1, "params"), {"mu_db": 0.0, "mu": 0.0, "sigma_db": 4.0},
+         r"\$\.marginals\[1\]\.params"),
+        (("importance",), {"kind": "ratio", "eta": 0.1, "eta_db": -10.0}, r"\$\.importance"),
+    ], ids=["lognormal-mixed", "lognormal-both", "ratio-both"])
+    def test_db_and_natural_mix_rejected(self, where, value, path):
+        scen = ProblemSpec((LogNormal(2.0, 0.6), LogNormal(0.0, 0.9)), ("I", "D"),
+                           Ratio(0.1), 0.02).to_json()
+        node = scen
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ValueError, match=path + ": mix of dB and natural fields"):
+            ProblemSpec.from_json(scen)
 
 
 def embed_by_column(g, marginals, directions):

@@ -231,3 +231,18 @@ class TestEstimateReport:
         d.pop("seed")
         with pytest.raises(ValueError):
             EstimateReport.from_json_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("mean", "0.5"), ("mean", True), ("variance", None), ("m", "4"), ("m", 2.5),
+        ("wall_seconds", "12.5"), ("levels", [0.25, "0.5", 1.0]), ("method", 5),
+    ])
+    def test_wrong_field_type_rejected(self, key, value):
+        d = self.make().to_json_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=rf"^\$\.{key}: must be "):
+            EstimateReport.from_json_dict(d)
+
+    def test_unknown_field_rejected(self):
+        d = {**self.make().to_json_dict(), "gamma": 1.5}
+        with pytest.raises(ValueError, match=r"^\$: unknown fields \['gamma'\]"):
+            EstimateReport.from_json_dict(d)
