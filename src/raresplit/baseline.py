@@ -26,10 +26,10 @@ __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 _BLOCK = 1 << 12
 
 
-def _blocks(m: int, draw):
-    """draw(c) for consecutive blocks of c <= _BLOCK rows, m rows in all."""
+def _blocks(m: int, draw, gen):
+    """draw(gen, c) for consecutive blocks of c <= _BLOCK rows, m rows in all."""
     for start in range(0, m, _BLOCK):
-        yield draw(min(_BLOCK, m - start))
+        yield draw(gen, min(_BLOCK, m - start))
 
 
 def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
@@ -45,27 +45,16 @@ def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
 def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo: m direct draws of X, fraction with S(X) <= gamma.
 
-    Every coordinate is drawn by inversion from one uniform: continuous ones
-    through their quantile, Poisson ones through ``poisson_sampler``.
+    The draws come from the process's ``sampler()``: every coordinate by
+    inversion from one uniform, continuous ones through their quantile,
+    Poisson ones through ``poisson_sampler``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = problem.n
-    gen = rng.gen
     t0 = time.perf_counter()
-    poisson = poisson_sampler(problem.rates()) if problem.kind == "poisson" else None
-
-    def draw(c):
-        if poisson:
-            return poisson(gen, c)
-        u = gen.random((c, n))
-        x = np.empty((c, n))
-        for i, marginal in enumerate(problem.marginals):
-            x[:, i] = marginal.quantile(u[:, i])
-        return x
-
+    draw = problem.process.sampler()
     hits = sum(int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma))
-               for x in _blocks(m, draw))
+               for x in _blocks(m, draw, rng.gen))
     wall = time.perf_counter() - t0
     mean = hits / m
     variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
@@ -102,14 +91,13 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
             stacklevel=2)
         theta = 1.0
 
-    gen = rng.gen
     log_theta = math.log(theta) if theta < 1.0 else 0.0
     const = -float(lambdas.sum()) * (1.0 - theta)
 
     t0 = time.perf_counter()
     draw = poisson_sampler(lambdas * theta)
     total = total_sq = 0.0
-    for x in _blocks(m, lambda c: draw(gen, c)):
+    for x in _blocks(m, draw, rng.gen):
         log_w = const - log_theta * np.einsum("ij->i", x)
         score = np.einsum("ij,j->i", x, weights)  # row sums independent of the block
         vals = np.where(score <= gamma, np.exp(log_w), 0.0)

@@ -27,7 +27,7 @@ import time
 from importlib import resources
 
 from .baseline import naive_mc, poisson_is
-from .dist import _BAD_INPUT, ScenarioError, _at, _fail, _json_value
+from .dist import ScenarioError, _at, _fail, _json_value
 from .model import ProblemSpec
 from .process import RngStream
 from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
@@ -45,23 +45,14 @@ TABLES = {"I": "table1", "II": "table2", "III": "table3",
           "IV": "table4", "V": "table5", "VI": "table6"}
 
 
-def _count(value) -> int:
-    """A count from JSON: an int or an integral float such as 6e6, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(value)
-
-
-# One row per run setting: preset key -> (flag, cast, built-in, help).  The rows build
-# every subcommand's flags; in _settings the flag wins, then the preset default, then the built-in.
+# One row per run setting: preset key -> (flag, JSON type, built-in, help); each flag parses
+# as its built-in's type.  In _settings the flag wins, then the preset default, then the built-in.
 _SETTINGS = {
-    "s": ("--s", _count, 3000, "states per level (split, and the iccdf pilot)"),
-    "m": ("--m", _count, 200, "replications (split) or samples (naive/is)"),
-    "p_bar": ("--pbar", float, 0.1, "per-level survival target"),
-    "levels_method": ("--levels-method", str, "lb", "level heuristic"),
-    "pilot_levels": ("--pilot-levels", _count, 12, "levels of the iccdf pilot run"),
+    "s": ("--s", "count", 3000, "states per level (split, and the iccdf pilot)"),
+    "m": ("--m", "count", 200, "replications (split) or samples (naive/is)"),
+    "p_bar": ("--pbar", "float", 0.1, "per-level survival target"),
+    "levels_method": ("--levels-method", "str", "lb", "level heuristic"),
+    "pilot_levels": ("--pilot-levels", "count", 12, "levels of the iccdf pilot run"),
 }
 _BUILTIN = {key: row[2] for key, row in _SETTINGS.items()}  # the library calls' defaults
 
@@ -92,7 +83,7 @@ def load_preset(table: str) -> dict:
     key = table.strip().upper()
     if key not in TABLES:
         _fail("$.table", f"unknown table {table!r}; choose one of {sorted(TABLES)}")
-    text = resources.files("raresplit").joinpath("presets", f"{TABLES[key]}.json").read_text()
+    text = resources.files(__package__).joinpath("presets", f"{TABLES[key]}.json").read_text()
     return json.loads(text)
 
 
@@ -200,8 +191,8 @@ def _settings(args, defaults, method) -> dict:
         _fail(f"--seed {args.seed}", "must be a non-negative integer")
     if args.workers < 1:
         _fail(f"--workers {args.workers}", "must be at least 1")
-    settings = {key: _pick(getattr(args, key, None), defaults, key, cast, builtin)
-                for key, (_, cast, builtin, _) in _SETTINGS.items()}
+    settings = {key: _pick(getattr(args, key, None), defaults, key, json_type, builtin)
+                for key, (_, json_type, builtin, _) in _SETTINGS.items()}
     if method in ("split", None):
         _check_schedule(settings)
     if method is not None:
@@ -209,16 +200,11 @@ def _settings(args, defaults, method) -> dict:
     return settings
 
 
-def _pick(flag, defaults: dict, key: str, cast, builtin):
-    """The flag if given, else the preset default cast to its type, else the built-in."""
+def _pick(flag, defaults: dict, key: str, json_type: str, builtin):
+    """The flag if given, else the preset default read as ``json_type``, else the built-in."""
     if flag is not None:
         return flag
-    value = defaults.get(key, builtin)
-    try:
-        return cast(value)
-    except _BAD_INPUT:  # only _count and float can fail: str() takes any JSON value
-        kind = "an integer" if cast is _count else "a number"
-        _fail(f"$.defaults.{key}", f"must be {kind}, got {value!r}")
+    return _json_value(defaults.get(key, builtin), json_type, f"$.defaults.{key}")
 
 
 def _check_schedule(settings: dict) -> None:
@@ -314,7 +300,7 @@ def cmd_reproduce(args) -> int:
     settings = {"split": _settings(args, defaults, "split")}
     for method in methods:
         if method != "split":
-            m = _pick(args.baseline_m, defaults, f"{method}_m", _count, 10 ** 6)
+            m = _pick(args.baseline_m, defaults, f"{method}_m", "count", 10 ** 6)
             _check_samples(m, method)
             settings[method] = {"m": m}
     rows = [(row, _with_gamma(base, row["gamma"], f"$.rows[{i}].gamma"))
@@ -339,8 +325,8 @@ def cmd_reproduce(args) -> int:
 
 def _add_settings(p, keys):
     for key in keys:
-        flag, cast, _, text = _SETTINGS[key]
-        p.add_argument(flag, dest=key, type=int if cast is _count else cast, default=None,
+        flag, _, builtin, text = _SETTINGS[key]
+        p.add_argument(flag, dest=key, type=type(builtin), default=None,
                        choices=("lb", "iccdf") if key == "levels_method" else None, help=text)
 
 

@@ -5,12 +5,12 @@ At time t an embedded coordinate has the closed-form CDF
 P[X_i(t) <= x] = P(t, -ln(1 - F_i(x))), P the regularized lower incomplete
 gamma function, and a Poisson coordinate is a Poisson(lambda_i t) count.
 Every X is >= 0, so for the sum family the curve depends on each law only
-on [0, gamma].  Poisson curves come from the exact convolution DP of
-``stats._weighted_poisson_cdf``.  Continuous curves are bracketed on a grid
-of cells of width h = gamma / K: each weighted coordinate is rounded down
-to its cell index floor(w_i X_i / h), the law of S over the rounded
-coordinates is built on {0..K}, and since rounding up adds exactly one cell
-per summand, P[S_floor <= K - r] <= c(t) <= P[S_floor <= K] for r summands.
+on [0, gamma].  Poisson curves are the jump process's exact DP (its
+``exact_cdf``).  Continuous curves are bracketed on a grid of cells of
+width h = gamma / K: each weighted coordinate is rounded down to its cell
+index floor(w_i X_i / h), the law of S over the rounded coordinates is
+built on {0..K}, and since rounding up adds exactly one cell per summand,
+P[S_floor <= K - r] <= c(t) <= P[S_floor <= K] for r summands.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from scipy import special
 
 from .model import ProblemSpec
-from .stats import _weighted_poisson_cdf
 
 __all__ = ["survival_bracket"]
 
@@ -93,14 +92,13 @@ def survival_bracket(problem: ProblemSpec, ts):
     ts = np.asarray(ts, dtype=float)
     gamma = problem.gamma
     spec = problem.importance
-    if problem.kind == "poisson":
-        rates, weights = problem.rates(), spec.weight_array()
+    exact = problem.process.exact_cdf
+    if exact is not None:
         values = []
         for t in ts:
-            v = _weighted_poisson_cdf(rates * t, weights, gamma, MAX_PAIRS)
-            if v is None:
+            values.append(exact(spec, gamma, t, MAX_PAIRS))
+            if values[-1] is None:
                 return None
-            values.append(v)
         return np.asarray(values), np.asarray(values)
 
     sum_form = spec.summands(problem.n)

@@ -7,7 +7,8 @@ Continuous problems are embedded in the Gamma subordinator by mapping each
 coordinate's Gamma level g through the marginal quantile: increasing
 coordinates (direction "I") via F^{-1}(1 - e^{-g}), decreasing ones
 (direction "D") via F^{-1}(e^{-g}).  Poisson problems evolve natively as
-jump processes and need no embedding.
+jump processes and need no embedding.  ``ProblemSpec`` builds one process
+object from its kind, which owns every step that differs between the two.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
-                   _json_value, marginal_from_json)
-from .process import RngStream, _check_dt, advance_gamma_batch
+                   _json_value, _weighted_poisson_cdf, marginal_from_json)
+from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler
 
 __all__ = [
     "Sum",
@@ -263,12 +264,89 @@ class _SurvivalBracket:
         return c
 
 
+class _GammaEmbedding:
+    """The process of a continuous problem: independent Gamma(t, 1) levels,
+    mapped to coordinates through the marginal quantiles (``embed``)."""
+
+    exact_cdf = None  # no exact curve: curve.py brackets this process
+
+    def __init__(self, marginals, directions, importance):
+        if any(isinstance(m, Poisson) for m in marginals):
+            raise ValueError("continuous problems cannot contain Poisson marginals")
+        self.marginals, self.directions = marginals, directions
+
+    def rates(self):
+        raise ValueError("rates() is only defined for poisson problems")
+
+    def advance(self, states, dt, rng):
+        return advance_gamma_batch(states, dt, rng)
+
+    def coordinates(self, states):
+        return embed(states, self.marginals, self.directions)
+
+    @cached_property
+    def bracket(self):
+        """The survival bracket, built on first use; None where every
+        column's quantile is a closed form, which costs less than the
+        bracket's own scoring."""
+        if all(m.closed_form_upper and d == "I" for m, d in zip(self.marginals, self.directions)):
+            return None
+        return _SurvivalBracket(self.marginals, self.directions)
+
+    def sampler(self):
+        """``draw(gen, c)``: c rows of X(1), each column the quantile of its own uniform."""
+        def draw(gen, c):
+            u = gen.random((c, len(self.marginals)))
+            x = np.empty_like(u)
+            for i, marginal in enumerate(self.marginals):
+                x[:, i] = marginal.quantile(u[:, i])
+            return x
+
+        return draw
+
+
+class _PoissonJumps:
+    """The process of a Poisson problem: coordinate i counts the jumps of a
+    rate-lambda_i Poisson process, so the states are the coordinates."""
+
+    bracket = None  # a count vector's S is one weighted sum, cheaper than a bracket
+
+    def __init__(self, marginals, directions, importance):
+        if not all(isinstance(m, Poisson) for m in marginals):
+            raise ValueError("poisson problems require every marginal to be Poisson")
+        if not importance.poisson_ok:
+            raise ValueError("poisson problems require a weighted-sum importance")
+        self._rates = np.asarray([m.lam for m in marginals], dtype=float)
+
+    def rates(self):
+        return self._rates.copy()
+
+    def advance(self, states, dt, rng):
+        return states + rng.gen.poisson(self._rates * _check_dt(dt), size=states.shape)
+
+    def coordinates(self, states):
+        return states
+
+    def sampler(self):
+        return poisson_sampler(self._rates)
+
+    def exact_cdf(self, spec, gamma, t, max_pairs):
+        """P[S(X(t)) <= gamma] by the weighted Poisson convolution; None
+        once it passes ``max_pairs`` pairs."""
+        return _weighted_poisson_cdf(self._rates * t, spec.weight_array(), gamma, max_pairs)
+
+
+_PROCESSES = {"continuous": _GammaEmbedding, "poisson": _PoissonJumps}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full estimation problem: marginals, directions, importance S, threshold.
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
+    ``process``, built from it, advances states, maps them to coordinates,
+    and holds the survival bracket, the target draw and any exact curve.
     """
 
     marginals: tuple
@@ -276,6 +354,7 @@ class ProblemSpec:
     importance: object
     gamma: float
     kind: str = "continuous"
+    process: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
@@ -291,19 +370,13 @@ class ProblemSpec:
             raise ValueError("marginals must be Marginal instances")
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
-        if self.kind not in ("continuous", "poisson"):
+        if self.kind not in _PROCESSES:
             raise ValueError(f"kind must be 'continuous' or 'poisson', got {self.kind!r}")
         if not self.importance.pairs_with(self.directions):
             raise ValueError("importance/directions pair is not quasi-monotone")
         self.importance.check_arity(n)
-        poisson_marginals = [isinstance(m, Poisson) for m in self.marginals]
-        if self.kind == "poisson":
-            if not all(poisson_marginals):
-                raise ValueError("poisson problems require every marginal to be Poisson")
-            if not self.importance.poisson_ok:
-                raise ValueError("poisson problems require a weighted-sum importance")
-        elif any(poisson_marginals):
-            raise ValueError("continuous problems cannot contain Poisson marginals")
+        object.__setattr__(self, "process", _PROCESSES[self.kind](
+            self.marginals, self.directions, self.importance))
 
     @property
     def n(self) -> int:
@@ -311,47 +384,27 @@ class ProblemSpec:
 
     def rates(self) -> np.ndarray:
         """Poisson rates vector (poisson-kind problems only)."""
-        if self.kind != "poisson":
-            raise ValueError("rates() is only defined for poisson problems")
-        return np.asarray([m.lam for m in self.marginals], dtype=float)
-
-    @cached_property
-    def _rates(self) -> np.ndarray:
-        return self.rates()  # built once; advance reads it at every level
+        return self.process.rates()
 
     def advance(self, states: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
         """``states`` a finite dt > 0 later: plus independent counts
         Poisson(lambda_i * dt) for a Poisson problem, plus Gamma(dt, 1)
         increments for a continuous one, so no coordinate ever decreases."""
-        if self.kind == "continuous":
-            return advance_gamma_batch(states, dt, rng)
-        return states + rng.gen.poisson(self._rates * _check_dt(dt), size=states.shape)
+        return self.process.advance(states, dt, rng)
 
     def score(self, states: np.ndarray) -> np.ndarray:
         """S evaluated on raw process states (embedding applied when needed)."""
-        if self.kind == "poisson":
-            return importance(self.importance, states)
-        return importance(self.importance, embed(states, self.marginals, self.directions))
-
-    @cached_property
-    def _bracket(self):
-        """The continuous embedding's survival bracket, built on first use;
-        None for Poisson problems and where every column's quantile is a
-        closed form, which costs less than the bracket's own scoring."""
-        if self.kind == "poisson" or all(
-                m.closed_form_upper and d == "I" for m, d in zip(self.marginals, self.directions)):
-            return None
-        return _SurvivalBracket(self.marginals, self.directions)
+        return importance(self.importance, self.process.coordinates(states))
 
     def survives(self, states: np.ndarray) -> np.ndarray:
         """score(states) <= gamma, bit for bit, for one state or a matrix.
 
-        A continuous row passes where S of its bracket's upper end is
-        <= gamma and fails where S of the lower end is > gamma; only the
-        rows the bracket leaves open, a NaN score among them, are embedded
-        exactly and scored.
+        Where the process has a survival bracket, a row passes where S of
+        its bracket's upper end is <= gamma and fails where S of the lower
+        end is > gamma; only the rows the bracket leaves open, a NaN score
+        among them, are embedded exactly and scored.
         """
-        bracket = self._bracket
+        bracket = self.process.bracket
         if bracket is None:
             return self.score(states) <= self.gamma
         g = np.asarray(states, dtype=float)
@@ -381,7 +434,7 @@ class ProblemSpec:
     def from_json(cls, obj, path: str = "$") -> "ProblemSpec":
         """The problem of a JSON scenario, the object ``to_json`` writes, at
         JSON path ``path``; a bad value raises ScenarioError at its own path."""
-        scen = _json_object(obj, [f.name for f in fields(cls)], path)
+        scen = _json_object(obj, [f.name for f in fields(cls) if f.init], path)
         if not isinstance(scen["marginals"], list) or not scen["marginals"]:
             _fail(f"{path}.marginals", "must be a non-empty array")
         if not isinstance(scen["directions"], list):

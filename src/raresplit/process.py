@@ -1,10 +1,10 @@
 """Seeded random streams and the samplers behind the monotone processes.
 
 ``advance_gamma_batch`` adds independent Gamma(dt, 1) increments, the
-multivariate Gamma subordinator that continuous problems are embedded in;
-``model.ProblemSpec.advance`` moves either process, and adds the Poisson
-jump process's increments itself.  ``poisson_sampler`` draws whole Poisson
-vectors by inversion for the baselines.
+multivariate Gamma subordinator that continuous problems are embedded in.
+The Poisson jump process (``model.ProblemSpec.process``) adds numpy's
+Poisson counts instead.  ``poisson_sampler`` draws whole Poisson vectors
+by inversion for the baselines.
 """
 
 from __future__ import annotations

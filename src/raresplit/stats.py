@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
 from scipy import special
 
 from .dist import Exponential, _is_number, _json_object, _json_value
@@ -95,53 +94,20 @@ class EstimateReport:
         return report
 
 
-def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
-    """P[sum_j w_j N_j <= gamma] for independent N_j ~ Poisson(rates[j]).
-
-    Convolves one coordinate at a time into the law of the partial weighted
-    sum, kept on its distinct values <= gamma with equal sums merged.  A sum
-    above gamma by roundoff only (1e-12 of a weight) still counts.  Each
-    (partial sum, count >= 1) pair formed extends a distinct lattice point,
-    so their number never exceeds the lattice size; returns None once it
-    exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
-    """
-    if gamma < 0:
-        return 0.0  # every count is >= 0
-    sums, probs, work = np.zeros(1), np.ones(1), 1.0
-    for lam, w in zip(rates, weights):
-        if w == 0:
-            continue  # unconstrained coordinate: its pmf sums to 1
-        kmax = np.maximum(np.floor((gamma - sums) / w + 1e-12), 0.0)
-        work += kmax.sum()
-        if work > max_pairs:
-            return None
-        k = np.arange(int(kmax.max()) + 1)
-        pmf = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
-        new_sums, new_probs = np.zeros(0), np.zeros(0)
-        step = max(1, (1 << 18) // sums.size)  # pairs per merge
-        for kb in np.split(k, range(step, k.size, step)):
-            rows, cols = np.nonzero(kb <= kmax[:, None])
-            new_sums, inv = np.unique(
-                np.concatenate((new_sums, sums[rows] + kb[cols] * w)), return_inverse=True)
-            new_probs = np.bincount(
-                inv, weights=np.concatenate((new_probs, probs[rows] * pmf[kb[cols]])))
-        sums, probs = new_sums, new_probs
-    return float(probs.sum())
-
-
 def oracle_exact(problem: ProblemSpec) -> float | None:
     """Exact/semi-exact value of P[S(X) <= gamma] for supported families.
 
-    Supported: (a) plain sum of i.i.d. exponentials (Gamma CDF);
-    (b) weighted sums of Poisson counts by a convolution over partial sums;
-    (c) two-coordinate ratios by adaptive quadrature over the denominator's
-    probability scale.  Returns None for anything else, and for Poisson
-    sums whose convolution passes MAX_LATTICE pairs.
+    Supported: (a) the process's exact curve at t = 1, where it has one:
+    weighted sums of Poisson counts by a convolution over partial sums;
+    (b) plain sum of i.i.d. exponentials (Gamma CDF); (c) two-coordinate
+    ratios by adaptive quadrature over the denominator's probability scale.  Returns None for
+    anything else, and for Poisson sums whose convolution passes
+    MAX_LATTICE pairs.
     """
     gamma = problem.gamma
-    if problem.kind == "poisson":
-        return _weighted_poisson_cdf(
-            problem.rates(), problem.importance.weight_array(), gamma, MAX_LATTICE)
+    exact = problem.process.exact_cdf
+    if exact is not None:
+        return exact(problem.importance, gamma, 1.0, MAX_LATTICE)
 
     if isinstance(problem.importance, Sum):
         rates = {m.rate for m in problem.marginals if isinstance(m, Exponential)}

@@ -1,8 +1,10 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +190,24 @@ class TestPresets:
         parsed, defaults = parse_scenario(path)
         assert parsed == problem
         assert defaults.get("s") == 3000 and defaults.get("m") == 200
+
+    def test_renamed_copy_reads_its_own_presets(self, tmp_path, monkeypatch):
+        # a copy of the package under another name loads the presets it ships
+        copy = tmp_path / "raresplit_copy"
+        shutil.copytree(Path(cli.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        table5 = copy / "presets" / "table5.json"
+        data = json.loads(table5.read_text())
+        data["defaults"]["pilot_levels"] = 7
+        table5.write_text(json.dumps(data))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copied = importlib.import_module("raresplit_copy.cli")
+            assert copied.load_preset("V")["defaults"]["pilot_levels"] == 7
+        finally:
+            for name in [n for n in sys.modules if n.split(".")[0] == "raresplit_copy"]:
+                del sys.modules[name]
+        assert load_preset("V")["defaults"]["pilot_levels"] == 12
 
     def test_table6_db_resolution(self):
         problem = preset_problem(load_preset("VI"))
@@ -445,6 +465,8 @@ class TestBadSettings:
         pytest.param("reproduce", "naive_m", 1e6 + 0.5, id="reproduce-naive_m-fraction"),
         pytest.param("reproduce", "is_m", True, id="reproduce-is_m-bool"),
         pytest.param("run", "p_bar", 10 ** 400, id="run-p_bar-huge-int"),
+        pytest.param("levels", "p_bar", "0.05", id="levels-p_bar-string"),
+        pytest.param("levels", "levels_method", ["lb"], id="levels-levels_method-array"),
     ])
     def test_bad_preset_default(self, tmp_path, capsys, monkeypatch, command, key, value):
         data = load_preset("I")

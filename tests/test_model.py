@@ -402,7 +402,7 @@ def neighbours(row, levels=()):
 class TestBracketCells:
     # two groups: column 0 reads the first table, columns 1 and 2 the second
     marginals = (LogNormal(0.0, 1.0), Gamma(0.5, 1.0), Gamma(0.5, 1.0))
-    bracket = ProblemSpec(marginals, ("I",) * 3, Sum(), 1.0)._bracket
+    bracket = ProblemSpec(marginals, ("I",) * 3, Sum(), 1.0).process.bracket
 
     def cells(self, column):
         """Cells of one column of levels, each read from every group."""
@@ -514,9 +514,15 @@ class TestSurvives:
         np.testing.assert_array_equal(poisson.survives(counts), [True, True, False])
         weibull = ProblemSpec((Weibull(0.5, 1.0), Exponential(2.0)), ("I", "I"),
                               OrderedPartialSum(1), 0.5)
-        assert weibull._bracket is None
+        assert weibull.process.bracket is None
         g = np.array([[0.2, 0.9], [0.8, 0.1]])
         np.testing.assert_array_equal(weibull.survives(g), weibull.score(g) <= 0.5)
+
+    def test_bracket_built_on_first_use(self):
+        problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"), Sum(), 2.0)
+        assert "bracket" not in vars(problem.process)
+        problem.survives(np.array([[0.1, 0.2]]))
+        assert vars(problem.process)["bracket"] is not None
 
     def test_single_state(self):
         problem = ProblemSpec((LogNormal(0.0, 1.0), Gamma(2.0, 1.0)), ("I", "D"), Ratio(0.1), 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from raresplit import model
 from raresplit.baseline import naive_mc
-from raresplit.dist import Exponential, Poisson, reg_lower_inc_gamma
+from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Sum, WeightedSum
 from raresplit.process import RngStream
 from raresplit.sched import lower_bound_schedule
@@ -224,9 +224,19 @@ class TestReplicate:
         assert a.mean == b.mean and a.variance == b.variance
         assert a.per_level_survival == b.per_level_survival
 
-    def test_workers_do_not_change_results(self):
-        problem = exp_sum_problem(4, 1.0)
+    @pytest.mark.parametrize("problem", [
+        pytest.param(exp_sum_problem(4, 1.0), id="exponential-sum"),
+        pytest.param(ProblemSpec(tuple(Poisson(1.0 + 0.5 * i) for i in range(4)), ("I",) * 4,
+                                 WeightedSum((1.0, 2.0, 0.5, 3.0)), 4.0, "poisson"),
+                     id="weighted-poisson-sum"),
+        pytest.param(ProblemSpec((LogNormal(0.0, 1.0),) * 3, ("I",) * 3, Sum(), 1.0),
+                     id="lognormal-sum"),
+    ])
+    def test_workers_do_not_change_results(self, problem):
+        # the problem, its process object and any survival bracket the
+        # serial run built are pickled into the workers
         schedule = lower_bound_schedule(problem)
+        assert len(schedule) > 1
         seq = replicate(problem, schedule, 100, 8, RngStream(13), workers=1)
         par = replicate(problem, schedule, 100, 8, RngStream(13), workers=2)
         assert seq.mean == par.mean
