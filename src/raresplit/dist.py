@@ -33,7 +33,8 @@ __all__ = [
 MAX_POISSON_RATE = 1e6
 
 _LN2 = math.log(2.0)
-_NEG_LOG_TINY = -math.log(np.finfo(float).tiny)
+_TINY = np.finfo(float).tiny
+_NEG_LOG_TINY = -math.log(_TINY)
 
 
 class ScenarioError(ValueError):
@@ -179,10 +180,6 @@ class Marginal:
     _upper_from_g = None
     _past_underflow = None
 
-    @property
-    def closed_form_upper(self) -> bool:
-        return self._upper_from_g is not None
-
     def cdf(self, x):
         a, scalar = _as_float_array(x)
         out = np.zeros_like(a)
@@ -301,8 +298,93 @@ class Weibull(Marginal):
         return self.eta * g ** (1.0 / self.alpha)
 
 
+def _log_gamma_ppf(k, log_p):
+    """log y with log P(k, y) = log_p < log(tiny) for a Gamma(k, 1) variable y.
+
+    P = y^k e^{-y} M / Gamma(k + 1) with M = sum_n y^n / ((k + 1) ... (k + n)),
+    and d log P / d log y = k / M.  log P is concave in log y, so Newton steps
+    from the y -> 0 limit rise monotonically to the root.
+    """
+    c = special.gammaln(k + 1.0)
+    u = (log_p + c) / k
+    for _ in range(100):
+        y = np.exp(u)
+        term, m = np.ones_like(y), np.ones_like(y)
+        for n in range(1, 10_000):
+            term *= y / (k + n)
+            m += term
+            if (term <= 1e-17 * m).all():
+                break
+        step = (k * u - y - c + np.log(m) - log_p) * m / k
+        u -= step
+        if (np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(u))).all():
+            break
+    return u
+
+
+def _gamma_isf(k, log_q):
+    """y with log Q(k, y) = log_q < log(tiny) for a Gamma(k, 1) variable y.
+
+    Q = y^k e^{-y} h / Gamma(k) with h Lentz's continued fraction, and
+    d log Q / dy = -1 / (y h).  log Q is concave in y for k >= 1 and convex
+    for k <= 1, so Newton steps from the quantile at mass tiny converge
+    monotonically, after one step past the root for k > 1.
+    """
+    c = special.gammaln(k)
+    y = np.full_like(log_q, special.gammainccinv(k, _TINY))
+    for _ in range(100):
+        b = y + 1.0 - k
+        h = d = 1.0 / b
+        e = np.full_like(y, 1e300)
+        for i in range(1, 10_000):
+            a = -i * (i - k)
+            b += 2.0
+            d = 1.0 / (a * d + b)
+            e = b + a / e
+            h = h * d * e
+            if (np.abs(d * e - 1.0) <= 1e-16).all():
+                break
+        step = (k * np.log(y) - y - c + np.log(h) - log_q) * y * h
+        y += step
+        if (np.abs(step) <= 1e-15 * y).all():
+            break
+    return y
+
+
+class _GammaPower(Marginal):
+    """A law of x = x(y) for a Gamma(k, 1) variable y: ``_from_y`` maps y and
+    ``_from_log_y`` log y to x.  scipy's inverses lose digits at a subnormal
+    mass and saturate once e^{-g} underflows; there y comes from Newton steps
+    on log Q(k, y) (upper tail) or log P(k, y) (lower tail), the log-space
+    route LogNormal's quantile takes through ``ndtri_exp``."""
+
+    def _ppf(self, p):
+        return self._redo_subnormal(p, self._from_y(special.gammaincinv(self._k, p)), "lower")
+
+    def _isf(self, q):
+        return self._redo_subnormal(q, self._from_y(special.gammainccinv(self._k, q)), "upper")
+
+    def _redo_subnormal(self, mass, out, tail):
+        """``out``, the quantiles at ``mass``, with those at a subnormal mass
+        e^{-g} redone as ``_past_underflow(g, tail)`` does them."""
+        sub = (mass > 0) & (mass < _TINY)
+        if sub.any():
+            out[sub] = self._past_underflow(-np.log(mass[sub]), tail)
+        return out
+
+    def _past_underflow(self, g, tail):
+        out = np.full_like(g, np.inf if tail == "upper" else 0.0)  # the quantiles at g = inf
+        fin = g < np.inf
+        with np.errstate(over="ignore"):  # +inf where x(y) passes the largest double
+            if tail == "upper":
+                out[fin] = self._from_y(_gamma_isf(self._k, -g[fin]))
+            else:
+                out[fin] = self._from_log_y(_log_gamma_ppf(self._k, -g[fin]))
+        return out
+
+
 @dataclass(frozen=True)
-class GeneralizedGamma(Marginal):
+class GeneralizedGamma(_GammaPower):
     """Stacy generalized Gamma: density ~ x^{d-1} exp(-(x/a)^p).
 
     Reduces to Weibull for d = p and to Gamma (rate 1/a) for p = 1.
@@ -323,15 +405,15 @@ class GeneralizedGamma(Marginal):
     def _cdf(self, x):
         return special.gammainc(self._k, (x / self.a) ** self.p)
 
-    def _ppf(self, p):
-        return self.a * special.gammaincinv(self._k, p) ** (1.0 / self.p)
+    def _from_y(self, y):
+        return self.a * y ** (1.0 / self.p)
 
-    def _isf(self, q):
-        return self.a * special.gammainccinv(self._k, q) ** (1.0 / self.p)
+    def _from_log_y(self, u):
+        return self.a * np.exp(u / self.p)
 
 
 @dataclass(frozen=True)
-class Gamma(Marginal):
+class Gamma(_GammaPower):
     """Gamma with ``shape`` and ``rate`` (density ~ x^{shape-1} e^{-rate x})."""
 
     shape: float
@@ -341,14 +423,18 @@ class Gamma(Marginal):
     def __post_init__(self):
         _require_positive(shape=self.shape, rate=self.rate)
 
+    @property
+    def _k(self) -> float:
+        return self.shape
+
     def _cdf(self, x):
         return special.gammainc(self.shape, self.rate * x)
 
-    def _ppf(self, p):
-        return special.gammaincinv(self.shape, p) / self.rate
+    def _from_y(self, y):
+        return y / self.rate
 
-    def _isf(self, q):
-        return special.gammainccinv(self.shape, q) / self.rate
+    def _from_log_y(self, u):
+        return np.exp(u) / self.rate
 
 
 @dataclass(frozen=True)

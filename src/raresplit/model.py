@@ -182,12 +182,27 @@ def importance(spec, x):
 _EMBED_BLOCK = 8192
 
 
-def _quantile_groups(marginals, directions) -> dict:
-    """Column indices keyed by (marginal, tail), in order of first appearance."""
+def _quantile_groups(marginals, directions) -> tuple:
+    """((marginal, tail), columns, width) of each quantile's columns, in order
+    of first appearance; contiguous columns are a slice, so blocks are views."""
     groups = {}
     for i, (m, d) in enumerate(zip(marginals, directions)):
         groups.setdefault((m, "upper" if d == "I" else "lower"), []).append(i)
-    return groups
+    return tuple((key, slice(c[0], c[-1] + 1) if c[-1] - c[0] == len(c) - 1 else np.array(c),
+                  len(c)) for key, c in groups.items())
+
+
+def _embed(g, groups):
+    """``embed`` of one state or a matrix of them, with its column groups."""
+    arr = np.asarray(g, dtype=float)
+    rows = arr[None, :] if arr.ndim == 1 else arr
+    out = np.empty_like(rows)
+    for (m, tail), cols, width in groups:
+        step = max(1, _EMBED_BLOCK // width)
+        for start in range(0, rows.shape[0], step):
+            block = slice(start, start + step)
+            out[block, cols] = m.quantile_from_neg_log_tail(rows[block, cols], tail)
+    return out[0] if arr.ndim == 1 else out
 
 
 def embed(g, marginals, directions):
@@ -200,19 +215,9 @@ def embed(g, marginals, directions):
     block of at most _EMBED_BLOCK entries; the quantiles are elementwise,
     so the values equal a column-by-column pass.
     """
-    arr = np.asarray(g, dtype=float)
-    single = arr.ndim == 1
-    rows = arr[None, :] if single else arr
-    n = len(marginals)
-    if rows.shape[1] != n or len(directions) != n:
+    if not np.shape(g)[-1] == len(marginals) == len(directions):
         raise ValueError("g, marginals and directions must agree in length")
-    out = np.empty_like(rows)
-    for (m, tail), cols in _quantile_groups(marginals, directions).items():
-        step = max(1, _EMBED_BLOCK // len(cols))
-        for lo in range(0, rows.shape[0], step):
-            block = slice(lo, lo + step)
-            out[block, cols] = m.quantile_from_neg_log_tail(rows[block, cols], tail)
-    return out[0] if single else out
+    return _embed(g, _quantile_groups(marginals, directions))
 
 
 # The survival bracket's grid: the doubles in [2^MIN_EXP, 2^MAX_EXP] whose
@@ -232,14 +237,16 @@ class _SurvivalBracket:
     at v_{k-1} (0 for cell 0) and v_{k+2}: one grid point of slack on each
     side absorbs ulp-level non-monotonicity of the quantile kernels."""
 
-    def __init__(self, marginals, directions):
-        self._first = (1023 + _BRACKET_MIN_EXP) << _BRACKET_BITS  # v_0's bits >> (52 - B)
-        K = self._cells = (_BRACKET_MAX_EXP - _BRACKET_MIN_EXP) << _BRACKET_BITS
-        v = np.arange(self._first, self._first + K + 2, dtype=np.uint64) << (52 - _BRACKET_BITS)
+    def __init__(self, groups, n):
+        first = (1023 + _BRACKET_MIN_EXP) << _BRACKET_BITS  # v_0's bits >> (52 - B)
+        K = (_BRACKET_MAX_EXP - _BRACKET_MIN_EXP) << _BRACKET_BITS
+        # numpy scalars: a Python int operand slows each call of cells()
+        self._first, self._last = np.intp(first), np.intp(first + K)
+        v = np.arange(first, first + K + 2, dtype=np.uint64) << (52 - _BRACKET_BITS)
         grid = np.concatenate(([0.0], v.view(float)))  # 0, then v_0 .. v_{K+1}
         lo, hi = [], []
-        offsets = np.empty(len(marginals), dtype=np.intp)
-        for j, ((m, tail), cols) in enumerate(_quantile_groups(marginals, directions).items()):
+        offsets = np.empty(n, dtype=np.intp)
+        for j, ((m, tail), cols, _) in enumerate(groups):
             q = m.quantile_from_neg_log_tail(grid, tail)  # q[1 + k]: at v_k
             # slot K holds NaN bounds: rows with a NaN, negative, infinite or
             # g >= 2^_BRACKET_MAX_EXP entry stay undecided and are scored exactly
@@ -249,17 +256,16 @@ class _SurvivalBracket:
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
         # a scalar for one group spares numpy a broadcast over short rows
-        base = self._first - offsets
-        self._base = int(base[0]) if (base == base[0]).all() else base
+        base = first - offsets
+        self._base = base[0] if (base == base[0]).all() else base
 
     def cells(self, g: np.ndarray) -> np.ndarray:
         """Index into ``lo`` and ``hi`` of every entry of ``g``: lo[c] is the
         embedding at a level at or below the entry, hi[c] at or above it."""
-        # sign, exponent and top mantissa bits; a set sign bit (negative
-        # values, -0.0) and the all-ones exponent (inf, NaN) clip to slot K
-        u = g.view(np.uint64) >> np.uint64(52 - _BRACKET_BITS)
-        np.clip(u, self._first, self._first + self._cells, out=u)
-        c = u.view(np.intp)
+        # sign, exponent and top mantissa bits, below 2^20; a set sign bit (negative
+        # values, -0.0) and the all-ones exponent (inf, NaN) clamp to slot K
+        c = (g.view(np.uint64) >> np.uint64(52 - _BRACKET_BITS)).view(np.intp)
+        c.clip(self._first, self._last, out=c)
         c -= self._base
         return c
 
@@ -273,7 +279,8 @@ class _GammaEmbedding:
     def __init__(self, marginals, directions, importance):
         if any(isinstance(m, Poisson) for m in marginals):
             raise ValueError("continuous problems cannot contain Poisson marginals")
-        self.marginals, self.directions = marginals, directions
+        self.marginals = marginals
+        self._groups = _quantile_groups(marginals, directions)
 
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
@@ -282,16 +289,27 @@ class _GammaEmbedding:
         return advance_gamma_batch(states, dt, rng)
 
     def coordinates(self, states):
-        return embed(states, self.marginals, self.directions)
+        return _embed(states, self._groups)
 
     @cached_property
     def bracket(self):
-        """The survival bracket, built on first use; None where every
-        column's quantile is a closed form, which costs less than the
-        bracket's own scoring."""
-        if all(m.closed_form_upper and d == "I" for m, d in zip(self.marginals, self.directions)):
-            return None
-        return _SurvivalBracket(self.marginals, self.directions)
+        """The survival bracket, built on first use."""
+        return _SurvivalBracket(self._groups, len(self.marginals))
+
+    def survives(self, states, spec, gamma):
+        """S(embed(states)) <= gamma for every row, bit for bit: rows whose
+        bracket's bounds do not decide it, a NaN bound among them, are scored."""
+        c = self.bracket.cells(states)
+        # most rows of a level fail, so the upper bounds are read for the rest only
+        out = ~(spec.score_rows(self.bracket.lo.take(c)) > gamma)
+        open_rows = out.nonzero()[0]
+        passes = spec.score_rows(self.bracket.hi.take(c.take(open_rows, axis=0))) <= gamma
+        out[open_rows] = passes
+        undecided = open_rows[~passes]
+        if undecided.size:
+            rows = _embed(states.take(undecided, axis=0), self._groups)
+            out[undecided] = spec.score_rows(rows) <= gamma
+        return out
 
     def sampler(self):
         """``draw(gen, c)``: c rows of X(1), each column the quantile of its own uniform."""
@@ -309,8 +327,6 @@ class _PoissonJumps:
     """The process of a Poisson problem: coordinate i counts the jumps of a
     rate-lambda_i Poisson process, so the states are the coordinates."""
 
-    bracket = None  # a count vector's S is one weighted sum, cheaper than a bracket
-
     def __init__(self, marginals, directions, importance):
         if not all(isinstance(m, Poisson) for m in marginals):
             raise ValueError("poisson problems require every marginal to be Poisson")
@@ -326,6 +342,10 @@ class _PoissonJumps:
 
     def coordinates(self, states):
         return states
+
+    def survives(self, states, spec, gamma):
+        """S(states) <= gamma for every row of counts."""
+        return spec.score_rows(states) <= gamma
 
     def sampler(self):
         return poisson_sampler(self._rates)
@@ -346,7 +366,7 @@ class ProblemSpec:
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
     ``process``, built from it, advances states, maps them to coordinates,
-    and holds the survival bracket, the target draw and any exact curve.
+    decides which survive, and holds the target draw and any exact curve.
     """
 
     marginals: tuple
@@ -397,29 +417,11 @@ class ProblemSpec:
         return importance(self.importance, self.process.coordinates(states))
 
     def survives(self, states: np.ndarray) -> np.ndarray:
-        """score(states) <= gamma, bit for bit, for one state or a matrix.
-
-        Where the process has a survival bracket, a row passes where S of
-        its bracket's upper end is <= gamma and fails where S of the lower
-        end is > gamma; only the rows the bracket leaves open, a NaN score
-        among them, are embedded exactly and scored.
-        """
-        bracket = self.process.bracket
-        if bracket is None:
-            return self.score(states) <= self.gamma
+        """score(states) <= gamma, bit for bit, for one state or a matrix;
+        the process decides it, the Gamma embedding from its survival bracket."""
         g = np.asarray(states, dtype=float)
-        if g.ndim == 1:
-            return self.survives(g[None, :])[0]
-        c = bracket.cells(g)
-        # most rows of a level fail, so the upper ends are read for the rest only
-        open_rows = np.flatnonzero(~(importance(self.importance, bracket.lo[c]) > self.gamma))
-        passes = importance(self.importance, bracket.hi[c[open_rows]]) <= self.gamma
-        out = np.zeros(g.shape[0], dtype=bool)
-        out[open_rows[passes]] = True
-        undecided = open_rows[~passes]
-        if undecided.size:
-            out[undecided] = self.score(g[undecided]) <= self.gamma
-        return out
+        out = self.process.survives(g[None, :] if g.ndim == 1 else g, self.importance, self.gamma)
+        return out[0] if g.ndim == 1 else out
 
     def to_json(self) -> dict:
         return {

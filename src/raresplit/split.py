@@ -73,10 +73,10 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     Per level the generator is consumed in a fixed order (parent indices,
     then ``problem.advance``'s increments), so a given stream reproduces
     the run bit-for-bit.
-    Survival is ``problem.survives``, which equals score <= gamma exactly:
-    continuous rows are decided from a tabulated bracket of the embedding,
-    and only the rows it cannot decide are embedded and scored.  States are
-    float64 for both processes; Poisson counts are exact integers in them.
+    Survival is ``problem.survives``, score <= gamma exactly, decided by the
+    process: Poisson counts are scored, and every continuous row is decided
+    from the embedding's tabulated bracket, only the rows it leaves open
+    embedded.  States are float64; Poisson counts are exact integers in them.
     """
     if s < 2:
         raise ValueError("s must be >= 2")

@@ -1,9 +1,12 @@
-"""No module of raresplit picks a code path by comparing a ``kind`` string.
+"""No module of raresplit picks a code path by comparing a ``kind`` string,
+and only the Gamma embedding reads its survival bracket.
 
 A problem's process object, and each law and aggregate, carry their own
 behaviour; a ``.kind`` is compared only where it is input: where
 ``ProblemSpec`` builds its process from it, and where the CLI checks that a
-scenario suits the command.
+scenario suits the command.  Survival is one path: each process decides its
+own survivors, so the bracket's tables stay inside the classes that build
+and read them.
 """
 
 import ast
@@ -58,3 +61,51 @@ def test_no_kind_dispatch_outside_input_checks():
                 found.append(f"{path.name}:{line} in {scope or '<module>'}")
     assert not found, found
     assert used == ALLOWED  # an allowance whose comparison is gone is removed too
+
+
+# the classes, by module, that may read the survival bracket and its tables
+BRACKET_OWNERS = {"model.py": {"_GammaEmbedding", "_SurvivalBracket"}}
+BRACKET_ATTRS = {"bracket", "lo", "hi"}
+
+
+def bracket_reads(tree, owners=frozenset()):
+    """(enclosing function, line) of each read of a ``.bracket``, ``.lo`` or
+    ``.hi`` attribute and each call of a ``.cells`` method in ``tree``,
+    outside the classes named in ``owners``."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif not owners & set(scope) and (
+                    isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and child.attr in BRACKET_ATTRS
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "cells"):
+                yield ".".join(scope), child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, ())
+
+
+def test_guard_finds_bracket_reads():
+    source = ("class ProblemSpec:\n"
+              "    def survives(self, g):\n"
+              "        b = self.process.bracket\n"
+              "        return b.lo[b.cells(g)] + b.hi\n"
+              "class _SurvivalBracket:\n"
+              "    def cells(self, g):\n"
+              "        self.lo = self.hi = g\n"
+              "        return self.lo.take(self.cells(g))\n"
+              "x = y.cells(z).hi\n")
+    assert sorted(bracket_reads(ast.parse(source), {"_SurvivalBracket"})) == [
+        ("", 9), ("", 9), ("ProblemSpec.survives", 3), ("ProblemSpec.survives", 4),
+        ("ProblemSpec.survives", 4), ("ProblemSpec.survives", 4)]
+
+
+def test_only_the_gamma_embedding_reads_its_bracket():
+    found = [f"{path.name}:{line} in {scope or '<module>'}"
+             for path in sorted(SRC.glob("*.py"))
+             for scope, line in bracket_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                              BRACKET_OWNERS.get(path.name, set()))]
+    assert not found, found

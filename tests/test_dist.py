@@ -213,12 +213,12 @@ class TestNegLogTailQuantileExtremes:
     @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_against_mpmath_while_tail_mass_is_normal(self, law, tail):
-        # 5e-324 is left out: scipy's gammainccinv loses digits at a
-        # subnormal argument (1.4e-4 relative on the Gamma lower tail)
+        # 5e-324, a subnormal mass, is checked for the Gamma laws below
         for g in [x for x in EDGE_GS if 1e-300 <= x <= _NORMAL_G]:
             expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
+            # abs=0: approx's default abs=1e-12 passes any quantile below 1e-12
             assert law.quantile_from_neg_log_tail(g, tail) == pytest.approx(
-                expected, rel=1e-10), f"g = {g!r}"
+                expected, rel=1e-10, abs=0), f"g = {g!r}"
 
     @given(edge_or_any_g, edge_or_any_g)
     def test_monotone_in_g_and_never_nan(self, g1, g2):
@@ -237,7 +237,7 @@ class TestNegLogTailQuantileExtremes:
             assert math.isfinite(d.quantile_from_neg_log_tail(g, "upper")), d
             assert math.isfinite(d.quantile_from_neg_log_tail(g, "lower")), d
 
-    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d.closed_form_upper],
+    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d._upper_from_g is not None],
                              ids=lambda d: d.kind)
     def test_closed_form_upper_tail_exact_past_underflow(self, law):
         for g in (745.2, 800.0, 1e4):
@@ -245,13 +245,30 @@ class TestNegLogTailQuantileExtremes:
             assert got == pytest.approx(
                 oracles.neg_log_tail_quantile_mp(law.to_json(), g, "upper"), rel=1e-12)
 
+    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d.kind in ("gamma", "gengamma")],
+                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_gamma_laws_in_log_space(self, law, tail):
+        # a subnormal mass, where scipy's inverses lose digits, and g past
+        # -log(tiny), where they saturate: Newton steps on log Q or log P
+        checked = 0
+        for g in (5e-324, 720.0, 745.0, 745.2, 800.0, 1e4):
+            expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
+            got = law.quantile_from_neg_log_tail(g, tail)
+            if np.finfo(float).tiny <= expected < math.inf:
+                assert got == pytest.approx(expected, rel=1e-10, abs=0), g
+                checked += 1
+            else:
+                assert got == expected, g  # 0 where the true quantile underflows
+        assert checked
+
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_lognormal_past_underflow(self, tail):
         law = EXTREME_LAWS[0]
         for g in (720.0, 745.2, 800.0, 1e4):
             got = law.quantile_from_neg_log_tail(g, tail)
             assert got == pytest.approx(
-                oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail), rel=1e-10), g
+                oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail), rel=1e-10, abs=0), g
 
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_lognormal_routes_agree_at_the_switch(self, tail):
@@ -392,7 +409,3 @@ class TestValidationAndJson:
     def test_json_format(self, law, expected):
         # scenario files and oracles.neg_log_tail_quantile_mp read these keys
         assert law.to_json() == expected
-
-    def test_closed_form_upper_only_for_weibull_and_exponential(self):
-        flagged = [d.kind for d in EXTREME_LAWS + [Poisson(2.5)] if d.closed_form_upper]
-        assert flagged == ["weibull", "exponential"]

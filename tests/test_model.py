@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -465,10 +466,9 @@ class TestSurvives:
                                              min_size=n, max_size=n))
                 spec = WeightedSum(tuple(weights) if any(weights) else (1.0,) * n)
         base = np.array([data.draw(LEVELS) for _ in marginals])
-        # 740: a finite quantile whose bracket may reach +inf (the Gamma
-        # laws, once e^-g underflows at 745.13); 1e4: +inf itself for the
-        # Gamma laws, finite for LogNormal; 1e6: +inf for LogNormal too.
-        # A zero-weight column at +inf makes the score NaN.
+        # 740: e^-g is subnormal there; 1e4 and 1e6: past the bracket's
+        # grid, where LogNormal's upper tail can reach +inf.  A zero-weight
+        # column at +inf makes the score NaN.
         g = neighbours(base, levels=(740.0, 1e4, 1e6))
         probe = ProblemSpec(marginals, directions, spec, 0.0)
         scores = probe.score(g)
@@ -507,16 +507,29 @@ class TestSurvives:
         assert np.isnan(scores[0]) and np.isnan(scores[2])
         np.testing.assert_array_equal(problem.survives(g), [False, True, False, False, True])
 
-    def test_poisson_and_closed_form_problems_score_directly(self):
+    def test_poisson_problems_score_the_counts(self):
         poisson = ProblemSpec((Poisson(1.0), Poisson(2.0)), ("I", "I"),
                               WeightedSum((1.0, 2.0)), 3.0, "poisson")
         counts = np.array([[0, 1], [3, 0], [2, 1]])
         np.testing.assert_array_equal(poisson.survives(counts), [True, True, False])
-        weibull = ProblemSpec((Weibull(0.5, 1.0), Exponential(2.0)), ("I", "I"),
-                              OrderedPartialSum(1), 0.5)
-        assert weibull.process.bracket is None
-        g = np.array([[0.2, 0.9], [0.8, 0.1]])
-        np.testing.assert_array_equal(weibull.survives(g), weibull.score(g) <= 0.5)
+
+    @pytest.mark.parametrize("law", [Weibull(0.5, 1.0), Exponential(2.0)], ids=lambda d: d.kind)
+    @pytest.mark.parametrize("spec", [OrderedPartialSum(2), WeightedSum((1.0, 0.0, 2.0)),
+                                      Ratio(0.1)], ids=lambda s: s.kind)
+    def test_closed_form_laws_at_the_grid_edges(self, law, spec):
+        # the laws whose upper tail is a closed form, on the upper tail
+        # under OrderedPartialSum and WeightedSum, and on both tails under
+        # Ratio; every row of levels at g = 0, below the grid, at and
+        # above its top 2^10, and NaN
+        edges = [0.0, 5e-324, 1e-300, np.nextafter(BRACKET_G_MIN, 0.0), BRACKET_G_MIN, 0.3,
+                 2.0, np.nextafter(BRACKET_G_MAX, 0.0), BRACKET_G_MAX, 2e3, 1e6, np.nan]
+        g = np.array(list(itertools.product(edges, repeat=3)))
+        directions = ("I", "D", "D") if isinstance(spec, Ratio) else ("I",) * 3
+        scores = ProblemSpec((law,) * 3, directions, spec, 0.0).score(g)
+        finite = np.unique(scores[np.isfinite(scores)])
+        for gamma in finite[np.linspace(0, finite.size - 1, 12).astype(int)]:
+            problem = ProblemSpec((law,) * 3, directions, spec, float(gamma))
+            np.testing.assert_array_equal(problem.survives(g), scores <= gamma)
 
     def test_bracket_built_on_first_use(self):
         problem = ProblemSpec((LogNormal(0.0, 1.0),) * 2, ("I", "I"), Sum(), 2.0)
