@@ -27,13 +27,14 @@ import time
 from importlib import resources
 
 from .baseline import naive_mc, poisson_is
+from .curve import MAX_LATTICE
 from .dist import ScenarioError, _at, _fail, _json_value
 from .model import ProblemSpec
 from .process import RngStream
 from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
                     lower_bound_schedule)
 from .split import LevelSchedule, replicate
-from .stats import MAX_LATTICE, EstimateReport, oracle_exact
+from .stats import EstimateReport, oracle_exact
 
 __all__ = ["ScenarioError", "parse_scenario", "build_schedule", "run_estimation", "main"]
 
@@ -274,7 +275,7 @@ def cmd_verify(args) -> int:
     exact = oracle_exact(problem)
     if exact is None and problem.kind == "poisson":
         raise ScenarioError("this weighted Poisson sum's lattice passes the exact oracle's "
-                            f"cap of {MAX_LATTICE:,} pairs (stats.MAX_LATTICE)")
+                            f"cap of {MAX_LATTICE:,} pairs (curve.MAX_LATTICE)")
     if exact is None:
         raise ScenarioError("no exact oracle covers this problem family (supported: "
                             "i.i.d. exponential sums, weighted Poisson sums, "

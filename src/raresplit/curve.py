@@ -1,12 +1,15 @@
 """The survival curve c(t) = P[S(X(t)) <= gamma] of the embedded process,
-computed without sampling.
+computed without sampling; ``lb`` reads it on a grid of times, and
+``stats.oracle_exact`` at t = 1.
 
 At time t an embedded coordinate has the closed-form CDF
 P[X_i(t) <= x] = P(t, -ln(1 - F_i(x))), P the regularized lower incomplete
 gamma function, and a Poisson coordinate is a Poisson(lambda_i t) count.
-Every X is >= 0, so for the sum family the curve depends on each law only
-on [0, gamma].  Poisson curves are the jump process's exact DP (its
-``exact_cdf``).  Continuous curves are bracketed on a grid of cells of
+Every X is >= 0, so a continuous curve is 0 at gamma <= 0, and a sum's
+depends on each law only on [0, gamma].  Three curves are exact: Poisson
+sums by the jump process's DP (its ``exact_cdf``), plain sums of n i.i.d.
+Exponential(rate) laws as P(n t, rate gamma), and two-coordinate ratios by
+quadrature.  Other sums are bracketed on a grid of cells of
 width h = gamma / K: each weighted coordinate is rounded down to its cell
 index floor(w_i X_i / h), the law of S over the rounded coordinates is
 built on {0..K}, and since rounding up adds exactly one cell per summand,
@@ -20,12 +23,14 @@ import math
 import numpy as np
 from scipy import special
 
-from .model import ProblemSpec
+from .dist import Exponential
+from .model import ProblemSpec, Ratio
 
 __all__ = ["survival_bracket"]
 
 CELLS = 128  # K for up to 4 summands; more summands get 32 cells each
-MAX_PAIRS = 10 ** 6  # lattice cap of the Poisson DP
+MAX_LATTICE = 10 ** 8  # Poisson DP pairs per call, shared evenly by its times
+_RATIO_MAX_LEVEL = 800.0  # a ratio's Gamma level past which its density is 0 for t <= 1
 
 
 def _cell_pmf(marginal, weight, gamma, cells, ts):
@@ -82,12 +87,37 @@ def _top_sum_law(pmf, n, n_bar):
     return law
 
 
+def _ratio_curve(problem, ts):
+    """c(t) of X_1 / (X_2 + eta): at the denominator's Gamma level G = e^v,
+    X_2 = F_2^{-1}(e^{-G}) and P[X_1(t) <= x] = P(t, -ln(1 - F_1(x))), and v
+    has density exp(t v - e^v - ln Gamma(t)); a relative tolerance only keeps
+    the digits of a small c."""
+    from scipy import integrate  # loads optimize, sparse, linalg and fft; only ratios need it
+
+    num, den = problem.marginals
+    gamma, eta = problem.gamma, problem.importance.eta
+
+    def integrand(v, t, log_gamma_t):
+        level = math.exp(v)
+        x2 = den.quantile_from_neg_log_tail(level, "lower")
+        with np.errstate(divide="ignore"):  # F_1 = 1 maps to an infinite Gamma level
+            inner = special.gammainc(t, -np.log1p(-num.cdf(gamma * (x2 + eta))))
+        return inner * math.exp(t * v - level - log_gamma_t)
+
+    # the density's own quadrature may pass 1 by roundoff
+    values = np.minimum([integrate.quad(integrand, -np.inf, math.log(_RATIO_MAX_LEVEL),
+                                        args=(t, special.gammaln(t)), epsabs=0.0,
+                                        epsrel=1e-12, limit=200)[0] for t in ts], 1.0)
+    return values, values
+
+
 def survival_bracket(problem: ProblemSpec, ts):
     """Lower and upper bounds on c(t) at each time in ``ts``, or None.
 
-    Poisson curves are exact (both bounds agree).  None means the engine
-    does not cover the problem: ratios, top-n_bar sums with n_bar < n over
-    marginals that are not identical, and Poisson DPs past the lattice cap.
+    Both bounds agree where the curve is exact.  None means the engine does
+    not cover the problem: ratios of more than two coordinates, top-n_bar
+    sums with n_bar < n over marginals that are not identical, and Poisson
+    DPs past their share of MAX_LATTICE.
     """
     ts = np.asarray(ts, dtype=float)
     gamma = problem.gamma
@@ -96,20 +126,24 @@ def survival_bracket(problem: ProblemSpec, ts):
     if exact is not None:
         values = []
         for t in ts:
-            values.append(exact(spec, gamma, t, MAX_PAIRS))
+            values.append(exact(spec, gamma, t, MAX_LATTICE / len(ts)))
             if values[-1] is None:
                 return None
         return np.asarray(values), np.asarray(values)
-
-    sum_form = spec.summands(problem.n)
-    if sum_form is None:
-        return None
-    weights, kept = sum_form
-    top = kept < problem.n
-    if top and len(set(problem.marginals)) > 1:
-        return None
     if gamma <= 0:
         return np.zeros_like(ts), np.zeros_like(ts)
+    if isinstance(spec, Ratio):
+        return _ratio_curve(problem, ts) if problem.n == 2 else None
+
+    weights, kept = spec.summands(problem.n)
+    marginal, *others = set(problem.marginals)
+    plain = (weights, kept) == ((1.0,) * problem.n, problem.n)
+    if plain and not others and isinstance(marginal, Exponential):
+        values = special.gammainc(problem.n * ts, marginal.rate * gamma)
+        return values, values
+    top = kept < problem.n
+    if top and others:
+        return None
 
     terms = [(m, w) for m, w in zip(problem.marginals, weights) if w > 0]
     summands = kept if top else len(terms)

@@ -274,7 +274,7 @@ class _GammaEmbedding:
     """The process of a continuous problem: independent Gamma(t, 1) levels,
     mapped to coordinates through the marginal quantiles (``embed``)."""
 
-    exact_cdf = None  # no exact curve: curve.py brackets this process
+    exact_cdf = None  # no DP: curve.py computes or brackets this process's curve
 
     def __init__(self, marginals, directions, importance):
         if any(isinstance(m, Poisson) for m in marginals):

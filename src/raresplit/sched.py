@@ -38,9 +38,10 @@ def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1) -> LevelSched
     log p_bar)), level l solves c(t_l) = P^(l/L), so every level, the last
     one included, survives P^(1/L) >= p_bar.  log c is the geometric middle
     of ``curve.survival_bracket`` on a grid of _GRID + 1 equally spaced
-    times.  Problems the engine does not cover (ratios, top-n_bar sums over
-    marginals that are not identical, Poisson DPs past the lattice cap)
-    raise SchedulingError; use ``inverse_ccdf_schedule`` for those.
+    times.  Problems the engine does not cover (ratios of more than two
+    coordinates, top-n_bar sums over marginals that are not identical,
+    Poisson DPs past their share of the lattice cap) raise SchedulingError;
+    use ``inverse_ccdf_schedule`` for those.  So does c(1) = 0, as at gamma <= 0.
     """
     if not (0.0 < p_bar < 1.0):
         raise ValueError("p_bar must lie in (0, 1)")

@@ -1,11 +1,10 @@
-"""Replication statistics, the report container, and exact oracles.
+"""Replication statistics, the report container, and the exact oracle.
 
 RE follows the across-replication coefficient of variation
 sqrt(Var) / (mean * sqrt(m)); WNRV is RE^2 times wall-clock seconds.
-``oracle_exact`` returns exact (or quadrature-exact) values for the
-problem families where an independent answer is computable, and is used
-by the tests and the CLI ``verify`` paths as the second route against
-the sampled estimators.
+``oracle_exact`` reads the sample-free survival curve of ``curve.py`` at
+t = 1 where it is exact, and is used by the tests and the CLI ``verify``
+path as the second route against the sampled estimators.
 """
 
 from __future__ import annotations
@@ -13,14 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from scipy import special
-
-from .dist import Exponential, _is_number, _json_object, _json_value
-from .model import ProblemSpec, Ratio, Sum
+from .curve import survival_bracket
+from .dist import _is_number, _json_object, _json_value
+from .model import ProblemSpec
 
 __all__ = ["EstimateReport", "relative_error", "wnrv", "oracle_exact"]
-
-MAX_LATTICE = 10 ** 8  # lattice cap of oracle_exact's Poisson convolution
 
 
 def relative_error(mean: float, variance: float, m: int):
@@ -95,42 +91,9 @@ class EstimateReport:
 
 
 def oracle_exact(problem: ProblemSpec) -> float | None:
-    """Exact/semi-exact value of P[S(X) <= gamma] for supported families.
-
-    Supported: (a) the process's exact curve at t = 1, where it has one:
-    weighted sums of Poisson counts by a convolution over partial sums;
-    (b) plain sum of i.i.d. exponentials (Gamma CDF); (c) two-coordinate
-    ratios by adaptive quadrature over the denominator's probability scale.  Returns None for
-    anything else, and for Poisson sums whose convolution passes
-    MAX_LATTICE pairs.
-    """
-    gamma = problem.gamma
-    exact = problem.process.exact_cdf
-    if exact is not None:
-        return exact(problem.importance, gamma, 1.0, MAX_LATTICE)
-
-    if isinstance(problem.importance, Sum):
-        rates = {m.rate for m in problem.marginals if isinstance(m, Exponential)}
-        if len(rates) == 1 and all(isinstance(m, Exponential) for m in problem.marginals):
-            if gamma <= 0:
-                return 0.0
-            rate = rates.pop()
-            return float(special.gammainc(problem.n, rate * gamma))
+    """P[S(X) <= gamma]: the survival curve of ``curve.py`` at t = 1 where
+    both ends of its bracket agree, None elsewhere."""
+    bracket = survival_bracket(problem, [1.0])
+    if bracket is None or bracket[0][0] != bracket[1][0]:
         return None
-
-    if isinstance(problem.importance, Ratio) and problem.n == 2:
-        if gamma <= 0:
-            return 0.0
-        f1 = problem.marginals[0]
-        q2 = problem.marginals[1]
-        eta = problem.importance.eta
-
-        from scipy import integrate  # loads optimize, sparse, linalg and fft; only this branch needs it
-
-        def integrand(u):
-            return f1.cdf(gamma * (q2.quantile(u) + eta))
-
-        value, _err = integrate.quad(integrand, 0.0, 1.0, limit=200)
-        return float(min(max(value, 0.0), 1.0))
-
-    return None
+    return float(bracket[0][0])

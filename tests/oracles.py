@@ -238,3 +238,31 @@ def neg_log_tail_quantile_mp(marginal: dict, g: float, tail: str, dps: int = 30)
             else:
                 hi = mid
         return float(mpmath.exp((lo + hi) / 2))
+
+
+def lognormal_ratio_curve_mp(num, den, eta, gamma, t, dps: int = 30) -> float:
+    """c(t) = P[X_1(t) <= gamma (X_2(t) + eta)] for embedded LogNormal laws
+    ``num`` = (mu_1, sigma_1) on the upper tail and ``den`` = (mu_2, sigma_2)
+    on the lower tail, in dps-digit mpmath.
+
+    Integrates over the denominator's value y = exp(mu_2 + sigma_2 z), whose
+    time-t density is (-log F_2(y))^(t-1) f_2(y) / Gamma(t), against
+    P[X_1(t) <= x] = P(t, -log(1 - F_1(x))).  log F_2 is written as
+    log1p(-Phi(-z)) for z >= 0, so that it does not round to 0 in the upper
+    tail, and as log Phi(z) below.
+    """
+    with mpmath.workdps(dps):
+        mu1, s1, mu2, s2 = (mpmath.mpf(v) for v in (*num, *den))
+        eta, gamma, t = mpmath.mpf(eta), mpmath.mpf(gamma), mpmath.mpf(t)
+        gamma_t = mpmath.gamma(t)
+
+        def integrand(z):
+            y = mpmath.exp(mu2 + s2 * z)
+            neg_log_f2 = -(mpmath.log(mpmath.ncdf(z)) if z < 0
+                           else mpmath.log1p(-mpmath.ncdf(-z)))
+            density = neg_log_f2 ** (t - 1) * mpmath.npdf(z) / gamma_t
+            z1 = (mpmath.log(gamma * (y + eta)) - mu1) / s1
+            level = -mpmath.log(mpmath.ncdf(-z1))
+            return mpmath.gammainc(t, 0, level, regularized=True) * density
+
+        return float(mpmath.quad(integrand, [-mpmath.inf, -4, 0, 2, 4, 6, 8, 12, mpmath.inf]))

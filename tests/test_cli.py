@@ -22,6 +22,7 @@ from raresplit.cli import (
     parse_scenario,
     preset_problem,
 )
+from raresplit.curve import MAX_LATTICE
 from raresplit.dist import LogNormal, Weibull
 from raresplit.model import Ratio
 
@@ -42,6 +43,15 @@ EXP_SUM = {
     "directions": ["I"] * 4,
     "importance": {"kind": "sum"},
     "gamma": 1.5,
+    "kind": "continuous",
+}
+
+LOGNORMAL_RATIO = {
+    "marginals": [{"kind": "lognormal", "params": {"mu": 1.0, "sigma": 0.8}},
+                  {"kind": "lognormal", "params": {"mu": 0.0, "sigma": 0.6}}],
+    "directions": ["I", "D"],
+    "importance": {"kind": "ratio", "eta": 0.2},
+    "gamma": 0.01,
     "kind": "continuous",
 }
 
@@ -342,6 +352,20 @@ class TestCliLevels:
         assert len(payload["times"]) >= 2
 
 
+    def test_levels_lb_poisson_past_time_budget_exit_3(self, tmp_path, capsys):
+        # one coordinate at the rate cap: lb's 32 times share MAX_LATTICE
+        # pairs, and a lattice of 1 + gamma points passes each time's share
+        gamma = 1.01 * MAX_LATTICE / 32
+        scen = write_scenario(tmp_path, {
+            "marginals": [{"kind": "poisson", "params": {"lambda": 1e6}}],
+            "directions": ["I"], "importance": {"kind": "weighted_sum", "weights": [1]},
+            "gamma": gamma, "kind": "poisson"})
+        assert main(["levels", "--scenario", str(scen), "--levels-method", "lb"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "--levels-method iccdf" in lines[0]
+
     def test_levels_lb_uncovered_exit_3(self, tmp_path):
         # top 2 of 4 marginals that are not identical: no exact curve for lb
         mixed = {
@@ -394,6 +418,28 @@ class TestCliVerify:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert "cap of 100,000,000 pairs" in err and "supported" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_ratio_verified_end_to_end(self, tmp_path, capsys):
+        # the oracle keeps its digits at c ~ 1.2e-8; a quadrature with an
+        # absolute tolerance read 7.0e-9 and failed this correct estimate
+        scen = write_scenario(tmp_path, LOGNORMAL_RATIO)
+        assert main(["verify", "--scenario", str(scen), "--levels-method", "iccdf",
+                     "--s", "3000", "--m", "100", "--seed", "1"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verified"] is True
+        assert verdict["oracle"] == pytest.approx(1.2388120057e-8, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    @pytest.mark.parametrize("law", [{"kind": "exponential", "params": {"rate": 1.0}},
+                                     {"kind": "weibull", "params": {"alpha": 0.5, "eta": 1.0}}])
+    def test_nonpositive_gamma_exit_3(self, tmp_path, capsys, gamma, law):
+        # the oracle reads 0 for every continuous sum, bracketed or not, and
+        # no schedule can reach a curve that is 0 at t = 1
+        scen = write_scenario(tmp_path, {**EXP_SUM, "marginals": [law] * 4, "gamma": gamma})
+        assert main(["verify", "--scenario", str(scen), "--s", "300", "--m", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("estimation error: ") and "0 to double precision" in err
         assert len(err.splitlines()) == 1
 
     def test_unsupported_family_exit_2(self, tmp_path):

@@ -1,18 +1,22 @@
 """No module of raresplit picks a code path by comparing a ``kind`` string,
-and only the Gamma embedding reads its survival bracket.
+only the Gamma embedding reads its survival bracket, and only the curve
+engine asks a law or an aggregate for its class.
 
 A problem's process object, and each law and aggregate, carry their own
 behaviour; a ``.kind`` is compared only where it is input: where
 ``ProblemSpec`` builds its process from it, and where the CLI checks that a
 scenario suits the command.  Survival is one path: each process decides its
 own survivors, so the bracket's tables stay inside the classes that build
-and read them.
+and read them.  Exact answers are one path too: ``curve.py`` picks each
+family's formula, and the oracle reads its curve.
 """
 
 import ast
 from pathlib import Path
 
 import raresplit
+from raresplit.dist import Marginal
+from raresplit.model import _Aggregate
 
 SRC = Path(raresplit.__file__).resolve().parent
 
@@ -108,4 +112,60 @@ def test_only_the_gamma_embedding_reads_its_bracket():
              for path in sorted(SRC.glob("*.py"))
              for scope, line in bracket_reads(ast.parse(path.read_text(encoding="utf-8")),
                                               BRACKET_OWNERS.get(path.name, set()))]
+    assert not found, found
+
+
+# modules that may test a value against a law or aggregate class: the two
+# that define them, and the curve engine, which picks each family's formula
+CLASS_OWNERS = {"dist.py", "model.py", "curve.py"}
+
+
+def class_names(cls):
+    """The names of ``cls`` and of every class derived from it."""
+    return {cls.__name__}.union(*(class_names(sub) for sub in cls.__subclasses__()))
+
+
+LAWS_AND_AGGREGATES = class_names(Marginal) | class_names(_Aggregate)
+
+
+def class_tests(tree, names):
+    """(enclosing function, line) of each ``isinstance`` call in ``tree``
+    whose class argument, or one entry of its tuple, is named in ``names``
+    (plainly or as a module attribute)."""
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and named(child.func) == "isinstance"
+                  and len(child.args) == 2):
+                classes = child.args[1]
+                entries = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+                if any(named(entry) in names for entry in entries):
+                    yield ".".join(scope), child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, ())
+
+
+def test_guard_finds_class_tests():
+    source = ("def oracle(p):\n"
+              "    if isinstance(p.importance, Sum):\n"
+              "        return all(isinstance(m, dist.Exponential) for m in p.marginals)\n"
+              "    return isinstance(p, (int, Ratio)) or isinstance(p, dict)\n"
+              "ok = isinstance(x, Poisson)\n")
+    assert list(class_tests(ast.parse(source), {"Sum", "Exponential", "Ratio", "Poisson"})) == [
+        ("oracle", 2), ("oracle", 3), ("oracle", 4), ("", 5)]
+
+
+def test_only_the_curve_engine_tests_law_and_aggregate_classes():
+    assert {"LogNormal", "Exponential", "Poisson", "Sum", "Ratio", "WeightedSum"} \
+        <= LAWS_AND_AGGREGATES
+    found = [f"{path.name}:{line} in {scope or '<module>'}"
+             for path in sorted(SRC.glob("*.py")) if path.name not in CLASS_OWNERS
+             for scope, line in class_tests(ast.parse(path.read_text(encoding="utf-8")),
+                                            LAWS_AND_AGGREGATES)]
     assert not found, found

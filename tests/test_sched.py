@@ -5,7 +5,8 @@ import pytest
 
 from raresplit.cli import TABLES, load_preset, preset_problem
 from raresplit.curve import survival_bracket
-from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
+from raresplit.dist import (Exponential, LogNormal, Poisson, Weibull, poisson_cdf_at,
+                            reg_lower_inc_gamma)
 from raresplit.model import (
     OrderedPartialSum,
     ProblemSpec,
@@ -22,6 +23,7 @@ from raresplit.sched import (
     lower_bound_schedule,
 )
 from raresplit.split import SplitRunResult, run_splitting, replicate
+from raresplit.stats import oracle_exact
 
 import oracles
 
@@ -121,7 +123,8 @@ class TestLowerBoundSchedule:
         elif case == "mixed_top_sum":
             problem = mixed_ordered(0.3)
         else:
-            monkeypatch.setattr("raresplit.curve.MAX_PAIRS", 1)
+            # one pair for each of the _GRID times
+            monkeypatch.setattr("raresplit.curve.MAX_LATTICE", _GRID)
             problem = table1_problem(30.0)
         with pytest.raises(SchedulingError, match="inverse_ccdf_schedule") as info:
             lower_bound_schedule(problem)
@@ -156,6 +159,41 @@ class TestLowerBoundSchedule:
                               1.0, "poisson")
         sched = lower_bound_schedule(problem)
         assert sched.times[-1] == 1.0
+
+
+def lognormal_ratio(gamma):
+    return ProblemSpec((LogNormal(1.0, 0.8), LogNormal(0.0, 0.6)), ("I", "D"), Ratio(0.2),
+                       gamma, "continuous")
+
+
+class TestExtremes:
+    """``lower_bound_schedule`` and ``oracle_exact`` where c(1) rounds to 1,
+    at gamma <= 0, and on one Poisson coordinate at the 1e6 rate cap; the
+    suite turns any warning into an error."""
+
+    @pytest.mark.parametrize("problem", [
+        exp_sum(4, 1e9),
+        lognormal_ratio(1e6),
+        ProblemSpec((Poisson(1.0), Poisson(2.0)), ("I", "I"), WeightedSum((1.0, 1.0)),
+                    200.0, "poisson"),
+    ])
+    def test_certain_event_is_one_level(self, problem):
+        assert oracle_exact(problem) == 1.0
+        assert lower_bound_schedule(problem).times == (1.0,)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    @pytest.mark.parametrize("family", ["exponential_sum", "bracketed_sum", "ratio"])
+    def test_nonpositive_gamma_reads_zero(self, gamma, family):
+        problem = {"exponential_sum": exp_sum(4, gamma),
+                   "bracketed_sum": weibull_ordered(0.5, gamma),
+                   "ratio": lognormal_ratio(gamma)}[family]
+        assert oracle_exact(problem) == 0.0
+        with pytest.raises(SchedulingError, match="0 to double precision"):
+            lower_bound_schedule(problem)
+
+    def test_poisson_coordinate_at_rate_cap(self):
+        problem = ProblemSpec((Poisson(1e6),), ("I",), WeightedSum((1.0,)), 1e6, "poisson")
+        assert oracle_exact(problem) == pytest.approx(poisson_cdf_at(1e6, 1e6), rel=1e-10)
 
 
 class TestInverseCcdfSchedule:

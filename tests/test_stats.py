@@ -80,7 +80,7 @@ class TestOracleExact:
                               WeightedSum(tuple(float(i) for i in range(1, 13))),
                               40.0, "poisson")
         assert oracle_exact(problem) is not None
-        monkeypatch.setattr("raresplit.stats.MAX_LATTICE", 1000)
+        monkeypatch.setattr("raresplit.curve.MAX_LATTICE", 1000)  # the oracle's one time
         assert oracle_exact(problem) is None
 
     def test_ratio_quadrature_closed_form(self):
@@ -118,6 +118,15 @@ class TestOracleExact:
         problem = ProblemSpec((Exponential(1.0),) * 2, ("I", "I"), Sum(),
                               0.0, "continuous")
         assert oracle_exact(problem) == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.01, 0.005, 0.002, 0.001])
+    def test_ratio_matches_mpmath_reference(self, gamma):
+        # c runs from about 4e-5 down to 1.5e-15; a quadrature with an
+        # absolute tolerance loses these digits
+        problem = ProblemSpec((LogNormal(1.0, 0.8), LogNormal(0.0, 0.6)), ("I", "D"),
+                              Ratio(0.2), gamma, "continuous")
+        exact = oracles.lognormal_ratio_curve_mp((1.0, 0.8), (0.0, 0.6), 0.2, gamma, 1.0)
+        assert oracle_exact(problem) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 def poisson_pmf(k, lam):

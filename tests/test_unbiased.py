@@ -1,0 +1,72 @@
+"""Unbiasedness at every level of a splitting run.
+
+In fixed-effort splitting every prefix prod_{j<=l} k_j / s of a run's
+product is itself unbiased for c(t_l) = P[S(X(t_l)) <= gamma], and the
+sample-free engine (``curve.survival_bracket``) gives c(t_l) for each family
+below, so a bias in the draws, the embedding, the survival decision or the
+resampling shows at the first level where it enters.  Level 1 is plain MC
+over s * runs states, so its z is sharp.
+
+The rule: at every level the mean prefix over ``RUNS`` runs lies within
+``Z_MAX`` standard errors beyond the bracket's half-width.  The problems,
+seeds and threshold were fixed before the gate's first run; a failure is a
+finding about the program, never a reason to re-pick them.
+"""
+
+import numpy as np
+import pytest
+
+from raresplit.curve import survival_bracket
+from raresplit.dist import Exponential, LogNormal, Poisson
+from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
+from raresplit.process import RngStream
+from raresplit.sched import lower_bound_schedule
+from raresplit.split import run_splitting
+
+S = 200
+RUNS = 4000
+Z_MAX = 4.0
+
+# name -> (problem, seed of the runs, whether its curve is exact)
+FAMILIES = {
+    "poisson_weighted_sum": (
+        ProblemSpec((Poisson(6.0), Poisson(4.0), Poisson(3.0)), ("I",) * 3,
+                    WeightedSum((1.0, 2.0, 3.0)), 4.0, "poisson"), 9101, True),
+    "exponential_sum": (
+        ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 0.1, "continuous"), 9102, True),
+    "lognormal_ratio": (
+        ProblemSpec((LogNormal(1.0, 0.8), LogNormal(0.0, 0.6)), ("I", "D"), Ratio(0.2),
+                    0.01, "continuous"), 9103, True),
+    "top2_of_3_lognormal": (
+        ProblemSpec((LogNormal(0.0, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
+                    "continuous"), 9104, False),
+}
+
+
+def prefix_estimates(problem, schedule, s, runs, rng):
+    """(runs, levels) array whose row i holds the prefix products
+    prod_{j<=l} k_j / s of run i, on ``rng.substream(i)``; 0 from the
+    level where the run went extinct."""
+    out = np.zeros((runs, len(schedule)))
+    for i in range(runs):
+        counts = run_splitting(problem, schedule, s, rng.substream(i)).survivor_counts
+        out[i, :len(counts)] = np.cumprod(np.asarray(counts) / s)
+    return out
+
+
+def excess_z(prefixes, lo, hi):
+    """Per level, the standard errors by which the mean prefix lies outside
+    [lo, hi]; at most 0 inside it."""
+    mean = prefixes.mean(axis=0)
+    se = prefixes.std(axis=0, ddof=1) / np.sqrt(prefixes.shape[0])
+    return (np.abs(mean - 0.5 * (lo + hi)) - 0.5 * (hi - lo)) / se
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_prefix_is_unbiased(family):
+    problem, seed, exact = FAMILIES[family]
+    schedule = lower_bound_schedule(problem)
+    lo, hi = survival_bracket(problem, schedule.times)
+    assert np.array_equal(lo, hi) == exact
+    z = excess_z(prefix_estimates(problem, schedule, S, RUNS, RngStream(seed)), lo, hi)
+    assert (z <= Z_MAX).all(), z
