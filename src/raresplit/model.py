@@ -296,6 +296,10 @@ class _GammaEmbedding:
         """The survival bracket, built on first use."""
         return _SurvivalBracket(self._groups, len(self.marginals))
 
+    def __getstate__(self):
+        # a pickled copy (a pool task's) carries no tables; it builds its own bracket
+        return {k: v for k, v in self.__dict__.items() if k != "bracket"}
+
     def survives(self, states, spec, gamma):
         """S(embed(states)) <= gamma for every row, bit for bit: rows whose
         bracket's bounds do not decide it, a NaN bound among them, are scored."""

@@ -1,16 +1,18 @@
 import concurrent.futures
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from raresplit import model
 from raresplit.baseline import naive_mc
+from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Sum, WeightedSum
 from raresplit.process import RngStream
-from raresplit.sched import lower_bound_schedule
+from raresplit.sched import inverse_ccdf_schedule, lower_bound_schedule
 from raresplit.split import LevelSchedule, SplitRunResult, replicate, run_splitting
 
 
@@ -233,8 +235,8 @@ class TestReplicate:
                      id="lognormal-sum"),
     ])
     def test_workers_do_not_change_results(self, problem):
-        # the problem, its process object and any survival bracket the
-        # serial run built are pickled into the workers
+        # the problem and its process object are pickled into the workers,
+        # which build their own survival bracket
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
         seq = replicate(problem, schedule, 100, 8, RngStream(13), workers=1)
@@ -242,6 +244,24 @@ class TestReplicate:
         assert seq.mean == par.mean
         assert seq.variance == par.variance
         assert seq.per_level_survival == par.per_level_survival
+
+    def test_pool_tasks_carry_no_bracket(self):
+        # Table VI has two (marginal, tail) groups; the parent builds their
+        # tables before the pool starts, as the iccdf pilot does
+        problem = preset_problem(load_preset("VI"))
+        schedule = inverse_ccdf_schedule(problem, RngStream(3), l_pilot=6, s_pilot=200)
+        assert "bracket" in vars(problem.process)
+        blob = pickle.dumps(problem)
+        assert len(blob) < 4096
+        levels = RngStream(31).gen.gamma(0.3, size=(2000, problem.n))
+        survive = problem.survives(levels)
+        assert 0 < survive.sum() < survive.size
+        assert np.array_equal(pickle.loads(blob).survives(levels), survive)
+        par = replicate(problem, schedule, 200, 4, RngStream(5), workers=2)
+        seq = replicate(problem, schedule, 200, 4, RngStream(5), workers=1)
+        assert par.mean > 0
+        assert (par.mean, par.variance) == (seq.mean, seq.variance)
+        assert par.per_level_survival == seq.per_level_survival
 
     def test_pool_capped_at_replications(self, monkeypatch):
         # an in-process stand-in for the pool records the size it was asked for
