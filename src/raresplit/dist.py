@@ -2,8 +2,9 @@
 
 Each marginal exposes the CDF, the quantile, and a tail-stable quantile
 ``quantile_from_neg_log_tail`` that evaluates F^{-1}(1 - e^{-g}) (or
-F^{-1}(e^{-g})) directly from g, so that tail masses far below machine
-epsilon (g up to ~700) never round through ``1 - e^{-g}``.
+F^{-1}(e^{-g})) directly from g, for every g in [0, inf]: tail masses far
+below machine epsilon never round through ``1 - e^{-g}``, and those past
+the underflow of e^{-g} (g > 745.13) are never formed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ MAX_POISSON_RATE = 1e6
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
-_NEG_LOG_TINY = -math.log(_TINY)
+# past this g, e^{-g} is below machine epsilon
+_NEG_LOG_EPS = -math.log(np.finfo(float).eps)
 
 
 class ScenarioError(ValueError):
@@ -174,11 +176,6 @@ class Marginal:
     """
 
     kind: str = ""
-    # Optional tail hooks, None where a law has none.  _upper_from_g(g) is
-    # F^{-1}(1 - e^{-g}) in closed form for every g >= 0.  _past_underflow(g,
-    # tail) is the quantile at g > -log(tiny), where e^{-g} is no normal double.
-    _upper_from_g = None
-    _past_underflow = None
 
     def cdf(self, x):
         a, scalar = _as_float_array(x)
@@ -192,49 +189,30 @@ class Marginal:
         a, scalar = _as_float_array(p)
         if np.any((a < 0) | (a > 1)):
             raise ValueError("quantile requires p in [0, 1]")
-        with np.errstate(divide="ignore"):  # p = 1 legitimately maps to +inf
-            return _maybe_scalar(self._ppf(a), scalar)
+        with np.errstate(divide="ignore"):  # p = 0 is g = inf
+            g = -np.log(a)
+        return _maybe_scalar(self.quantile_from_neg_log_tail(g, "lower"), scalar)
 
     def quantile_from_neg_log_tail(self, g, tail="upper"):
-        """Evaluate F^{-1}(1 - e^{-g}) (tail="upper") or F^{-1}(e^{-g}) (tail="lower").
-
-        The branch is chosen so neither 1 - e^{-g} nor e^{-g} is formed
-        where it would lose precision: for g >= ln 2 the upper variant
-        goes through the complementary quantile at mass e^{-g}.
-        """
+        """Evaluate F^{-1}(1 - e^{-g}) (tail="upper") or F^{-1}(e^{-g}) (tail="lower")."""
         a, scalar = _as_float_array(g)
         if np.any(a < 0):
             raise ValueError("g must be >= 0")
         if tail not in ("upper", "lower"):
             raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
-        if tail == "upper" and self._upper_from_g is not None:
-            return _maybe_scalar(self._upper_from_g(a), scalar)
-        out = np.empty_like(a)
-        small = a < _LN2
-        big = ~small
-        if self._past_underflow is not None:
-            far = a > _NEG_LOG_TINY
-            big &= ~far
-            out[far] = self._past_underflow(a[far], tail)
-        with np.errstate(divide="ignore"):  # g = 0 on the lower tail is +inf
-            if tail == "upper":
-                out[small] = self._ppf(-np.expm1(-a[small]))
-                out[big] = self._isf(np.exp(-a[big]))
-            else:
-                out[small] = self._isf(-np.expm1(-a[small]))
-                out[big] = self._ppf(np.exp(-a[big]))
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar((self._upper if tail == "upper" else self._lower)(a), scalar)
 
     # law-specific kernels, vectorized over their argument
     def _cdf(self, x):
         """F at x > 0 (the base sets F = 0 off the support)."""
         raise NotImplementedError
 
-    def _ppf(self, p):
+    def _upper(self, g):
+        """x with P[X > x] = e^{-g}, for every g in [0, inf]; NaN gives NaN."""
         raise NotImplementedError
 
-    def _isf(self, q):
-        """Complementary quantile: x with P[X > x] = q."""
+    def _lower(self, g):
+        """x with P[X <= x] = e^{-g}, for every g in [0, inf]; NaN gives NaN."""
         raise NotImplementedError
 
     # the JSON params are the fields, under the name their metadata may give
@@ -260,18 +238,24 @@ class LogNormal(Marginal):
     def _cdf(self, x):
         return special.ndtr((np.log(x) - self.mu) / self.sigma)
 
-    def _ppf(self, p):
-        return np.exp(self.mu + self.sigma * special.ndtri(p))
+    # ndtri_exp(-g) is the standard normal quantile at e^{-g}, which it never forms
+    def _upper(self, g):
+        with np.errstate(over="ignore"):  # +inf past g ~ (709 - mu)^2 / (2 sigma^2)
+            return np.exp(self.mu - self.sigma * special.ndtri_exp(-g))
 
-    def _isf(self, q):
-        # ndtri stays accurate down to the smallest normal doubles
-        return np.exp(self.mu - self.sigma * special.ndtri(q))
+    def _lower(self, g):
+        with np.errstate(over="ignore"):
+            return np.exp(self.mu + self.sigma * special.ndtri_exp(-g))
 
-    def _past_underflow(self, g, tail):
-        # ndtri_exp takes log q = -g, so e^{-g} is never formed
-        with np.errstate(over="ignore"):  # +inf past g ~ 2.5e5 / sigma^2
-            z = self.sigma * special.ndtri_exp(-g)
-            return np.exp(self.mu - z if tail == "upper" else self.mu + z)
+
+def _log_cum_hazard(g):
+    """log H for H = -log(1 - e^{-g}), the cumulative hazard at which an
+    exponential's CDF is e^{-g}: through log1mexp (Maechler 2012) while e^{-g}
+    is at least machine epsilon, then -g, to which log H = -g + e^{-g}/2 + ...
+    rounds."""
+    with np.errstate(divide="ignore"):  # H = inf at g = 0, 0 past e^{-g}'s underflow
+        h = -np.where(g < _LN2, np.log(-np.expm1(-g)), np.log1p(-np.exp(-g)))
+        return np.where(g < _NEG_LOG_EPS, np.log(h), -g)
 
 
 @dataclass(frozen=True)
@@ -288,14 +272,11 @@ class Weibull(Marginal):
     def _cdf(self, x):
         return -np.expm1(-((x / self.eta) ** self.alpha))
 
-    def _ppf(self, p):
-        return self.eta * (-np.log1p(-p)) ** (1.0 / self.alpha)
-
-    def _isf(self, q):
-        return self.eta * (-np.log(q)) ** (1.0 / self.alpha)
-
-    def _upper_from_g(self, g):
+    def _upper(self, g):
         return self.eta * g ** (1.0 / self.alpha)
+
+    def _lower(self, g):
+        return np.exp(math.log(self.eta) + _log_cum_hazard(g) / self.alpha)
 
 
 def _log_gamma_ppf(k, log_p):
@@ -353,34 +334,35 @@ def _gamma_isf(k, log_q):
 
 class _GammaPower(Marginal):
     """A law of x = x(y) for a Gamma(k, 1) variable y: ``_from_y`` maps y and
-    ``_from_log_y`` log y to x.  scipy's inverses lose digits at a subnormal
-    mass and saturate once e^{-g} underflows; there y comes from Newton steps
-    on log Q(k, y) (upper tail) or log P(k, y) (lower tail), the log-space
-    route LogNormal's quantile takes through ``ndtri_exp``."""
+    ``_from_log_y`` log y to x.  Each kernel inverts the smaller of the masses
+    e^{-g} and 1 - e^{-g}: scipy's inverses while it is a normal double, and
+    past that, where they lose digits and then saturate, Newton steps on
+    log Q(k, y) or log P(k, y), in log space as LogNormal's ``ndtri_exp``."""
 
-    def _ppf(self, p):
-        return self._redo_subnormal(p, self._from_y(special.gammaincinv(self._k, p)), "lower")
+    def _upper(self, g):
+        return self._invert(g, g < _LN2)
 
-    def _isf(self, q):
-        return self._redo_subnormal(q, self._from_y(special.gammainccinv(self._k, q)), "upper")
+    def _lower(self, g):
+        return self._invert(g, ~(g < _LN2))
 
-    def _redo_subnormal(self, mass, out, tail):
-        """``out``, the quantiles at ``mass``, with those at a subnormal mass
-        e^{-g} redone as ``_past_underflow(g, tail)`` does them."""
-        sub = (mass > 0) & (mass < _TINY)
-        if sub.any():
-            out[sub] = self._past_underflow(-np.log(mass[sub]), tail)
-        return out
-
-    def _past_underflow(self, g, tail):
-        out = np.full_like(g, np.inf if tail == "upper" else 0.0)  # the quantiles at g = inf
-        fin = g < np.inf
-        with np.errstate(over="ignore"):  # +inf where x(y) passes the largest double
-            if tail == "upper":
-                out[fin] = self._from_y(_gamma_isf(self._k, -g[fin]))
-            else:
-                out[fin] = self._from_log_y(_log_gamma_ppf(self._k, -g[fin]))
-        return out
+    def _invert(self, g, by_p):
+        """x(y) for the y at which P(k, y) (where ``by_p``, else Q(k, y)) is
+        the mass 1 - e^{-g} for g < ln 2 and e^{-g} from there."""
+        k, near = self._k, g < _LN2
+        mass = np.where(near, -np.expm1(-g), np.exp(-g))
+        y = np.empty_like(mass)  # by_p and ~by_p fill every entry, a NaN g's too
+        y[by_p] = special.gammaincinv(k, mass[by_p])
+        y[~by_p] = special.gammainccinv(k, mass[~by_p])
+        far = (mass < _TINY) & (g > 0) & (g < np.inf)  # a subnormal or underflowed mass
+        # +inf where x(y) passes the largest double
+        with np.errstate(divide="ignore", over="ignore"):
+            x = self._from_y(y)
+            if far.any():
+                log_mass = np.where(near, np.log(mass), -g)
+                p, q = far & by_p, far & ~by_p
+                x[p] = self._from_log_y(_log_gamma_ppf(k, log_mass[p]))
+                x[q] = self._from_y(_gamma_isf(k, log_mass[q]))
+        return x
 
 
 @dataclass(frozen=True)
@@ -450,14 +432,11 @@ class Exponential(Marginal):
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
-    def _ppf(self, p):
-        return -np.log1p(-p) / self.rate
-
-    def _isf(self, q):
-        return -np.log(q) / self.rate
-
-    def _upper_from_g(self, g):
+    def _upper(self, g):
         return g / self.rate
+
+    def _lower(self, g):
+        return np.exp(_log_cum_hazard(g) - math.log(self.rate))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from raresplit.dist import (
     Gamma,
     GeneralizedGamma,
     LogNormal,
-    Marginal,
     Poisson,
     Weibull,
     marginal_from_json,
@@ -194,6 +193,9 @@ EXTREME_LAWS = [
     Gamma(0.4, 2.0),
     Exponential(1.5),
 ]
+# ... and two whose lower-tail quantile is still a normal double far past
+# e^{-g}'s underflow: x ~ H^(1/3) and x = H / 1e-300 for a hazard H ~ e^{-g}
+PAST_UNDERFLOW_LAWS = EXTREME_LAWS + [Weibull(3.0, 1.0), Exponential(1e-300)]
 _LN2 = math.log(2.0)
 # Largest g at which e^{-g} is still a normal double.
 _NORMAL_G = -math.log(np.finfo(float).tiny)
@@ -213,7 +215,7 @@ class TestNegLogTailQuantileExtremes:
     @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_against_mpmath_while_tail_mass_is_normal(self, law, tail):
-        # 5e-324, a subnormal mass, is checked for the Gamma laws below
+        # 5e-324, a subnormal mass, is checked below
         for g in [x for x in EDGE_GS if 1e-300 <= x <= _NORMAL_G]:
             expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
             # abs=0: approx's default abs=1e-12 passes any quantile below 1e-12
@@ -237,7 +239,8 @@ class TestNegLogTailQuantileExtremes:
             assert math.isfinite(d.quantile_from_neg_log_tail(g, "upper")), d
             assert math.isfinite(d.quantile_from_neg_log_tail(g, "lower")), d
 
-    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d._upper_from_g is not None],
+    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS
+                                     if d.kind in ("weibull", "exponential")],
                              ids=lambda d: d.kind)
     def test_closed_form_upper_tail_exact_past_underflow(self, law):
         for g in (745.2, 800.0, 1e4):
@@ -245,14 +248,14 @@ class TestNegLogTailQuantileExtremes:
             assert got == pytest.approx(
                 oracles.neg_log_tail_quantile_mp(law.to_json(), g, "upper"), rel=1e-12)
 
-    @pytest.mark.parametrize("law", [d for d in EXTREME_LAWS if d.kind in ("gamma", "gengamma")],
-                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("law", PAST_UNDERFLOW_LAWS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_gamma_laws_in_log_space(self, law, tail):
-        # a subnormal mass, where scipy's inverses lose digits, and g past
-        # -log(tiny), where they saturate: Newton steps on log Q or log P
+        # every law, not only the Gamma ones: a subnormal mass, where scipy's
+        # Gamma inverses lose digits, and g past -log(tiny), where e^{-g} is
+        # no normal double and a quantile through it saturates or reads 0
         checked = 0
-        for g in (5e-324, 720.0, 745.0, 745.2, 800.0, 1e4):
+        for g in (5e-324, 720.0, 745.0, 745.2, 750.0, 800.0, 2000.0, 1e4):
             expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
             got = law.quantile_from_neg_log_tail(g, tail)
             if np.finfo(float).tiny <= expected < math.inf:
@@ -261,6 +264,20 @@ class TestNegLogTailQuantileExtremes:
             else:
                 assert got == expected, g  # 0 where the true quantile underflows
         assert checked
+
+    @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_special_g(self, law, tail):
+        # NaN in gives NaN out, g = 0 and g = inf give the ends of the support
+        # and g = 5e-324 a finite x: alone and in one array, so that no entry
+        # is left to an uninitialised output
+        ends = (0.0, math.inf) if tail == "upper" else (math.inf, 0.0)
+        gs = [math.nan, 0.0, math.inf, 5e-324]
+        for got in ([law.quantile_from_neg_log_tail(g, tail) for g in gs],
+                    law.quantile_from_neg_log_tail(np.array(gs), tail)):
+            assert math.isnan(got[0])
+            assert (got[1], got[2]) == ends
+            assert math.isfinite(got[3])
 
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_lognormal_past_underflow(self, tail):
@@ -273,16 +290,14 @@ class TestNegLogTailQuantileExtremes:
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_lognormal_routes_agree_at_the_switch(self, tail):
         # within 5 ulps of the last g whose e^{-g} is normal, the quantile
-        # through e^{-g} and the one through ndtri_exp(-g) are the same double
+        # takes one route on both sides: through ndtri_exp(-g), bit for bit
         law = EXTREME_LAWS[0]
         g = np.array([_NORMAL_G])
         for _ in range(5):
             g = np.concatenate([np.nextafter(g[:1], 0.0), g, np.nextafter(g[-1:], np.inf)])
-        through_mass = Marginal.quantile_from_neg_log_tail(law, g, tail)
         z = special.ndtri_exp(-g)
         through_log = np.exp(law.mu - law.sigma * z if tail == "upper" else law.mu + law.sigma * z)
-        assert through_mass.tobytes() == through_log.tobytes()
-        assert law.quantile_from_neg_log_tail(g, tail).tobytes() == through_mass.tobytes()
+        assert law.quantile_from_neg_log_tail(g, tail).tobytes() == through_log.tobytes()
 
 
 class TestRegLowerIncGamma:
