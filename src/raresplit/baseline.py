@@ -18,11 +18,9 @@ from .stats import EstimateReport
 __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 
 # Rows per generator call, which bounds a call's memory.  Every draw takes
-# its uniforms from one stream in C order, so the draws, and naive MC's
+# its variates from one stream in C order, so the draws, and naive MC's
 # estimate, are the same for any block size; IS sums its moments per block,
-# so the constant also pins the bits of the IS moments.  At 2^12 rows a
-# column's quantile temporaries (32 KiB) stay under glibc's mmap threshold:
-# naive MC on Table V ran fastest of 2^12..2^17 on a 2-core VM.
+# so the constant also pins the bits of the IS moments.
 _BLOCK = 1 << 12
 
 
@@ -45,9 +43,9 @@ def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
 def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo: m direct draws of X, fraction with S(X) <= gamma.
 
-    The draws come from the process's ``sampler()``: every coordinate by
-    inversion from one uniform, continuous ones through their quantile,
-    Poisson ones through ``poisson_sampler``.
+    The draws come from the process's ``sampler()``: a continuous problem
+    embeds one Exp(1) level per coordinate, the subordinator at t = 1, and a
+    Poisson problem inverts one uniform per count (``poisson_sampler``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -1,10 +1,11 @@
 """Marginal laws, the JSON field reader, and the level heuristics' special functions.
 
-Each marginal exposes the CDF, the quantile, and a tail-stable quantile
-``quantile_from_neg_log_tail`` that evaluates F^{-1}(1 - e^{-g}) (or
+Each marginal exposes the CDF and one quantile entry point,
+``quantile_from_neg_log_tail``, which evaluates F^{-1}(1 - e^{-g}) (or
 F^{-1}(e^{-g})) directly from g, for every g in [0, inf]: tail masses far
 below machine epsilon never round through ``1 - e^{-g}``, and those past
-the underflow of e^{-g} (g > 745.13) are never formed.
+the underflow of e^{-g} (g > 745.13) are never formed.  Sampling a law
+needs no other quantile: for G ~ Exp(1), either form at g = G is a draw.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class Marginal:
 
     A law is a frozen dataclass that states its parameters as fields, checks
     their ranges in ``__post_init__`` and supplies the kernels below; the
-    base derives the CDF's support mask, the quantiles and the JSON form
+    base derives the CDF's support mask, the quantile and the JSON form
     (``marginal_from_json`` reads it back).
     Continuous members have support (0, inf); ``Poisson`` is the only
     discrete member.  All parameter validation happens at construction,
@@ -178,20 +179,12 @@ class Marginal:
     kind: str = ""
 
     def cdf(self, x):
+        """F at x: 0 off the support, NaN at NaN."""
         a, scalar = _as_float_array(x)
-        out = np.zeros_like(a)
+        out = np.where(np.isnan(a), a, 0.0)
         pos = a > 0
         out[pos] = self._cdf(a[pos])
         return _maybe_scalar(out, scalar)
-
-    def quantile(self, p):
-        """Inverse CDF.  p=0 maps to the support infimum (0), p=1 to +inf."""
-        a, scalar = _as_float_array(p)
-        if np.any((a < 0) | (a > 1)):
-            raise ValueError("quantile requires p in [0, 1]")
-        with np.errstate(divide="ignore"):  # p = 0 is g = inf
-            g = -np.log(a)
-        return _maybe_scalar(self.quantile_from_neg_log_tail(g, "lower"), scalar)
 
     def quantile_from_neg_log_tail(self, g, tail="upper"):
         """Evaluate F^{-1}(1 - e^{-g}) (tail="upper") or F^{-1}(e^{-g}) (tail="lower")."""
@@ -459,9 +452,6 @@ class Poisson(Marginal):
     def cdf(self, x):
         a, scalar = _as_float_array(x)
         return _maybe_scalar(poisson_cdf_at(self.lam, a), scalar)
-
-    def quantile(self, p):
-        raise ValueError("Poisson quantile is not supported (discrete law)")
 
     def quantile_from_neg_log_tail(self, g, tail="upper"):
         raise ValueError("Poisson has no continuous quantile; use the jump process directly")

@@ -316,15 +316,9 @@ class _GammaEmbedding:
         return out
 
     def sampler(self):
-        """``draw(gen, c)``: c rows of X(1), each column the quantile of its own uniform."""
-        def draw(gen, c):
-            u = gen.random((c, len(self.marginals)))
-            x = np.empty_like(u)
-            for i, marginal in enumerate(self.marginals):
-                x[:, i] = marginal.quantile(u[:, i])
-            return x
-
-        return draw
+        """``draw(gen, c)``: c rows of X(1), the embedding of c rows of the
+        subordinator's Gamma(1, 1) = Exp(1) levels at t = 1."""
+        return lambda gen, c: self.coordinates(gen.standard_exponential((c, len(self.marginals))))
 
 
 class _PoissonJumps:

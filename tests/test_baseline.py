@@ -6,8 +6,9 @@ import pytest
 from raresplit import baseline
 from raresplit.baseline import naive_mc, poisson_is, poisson_is_tilt
 from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
-from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, importance
+from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, embed, importance
 from raresplit.process import RngStream, poisson_sampler
+from raresplit.stats import oracle_exact
 
 import oracles
 
@@ -47,6 +48,17 @@ class TestNaiveMc:
         exact = 1.0 - math.exp(-0.5 * 0.3) / 1.5  # closed form for exp/exp ratio
         se = math.sqrt(exact * (1 - exact) / m)
         assert abs(rep.mean - exact) < 3 * se
+
+    def test_lognormal_ratio_against_oracle(self):
+        # the two-coordinate ratio of test_stats: its "D" column is drawn
+        # through the lower-tail quantile
+        problem = ProblemSpec((LogNormal(1.0, 0.8), LogNormal(0.0, 0.6)), ("I", "D"),
+                              Ratio(0.2), 0.8, "continuous")
+        m = 400_000
+        rep = naive_mc(problem, m, RngStream(2201))
+        exact = oracle_exact(problem)
+        se = math.sqrt(exact * (1 - exact) / m)
+        assert abs(rep.mean - exact) < 4 * se
 
     def test_bernoulli_re_formula(self):
         m = 50_000
@@ -136,10 +148,8 @@ def one_chunk_naive(problem, m, seed):
     if problem.kind == "poisson":
         x = poisson_sampler(problem.rates())(gen, m)
     else:
-        u = gen.random((m, problem.n))
-        x = np.empty((m, problem.n))
-        for i, marginal in enumerate(problem.marginals):
-            x[:, i] = marginal.quantile(u[:, i])
+        x = embed(gen.standard_exponential((m, problem.n)), problem.marginals,
+                  problem.directions)
     mean = int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma)) / m
     return mean, mean * (1.0 - mean) * m / (m - 1)
 

@@ -55,6 +55,10 @@ class TestCdf:
             assert d.cdf(0.0) == 0.0
             assert d.cdf(-1.0) == 0.0
             assert d.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
+            # NaN in gives NaN out, alone and among entries on and off the support
+            assert math.isnan(d.cdf(math.nan)), d
+            assert np.array_equal(d.cdf(np.array([math.nan, -1.0, 0.0, math.inf])),
+                                  [math.nan, 0.0, 0.0, 1.0], equal_nan=True), d
 
     def test_nondecreasing(self):
         xs = np.linspace(0.0, 50.0, 400)
@@ -64,42 +68,43 @@ class TestCdf:
 
 
 class TestQuantile:
+    """F^{-1}(p) is the lower-tail quantile at g = -log p and the upper-tail
+    one at g = -log1p(-p)."""
+
     def test_lognormal_median(self):
-        assert LogNormal(0.0, 2.0).quantile(0.5) == pytest.approx(1.0, rel=1e-14)
+        assert LogNormal(0.0, 2.0).quantile_from_neg_log_tail(-math.log(0.5), "lower") == (
+            pytest.approx(1.0, rel=1e-14))
 
     def test_weibull_inverse_of_example(self):
-        assert Weibull(0.5, 1.0).quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
+        g = -math.log1p(-(1.0 - math.exp(-1.0)))
+        assert Weibull(0.5, 1.0).quantile_from_neg_log_tail(g, "upper") == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_exponential_half(self):
         # p = 1 - e^{-1/2}, so the quantile is exactly 0.5
         p = 1.0 - math.exp(-0.5)
-        assert Exponential(1.0).quantile(p) == pytest.approx(0.5, rel=1e-12)
-
-    def test_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Exponential(1.0).quantile(-0.01)
-        with pytest.raises(ValueError):
-            Exponential(1.0).quantile(1.01)
+        assert Exponential(1.0).quantile_from_neg_log_tail(-math.log1p(-p), "upper") == (
+            pytest.approx(0.5, rel=1e-12))
 
     def test_support_infimum_and_infinity(self):
         for d in CONTINUOUS:
-            assert d.quantile(0.0) == 0.0
-            assert d.quantile(1.0) == math.inf
+            assert d.quantile_from_neg_log_tail(math.inf, "lower") == 0.0  # p = 0
+            assert d.quantile_from_neg_log_tail(0.0, "lower") == math.inf  # p = 1
 
     def test_poisson_quantile_unsupported(self):
         with pytest.raises(ValueError):
-            Poisson(1.0).quantile(0.5)
+            Poisson(1.0).quantile_from_neg_log_tail(-math.log(0.5), "lower")
 
     def test_round_trip_grid(self):
         ps = np.array([1e-8, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-8])
         for d in CONTINUOUS:
-            back = d.cdf(d.quantile(ps))
+            back = d.cdf(d.quantile_from_neg_log_tail(-np.log(ps), "lower"))
             assert np.max(np.abs(back - ps)) < 1e-9
 
     def test_quantile_cdf_round_trip_bulk(self):
         for d in CONTINUOUS:
-            xs = d.quantile(np.linspace(0.05, 0.95, 19))
-            back = d.quantile(d.cdf(xs))
+            xs = d.quantile_from_neg_log_tail(-np.log(np.linspace(0.05, 0.95, 19)), "lower")
+            back = d.quantile_from_neg_log_tail(-np.log(d.cdf(xs)), "lower")
             assert np.max(np.abs(back / xs - 1.0)) < 1e-10
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
@@ -107,7 +112,8 @@ class TestQuantile:
     def test_monotone_in_p(self, p1, p2):
         lo, hi = sorted((p1, p2))
         for d in (LogNormal(0.0, 1.0), Weibull(0.5, 1.0), Gamma(3.0, 2.0)):
-            assert d.quantile(lo) <= d.quantile(hi)
+            assert (d.quantile_from_neg_log_tail(-math.log(lo), "lower")
+                    <= d.quantile_from_neg_log_tail(-math.log(hi), "lower"))
 
 
 class TestNegLogTailQuantile:
@@ -117,10 +123,9 @@ class TestNegLogTailQuantile:
     def test_ln2_gives_median(self):
         g = math.log(2.0)
         for d in CONTINUOUS:
-            assert d.quantile_from_neg_log_tail(g, "upper") == pytest.approx(
-                d.quantile(0.5), rel=1e-12)
-            assert d.quantile_from_neg_log_tail(g, "lower") == pytest.approx(
-                d.quantile(0.5), rel=1e-12)
+            median = d.quantile_from_neg_log_tail(-math.log(0.5), "lower")
+            assert d.quantile_from_neg_log_tail(g, "upper") == pytest.approx(median, rel=1e-12)
+            assert d.quantile_from_neg_log_tail(g, "lower") == pytest.approx(median, rel=1e-12)
 
     def test_lognormal_deep_tail_against_mpmath(self):
         z = oracles.normal_upper_quantile(math.exp(-50.0))
@@ -135,8 +140,12 @@ class TestNegLogTailQuantile:
         for d in CONTINUOUS:
             up = d.quantile_from_neg_log_tail(gs_up, "upper")
             lo = d.quantile_from_neg_log_tail(gs_lo, "lower")
-            assert np.allclose(up, d.quantile(-np.expm1(-gs_up)), rtol=1e-10)
-            assert np.allclose(lo, d.quantile(np.exp(-gs_lo)), rtol=1e-10)
+            # F^{-1}(p) at p = 1 - e^{-g} and p = e^{-g}, with p formed first
+            p_up, p_lo = -np.expm1(-gs_up), np.exp(-gs_lo)
+            assert np.allclose(up, d.quantile_from_neg_log_tail(-np.log(p_up), "lower"),
+                               rtol=1e-10)
+            assert np.allclose(lo, d.quantile_from_neg_log_tail(-np.log(p_lo), "lower"),
+                               rtol=1e-10)
 
     def test_deep_upper_tail_beats_naive_route(self):
         # at g = 30 the exact tail is known in closed form for these laws;

@@ -81,6 +81,24 @@ class TestEmbeddedMarginalLaw:
         d = stats.kstest(x, marginal.cdf).statistic
         assert d < KS_1PCT / math.sqrt(n_paths)
 
+    # one member of each continuous law, off the unit parameters
+    LAWS = (LogNormal(0.3, 1.7), Weibull(0.6, 2.0), GeneralizedGamma(2.5, 0.7, 1.3),
+            Gamma(0.4, 2.0), Exponential(1.5))
+
+    @pytest.mark.parametrize("problem", [
+        ProblemSpec(LAWS, ("I",) * 5, Sum(), 1.0),
+        ProblemSpec((LogNormal(0.0, 1.0),) + LAWS, ("I",) + ("D",) * 5, Ratio(0.1), 1.0),
+    ], ids=["sum-upper", "ratio-lower"])
+    def test_sampler_draws_every_column_from_its_marginal(self, problem):
+        # naive MC's draw of X(1): each law once on the upper tail ("I") and
+        # once on the lower tail ("D"), the Ratio's interferers
+        c = 20_000
+        x = problem.process.sampler()(RngStream(22).gen, c)
+        assert x.shape == (c, problem.n)
+        # 1e-3 per column keeps the false-alarm rate of five or six columns near 0.5%
+        for i, marginal in enumerate(problem.marginals):
+            assert stats.kstest(x[:, i], marginal.cdf).pvalue > 1e-3, (i, marginal)
+
 
 class TestImportance:
     def test_sum(self):
