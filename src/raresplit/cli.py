@@ -56,6 +56,7 @@ _SETTINGS = {
     "pilot_levels": ("--pilot-levels", "count", 12, "levels of the iccdf pilot run"),
 }
 _BUILTIN = {key: row[2] for key, row in _SETTINGS.items()}  # the library calls' defaults
+_LEVELS_METHODS = ("lb", "iccdf")
 
 
 def _read_scenario(data) -> tuple[ProblemSpec, dict]:
@@ -210,11 +211,14 @@ def _pick(flag, defaults: dict, key: str, json_type: str, builtin):
 
 def _check_schedule(settings: dict) -> None:
     s, p_bar, pilot_levels = settings["s"], settings["p_bar"], settings["pilot_levels"]
+    method = settings["levels_method"]
+    if method not in _LEVELS_METHODS:  # the flag takes only these, so this is a preset default
+        _fail("$.defaults.levels_method", f"must be one of {_LEVELS_METHODS}, got {method!r}")
     if not 0.0 < p_bar < 1.0:
         _fail(f"p_bar = {p_bar!r}", "must lie in (0, 1)")
     if s < 2:
         _fail(f"s = {s!r}", "splitting needs at least 2 states per level")
-    if settings["levels_method"] == "iccdf" and s < 100:
+    if method == "iccdf" and s < 100:
         _fail(f"s = {s!r}", "the iccdf pilot needs at least 100 states per level")
     if pilot_levels < 2:
         _fail(f"pilot_levels = {pilot_levels!r}", "a pilot needs at least 2 levels")
@@ -328,7 +332,7 @@ def _add_settings(p, keys):
     for key in keys:
         flag, _, builtin, text = _SETTINGS[key]
         p.add_argument(flag, dest=key, type=type(builtin), default=None,
-                       choices=("lb", "iccdf") if key == "levels_method" else None, help=text)
+                       choices=_LEVELS_METHODS if key == "levels_method" else None, help=text)
 
 
 def _add_common(p, func):

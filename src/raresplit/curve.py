@@ -6,8 +6,8 @@ At time t an embedded coordinate has the closed-form CDF
 P[X_i(t) <= x] = P(t, -ln(1 - F_i(x))), P the regularized lower incomplete
 gamma function, and a Poisson coordinate is a Poisson(lambda_i t) count.
 Every X is >= 0, so a continuous curve is 0 at gamma <= 0, and a sum's
-depends on each law only on [0, gamma].  Three curves are exact: Poisson
-sums by the jump process's DP (its ``exact_cdf``), plain sums of n i.i.d.
+depends on each law only on [0, gamma].  Three curves are exact: weighted
+Poisson sums by a DP over their lattice, plain sums of n i.i.d.
 Exponential(rate) laws as P(n t, rate gamma), and two-coordinate ratios by
 quadrature.  Other sums are bracketed on a grid of cells of
 width h = gamma / K: each weighted coordinate is rounded down to its cell
@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .dist import Exponential
+from .dist import Exponential, Poisson
 from .model import ProblemSpec, Ratio
 
 __all__ = ["survival_bracket"]
@@ -31,6 +31,40 @@ __all__ = ["survival_bracket"]
 CELLS = 128  # K for up to 4 summands; more summands get 32 cells each
 MAX_LATTICE = 10 ** 8  # Poisson DP pairs per call, shared evenly by its times
 _RATIO_MAX_LEVEL = 800.0  # a ratio's Gamma level past which its density is 0 for t <= 1
+
+
+def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
+    """P[sum_j w_j N_j <= gamma] for independent N_j ~ Poisson(rates[j]).
+
+    Convolves one coordinate at a time into the law of the partial weighted
+    sum, kept on its distinct values <= gamma with equal sums merged.  A sum
+    above gamma by roundoff only (1e-12 of a weight) still counts.  Each
+    (partial sum, count >= 1) pair formed extends a distinct lattice point,
+    so their number never exceeds the lattice size; returns None once it
+    exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
+    """
+    if gamma < 0:
+        return 0.0  # every count is >= 0
+    sums, probs, work = np.zeros(1), np.ones(1), 1.0
+    for lam, w in zip(rates, weights):
+        if w == 0:
+            continue  # unconstrained coordinate: its pmf sums to 1
+        kmax = np.maximum(np.floor((gamma - sums) / w + 1e-12), 0.0)
+        work += kmax.sum()
+        if work > max_pairs:
+            return None
+        k = np.arange(int(kmax.max()) + 1)
+        pmf = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
+        new_sums, new_probs = np.zeros(0), np.zeros(0)
+        step = max(1, (1 << 18) // sums.size)  # pairs per merge
+        for kb in np.split(k, range(step, k.size, step)):
+            rows, cols = np.nonzero(kb <= kmax[:, None])
+            new_sums, inv = np.unique(
+                np.concatenate((new_sums, sums[rows] + kb[cols] * w)), return_inverse=True)
+            new_probs = np.bincount(
+                inv, weights=np.concatenate((new_probs, probs[rows] * pmf[kb[cols]])))
+        sums, probs = new_sums, new_probs
+    return float(probs.sum())
 
 
 def _cell_pmf(marginal, weight, gamma, cells, ts):
@@ -122,11 +156,10 @@ def survival_bracket(problem: ProblemSpec, ts):
     ts = np.asarray(ts, dtype=float)
     gamma = problem.gamma
     spec = problem.importance
-    exact = problem.process.exact_cdf
-    if exact is not None:
-        values = []
+    if isinstance(problem.marginals[0], Poisson):
+        rates, weights, values = problem.rates(), spec.weight_array(), []
         for t in ts:
-            values.append(exact(spec, gamma, t, MAX_LATTICE / len(ts)))
+            values.append(_weighted_poisson_cdf(rates * t, weights, gamma, MAX_LATTICE / len(ts)))
             if values[-1] is None:
                 return None
         return np.asarray(values), np.asarray(values)

@@ -1,4 +1,4 @@
-"""Marginal laws, the JSON field reader, and the level heuristics' special functions.
+"""Marginal laws, the JSON field reader, and the incomplete gamma and Poisson CDFs.
 
 Each marginal exposes the CDF and one quantile entry point,
 ``quantile_from_neg_log_tail``, which evaluates F^{-1}(1 - e^{-g}) (or
@@ -36,8 +36,9 @@ MAX_POISSON_RATE = 1e6
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 # past this g, e^{-g} is below machine epsilon
-_NEG_LOG_EPS = -math.log(np.finfo(float).eps)
+_NEG_LOG_EPS = -math.log(_EPS)
 
 
 class ScenarioError(ValueError):
@@ -316,7 +317,7 @@ def _gamma_isf(k, log_q):
             d = 1.0 / (a * d + b)
             e = b + a / e
             h = h * d * e
-            if (np.abs(d * e - 1.0) <= 1e-16).all():
+            if (np.abs(d * e - 1.0) <= _EPS).all():  # 1.0 or a neighbour: settled
                 break
         step = (k * np.log(y) - y - c + np.log(h) - log_q) * y * h
         y += step
@@ -479,40 +480,6 @@ def poisson_cdf_at(lam, k):
     # pdtr evaluates the regularized upper incomplete gamma Q(k+1, lam)
     out = np.where(k_floor < 0, 0.0, special.pdtr(np.maximum(k_floor, 0.0), lam_arr))
     return _maybe_scalar(out, scalar and np.ndim(lam) == 0)
-
-
-def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
-    """P[sum_j w_j N_j <= gamma] for independent N_j ~ Poisson(rates[j]).
-
-    Convolves one coordinate at a time into the law of the partial weighted
-    sum, kept on its distinct values <= gamma with equal sums merged.  A sum
-    above gamma by roundoff only (1e-12 of a weight) still counts.  Each
-    (partial sum, count >= 1) pair formed extends a distinct lattice point,
-    so their number never exceeds the lattice size; returns None once it
-    exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
-    """
-    if gamma < 0:
-        return 0.0  # every count is >= 0
-    sums, probs, work = np.zeros(1), np.ones(1), 1.0
-    for lam, w in zip(rates, weights):
-        if w == 0:
-            continue  # unconstrained coordinate: its pmf sums to 1
-        kmax = np.maximum(np.floor((gamma - sums) / w + 1e-12), 0.0)
-        work += kmax.sum()
-        if work > max_pairs:
-            return None
-        k = np.arange(int(kmax.max()) + 1)
-        pmf = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
-        new_sums, new_probs = np.zeros(0), np.zeros(0)
-        step = max(1, (1 << 18) // sums.size)  # pairs per merge
-        for kb in np.split(k, range(step, k.size, step)):
-            rows, cols = np.nonzero(kb <= kmax[:, None])
-            new_sums, inv = np.unique(
-                np.concatenate((new_sums, sums[rows] + kb[cols] * w)), return_inverse=True)
-            new_probs = np.bincount(
-                inv, weights=np.concatenate((new_probs, probs[rows] * pmf[kb[cols]])))
-        sums, probs = new_sums, new_probs
-    return float(probs.sum())
 
 
 _KINDS = {cls.kind: cls for cls in

@@ -8,7 +8,7 @@ coordinate's Gamma level g through the marginal quantile: increasing
 coordinates (direction "I") via F^{-1}(1 - e^{-g}), decreasing ones
 (direction "D") via F^{-1}(e^{-g}).  Poisson problems evolve natively as
 jump processes and need no embedding.  ``ProblemSpec`` builds one process
-object from its kind, which owns every step that differs between the two.
+object from its kind, which owns the dynamics; ``curve.py`` owns the curves.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
-                   _json_value, _weighted_poisson_cdf, marginal_from_json)
+                   _json_value, marginal_from_json)
 from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler
 
 __all__ = [
@@ -274,8 +274,6 @@ class _GammaEmbedding:
     """The process of a continuous problem: independent Gamma(t, 1) levels,
     mapped to coordinates through the marginal quantiles (``embed``)."""
 
-    exact_cdf = None  # no DP: curve.py computes or brackets this process's curve
-
     def __init__(self, marginals, directions, importance):
         if any(isinstance(m, Poisson) for m in marginals):
             raise ValueError("continuous problems cannot contain Poisson marginals")
@@ -348,11 +346,6 @@ class _PoissonJumps:
     def sampler(self):
         return poisson_sampler(self._rates)
 
-    def exact_cdf(self, spec, gamma, t, max_pairs):
-        """P[S(X(t)) <= gamma] by the weighted Poisson convolution; None
-        once it passes ``max_pairs`` pairs."""
-        return _weighted_poisson_cdf(self._rates * t, spec.weight_array(), gamma, max_pairs)
-
 
 _PROCESSES = {"continuous": _GammaEmbedding, "poisson": _PoissonJumps}
 
@@ -364,7 +357,7 @@ class ProblemSpec:
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
     ``process``, built from it, advances states, maps them to coordinates,
-    decides which survive, and holds the target draw and any exact curve.
+    decides which survive, and holds the target draw.
     """
 
     marginals: tuple

@@ -513,6 +513,9 @@ class TestBadSettings:
         pytest.param("run", "p_bar", 10 ** 400, id="run-p_bar-huge-int"),
         pytest.param("levels", "p_bar", "0.05", id="levels-p_bar-string"),
         pytest.param("levels", "levels_method", ["lb"], id="levels-levels_method-array"),
+        # a string no schedule knows: caught with the other settings, before any estimate
+        pytest.param("run", "levels_method", "bogus", id="run-levels_method-unknown"),
+        pytest.param("reproduce", "levels_method", "bogus", id="reproduce-levels_method-unknown"),
     ])
     def test_bad_preset_default(self, tmp_path, capsys, monkeypatch, command, key, value):
         data = load_preset("I")

@@ -1,6 +1,6 @@
 """No module of raresplit picks a code path by comparing a ``kind`` string,
 only the Gamma embedding reads its survival bracket, and only the curve
-engine asks a law or an aggregate for its class.
+engine asks a law or an aggregate for its class or runs the Poisson DP.
 
 A problem's process object, and each law and aggregate, carry their own
 behaviour; a ``.kind`` is compared only where it is input: where
@@ -8,7 +8,8 @@ behaviour; a ``.kind`` is compared only where it is input: where
 scenario suits the command.  Survival is one path: each process decides its
 own survivors, so the bracket's tables stay inside the classes that build
 and read them.  Exact answers are one path too: ``curve.py`` picks each
-family's formula, and the oracle reads its curve.
+family's formula and holds the Poisson DP, no process carries an
+``exact_cdf`` hook, and the oracle reads the curve.
 """
 
 import ast
@@ -128,13 +129,15 @@ def class_names(cls):
 LAWS_AND_AGGREGATES = class_names(Marginal) | class_names(_Aggregate)
 
 
+def named(node):
+    """The name of a plain name or of a module or object attribute, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def class_tests(tree, names):
     """(enclosing function, line) of each ``isinstance`` call in ``tree``
     whose class argument, or one entry of its tuple, is named in ``names``
     (plainly or as a module attribute)."""
-    def named(node):
-        return getattr(node, "id", None) or getattr(node, "attr", None)
-
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
@@ -169,3 +172,61 @@ def test_only_the_curve_engine_tests_law_and_aggregate_classes():
              for scope, line in class_tests(ast.parse(path.read_text(encoding="utf-8")),
                                             LAWS_AND_AGGREGATES)]
     assert not found, found
+
+
+# the one module that holds and runs the Poisson DP, each family's exact curve
+CURVE_OWNER = "curve.py"
+POISSON_DP = "_weighted_poisson_cdf"
+
+
+def exact_curve_sites(tree):
+    """(site, line) of each definition ("def") and call ("call") of the
+    Poisson DP in ``tree``, and of each ``exact_cdf`` a class body defines as
+    a method or an attribute ("exact_cdf")."""
+    def defines_exact_cdf(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name == "exact_cdf"
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return any(named(target) == "exact_cdf" for target in targets)
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and defines_exact_cdf(child):
+                yield "exact_cdf", child.lineno
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and child.name == POISSON_DP:
+                yield "def", child.lineno
+            elif isinstance(child, ast.Call) and named(child.func) == POISSON_DP:
+                yield "call", child.lineno
+            yield from visit(child)
+
+    yield from visit(tree)
+
+
+def test_guard_finds_exact_curve_sites():
+    source = ("class _PoissonJumps:\n"
+              "    def exact_cdf(self, spec, t):\n"
+              "        return dist._weighted_poisson_cdf(self._rates * t)\n"
+              "class _GammaEmbedding:\n"
+              "    exact_cdf = None\n"
+              "    def sampler(self):\n"
+              "        exact_cdf = 1\n"
+              "def _weighted_poisson_cdf(rates):\n"
+              "    return 1.0\n"
+              "x = [_weighted_poisson_cdf(r) for r in rs]\n"
+              "f = _weighted_poisson_cdf\n")
+    assert list(exact_curve_sites(ast.parse(source))) == [
+        ("exact_cdf", 2), ("call", 3), ("exact_cdf", 5), ("def", 8), ("call", 10)]
+
+
+def test_only_the_curve_engine_holds_the_poisson_dp():
+    found, owned = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for site, line in exact_curve_sites(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == CURVE_OWNER and site != "exact_cdf":
+                owned.append(site)
+            else:
+                found.append(f"{path.name}:{line} ({site})")
+    assert not found, found
+    assert sorted(owned) == ["call", "def"]  # defined once and run from one place

@@ -123,9 +123,11 @@ class TestNegLogTailQuantile:
     def test_ln2_gives_median(self):
         g = math.log(2.0)
         for d in CONTINUOUS:
-            median = d.quantile_from_neg_log_tail(-math.log(0.5), "lower")
+            median = d.quantile_from_neg_log_tail(g, "lower")
+            # abs=0: approx's default abs=1e-12 passes any quantile below 1e-12
+            assert median == pytest.approx(
+                oracles.neg_log_tail_quantile_mp(d.to_json(), g, "lower"), rel=1e-10, abs=0), d
             assert d.quantile_from_neg_log_tail(g, "upper") == pytest.approx(median, rel=1e-12)
-            assert d.quantile_from_neg_log_tail(g, "lower") == pytest.approx(median, rel=1e-12)
 
     def test_lognormal_deep_tail_against_mpmath(self):
         z = oracles.normal_upper_quantile(math.exp(-50.0))
@@ -140,12 +142,14 @@ class TestNegLogTailQuantile:
         for d in CONTINUOUS:
             up = d.quantile_from_neg_log_tail(gs_up, "upper")
             lo = d.quantile_from_neg_log_tail(gs_lo, "lower")
-            # F^{-1}(p) at p = 1 - e^{-g} and p = e^{-g}, with p formed first
-            p_up, p_lo = -np.expm1(-gs_up), np.exp(-gs_lo)
+            # the upper tail: F^{-1}(p) at p = 1 - e^{-g}, with p formed first
+            p_up = -np.expm1(-gs_up)
             assert np.allclose(up, d.quantile_from_neg_log_tail(-np.log(p_up), "lower"),
                                rtol=1e-10)
-            assert np.allclose(lo, d.quantile_from_neg_log_tail(-np.log(p_lo), "lower"),
-                               rtol=1e-10)
+            # the lower tail: F^{-1}(e^{-g}), independently by mpmath
+            for g, x in zip(gs_lo, lo):
+                assert x == pytest.approx(oracles.neg_log_tail_quantile_mp(
+                    d.to_json(), g, "lower"), rel=1e-10, abs=0), (d, g)
 
     def test_deep_upper_tail_beats_naive_route(self):
         # at g = 30 the exact tail is known in closed form for these laws;
@@ -257,14 +261,11 @@ class TestNegLogTailQuantileExtremes:
             assert got == pytest.approx(
                 oracles.neg_log_tail_quantile_mp(law.to_json(), g, "upper"), rel=1e-12)
 
-    @pytest.mark.parametrize("law", PAST_UNDERFLOW_LAWS, ids=lambda d: d.kind)
-    @pytest.mark.parametrize("tail", ["upper", "lower"])
-    def test_gamma_laws_in_log_space(self, law, tail):
-        # every law, not only the Gamma ones: a subnormal mass, where scipy's
-        # Gamma inverses lose digits, and g past -log(tiny), where e^{-g} is
-        # no normal double and a quantile through it saturates or reads 0
+    @staticmethod
+    def check_against_mpmath(law, tail, gs):
+        """The quantiles at ``gs`` against mpmath; returns how many were normal."""
         checked = 0
-        for g in (5e-324, 720.0, 745.0, 745.2, 750.0, 800.0, 2000.0, 1e4):
+        for g in gs:
             expected = oracles.neg_log_tail_quantile_mp(law.to_json(), g, tail)
             got = law.quantile_from_neg_log_tail(g, tail)
             if np.finfo(float).tiny <= expected < math.inf:
@@ -272,7 +273,40 @@ class TestNegLogTailQuantileExtremes:
                 checked += 1
             else:
                 assert got == expected, g  # 0 where the true quantile underflows
-        assert checked
+        return checked
+
+    @pytest.mark.parametrize("law", PAST_UNDERFLOW_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_gamma_laws_in_log_space(self, law, tail):
+        # every law, not only the Gamma ones: a subnormal mass, where scipy's
+        # Gamma inverses lose digits, and g past -log(tiny), where e^{-g} is
+        # no normal double and a quantile through it saturates or reads 0
+        assert self.check_against_mpmath(
+            law, tail, (5e-324, 720.0, 745.0, 745.2, 750.0, 800.0, 2000.0, 1e4))
+
+    @pytest.mark.parametrize("law", [Gamma(0.05, 1.0), Gamma(20.0, 0.5)],
+                             ids=["shape-0.05", "shape-20"])
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    def test_gamma_shapes_far_past_underflow(self, law, tail):
+        # a shape far below and one far above 1, where log Q and log P bend
+        # the most, so the Newton steps start furthest from their roots
+        checked = self.check_against_mpmath(law, tail, (720.0, 800.0, 2000.0, 1e4))
+        # shape 0.05's lower quantile, about e^{-g / 0.05}, is 0 at every g here
+        assert checked == (0 if (law.shape, tail) == (0.05, "lower") else 4)
+
+    def test_gengamma_lower_tail_where_y_underflows(self):
+        # y = (x / a)^p = x^3 underflows while x is a normal double, so x
+        # comes from log y; the same law as Weibull(3, 1), by its log hazard
+        gengamma, weibull = GeneralizedGamma(3.0, 3.0, 1.0), Weibull(3.0, 1.0)
+        for g in (745.2, 800.0, 2000.0):
+            assert gengamma.quantile_from_neg_log_tail(g, "lower") == pytest.approx(
+                weibull.quantile_from_neg_log_tail(g, "lower"), rel=1e-12, abs=0), g
+
+    def test_unit_shape_gamma_upper_tail_past_underflow(self):
+        # Gamma(1, 2) is Exponential(2): the upper-tail quantile is g / 2
+        for g in (745.2, 800.0, 1e4):
+            assert Gamma(1.0, 2.0).quantile_from_neg_log_tail(g, "upper") == pytest.approx(
+                g / 2.0, rel=1e-13), g
 
     @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("tail", ["upper", "lower"])
