@@ -23,25 +23,29 @@ import math
 import numpy as np
 from scipy import special
 
-from .dist import Exponential, Poisson
+from .dist import Exponential, Poisson, ScenarioError
 from .model import ProblemSpec, Ratio
 
-__all__ = ["survival_bracket"]
+__all__ = ["CurveRefusal", "survival_bracket"]
 
 CELLS = 128  # K for up to 4 summands; more summands get 32 cells each
 MAX_LATTICE = 10 ** 8  # Poisson DP pairs per call, shared evenly by its times
 _RATIO_MAX_LEVEL = 800.0  # a ratio's Gamma level past which its density is 0 for t <= 1
 
 
-def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
+class CurveRefusal(ScenarioError):
+    """No curve, or no exact answer, for a problem; the message says why."""
+
+
+def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float:
     """P[sum_j w_j N_j <= gamma] for independent N_j ~ Poisson(rates[j]).
 
     Convolves one coordinate at a time into the law of the partial weighted
     sum, kept on its distinct values <= gamma with equal sums merged.  A sum
     above gamma by roundoff only (1e-12 of a weight) still counts.  Each
     (partial sum, count >= 1) pair formed extends a distinct lattice point,
-    so their number never exceeds the lattice size; returns None once it
-    exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
+    so their number never exceeds the lattice size; raises CurveRefusal once
+    it exceeds ``max_pairs``.  Pairs are merged in blocks to bound memory.
     """
     if gamma < 0:
         return 0.0  # every count is >= 0
@@ -52,7 +56,9 @@ def _weighted_poisson_cdf(rates, weights, gamma, max_pairs) -> float | None:
         kmax = np.maximum(np.floor((gamma - sums) / w + 1e-12), 0.0)
         work += kmax.sum()
         if work > max_pairs:
-            return None
+            raise CurveRefusal(
+                f"this weighted Poisson sum's lattice passes {max_pairs:,.0f} pairs, "
+                f"its share of curve.MAX_LATTICE = {MAX_LATTICE:,} pairs per curve call")
         k = np.arange(int(kmax.max()) + 1)
         pmf = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
         new_sums, new_probs = np.zeros(0), np.zeros(0)
@@ -146,27 +152,28 @@ def _ratio_curve(problem, ts):
 
 
 def survival_bracket(problem: ProblemSpec, ts):
-    """Lower and upper bounds on c(t) at each time in ``ts``, or None.
+    """Lower and upper bounds on c(t) at each time in ``ts``.
 
-    Both bounds agree where the curve is exact.  None means the engine does
-    not cover the problem: ratios of more than two coordinates, top-n_bar
-    sums with n_bar < n over marginals that are not identical, and Poisson
-    DPs past their share of MAX_LATTICE.
+    Both bounds agree where the curve is exact.  A ``CurveRefusal`` names
+    why the engine does not cover a problem: a ratio of more than two
+    coordinates, a top-n_bar sum (n_bar < n) over laws that are not
+    identical, or a weighted Poisson DP past its share of MAX_LATTICE.
     """
     ts = np.asarray(ts, dtype=float)
     gamma = problem.gamma
     spec = problem.importance
     if isinstance(problem.marginals[0], Poisson):
-        rates, weights, values = problem.rates(), spec.weight_array(), []
-        for t in ts:
-            values.append(_weighted_poisson_cdf(rates * t, weights, gamma, MAX_LATTICE / len(ts)))
-            if values[-1] is None:
-                return None
-        return np.asarray(values), np.asarray(values)
+        rates, weights = problem.rates(), spec.weight_array()
+        values = np.array([_weighted_poisson_cdf(rates * t, weights, gamma, MAX_LATTICE / len(ts))
+                           for t in ts])
+        return values, values
     if gamma <= 0:
         return np.zeros_like(ts), np.zeros_like(ts)
     if isinstance(spec, Ratio):
-        return _ratio_curve(problem, ts) if problem.n == 2 else None
+        if problem.n != 2:
+            raise CurveRefusal(f"no curve for a ratio of {problem.n} coordinates "
+                               "(the engine covers ratios of two)")
+        return _ratio_curve(problem, ts)
 
     weights, kept = spec.summands(problem.n)
     marginal, *others = set(problem.marginals)
@@ -176,7 +183,8 @@ def survival_bracket(problem: ProblemSpec, ts):
         return values, values
     top = kept < problem.n
     if top and others:
-        return None
+        raise CurveRefusal(f"no curve for the top {kept} of {problem.n} laws that are not "
+                           "identical (the engine covers top sums of identical laws)")
 
     terms = [(m, w) for m, w in zip(problem.marginals, weights) if w > 0]
     summands = kept if top else len(terms)

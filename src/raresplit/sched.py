@@ -5,7 +5,7 @@ rule: with P the curve's end value, L levels of equal conditional survival
 P^(1/L), the fewest with survival at least p_bar, where the piecewise-linear
 curve meets P^(l/L).  ``lower_bound_schedule`` takes the curve
 c(t) = P[S(X(t)) <= gamma] from the sample-free engine of ``curve.py`` and
-rejects problems the engine does not cover.  ``inverse_ccdf_schedule``
+rejects problems the engine refuses.  ``inverse_ccdf_schedule``
 applies to every problem: its curve is estimated by a pilot splitting pass
 on equally spaced times.
 """
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .curve import survival_bracket
+from .curve import CurveRefusal, survival_bracket
 from .model import ProblemSpec
 from .process import RngStream
 from .split import LevelSchedule, run_splitting
@@ -38,20 +38,18 @@ def lower_bound_schedule(problem: ProblemSpec, p_bar: float = 0.1) -> LevelSched
     log p_bar)), level l solves c(t_l) = P^(l/L), so every level, the last
     one included, survives P^(1/L) >= p_bar.  log c is the geometric middle
     of ``curve.survival_bracket`` on a grid of _GRID + 1 equally spaced
-    times.  Problems the engine does not cover (ratios of more than two
-    coordinates, top-n_bar sums over marginals that are not identical,
-    Poisson DPs past their share of the lattice cap) raise SchedulingError;
-    use ``inverse_ccdf_schedule`` for those.  So does c(1) = 0, as at gamma <= 0.
+    times.  Problems the engine refuses (see ``curve.survival_bracket``)
+    raise SchedulingError with the engine's reason; use
+    ``inverse_ccdf_schedule`` for those.  So does c(1) = 0, as at gamma <= 0.
     """
     if not (0.0 < p_bar < 1.0):
         raise ValueError("p_bar must lie in (0, 1)")
     ts = np.linspace(0.0, 1.0, _GRID + 1)
-    bracket = survival_bracket(problem, ts[1:])
-    if bracket is None:
-        raise SchedulingError(
-            f"lower_bound_schedule has no exact survival curve for this "
-            f"{problem.importance.kind} problem; use --levels-method iccdf "
-            "(inverse_ccdf_schedule) instead")
+    try:
+        bracket = survival_bracket(problem, ts[1:])
+    except CurveRefusal as exc:
+        raise SchedulingError(f"lower_bound_schedule: {exc}; use --levels-method iccdf "
+                              "(inverse_ccdf_schedule) instead") from exc
     with np.errstate(divide="ignore"):
         log_mid = 0.5 * (np.log(bracket[0]) + np.log(bracket[1]))
     log_c = np.minimum.accumulate(np.concatenate(([0.0], log_mid)))

@@ -105,16 +105,14 @@ def _replicate_chunk(problem, schedule, s, rng, lo, hi):
 
 
 def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
-              rng: RngStream, workers: int = 1,
-              schedule_seconds: float | None = None) -> EstimateReport:
+              rng: RngStream, workers: int = 1) -> EstimateReport:
     """Run ``m`` independent splitting replications and summarize them.
 
     Replication i always uses rng.substream(i), and results are aggregated
     in replication order, so the report is identical for any ``workers``.
     At most min(workers, m, CPU count) processes are started.
     Extinct runs contribute a zero estimate to the sample, not an error.
-    ``wall_seconds`` covers the replications plus ``schedule_seconds``, the
-    time the caller spent building the schedule, when given.
+    ``wall_seconds`` covers the replications only.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -129,8 +127,6 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
             results = [r for f in futures for r in f.result()]
     wall = time.perf_counter() - t0
-    if schedule_seconds is not None:
-        wall += schedule_seconds
 
     estimates = np.asarray([r.estimate for r in results])
     L = len(schedule)
@@ -144,5 +140,4 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
         method="split", mean=float(estimates.mean()), variance=float(estimates.var(ddof=1)),
         wall_seconds=wall, m=m, s=s, levels=list(schedule.times),
         per_level_survival=per_level.tolist(), seed=rng.seed,
-        schedule_seconds=schedule_seconds,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .curve import survival_bracket
+from .curve import CurveRefusal, survival_bracket
 from .dist import _is_number, _json_object, _json_value
 from .model import ProblemSpec
 
@@ -90,10 +90,11 @@ class EstimateReport:
         return report
 
 
-def oracle_exact(problem: ProblemSpec) -> float | None:
-    """P[S(X) <= gamma]: the survival curve of ``curve.py`` at t = 1 where
-    both ends of its bracket agree, None elsewhere."""
-    bracket = survival_bracket(problem, [1.0])
-    if bracket is None or bracket[0][0] != bracket[1][0]:
-        return None
-    return float(bracket[0][0])
+def oracle_exact(problem: ProblemSpec) -> float:
+    """P[S(X) <= gamma]: the survival curve of ``curve.py`` at t = 1; a
+    ``CurveRefusal`` where the engine has no curve or only brackets it."""
+    (lo,), (hi,) = survival_bracket(problem, [1.0])
+    if lo != hi:
+        raise CurveRefusal(f"no exact answer: the engine only brackets this problem's "
+                           f"P[S <= gamma] in [{float(lo)!r}, {float(hi)!r}]")
+    return float(lo)

@@ -25,6 +25,7 @@ from raresplit.cli import (
 from raresplit.curve import MAX_LATTICE
 from raresplit.dist import LogNormal, Weibull
 from raresplit.model import Ratio
+from raresplit.sched import _GRID
 
 
 def run_cli(*args):
@@ -288,6 +289,14 @@ class TestCliRun:
         assert report["wall_seconds"] > 0
         assert report["schedule_seconds"] >= 0
 
+    def test_split_wall_covers_the_schedule_build(self):
+        # replicate times only its replications; run_estimation's report
+        # covers the whole call, and re and wnrv are derived from it
+        problem = cli.ProblemSpec.from_json(EXP_SUM)
+        report = cli.run_estimation(problem, "split", s=200, m=5, seed=3)
+        assert 0 < report.schedule_seconds < report.wall_seconds
+        assert report.wnrv == pytest.approx(report.re ** 2 * report.wall_seconds, rel=1e-12)
+
     def test_gamma_override(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
         proc = run_cli("run", "--scenario", str(scen), "--method", "naive",
@@ -352,42 +361,6 @@ class TestCliLevels:
         assert len(payload["times"]) >= 2
 
 
-    def test_levels_lb_poisson_past_time_budget_exit_3(self, tmp_path, capsys):
-        # one coordinate at the rate cap: lb's 32 times share MAX_LATTICE
-        # pairs, and a lattice of 1 + gamma points passes each time's share
-        gamma = 1.01 * MAX_LATTICE / 32
-        scen = write_scenario(tmp_path, {
-            "marginals": [{"kind": "poisson", "params": {"lambda": 1e6}}],
-            "directions": ["I"], "importance": {"kind": "weighted_sum", "weights": [1]},
-            "gamma": gamma, "kind": "poisson"})
-        assert main(["levels", "--scenario", str(scen), "--levels-method", "lb"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and "--levels-method iccdf" in lines[0]
-
-    def test_levels_lb_uncovered_exit_3(self, tmp_path):
-        # top 2 of 4 marginals that are not identical: no exact curve for lb
-        mixed = {
-            "marginals": [
-                {"kind": "weibull", "params": {"alpha": 0.5, "eta": 1.0}},
-                {"kind": "weibull", "params": {"alpha": 0.8, "eta": 1.0}},
-                {"kind": "exponential", "params": {"rate": 1.0}},
-                {"kind": "weibull", "params": {"alpha": 0.5, "eta": 2.0}},
-            ],
-            "directions": ["I"] * 4,
-            "importance": {"kind": "ordered_partial_sum", "n_bar": 2},
-            "gamma": 0.3,
-            "kind": "continuous",
-        }
-        scen = write_scenario(tmp_path, mixed)
-        proc = run_cli("levels", "--scenario", str(scen), "--levels-method", "lb")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "--levels-method iccdf" in lines[0]
-
-
 class TestCliVerify:
     def test_verified_within_three_se(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
@@ -405,20 +378,6 @@ class TestCliVerify:
                        "--m", "100000", "--seed", "5")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verified"] is True
-
-    def test_poisson_lattice_cap_exit_2(self, tmp_path, capsys):
-        # a weighted Poisson sum is a supported family; only the cap stops it
-        scen = write_scenario(tmp_path, {
-            "marginals": [{"kind": "poisson", "params": {"lambda": 1e6}},
-                          {"kind": "poisson", "params": {"lambda": 1.0}}],
-            "directions": ["I", "I"],
-            "importance": {"kind": "weighted_sum", "weights": [1, 1]},
-            "gamma": 999000, "kind": "poisson"})
-        assert main(["verify", "--scenario", str(scen), "--s", "300", "--m", "4"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
-        assert "cap of 100,000,000 pairs" in err and "supported" not in err
-        assert len(err.splitlines()) == 1
 
     def test_ratio_verified_end_to_end(self, tmp_path, capsys):
         # the oracle keeps its digits at c ~ 1.2e-8; a quadrature with an
@@ -442,13 +401,73 @@ class TestCliVerify:
         assert err.startswith("estimation error: ") and "0 to double precision" in err
         assert len(err.splitlines()) == 1
 
-    def test_unsupported_family_exit_2(self, tmp_path):
-        preset_path = tmp_path / "t6.json"
-        preset_path.write_text(json.dumps(load_preset("VI")))
-        proc = run_cli("verify", "--scenario", str(preset_path),
-                       "--s", "300", "--m", "10")
-        assert proc.returncode == 2
-        assert "no exact oracle" in proc.stderr
+    @pytest.mark.parametrize("method", ["split", "naive", "is"])
+    def test_zero_spread_agrees_within_the_oracle_rounding(self, tmp_path, method):
+        # every sample sits below gamma = 1000, so each method reads 1.0 with
+        # no spread, while the DP oracle's sum rounds to 1 - 2^-52
+        preset = write_scenario(tmp_path, load_preset("I"), "t1.json")
+        proc = run_cli("verify", "--scenario", str(preset), "--gamma", "1000",
+                       "--s", "300", "--m", "20", "--method", method)
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout)
+        assert verdict["mean"] == 1.0 and verdict["three_se"] == 0.0
+        assert verdict["oracle"] == pytest.approx(1.0, rel=1e-12) and verdict["verified"] is True
+
+
+POISSON_PAST_ITS_LATTICE = {
+    "marginals": [{"kind": "poisson", "params": {"lambda": 1e6}},
+                  {"kind": "poisson", "params": {"lambda": 1.0}}],
+    "directions": ["I", "I"], "importance": {"kind": "weighted_sum", "weights": [1, 1]},
+    "gamma": 999000, "kind": "poisson"}
+
+TOP_OF_MIXED_LAWS = {
+    "marginals": [{"kind": "weibull", "params": {"alpha": 0.5, "eta": 1.0}},
+                  {"kind": "weibull", "params": {"alpha": 0.8, "eta": 1.0}},
+                  {"kind": "exponential", "params": {"rate": 1.0}},
+                  {"kind": "weibull", "params": {"alpha": 0.5, "eta": 2.0}}],
+    "directions": ["I"] * 4, "importance": {"kind": "ordered_partial_sum", "n_bar": 2},
+    "gamma": 0.3, "kind": "continuous"}
+
+# one problem for each reason the curve engine gives for having no curve, or
+# no exact answer: its scenario and the reason, by command where they differ
+REFUSALS = {
+    # a supported family; only the lattice budget stops it, at lb's share
+    # MAX_LATTICE / _GRID for each of its times and at all of it for verify
+    "poisson_lattice": (POISSON_PAST_ITS_LATTICE, {
+        "levels": f"lattice passes {MAX_LATTICE // _GRID:,} pairs, its share of "
+                  f"curve.MAX_LATTICE = {MAX_LATTICE:,}",
+        "verify": f"lattice passes {MAX_LATTICE:,} pairs, its share of "
+                  f"curve.MAX_LATTICE = {MAX_LATTICE:,}"}),
+    "table6_ratio": (load_preset("VI"), "no curve for a ratio of 11 coordinates"),
+    "top_of_mixed_laws": (TOP_OF_MIXED_LAWS,
+                          "no curve for the top 2 of 4 laws that are not identical"),
+    # lb places its levels on the bracket; only verify needs an exact answer
+    "table5_bracket": (load_preset("V"), "no exact answer: the engine only brackets"),
+}
+
+
+class TestRefusals:
+    """``levels --levels-method lb`` exits 3 and ``verify`` exits 2, each
+    with one stderr line that carries the engine's own reason."""
+
+    @pytest.mark.parametrize("command, case", [
+        *(("levels", case) for case in REFUSALS if case != "table5_bracket"),
+        *(("verify", case) for case in REFUSALS)])
+    def test_one_line_names_the_reason(self, tmp_path, capsys, command, case):
+        scenario, reason = REFUSALS[case]
+        reason = reason[command] if isinstance(reason, dict) else reason
+        scen = write_scenario(tmp_path, scenario)
+        extra = ["--levels-method", "lb"] if command == "levels" else ["--s", "300", "--m", "4"]
+        code = main([command, "--scenario", str(scen), *extra])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert reason in line
+        if command == "levels":
+            assert code == 3 and line.startswith("estimation error: lower_bound_schedule: ")
+            assert line.endswith("; use --levels-method iccdf (inverse_ccdf_schedule) instead")
+        else:
+            assert code == 2 and line.startswith("configuration error: ")
 
 
 class TestNonFiniteGamma:

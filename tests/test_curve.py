@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raresplit.curve import CELLS, _top_sum_law, survival_bracket
+from raresplit.curve import CELLS, CurveRefusal, _top_sum_law, survival_bracket
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 
@@ -105,7 +105,9 @@ class TestBracket:
         monkeypatch.setattr("raresplit.curve.MAX_LATTICE", 10 * len(TIMES))
         problem = ProblemSpec((Poisson(1.0), Poisson(2.0)), ("I", "I"),
                               WeightedSum((1.0, 1.0)), 30.0, "poisson")
-        assert survival_bracket(problem, TIMES) is None
+        with pytest.raises(CurveRefusal, match="lattice passes 10 pairs, its share of "
+                                               "curve.MAX_LATTICE = 40 pairs"):
+            survival_bracket(problem, TIMES)
 
     def test_nonpositive_gamma_is_zero(self):
         for problem in (iid(Exponential(1.0), 4, Sum(), 0.0),
@@ -122,8 +124,10 @@ class TestBracket:
                             ("I", "D", "D"), Ratio(0.2), 0.05, "continuous")
         mixed = ProblemSpec((Weibull(0.5, 1.0), Exponential(1.0), Exponential(1.0)),
                             ("I",) * 3, OrderedPartialSum(2), 0.3, "continuous")
-        assert survival_bracket(ratio, TIMES) is None
-        assert survival_bracket(mixed, TIMES) is None
+        with pytest.raises(CurveRefusal, match="ratio of 3 coordinates"):
+            survival_bracket(ratio, TIMES)
+        with pytest.raises(CurveRefusal, match="top 2 of 3 laws that are not identical"):
+            survival_bracket(mixed, TIMES)
 
 
 RATIO = ((1.0, 0.8), (0.0, 0.6), 0.2)  # X_1 / (X_2 + 0.2), LogNormal (mu, sigma) laws

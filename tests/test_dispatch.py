@@ -9,7 +9,9 @@ scenario suits the command.  Survival is one path: each process decides its
 own survivors, so the bracket's tables stay inside the classes that build
 and read them.  Exact answers are one path too: ``curve.py`` picks each
 family's formula and holds the Poisson DP, no process carries an
-``exact_cdf`` hook, and the oracle reads the curve.
+``exact_cdf`` hook, and the oracle reads the curve.  What the engine does
+not cover it refuses with a reason, never with a None, and only it knows
+its lattice budget.
 """
 
 import ast
@@ -25,7 +27,6 @@ SRC = Path(raresplit.__file__).resolve().parent
 ALLOWED = {
     ("model.py", "ProblemSpec.__post_init__"),  # the kind names the process to build
     ("cli.py", "run_estimation"),  # --method is needs a Poisson scenario
-    ("cli.py", "cmd_verify"),  # verify's message for a Poisson lattice past the cap
 }
 
 
@@ -230,3 +231,70 @@ def test_only_the_curve_engine_holds_the_poisson_dp():
                 found.append(f"{path.name}:{line} ({site})")
     assert not found, found
     assert sorted(owned) == ["call", "def"]  # defined once and run from one place
+
+
+LATTICE_BUDGET = "MAX_LATTICE"
+
+
+def budget_names(tree):
+    """Lines of ``tree`` that name the lattice budget: as a name, an
+    attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == LATTICE_BUDGET or \
+                isinstance(node, (ast.Name, ast.Attribute)) and named(node) == LATTICE_BUDGET:
+            yield getattr(node, "lineno", None)
+
+
+def none_returns(tree):
+    """(function, line) of each ``return``, ``return None`` or ``return a if
+    b else None`` in ``tree``, and of each function whose last statement is
+    neither a return nor a raise, so that it may fall off its end (at the
+    line of its def)."""
+    def is_none(value):
+        return value is None or isinstance(value, ast.Constant) and value.value is None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if not isinstance(child, ast.ClassDef) \
+                        and not isinstance(child.body[-1], (ast.Return, ast.Raise)):
+                    yield ".".join(inner), child.lineno
+            elif isinstance(child, ast.Return) and (
+                    is_none(child.value) or isinstance(child.value, ast.IfExp)
+                    and (is_none(child.value.body) or is_none(child.value.orelse))):
+                yield ".".join(scope), child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, ())
+
+
+def test_guard_finds_budget_names_and_none_returns():
+    source = ("from .curve import MAX_LATTICE, survival_bracket\n"
+              "def f(problem):\n"
+              "    if curve.MAX_LATTICE > MAX_LATTICE:\n"
+              "        return None\n"
+              "    def g():\n"
+              "        return\n"
+              "    def h():\n"
+              "        pass\n"
+              "    return g() if problem else None\n"
+              "class C:\n"
+              "    def k(self):\n"
+              "        if self:\n"
+              "            return 1\n")
+    tree = ast.parse(source)
+    assert sorted(budget_names(tree), key=str) == [1, 3, 3]
+    assert list(none_returns(tree)) == [
+        ("f", 4), ("f.g", 6), ("f.h", 7), ("f", 9), ("C.k", 11)]
+
+
+def test_only_the_curve_engine_knows_its_budget_and_refuses_with_a_reason():
+    named_elsewhere = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                       if path.name != CURVE_OWNER
+                       for line in budget_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not named_elsewhere, named_elsewhere
+    curve = ast.parse((SRC / CURVE_OWNER).read_text(encoding="utf-8"))
+    assert list(budget_names(curve))  # the guard still sees the budget where it lives
+    assert not list(none_returns(curve))

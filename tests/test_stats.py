@@ -1,9 +1,11 @@
 import itertools
 import math
+import re
 
 import pytest
 
 from raresplit.cli import load_preset, preset_problem
+from raresplit.curve import CurveRefusal, survival_bracket
 from raresplit.dist import Exponential, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 from raresplit.process import RngStream
@@ -79,9 +81,10 @@ class TestOracleExact:
         problem = ProblemSpec(marginals, ("I",) * 12,
                               WeightedSum(tuple(float(i) for i in range(1, 13))),
                               40.0, "poisson")
-        assert oracle_exact(problem) is not None
+        assert oracle_exact(problem) > 0
         monkeypatch.setattr("raresplit.curve.MAX_LATTICE", 1000)  # the oracle's one time
-        assert oracle_exact(problem) is None
+        with pytest.raises(CurveRefusal, match="lattice passes 1,000 pairs"):
+            oracle_exact(problem)
 
     def test_ratio_quadrature_closed_form(self):
         # exp/exp ratio has the closed form 1 - e^{-gamma eta} / (1 + gamma)
@@ -106,13 +109,19 @@ class TestOracleExact:
     def test_unsupported_families(self):
         mixed = ProblemSpec((Exponential(1.0), Weibull(0.5, 1.0)), ("I", "I"),
                             Sum(), 1.0, "continuous")
-        assert oracle_exact(mixed) is None
         ordered = ProblemSpec((Weibull(0.5, 1.0),) * 4, ("I",) * 4,
                               OrderedPartialSum(2), 1.0, "continuous")
-        assert oracle_exact(ordered) is None
+        for bracketed in (mixed, ordered):
+            # the refusal carries both ends of the engine's bracket at t = 1
+            with pytest.raises(CurveRefusal, match="only brackets") as info:
+                oracle_exact(bracketed)
+            (lo,), (hi,) = survival_bracket(bracketed, [1.0])
+            ends = re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups()
+            assert tuple(map(float, ends)) == (lo, hi) and lo < hi
         ratio3 = ProblemSpec((LogNormal(0, 1),) * 3, ("I", "D", "D"),
                              Ratio(0.1), 0.5, "continuous")
-        assert oracle_exact(ratio3) is None
+        with pytest.raises(CurveRefusal, match="ratio of 3 coordinates"):
+            oracle_exact(ratio3)
 
     def test_gamma_at_or_below_zero(self):
         problem = ProblemSpec((Exponential(1.0),) * 2, ("I", "I"), Sum(),
