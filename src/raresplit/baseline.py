@@ -20,7 +20,8 @@ __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 # Rows per generator call, which bounds a call's memory.  Every draw takes
 # its variates from one stream in C order, so the draws, and naive MC's
 # estimate, are the same for any block size; IS sums its moments per block,
-# so the constant also pins the bits of the IS moments.
+# so the constant also pins the bits of the IS moments, and it is kept apart
+# from process.BLOCK_ENTRIES for that reason.
 _BLOCK = 1 << 12
 
 

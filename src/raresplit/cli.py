@@ -147,19 +147,13 @@ def report_json_text(report: EstimateReport, include_timing: bool) -> str:
     return json.dumps(_report_fields(report, include_timing), indent=2) + "\n"
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def csv_rows_text(rows: list[dict], columns=CSV_COLUMNS) -> str:
     """CSV text: a header of ``columns``, then one line per row; a missing cell is blank."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerow([row.get(col) for col in columns])  # None: blank; floats: repr
     return buf.getvalue()
 
 

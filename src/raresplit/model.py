@@ -20,7 +20,7 @@ import numpy as np
 
 from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
                    _json_value, marginal_from_json)
-from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler
+from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler, row_blocks
 
 __all__ = [
     "Sum",
@@ -175,13 +175,6 @@ def importance(spec, x):
     return float(out[0]) if single else out
 
 
-# Entries per quantile call.  At 64 KiB of doubles a call's temporaries stay
-# under glibc's default mmap threshold (128 KiB), so they reuse heap pages;
-# one call over a whole 3000 x 15 level matrix faults in fresh pages for
-# each temporary and is slower than calling column by column.
-_EMBED_BLOCK = 8192
-
-
 def _quantile_groups(marginals, directions) -> tuple:
     """((marginal, tail), columns, width) of each quantile's columns, in order
     of first appearance; contiguous columns are a slice, so blocks are views."""
@@ -198,9 +191,7 @@ def _embed(g, groups):
     rows = arr[None, :] if arr.ndim == 1 else arr
     out = np.empty_like(rows)
     for (m, tail), cols, width in groups:
-        step = max(1, _EMBED_BLOCK // width)
-        for start in range(0, rows.shape[0], step):
-            block = slice(start, start + step)
+        for block in row_blocks(rows.shape[0], width):
             out[block, cols] = m.quantile_from_neg_log_tail(rows[block, cols], tail)
     return out[0] if arr.ndim == 1 else out
 
@@ -212,8 +203,8 @@ def embed(g, marginals, directions):
     column i goes through marginal i's tail-stable quantile, on the upper
     tail for direction "I" and the lower tail for direction "D".  Columns
     that share a (marginal, tail) pair go through one quantile call per
-    block of at most _EMBED_BLOCK entries; the quantiles are elementwise,
-    so the values equal a column-by-column pass.
+    block of at most process.BLOCK_ENTRIES entries; the quantiles are
+    elementwise, so the values equal a column-by-column pass.
     """
     if not np.shape(g)[-1] == len(marginals) == len(directions):
         raise ValueError("g, marginals and directions must agree in length")
@@ -247,7 +238,9 @@ class _SurvivalBracket:
         lo, hi = [], []
         offsets = np.empty(n, dtype=np.intp)
         for j, ((m, tail), cols, _) in enumerate(groups):
-            q = m.quantile_from_neg_log_tail(grid, tail)  # q[1 + k]: at v_k
+            q = np.empty_like(grid)  # q[1 + k]: at v_k
+            for block in row_blocks(grid.size, 1):
+                q[block] = m.quantile_from_neg_log_tail(grid[block], tail)
             # slot K holds NaN bounds: rows with a NaN, negative, infinite or
             # g >= 2^_BRACKET_MAX_EXP entry stay undecided and are scored exactly
             lo += [q[:K], [np.nan]]

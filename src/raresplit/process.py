@@ -19,11 +19,12 @@ __all__ = ["RngStream", "advance_gamma_batch", "poisson_sampler"]
 
 # Bins of u in each column's guide table.
 _GUIDE_BINS = 1 << 10
-# Entries per pass of a Poisson draw: the temporaries (64 KiB) stay under
-# glibc's mmap threshold, so their pages are not faulted in afresh on every
-# call: one pass over 4096 x 12 entries spent 31% of its time in page faults
-# (2-core VM).
-_DRAW_ENTRIES = 8192
+# Entries per elementwise pass (embedding, bracket tables, Poisson draws).
+# A pass's temporaries (64 KiB of doubles) stay under glibc's default mmap
+# threshold (128 KiB), so they reuse heap pages instead of faulting in fresh
+# ones on every call: one Poisson pass over 4096 x 12 entries spent 31% of
+# its time in page faults (2-core VM).
+BLOCK_ENTRIES = 8192
 
 
 class RngStream:
@@ -45,6 +46,13 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key})"
+
+
+def row_blocks(rows: int, width: int):
+    """Slices that cut ``rows`` rows of ``width`` entries into consecutive
+    blocks of at most BLOCK_ENTRIES entries (at least one row each)."""
+    step = max(1, BLOCK_ENTRIES // width)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _check_dt(dt: float) -> float:
@@ -121,12 +129,12 @@ def poisson_sampler(rates):
     edges = np.arange(_GUIDE_BINS) / _GUIDE_BINS
     guide = np.concatenate([s + np.searchsorted(f, edges, side="right")
                             for s, f in zip(starts, cdfs)])
-    bin_base, rows = np.arange(n) * _GUIDE_BINS, max(1, _DRAW_ENTRIES // n)
+    bin_base = np.arange(n) * _GUIDE_BINS
 
     def draw(gen: np.random.Generator, c: int) -> np.ndarray:
         u = gen.random((c, n))
-        for first in range(0, c, rows):
-            part = u[first:first + rows]
+        for block in row_blocks(c, n):
+            part = u[block]
             # F(guide - 1) <= the bin's lower edge <= u, so X >= guide, and
             # one step settles every bin that holds at most one jump of F
             k = guide.take((part * _GUIDE_BINS).astype(np.intp) + bin_base)

@@ -10,6 +10,8 @@ short-circuits the run with estimate 0.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -97,11 +99,9 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     return SplitRunResult(estimate, tuple(counts), None)
 
 
-def _replicate_chunk(problem, schedule, s, rng, lo, hi):
-    results = []
-    for i in range(lo, hi):
-        results.append(run_splitting(problem, schedule, s, rng.substream(i)))
-    return results
+def _replication(problem, schedule, s, rng, i):
+    """Replication i: one splitting run on rng.substream(i)."""
+    return run_splitting(problem, schedule, s, rng.substream(i))
 
 
 def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
@@ -110,7 +110,10 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
 
     Replication i always uses rng.substream(i), and results are aggregated
     in replication order, so the report is identical for any ``workers``.
-    At most min(workers, m, CPU count) processes are started.
+    One function maps over the replications: the builtin ``map`` in this
+    process, or a pool of at most min(workers, m, CPU count) processes that
+    gets at most one chunk of replications per worker, each pickling the
+    problem once.
     Extinct runs contribute a zero estimate to the sample, not an error.
     ``wall_seconds`` covers the replications only.
     """
@@ -118,14 +121,12 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
         raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
     workers = min(workers, m, os.cpu_count() or 1)
+    run = functools.partial(_replication, problem, schedule, s, rng)
     if workers <= 1:
-        results = _replicate_chunk(problem, schedule, s, rng, 0, m)
+        results = list(map(run, range(m)))
     else:
-        bounds = np.linspace(0, m, workers + 1).astype(int)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_replicate_chunk, problem, schedule, s, rng, lo, hi)
-                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-            results = [r for f in futures for r in f.result()]
+            results = list(pool.map(run, range(m), chunksize=math.ceil(m / workers)))
     wall = time.perf_counter() - t0
 
     estimates = np.asarray([r.estimate for r in results])

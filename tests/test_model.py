@@ -459,6 +459,23 @@ class TestBracketCells:
         assert np.all(self.bracket.lo[c] <= x) and np.all(x <= self.bracket.hi[c])
 
 
+class TestBracketTables:
+    def test_blocked_build_equals_whole_grid_calls(self):
+        # Table VI's two groups on opposite tails: the signal's upper tail
+        # and the interferers' lower tail, each table built block by block
+        marginals = ((LogNormal(20 * math.log(10) / 10, 6 * math.log(10) / 10),)
+                     + (LogNormal(0.0, 4 * math.log(10) / 10),) * 10)
+        bracket = ProblemSpec(marginals, ("I",) + ("D",) * 10, Ratio(1.0), 1.0).process.bracket
+        grid = np.array([0.0] + [grid_point(k) for k in range(BRACKET_CELLS + 2)])
+        lo, hi = [], []
+        for law, tail in ((marginals[0], "upper"), (marginals[1], "lower")):
+            q = law.quantile_from_neg_log_tail(grid, tail)  # q[1 + k]: at v_k
+            lo += [q[:BRACKET_CELLS], [np.nan]]
+            hi += [q[3:], [np.nan]]
+        assert bracket.lo.tobytes() == np.concatenate(lo).tobytes()
+        assert bracket.hi.tobytes() == np.concatenate(hi).tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSurvives:
     """ProblemSpec.survives decides each row from a bracket of tabulated

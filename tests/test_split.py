@@ -236,11 +236,13 @@ class TestReplicate:
     ])
     def test_workers_do_not_change_results(self, problem):
         # the problem and its process object are pickled into the workers,
-        # which build their own survival bracket
+        # which build their own survival bracket; m = 7 on two workers maps
+        # chunks of 4 and 3 replications
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
-        seq = replicate(problem, schedule, 100, 8, RngStream(13), workers=1)
-        par = replicate(problem, schedule, 100, 8, RngStream(13), workers=2)
+        seq = replicate(problem, schedule, 100, 7, RngStream(13), workers=1)
+        par = replicate(problem, schedule, 100, 7, RngStream(13), workers=2)
+        assert seq.mean > 0
         assert seq.mean == par.mean
         assert seq.variance == par.variance
         assert seq.per_level_survival == par.per_level_survival
@@ -264,8 +266,9 @@ class TestReplicate:
         assert par.per_level_survival == seq.per_level_survival
 
     def test_pool_capped_at_replications(self, monkeypatch):
-        # an in-process stand-in for the pool records the size it was asked for
-        sizes = []
+        # an in-process stand-in for the pool records the size it was asked
+        # for and the chunk size it maps with
+        sizes, chunks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -277,10 +280,9 @@ class TestReplicate:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -288,7 +290,7 @@ class TestReplicate:
         schedule = lower_bound_schedule(problem)
         par = replicate(problem, schedule, 100, 2, RngStream(5), workers=4)
         seq = replicate(problem, schedule, 100, 2, RngStream(5))
-        assert sizes == [2]
+        assert sizes == [2] and chunks == [1]
         assert (par.mean, par.variance) == (seq.mean, seq.variance)
 
     def test_extinct_runs_contribute_zero(self):
