@@ -276,8 +276,13 @@ class _GammaEmbedding:
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
 
-    def advance(self, states, dt, rng):
-        return advance_gamma_batch(states, dt, rng)
+    def step(self, states, idx, dt, rng, spec, gamma):
+        advanced = advance_gamma_batch(states[idx], dt, rng)
+        kept = advanced[self.survives(advanced, spec, gamma)]
+        # the survivors fill the head of the level's array, keeping it allocated
+        # through the next level; freeing it here made glibc trim and refault the heap
+        advanced[:len(kept)] = kept
+        return advanced[:len(kept)]
 
     def coordinates(self, states):
         return _embed(states, self._groups)
@@ -326,8 +331,14 @@ class _PoissonJumps:
     def rates(self):
         return self._rates.copy()
 
-    def advance(self, states, dt, rng):
-        return states + rng.gen.poisson(self._rates * _check_dt(dt), size=states.shape)
+    def step(self, states, idx, dt, rng, spec, gamma):
+        """``gen.poisson(rates * dt, size=(len(idx), n))``'s stream, in row blocks."""
+        lam, kept = self._rates * _check_dt(dt), []
+        for block in row_blocks(idx.size, lam.size):
+            rows = states[idx[block]]
+            rows += rng.gen.poisson(lam, size=rows.shape)
+            kept.append(rows[self.survives(rows, spec, gamma)])
+        return np.concatenate(kept)
 
     def coordinates(self, states):
         return states
@@ -349,8 +360,8 @@ class ProblemSpec:
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
-    ``process``, built from it, advances states, maps them to coordinates,
-    decides which survive, and holds the target draw.
+    ``process``, built from it, runs a splitting level, maps states to
+    coordinates, decides which survive, and holds the target draw.
     """
 
     marginals: tuple
@@ -390,11 +401,9 @@ class ProblemSpec:
         """Poisson rates vector (poisson-kind problems only)."""
         return self.process.rates()
 
-    def advance(self, states: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
-        """``states`` a finite dt > 0 later: plus independent counts
-        Poisson(lambda_i * dt) for a Poisson problem, plus Gamma(dt, 1)
-        increments for a continuous one, so no coordinate ever decreases."""
-        return self.process.advance(states, dt, rng)
+    def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
+        """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma."""
+        return self.process.step(states, idx, dt, rng, self.importance, self.gamma)
 
     def score(self, states: np.ndarray) -> np.ndarray:
         """S evaluated on raw process states (embedding applied when needed)."""

@@ -72,29 +72,20 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
                   rng: RngStream) -> SplitRunResult:
     """One fixed-effort splitting run with ``s`` states per level.
 
-    Per level the generator is consumed in a fixed order (parent indices,
-    then ``problem.advance``'s increments), so a given stream reproduces
-    the run bit-for-bit.
-    Survival is ``problem.survives``, score <= gamma exactly, decided by the
-    process: Poisson counts are scored, and every continuous row is decided
-    from the embedding's tabulated bracket, only the rows it leaves open
-    embedded.  States are float64; Poisson counts are exact integers in them.
+    Per level the generator draws the parent indices, then ``problem.step``
+    its increments, so a given stream reproduces the run bit-for-bit.
+    States are float64; Poisson counts are exact integers in them.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
     current = np.zeros((s, problem.n))
     counts = []
-    t_prev = 0.0
-    for level, t in enumerate(schedule.times):
+    for level, (t0, t1) in enumerate(zip((0.0, *schedule.times), schedule.times)):
         idx = rng.gen.integers(0, current.shape[0], size=s)
-        advanced = problem.advance(current[idx], t - t_prev, rng)
-        survive = problem.survives(advanced)
-        k = int(np.count_nonzero(survive))
-        counts.append(k)
-        if k == 0:
+        current = problem.step(current, idx, t1 - t0, rng)
+        counts.append(len(current))
+        if not counts[-1]:
             return SplitRunResult(0.0, tuple(counts), extinct_at=level)
-        current = advanced[survive]
-        t_prev = t
     estimate = float(np.prod([k / s for k in counts]))
     return SplitRunResult(estimate, tuple(counts), None)
 

@@ -284,18 +284,32 @@ class TestProblemSpec:
         law = Poisson(1.0) if kind == "poisson" else Exponential(1.0)
         p = ProblemSpec((law,) * 2, ("I", "I"), WeightedSum((1.0, 2.0)), 3.0, kind)
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            p.advance(np.zeros((4, 2)), dt, RngStream(0))
+            p.step(np.zeros((4, 2)), np.arange(4), dt, RngStream(0))
 
     def test_advance_draws(self):
-        # the benchmark's replay makes these same generator calls
-        p = ProblemSpec((Exponential(1.0),) * 2, ("I", "I"), Sum(), 1.0, "continuous")
-        states = np.full((50, 2), 0.5)
-        assert np.array_equal(p.advance(states, 0.3, RngStream(4)),
-                              advance_gamma_batch(states, 0.3, RngStream(4)))
-        q = ProblemSpec((Poisson(1.0), Poisson(2.5)), ("I", "I"),
-                        WeightedSum((1.0, 2.0)), 3.0, "poisson")
-        expected = states + RngStream(5).gen.poisson(np.array([1.0, 2.5]) * 0.3, size=(50, 2))
-        assert np.array_equal(q.advance(states, 0.3, RngStream(5)), expected)
+        # the benchmark's replay makes these same generator calls; 3000 rows
+        # of 12 are four full row blocks of a Poisson level and a ragged one
+        s, n, dt = 3000, 12, 0.3
+        idx = RngStream(1).gen.integers(0, s, size=s)
+        rates = np.linspace(0.5, 3.0, n)
+        q = ProblemSpec(tuple(Poisson(lam) for lam in rates), ("I",) * n,
+                        WeightedSum(np.linspace(1.0, 2.0, n)), 30.0, "poisson")
+        states = RngStream(2).gen.poisson(rates * 0.5, size=(s, n)).astype(float)
+        rng, ref = RngStream(5), RngStream(5)
+        advanced = states[idx] + ref.gen.poisson(rates * dt, size=(s, n))
+        expected = advanced[q.score(advanced) <= q.gamma]
+        assert 0 < len(expected) < s
+        assert np.array_equal(q.step(states, idx, dt, rng), expected)
+        assert rng.gen.random() == ref.gen.random()  # no draw more or less
+
+        p = ProblemSpec((Exponential(1.0),) * n, ("I",) * n, Sum(), 8.0, "continuous")
+        states = RngStream(3).gen.exponential(0.5, size=(s, n))
+        rng, ref = RngStream(4), RngStream(4)
+        advanced = advance_gamma_batch(states[idx], dt, ref)
+        expected = advanced[p.survives(advanced)]
+        assert 0 < len(expected) < s
+        assert np.array_equal(p.step(states, idx, dt, rng), expected)
+        assert rng.gen.random() == ref.gen.random()
 
     def test_json_round_trip(self):
         specs = [

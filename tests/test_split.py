@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ class TestRunSplitting:
         se_split = math.sqrt(rep.variance / rep.m)
         se_naive = math.sqrt(naive.variance / naive.m)
         assert abs(rep.mean - naive.mean) < 3 * math.hypot(se_split, se_naive)
+
+    def test_poisson_level_memory_bound(self):
+        # a Poisson level draws, scores and keeps its rows block by block;
+        # with whole 3000 x 12 temporaries (288 kB each) this run peaked at 1.47 MB
+        problem = preset_problem(load_preset("I"), 50.0)
+        schedule = LevelSchedule((0.2, 1.0))
+        tracemalloc.start()
+        try:
+            run_splitting(problem, schedule, 3000, RngStream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_degenerate_threshold_all_survive(self):
         marginals = (Poisson(1.0), Poisson(1.5))
