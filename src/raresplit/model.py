@@ -49,7 +49,8 @@ class _Aggregate:
         return len(directions) >= 1 and all(d == "I" for d in directions)
 
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """S of every row of a 2-d array whose width passed check_arity."""
+        """S of every row of a 2-d array whose width passed check_arity; einsum
+        sums each row in one fixed order, whatever rows are passed with it."""
         raise NotImplementedError
 
     def check_arity(self, n: int) -> None:
@@ -69,7 +70,7 @@ class Sum(_Aggregate):
     kind = "sum"
 
     def score_rows(self, rows):
-        return rows.sum(axis=1)
+        return np.einsum("ij->i", rows)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Ratio(_Aggregate):
         return None
 
     def score_rows(self, rows):
-        denom = rows[:, 1:].sum(axis=1) + self.eta
+        denom = np.einsum("ij->i", rows[:, 1:]) + self.eta
         # early times send D-coordinates to +inf; the ratio is then 0, not NaN
         return np.divide(rows[:, 0], denom, out=np.zeros(rows.shape[0]),
                          where=~np.isinf(denom))
@@ -124,9 +125,9 @@ class OrderedPartialSum(_Aggregate):
 
     def score_rows(self, rows):
         n = rows.shape[1]
-        if self.n_bar == n:
-            return rows.sum(axis=1)
-        return np.partition(rows, n - self.n_bar, axis=1)[:, n - self.n_bar:].sum(axis=1)
+        if self.n_bar < n:
+            rows = np.partition(rows, n - self.n_bar, axis=1)[:, n - self.n_bar:]
+        return np.einsum("ij->i", rows)
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,8 @@ class WeightedSum(_Aggregate):
         return self.weights, n
 
     def score_rows(self, rows):
-        # einsum sums each row in a fixed order, so a row's score does not
-        # depend on the rows passed with it, as BLAS's ``@`` can.  A zero
-        # weight on an infinite coordinate gives a NaN score, which fails
-        # every threshold; numpy's warning about it says nothing more.
+        # A zero weight on an infinite coordinate gives a NaN score, which
+        # fails every threshold; numpy's warning about it says nothing more.
         with np.errstate(invalid="ignore"):
             return np.einsum("ij,j->i", rows, self.weight_array())
 
@@ -284,9 +283,6 @@ class _GammaEmbedding:
         advanced[:len(kept)] = kept
         return advanced[:len(kept)]
 
-    def coordinates(self, states):
-        return _embed(states, self._groups)
-
     @cached_property
     def bracket(self):
         """The survival bracket, built on first use."""
@@ -297,8 +293,8 @@ class _GammaEmbedding:
         return {k: v for k, v in self.__dict__.items() if k != "bracket"}
 
     def survives(self, states, spec, gamma):
-        """S(embed(states)) <= gamma for every row, bit for bit: rows whose
-        bracket's bounds do not decide it, a NaN bound among them, are scored."""
+        """S(embed(states)) <= gamma for every row of levels, bit for bit: rows
+        whose bracket's bounds do not decide it, a NaN bound among them, are scored."""
         c = self.bracket.cells(states)
         # most rows of a level fail, so the upper bounds are read for the rest only
         out = ~(spec.score_rows(self.bracket.lo.take(c)) > gamma)
@@ -314,7 +310,8 @@ class _GammaEmbedding:
     def sampler(self):
         """``draw(gen, c)``: c rows of X(1), the embedding of c rows of the
         subordinator's Gamma(1, 1) = Exp(1) levels at t = 1."""
-        return lambda gen, c: self.coordinates(gen.standard_exponential((c, len(self.marginals))))
+        n = len(self.marginals)
+        return lambda gen, c: _embed(gen.standard_exponential((c, n)), self._groups)
 
 
 class _PoissonJumps:
@@ -340,9 +337,6 @@ class _PoissonJumps:
             kept.append(rows[self.survives(rows, spec, gamma)])
         return np.concatenate(kept)
 
-    def coordinates(self, states):
-        return states
-
     def survives(self, states, spec, gamma):
         """S(states) <= gamma for every row of counts."""
         return spec.score_rows(states) <= gamma
@@ -360,8 +354,8 @@ class ProblemSpec:
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
-    ``process``, built from it, runs a splitting level, maps states to
-    coordinates, decides which survive, and holds the target draw.
+    ``process``, built from it, runs a splitting level, decides which
+    states survive, and holds the target draw.
     """
 
     marginals: tuple
@@ -404,17 +398,6 @@ class ProblemSpec:
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma."""
         return self.process.step(states, idx, dt, rng, self.importance, self.gamma)
-
-    def score(self, states: np.ndarray) -> np.ndarray:
-        """S evaluated on raw process states (embedding applied when needed)."""
-        return importance(self.importance, self.process.coordinates(states))
-
-    def survives(self, states: np.ndarray) -> np.ndarray:
-        """score(states) <= gamma, bit for bit, for one state or a matrix;
-        the process decides it, the Gamma embedding from its survival bracket."""
-        g = np.asarray(states, dtype=float)
-        out = self.process.survives(g[None, :] if g.ndim == 1 else g, self.importance, self.gamma)
-        return out[0] if g.ndim == 1 else out
 
     def to_json(self) -> dict:
         return {

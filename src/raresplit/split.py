@@ -102,16 +102,17 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     Replication i always uses rng.substream(i), and results are aggregated
     in replication order, so the report is identical for any ``workers``.
     One function maps over the replications: the builtin ``map`` in this
-    process, or a pool of at most min(workers, m, CPU count) processes that
-    gets at most one chunk of replications per worker, each pickling the
-    problem once.
+    process, or a pool of at most min(workers, m, CPUs this process may use)
+    processes that gets at most one chunk of replications per worker, each
+    pickling the problem once.
     Extinct runs contribute a zero estimate to the sample, not an error.
     ``wall_seconds`` covers the replications only.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
-    workers = min(workers, m, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, m, cpus or 1)
     run = functools.partial(_replication, problem, schedule, s, rng)
     if workers <= 1:
         results = list(map(run, range(m)))

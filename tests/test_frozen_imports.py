@@ -1,7 +1,8 @@
 """Every name the benchmark scripts and the acceptance suite import from
-``raresplit`` still exists, and every call they make to such a name still
-binds to its signature.  The benchmark is kept fixed between its own
-revisions, so a library change must not remove or re-shape what it uses."""
+``raresplit`` still exists, every call they make to such a name still
+binds to its signature, and every member they read off a problem is still
+there.  The benchmark is kept fixed between its own revisions, so a library
+change must not remove or re-shape what it uses."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from raresplit.cli import load_preset, preset_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -73,3 +76,26 @@ def test_frozen_calls_bind():
                 broken.append(f"{path.name}:{node.lineno}: {node.func.id}(...): {exc}")
     assert checked > 0
     assert not broken, broken
+
+
+def problem_members(tree):
+    """Each attribute ``tree`` reads off a name ``problem``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "problem"):
+            yield node.attr
+
+
+def test_frozen_problem_members_exist():
+    # the replay repeats a splitting level from what it reads off the problem:
+    # Table I is the benchmark's Poisson problem, Table V a continuous one
+    problems = [preset_problem(load_preset(table)) for table in ("I", "V")]
+    assert [p.kind for p in problems] == ["poisson", "continuous"]
+    read, missing = set(), []
+    for path, tree in frozen_trees():
+        for member in problem_members(tree):
+            read.add(member)
+            missing += [f"{path.name}: problem.{member} on {p.kind}"
+                        for p in problems if not hasattr(p, member)]
+    assert {"rates", "kind", "n", "importance", "gamma"} <= read
+    assert not missing, missing

@@ -11,7 +11,7 @@ from raresplit import model
 from raresplit.baseline import naive_mc
 from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
-from raresplit.model import ProblemSpec, Sum, WeightedSum
+from raresplit.model import ProblemSpec, Sum, WeightedSum, embed, importance
 from raresplit.process import RngStream
 from raresplit.sched import inverse_ccdf_schedule, lower_bound_schedule
 from raresplit.split import LevelSchedule, SplitRunResult, replicate, run_splitting
@@ -189,7 +189,8 @@ class TestRunSplitting:
 
         def checked(values, dt, rng):
             seen.append(values.shape[0])
-            assert np.all(problem.score(values) <= problem.gamma)
+            x = embed(values, problem.marginals, problem.directions)
+            assert np.all(importance(problem.importance, x) <= problem.gamma)
             return advance(values, dt, rng)
 
         monkeypatch.setattr(model, "advance_gamma_batch", checked)
@@ -270,9 +271,10 @@ class TestReplicate:
         blob = pickle.dumps(problem)
         assert len(blob) < 4096
         levels = RngStream(31).gen.gamma(0.3, size=(2000, problem.n))
-        survive = problem.survives(levels)
+        survive = problem.process.survives(levels, problem.importance, problem.gamma)
         assert 0 < survive.sum() < survive.size
-        assert np.array_equal(pickle.loads(blob).survives(levels), survive)
+        copy = pickle.loads(blob)
+        assert np.array_equal(copy.process.survives(levels, copy.importance, copy.gamma), survive)
         par = replicate(problem, schedule, 200, 4, RngStream(5), workers=2)
         seq = replicate(problem, schedule, 200, 4, RngStream(5), workers=1)
         assert par.mean > 0
@@ -300,12 +302,21 @@ class TestReplicate:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         problem = exp_sum_problem(4, 1.0)
         schedule = lower_bound_schedule(problem)
         par = replicate(problem, schedule, 100, 2, RngStream(5), workers=4)
         seq = replicate(problem, schedule, 100, 2, RngStream(5))
         assert sizes == [2] and chunks == [1]
         assert (par.mean, par.variance) == (seq.mean, seq.variance)
+        # one usable CPU of the machine's 64 (taskset, a cpuset): no pool at all
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        one = replicate(problem, schedule, 100, 2, RngStream(5), workers=4)
+        assert sizes == [2] and (one.mean, one.variance) == (seq.mean, seq.variance)
+        # where the OS reports no affinity, the machine's count caps the pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        replicate(problem, schedule, 100, 2, RngStream(5), workers=4)
+        assert sizes == [2, 2]
 
     def test_extinct_runs_contribute_zero(self):
         # s = 2 on a moderately rare one-level problem: most runs go extinct
