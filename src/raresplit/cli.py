@@ -75,6 +75,8 @@ def parse_scenario(path) -> tuple[ProblemSpec, dict]:
             data = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, a file not UTF-8
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}")
     return _read_scenario(data)
@@ -166,9 +168,12 @@ def report_csv_row(report: EstimateReport, gamma: float, include_timing: bool) -
 def _write_output(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        _fail(f"--out {out_path}", f"cannot be written: {exc.strerror or exc}")
 
 
 def _echo_timing(report: EstimateReport):
@@ -376,8 +381,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SchedulingError, ValueError) as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
+    except (SchedulingError, ValueError, MemoryError) as exc:
+        print(f"estimation error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -40,8 +40,6 @@ class _Aggregate:
     (``importance_from_json`` reads them back)."""
 
     kind: str
-    # Poisson problems read the weights of S (oracle, IS tilt, survival curve)
-    poisson_ok = False
 
     def pairs_with(self, directions) -> bool:
         """True iff S is nondecreasing in every coordinate under ``directions``
@@ -136,7 +134,6 @@ class WeightedSum(_Aggregate):
 
     weights: tuple
     kind = "weighted_sum"
-    poisson_ok = True
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -267,17 +264,16 @@ class _GammaEmbedding:
     mapped to coordinates through the marginal quantiles (``embed``)."""
 
     def __init__(self, marginals, directions, importance):
-        if any(isinstance(m, Poisson) for m in marginals):
-            raise ValueError("continuous problems cannot contain Poisson marginals")
         self.marginals = marginals
+        self.importance = importance
         self._groups = _quantile_groups(marginals, directions)
 
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
 
-    def step(self, states, idx, dt, rng, spec, gamma):
+    def step(self, states, idx, dt, rng, gamma):
         advanced = advance_gamma_batch(states[idx], dt, rng)
-        kept = advanced[self.survives(advanced, spec, gamma)]
+        kept = advanced[self.survives(advanced, gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
         # through the next level; freeing it here made glibc trim and refault the heap
         advanced[:len(kept)] = kept
@@ -292,19 +288,20 @@ class _GammaEmbedding:
         # a pickled copy (a pool task's) carries no tables; it builds its own bracket
         return {k: v for k, v in self.__dict__.items() if k != "bracket"}
 
-    def survives(self, states, spec, gamma):
+    def survives(self, states, gamma):
         """S(embed(states)) <= gamma for every row of levels, bit for bit: rows
         whose bracket's bounds do not decide it, a NaN bound among them, are scored."""
+        score = self.importance.score_rows
         c = self.bracket.cells(states)
         # most rows of a level fail, so the upper bounds are read for the rest only
-        out = ~(spec.score_rows(self.bracket.lo.take(c)) > gamma)
+        out = ~(score(self.bracket.lo.take(c)) > gamma)
         open_rows = out.nonzero()[0]
-        passes = spec.score_rows(self.bracket.hi.take(c.take(open_rows, axis=0))) <= gamma
+        passes = score(self.bracket.hi.take(c.take(open_rows, axis=0))) <= gamma
         out[open_rows] = passes
         undecided = open_rows[~passes]
         if undecided.size:
             rows = _embed(states.take(undecided, axis=0), self._groups)
-            out[undecided] = spec.score_rows(rows) <= gamma
+            out[undecided] = score(rows) <= gamma
         return out
 
     def sampler(self):
@@ -319,27 +316,27 @@ class _PoissonJumps:
     rate-lambda_i Poisson process, so the states are the coordinates."""
 
     def __init__(self, marginals, directions, importance):
-        if not all(isinstance(m, Poisson) for m in marginals):
-            raise ValueError("poisson problems require every marginal to be Poisson")
-        if not importance.poisson_ok:
+        # Poisson problems read the weights of S (oracle, IS tilt, survival curve)
+        if not isinstance(importance, WeightedSum):
             raise ValueError("poisson problems require a weighted-sum importance")
+        self.importance = importance
         self._rates = np.asarray([m.lam for m in marginals], dtype=float)
 
     def rates(self):
         return self._rates.copy()
 
-    def step(self, states, idx, dt, rng, spec, gamma):
+    def step(self, states, idx, dt, rng, gamma):
         """``gen.poisson(rates * dt, size=(len(idx), n))``'s stream, in row blocks."""
         lam, kept = self._rates * _check_dt(dt), []
         for block in row_blocks(idx.size, lam.size):
             rows = states[idx[block]]
             rows += rng.gen.poisson(lam, size=rows.shape)
-            kept.append(rows[self.survives(rows, spec, gamma)])
+            kept.append(rows[self.survives(rows, gamma)])
         return np.concatenate(kept)
 
-    def survives(self, states, spec, gamma):
+    def survives(self, states, gamma):
         """S(states) <= gamma for every row of counts."""
-        return spec.score_rows(states) <= gamma
+        return self.importance.score_rows(states) <= gamma
 
     def sampler(self):
         return poisson_sampler(self._rates)
@@ -381,6 +378,9 @@ class ProblemSpec:
             raise ValueError("gamma must be finite")
         if self.kind not in _PROCESSES:
             raise ValueError(f"kind must be 'continuous' or 'poisson', got {self.kind!r}")
+        if {isinstance(m, Poisson) for m in self.marginals} != {self.kind == "poisson"}:
+            needs = "every marginal" if self.kind == "poisson" else "no marginal"
+            raise ValueError(f"kind {self.kind!r} needs {needs} to be Poisson")
         if not self.importance.pairs_with(self.directions):
             raise ValueError("importance/directions pair is not quasi-monotone")
         self.importance.check_arity(n)
@@ -397,7 +397,7 @@ class ProblemSpec:
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma."""
-        return self.process.step(states, idx, dt, rng, self.importance, self.gamma)
+        return self.process.step(states, idx, dt, rng, self.gamma)
 
     def to_json(self) -> dict:
         return {

@@ -53,19 +53,16 @@ class LevelSchedule:
 
 @dataclass(frozen=True)
 class SplitRunResult:
-    """One splitting run: the product estimate and per-level survivor counts.
-
-    ``extinct_at`` is the 0-based level index at which survivors hit zero
-    (the estimate is then exactly 0); None when the run reached t = 1.
-    """
+    """One splitting run: the product estimate and the per-level survivor
+    counts, which stop at the first 0; an underflowed product also reads 0."""
 
     estimate: float
     survivor_counts: tuple
-    extinct_at: int | None = None
 
-    def __post_init__(self):
-        if (self.extinct_at is not None) != (self.estimate == 0.0):
-            raise ValueError("estimate must be 0 iff the run went extinct")
+    @property
+    def extinct_at(self) -> int | None:
+        """The 0-based level at which survivors hit zero; None when the run reached t = 1."""
+        return self.survivor_counts.index(0) if 0 in self.survivor_counts else None
 
 
 def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
@@ -80,14 +77,13 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
         raise ValueError("s must be >= 2")
     current = np.zeros((s, problem.n))
     counts = []
-    for level, (t0, t1) in enumerate(zip((0.0, *schedule.times), schedule.times)):
+    for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, current.shape[0], size=s)
         current = problem.step(current, idx, t1 - t0, rng)
         counts.append(len(current))
         if not counts[-1]:
-            return SplitRunResult(0.0, tuple(counts), extinct_at=level)
-    estimate = float(np.prod([k / s for k in counts]))
-    return SplitRunResult(estimate, tuple(counts), None)
+            break
+    return SplitRunResult(float(np.prod([k / s for k in counts])), tuple(counts))
 
 
 def _replication(problem, schedule, s, rng, i):
@@ -122,15 +118,13 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     wall = time.perf_counter() - t0
 
     estimates = np.asarray([r.estimate for r in results])
-    L = len(schedule)
-    fractions = np.zeros((m, L))
+    fractions = np.zeros((m, len(schedule)))
     for row, r in enumerate(results):
         got = np.asarray(r.survivor_counts, dtype=float) / s
         fractions[row, :got.size] = got  # extinct runs count as zero beyond
-    per_level = fractions.mean(axis=0)
 
     return EstimateReport(
         method="split", mean=float(estimates.mean()), variance=float(estimates.var(ddof=1)),
         wall_seconds=wall, m=m, s=s, levels=list(schedule.times),
-        per_level_survival=per_level.tolist(), seed=rng.seed,
+        per_level_survival=fractions.mean(axis=0).tolist(), seed=rng.seed,
     )

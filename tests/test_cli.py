@@ -178,6 +178,58 @@ class TestParseScenario:
             parse_scenario("/nonexistent/scenario.json")
 
 
+class TestUnreadableOrUnwritable:
+    """A scenario file that cannot be read or an --out that cannot be written
+    is a configuration error, and an allocation that fails is an estimation
+    error: each ends in one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_scenario(self, tmp_path, capsys, command, case):
+        path = tmp_path
+        if case == "not-utf8":
+            path = tmp_path / "scenario.json"
+            path.write_bytes(b"\xff" + json.dumps(EXP_SUM).encode())
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "naive", "--m", "100"],
+        ["levels"],
+        ["verify", "--method", "naive", "--m", "100"],
+        ["reproduce", "--table", "I", "--s", "100", "--m", "2", "--baseline-m", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "r.json"
+        if argv[0] != "reproduce":
+            argv = [*argv, "--scenario", str(write_scenario(tmp_path, EXP_SUM))]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *timing, line = captured.err.splitlines()
+        assert all(t.startswith("[timing] ") for t in timing)
+        assert line.startswith(f"configuration error: --out {out}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["verify"], ["reproduce", "--table", "I"]], ids=lambda argv: argv[0])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, argv):
+        def run_estimation(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        # a real oversized --s could be granted by a kernel that overcommits
+        monkeypatch.setattr(cli, "run_estimation", run_estimation)
+        if argv[0] != "reproduce":
+            argv = [*argv, "--scenario", str(write_scenario(tmp_path, EXP_SUM))]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "estimation error: Unable to allocate 7.28 TiB for an array"
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy_integrate(self):
         # scipy.integrate pulls these in; only the ratio oracle's quadrature needs it

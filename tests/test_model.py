@@ -275,15 +275,20 @@ class TestProblemSpec:
         marginals = (Poisson(1.0), Poisson(2.0))
         p = ProblemSpec(marginals, ("I", "I"), WeightedSum((1.0, 2.0)), 3.0, "poisson")
         assert np.allclose(p.rates(), [1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weighted-sum importance"):
             ProblemSpec(marginals, ("I", "I"), Sum(), 3.0, "poisson")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kind 'poisson' needs every marginal to be Poisson"):
             ProblemSpec((Poisson(1.0), Exponential(1.0)), ("I", "I"),
                         WeightedSum((1.0, 2.0)), 3.0, "poisson")
 
     def test_continuous_rejects_poisson_marginals(self):
-        with pytest.raises(ValueError):
-            ProblemSpec((Poisson(1.0),), ("I",), Sum(), 1.0, "continuous")
+        for marginals in [(Poisson(1.0),), (Exponential(1.0), Poisson(1.0))]:
+            with pytest.raises(ValueError, match="kind 'continuous' needs no marginal"):
+                ProblemSpec(marginals, ("I",) * len(marginals), Sum(), 1.0, "continuous")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be .* got 'lattice'"):
+            ProblemSpec((Poisson(1.0),), ("I",), WeightedSum((1.0,)), 1.0, "lattice")
 
     def test_non_monotone_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -386,7 +391,7 @@ def reference_score(problem, g):
 
 def survives(problem, states):
     """The process's survival decision for each row of ``states``."""
-    return problem.process.survives(states, problem.importance, problem.gamma)
+    return problem.process.survives(states, problem.gamma)
 
 
 def embed_by_column(g, marginals, directions):

@@ -204,7 +204,7 @@ class TestInverseCcdfSchedule:
         counts = (100,) * 12
 
         def fake_run(problem, schedule, s_pilot, rng):
-            return SplitRunResult(math.prod(k / s_pilot for k in counts), counts, None)
+            return SplitRunResult(math.prod(k / s_pilot for k in counts), counts)
 
         monkeypatch.setattr("raresplit.sched.run_splitting", fake_run)
         sched = inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=12, s_pilot=s)
@@ -217,7 +217,7 @@ class TestInverseCcdfSchedule:
         counts = (100,) * 11 + (0,)
 
         def fake_run(problem, schedule, s_pilot, rng):
-            return SplitRunResult(0.0, counts, 11)
+            return SplitRunResult(0.0, counts)
 
         monkeypatch.setattr("raresplit.sched.run_splitting", fake_run)
         sched = inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=12, s_pilot=1000)
@@ -232,7 +232,7 @@ class TestInverseCcdfSchedule:
         counts = (100,) * 11 + (300,)
 
         def fake_run(problem, schedule, s_pilot, rng):
-            return SplitRunResult(math.prod(k / s_pilot for k in counts), counts, None)
+            return SplitRunResult(math.prod(k / s_pilot for k in counts), counts)
 
         monkeypatch.setattr("raresplit.sched.run_splitting", fake_run)
         sched = inverse_ccdf_schedule(exp_sum(), RngStream(0), l_pilot=12, s_pilot=s)

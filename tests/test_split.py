@@ -80,13 +80,14 @@ class TestLevelSchedule:
 
 
 class TestSplitRunResult:
-    def test_consistency_enforced(self):
-        SplitRunResult(0.125, (1, 1, 1), None)
-        SplitRunResult(0.0, (1, 0), 1)
-        with pytest.raises(ValueError):
-            SplitRunResult(0.0, (1, 1), None)
-        with pytest.raises(ValueError):
-            SplitRunResult(0.5, (1, 0), 1)
+    def test_extinct_at_read_off_the_counts(self):
+        assert SplitRunResult(0.125, (1, 1, 1)).extinct_at is None
+        assert SplitRunResult(0.0, (1, 0)).extinct_at == 1
+        assert SplitRunResult(0.0, (0,)).extinct_at == 0
+
+    def test_underflowed_product_is_no_extinction(self):
+        # a long run's product of fractions can round to 0 with every level alive
+        assert SplitRunResult(0.0, (1, 1)).extinct_at is None
 
 
 @pytest.mark.usefixtures("scripted_gamma")
@@ -127,6 +128,16 @@ class TestRunSplitting:
                 if res.extinct_at is None else 0.0
             assert res.estimate == pytest.approx(expected, rel=1e-12)
             assert 0.0 <= res.estimate <= 1.0
+
+    def test_underflowed_run_reaches_the_end(self):
+        # 6,732 lb levels at p_bar = 0.9: the product of fractions underflows to 0
+        problem = ProblemSpec((Exponential(1.0),), ("I",), Sum(), 1e-308, "continuous")
+        schedule = lower_bound_schedule(problem, p_bar=0.9)
+        res = run_splitting(problem, schedule, 10, RngStream(7, (0,)))
+        assert len(res.survivor_counts) == len(schedule)
+        assert min(res.survivor_counts) > 0
+        assert res.estimate == 0.0
+        assert res.extinct_at is None
 
     def test_single_level_is_naive_mc(self):
         # with L = 1 and t_1 = 1 the estimator is a plain MC proportion
@@ -271,10 +282,10 @@ class TestReplicate:
         blob = pickle.dumps(problem)
         assert len(blob) < 4096
         levels = RngStream(31).gen.gamma(0.3, size=(2000, problem.n))
-        survive = problem.process.survives(levels, problem.importance, problem.gamma)
+        survive = problem.process.survives(levels, problem.gamma)
         assert 0 < survive.sum() < survive.size
         copy = pickle.loads(blob)
-        assert np.array_equal(copy.process.survives(levels, copy.importance, copy.gamma), survive)
+        assert np.array_equal(copy.process.survives(levels, copy.gamma), survive)
         par = replicate(problem, schedule, 200, 4, RngStream(5), workers=2)
         seq = replicate(problem, schedule, 200, 4, RngStream(5), workers=1)
         assert par.mean > 0

@@ -13,16 +13,22 @@ family's reference is the engine on its own, finer number of cells, so
 that its half-width stays a small fraction of a standard error.  The
 problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
+
+The gate tests its own power: the same harness, at the same scale and
+seeds, must fail a Gamma level whose shape is 0.5% too large and Poisson
+jumps whose rates are 1% too large.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from raresplit import curve
+from raresplit import curve, model
 from raresplit.curve import survival_bracket
 from raresplit.dist import Exponential, LogNormal, Poisson
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
-from raresplit.process import RngStream
+from raresplit.process import RngStream, advance_gamma_batch
 from raresplit.sched import lower_bound_schedule
 from raresplit.split import run_splitting
 
@@ -65,13 +71,37 @@ def excess_z(prefixes, lo, hi):
     return (np.abs(mean - 0.5 * (lo + hi)) - 0.5 * (hi - lo)) / se
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_prefix_is_unbiased(family, monkeypatch):
+def gate_z(family, monkeypatch, runs_on=None):
+    """The gate's excess z at every level of ``family``: its runs go on
+    ``runs_on`` (the family's own problem by default), its schedule and
+    bracket always come from the family's problem."""
     problem, seed, cells = FAMILIES[family]
     schedule = lower_bound_schedule(problem)
     if cells is not None:
         monkeypatch.setattr(curve, "CELLS", cells)
     lo, hi = survival_bracket(problem, schedule.times)
     assert np.array_equal(lo, hi) == (cells is None)
-    z = excess_z(prefix_estimates(problem, schedule, S, RUNS, RngStream(seed)), lo, hi)
+    prefixes = prefix_estimates(runs_on or problem, schedule, S, RUNS, RngStream(seed))
+    return excess_z(prefixes, lo, hi)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_prefix_is_unbiased(family, monkeypatch):
+    z = gate_z(family, monkeypatch)
     assert (z <= Z_MAX).all(), z
+
+
+@pytest.mark.parametrize("family", ["exponential_sum", "lognormal_ratio"])
+def test_gate_fails_a_gamma_shape_mutant(family, monkeypatch):
+    monkeypatch.setattr(model, "advance_gamma_batch",
+                        lambda values, dt, rng: advance_gamma_batch(values, 1.005 * dt, rng))
+    z = gate_z(family, monkeypatch)
+    assert (z > Z_MAX).any(), z
+
+
+def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
+    problem = FAMILIES["poisson_weighted_sum"][0]
+    faster = dataclasses.replace(problem, marginals=[Poisson(m.lam * 1.01)
+                                                     for m in problem.marginals])
+    z = gate_z("poisson_weighted_sum", monkeypatch, runs_on=faster)
+    assert (z > Z_MAX).any(), z
