@@ -22,9 +22,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 from .baseline import naive_mc, poisson_is
 from .dist import ScenarioError, _at, _fail, _json_value
@@ -165,6 +167,20 @@ def report_csv_row(report: EstimateReport, gamma: float, include_timing: bool) -
     return {**d, "gamma": gamma, "re_percent": None if d["re"] is None else 100.0 * d["re"]}
 
 
+def _check_writable(out_path) -> None:
+    """Fail unless ``out_path`` can be opened for writing; a file the check
+    creates is removed, so a run that fails leaves no file behind."""
+    if Path(out_path).is_fifo():
+        return  # opened twice, a pipe would end its reader's stream at the first close
+    existed = os.path.lexists(out_path)
+    try:
+        open(out_path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        _fail(f"--out {out_path}", f"cannot be written: {exc.strerror or exc}")
+    if not existed:
+        os.remove(out_path)
+
+
 def _write_output(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -187,12 +203,14 @@ def _settings(args, defaults, method) -> dict:
 
     ``method`` is "split", "naive", "is", or None for a schedule alone; a
     value no such run can use is a configuration error, and so are a
-    negative --seed and a --workers below 1.
+    negative --seed, a --workers below 1 and an --out that cannot be written.
     """
     if args.seed < 0:
         _fail(f"--seed {args.seed}", "must be a non-negative integer")
     if args.workers < 1:
         _fail(f"--workers {args.workers}", "must be at least 1")
+    if args.out is not None:
+        _check_writable(args.out)
     settings = {key: _pick(getattr(args, key, None), defaults, key, json_type, builtin)
                 for key, (_, json_type, builtin, _) in _SETTINGS.items()}
     if method in ("split", None):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .dist import Exponential, Poisson, ScenarioError
-from .model import ProblemSpec, Ratio
+from .model import ProblemSpec
 
 __all__ = ["CurveRefusal", "survival_bracket"]
 
@@ -169,7 +169,7 @@ def survival_bracket(problem: ProblemSpec, ts):
         return values, values
     if gamma <= 0:
         return np.zeros_like(ts), np.zeros_like(ts)
-    if isinstance(spec, Ratio):
+    if spec.summands(problem.n) is None:  # the ratio, the one aggregate that is no sum
         if problem.n != 2:
             raise CurveRefusal(f"no curve for a ratio of {problem.n} coordinates "
                                "(the engine covers ratios of two)")

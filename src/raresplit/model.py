@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
-                   _json_value, marginal_from_json)
+                   _json_value, _require_positive, marginal_from_json)
 from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler, row_blocks
 
 __all__ = [
@@ -41,18 +41,16 @@ class _Aggregate:
 
     kind: str
 
-    def pairs_with(self, directions) -> bool:
-        """True iff S is nondecreasing in every coordinate under ``directions``
-        ("I" increasing, "D" decreasing): the quasi-monotone pairing."""
-        return len(directions) >= 1 and all(d == "I" for d in directions)
+    def directions(self, n: int) -> tuple:
+        """The directions ("I" increasing, "D" decreasing) under which S is
+        nondecreasing in each of n coordinates: the quasi-monotone pairing.
+        Raises ValueError unless S is defined on n coordinates."""
+        return ("I",) * n
 
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """S of every row of a 2-d array whose width passed check_arity; einsum
-        sums each row in one fixed order, whatever rows are passed with it."""
+        """S of every row of a 2-d array of a width ``directions`` accepts;
+        einsum sums each row in one fixed order, whatever rows are passed with it."""
         raise NotImplementedError
-
-    def check_arity(self, n: int) -> None:
-        """Raise ValueError unless S is defined on n coordinates."""
 
     def summands(self, n: int):
         """(weights, top) when S(x) is the sum of the ``top`` largest of the
@@ -81,16 +79,12 @@ class Ratio(_Aggregate):
 
     def __post_init__(self):
         object.__setattr__(self, "eta", float(self.eta))
-        if not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
+        _require_positive(eta=self.eta)
 
-    def pairs_with(self, directions) -> bool:
-        return (len(directions) >= 2 and directions[0] == "I"
-                and all(d == "D" for d in directions[1:]))
-
-    def check_arity(self, n):
+    def directions(self, n):
         if n < 2:
             raise ValueError("Ratio needs at least two coordinates")
+        return ("I",) + ("D",) * (n - 1)
 
     def summands(self, n):
         return None
@@ -114,9 +108,10 @@ class OrderedPartialSum(_Aggregate):
                 and self.n_bar >= 1):
             raise ValueError(f"n_bar must be an integer >= 1, got {self.n_bar!r}")
 
-    def check_arity(self, n):
+    def directions(self, n):
         if n < self.n_bar:
             raise ValueError(f"n_bar is {self.n_bar}, more than the {n} coordinates")
+        return ("I",) * n
 
     def summands(self, n):
         return (1.0,) * n, self.n_bar
@@ -144,9 +139,10 @@ class WeightedSum(_Aggregate):
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def check_arity(self, n):
+    def directions(self, n):
         if n != len(self.weights):
             raise ValueError(f"weights has {len(self.weights)} entries for {n} coordinates")
+        return ("I",) * n
 
     def summands(self, n):
         return self.weights, n
@@ -166,7 +162,7 @@ def importance(spec, x):
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     rows = arr[None, :] if single else arr
-    spec.check_arity(rows.shape[1])
+    spec.directions(rows.shape[1])  # raises unless S is defined on this many coordinates
     out = spec.score_rows(rows)
     return float(out[0]) if single else out
 
@@ -368,10 +364,6 @@ class ProblemSpec:
         n = len(self.marginals)
         if n == 0:
             raise ValueError("at least one marginal is required")
-        if len(self.directions) != n:
-            raise ValueError("directions must have one entry per marginal")
-        if any(d not in ("I", "D") for d in self.directions):
-            raise ValueError("directions entries must be 'I' or 'D'")
         if not all(isinstance(m, Marginal) for m in self.marginals):
             raise ValueError("marginals must be Marginal instances")
         if not np.isfinite(self.gamma):
@@ -381,9 +373,10 @@ class ProblemSpec:
         if {isinstance(m, Poisson) for m in self.marginals} != {self.kind == "poisson"}:
             needs = "every marginal" if self.kind == "poisson" else "no marginal"
             raise ValueError(f"kind {self.kind!r} needs {needs} to be Poisson")
-        if not self.importance.pairs_with(self.directions):
-            raise ValueError("importance/directions pair is not quasi-monotone")
-        self.importance.check_arity(n)
+        expected = self.importance.directions(n)
+        if self.directions != expected:
+            raise ValueError(f"directions must be {list(expected)}, the quasi-monotone "
+                             f"pairing of this importance, got {list(self.directions)}")
         object.__setattr__(self, "process", _PROCESSES[self.kind](
             self.marginals, self.directions, self.importance))
 

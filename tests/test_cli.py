@@ -4,9 +4,11 @@ import importlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -202,16 +204,86 @@ class TestUnreadableOrUnwritable:
         ["verify", "--method", "naive", "--m", "100"],
         ["reproduce", "--table", "I", "--s", "100", "--m", "2", "--baseline-m", "100"],
     ], ids=lambda argv: argv[0])
-    def test_unwritable_out(self, tmp_path, capsys, argv):
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("--out is checked before the first schedule or estimate")
+
+        monkeypatch.setattr(cli, "run_estimation", no_work)
+        monkeypatch.setattr(cli, "build_schedule", no_work)
         out = tmp_path / "missing" / "r.json"
         if argv[0] != "reproduce":
             argv = [*argv, "--scenario", str(write_scenario(tmp_path, EXP_SUM))]
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        *timing, line = captured.err.splitlines()
-        assert all(t.startswith("[timing] ") for t in timing)
-        assert line.startswith(f"configuration error: --out {out}: ")
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"configuration error: --out {out}: cannot be written: ")
+
+    def test_out_unwritable_by_the_end_of_the_run(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        estimate = cli.run_estimation
+
+        def run_estimation(*args, **kwargs):
+            out_dir.rmdir()  # after the check, before the write
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_estimation", run_estimation)
+        scen = write_scenario(tmp_path, EXP_SUM)
+        out = out_dir / "r.json"
+        assert main(["run", "--scenario", str(scen), "--method", "naive", "--m", "100",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        timing, line = captured.err.splitlines()
+        assert timing.startswith("[timing] ")
+        assert line.startswith(f"configuration error: --out {out}: cannot be written: ")
+
+    @pytest.mark.parametrize("out_exists", [True, False], ids=["existing-out", "new-out"])
+    @pytest.mark.parametrize("failure,code", [
+        ("bad-json", 2), ("bad-default", 2), ("estimation-error", 3)])
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, monkeypatch, out_exists,
+                                       failure, code):
+        def run_estimation(*args, **kwargs):
+            raise ValueError("the estimate failed")
+
+        monkeypatch.setattr(cli, "run_estimation", run_estimation)
+        data = load_preset("I")
+        if failure == "bad-default":
+            data["defaults"]["p_bar"] = 2.0  # checked after --out
+        scen = write_scenario(tmp_path, data)
+        if failure == "bad-json":
+            scen.write_text("{")
+        out = tmp_path / "r.json"
+        if out_exists:
+            out.write_text("an earlier report\n")
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        if out_exists:
+            assert out.read_text() == "an earlier report\n"
+        else:
+            assert not out.exists()
+
+    def test_out_may_be_the_scenario(self, tmp_path):
+        scen = write_scenario(tmp_path, EXP_SUM)
+        assert main(["run", "--scenario", str(scen), "--method", "naive", "--m", "100",
+                     "--out", str(scen)]) == 0
+        assert json.loads(scen.read_text())["method"] == "naive"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_may_be_a_named_pipe(self, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        scen = write_scenario(tmp_path, EXP_SUM)
+        proc = subprocess.run([sys.executable, "-m", "raresplit", "levels", "--scenario",
+                               str(scen), "--out", str(fifo)], capture_output=True, text=True,
+                              timeout=60)
+        reader.join(60)
+        assert proc.returncode == 0, proc.stderr
+        assert read and json.loads(read[0])["times"][-1] == 1.0
 
     @pytest.mark.parametrize("argv", [
         ["run"], ["verify"], ["reproduce", "--table", "I"]], ids=lambda argv: argv[0])
@@ -745,6 +817,18 @@ def test_poisson_rate_above_cap(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: $.scenario.marginals[0]: lam must be <= 1e+06")
     assert len(err.splitlines()) == 1
+
+
+def test_directions_name_the_pairing(tmp_path, capsys):
+    # Table VI's ratio rises in its first coordinate and falls in the rest
+    data = load_preset("VI")
+    data["scenario"]["directions"] = ["I"] * len(data["scenario"]["directions"])
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(preset), "--method", "naive", "--m", "100"]) == 2
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith("configuration error: $.scenario: directions must be ['I', 'D', ")
 
 
 # every subcommand's option strings; the settings table must neither add nor drop one

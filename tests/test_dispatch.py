@@ -1,6 +1,6 @@
 """No module of raresplit picks a code path by comparing a ``kind`` string,
 only the Gamma embedding reads its survival bracket, and only the curve
-engine asks a law or an aggregate for its class or runs the Poisson DP.
+engine asks a law for its class or runs the Poisson DP.
 
 A problem's process object, and each law and aggregate, carry their own
 behaviour; a ``.kind`` is compared only where it is input: where
@@ -231,6 +231,12 @@ def test_only_the_curve_engine_holds_the_poisson_dp():
                 found.append(f"{path.name}:{line} ({site})")
     assert not found, found
     assert sorted(owned) == ["call", "def"]  # defined once and run from one place
+
+
+def test_the_curve_engine_tests_no_aggregate_class():
+    # an aggregate's ``summands`` tells the engine whether S is a sum
+    curve = ast.parse((SRC / CURVE_OWNER).read_text(encoding="utf-8"))
+    assert not list(class_tests(curve, class_names(_Aggregate)))
 
 
 LATTICE_BUDGET = "MAX_LATTICE"

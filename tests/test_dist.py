@@ -275,7 +275,10 @@ class TestNegLogTailQuantileExtremes:
                 assert got == expected, g  # 0 where the true quantile underflows
         return checked
 
-    @pytest.mark.parametrize("law", PAST_UNDERFLOW_LAWS, ids=lambda d: d.kind)
+    # a repeated kind is numbered, as pytest numbered it before ids had to be unique
+    @pytest.mark.parametrize("law", PAST_UNDERFLOW_LAWS, ids=["lognormal", "weibull0", "gengamma",
+                                                              "gamma", "exponential0", "weibull1",
+                                                              "exponential1"])
     @pytest.mark.parametrize("tail", ["upper", "lower"])
     def test_gamma_laws_in_log_space(self, law, tail):
         # every law, not only the Gamma ones: a subnormal mass, where scipy's
@@ -424,7 +427,7 @@ class TestValidationAndJson:
         lambda: Exponential(0.0),
         lambda: Poisson(-2.0),
         lambda: Poisson(math.nextafter(MAX_POISSON_RATE, math.inf)),
-    ])
+    ], ids=[f"<lambda>{i}" for i in range(9)])  # the ids pytest gave them before
     def test_bad_params_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,18 +188,37 @@ class TestImportance:
         assert np.array_equal(alone, whole)
 
 
+@pytest.mark.parametrize("spec,n,message", [
+    pytest.param(Ratio(1.0), 1, "Ratio needs at least two coordinates", id="ratio"),
+    pytest.param(OrderedPartialSum(3), 2, "n_bar is 3, more than the 2 coordinates",
+                 id="ordered_partial_sum"),
+    pytest.param(WeightedSum((1.0, 2.0)), 3, "weights has 2 entries for 3 coordinates",
+                 id="weighted_sum"),
+])
+def test_arity_message(spec, n, message):
+    # S's directions bound its arity, for a single score and for a problem alike
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        importance(spec, np.ones(n))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProblemSpec((Exponential(1.0),) * n, ("I",) * n, spec, 1.0)
+
+
 class TestQuasiMonotoneWitness:
     def test_sanctioned_pairs(self):
-        assert Sum().pairs_with(("I", "I", "I"))
-        assert Ratio(1.0).pairs_with(("I", "D", "D"))
-        assert OrderedPartialSum(2).pairs_with(("I", "I", "I"))
-        assert WeightedSum((1.0, 2.0)).pairs_with(("I", "I"))
+        assert Sum().directions(3) == ("I", "I", "I")
+        assert Ratio(1.0).directions(3) == ("I", "D", "D")
+        assert OrderedPartialSum(2).directions(3) == ("I", "I", "I")
+        assert WeightedSum((1.0, 2.0)).directions(2) == ("I", "I")
 
     def test_rejected_pairs(self):
-        assert not Ratio(1.0).pairs_with(("I", "I", "I"))
-        assert not Ratio(1.0).pairs_with(("D", "D"))
-        assert not Sum().pairs_with(("I", "D"))
-        assert not WeightedSum((1.0,)).pairs_with(("D",))
+        for spec, directions in [(Ratio(1.0), ("I", "I", "I")), (Ratio(1.0), ("D", "D")),
+                                 (Sum(), ("I", "D")), (WeightedSum((1.0,)), ("D",))]:
+            expected = spec.directions(len(directions))
+            assert expected != directions
+            with pytest.raises(ValueError, match=re.escape(
+                    f"directions must be {list(expected)}, the quasi-monotone pairing of "
+                    f"this importance, got {list(directions)}")):
+                ProblemSpec((Exponential(1.0),) * len(directions), directions, spec, 1.0)
 
     def test_ten_thousand_ordered_pairs(self):
         # bulk randomized check: 1e4 pairs ordered per (I, D) never decrease S
@@ -613,7 +633,7 @@ class TestSurvives:
         edges = [0.0, 5e-324, 1e-300, np.nextafter(BRACKET_G_MIN, 0.0), BRACKET_G_MIN, 0.3,
                  2.0, np.nextafter(BRACKET_G_MAX, 0.0), BRACKET_G_MAX, 2e3, 1e6, np.nan]
         g = np.array(list(itertools.product(edges, repeat=3)))
-        directions = ("I", "D", "D") if isinstance(spec, Ratio) else ("I",) * 3
+        directions = spec.directions(3)
         scores = reference_score(ProblemSpec((law,) * 3, directions, spec, 0.0), g)
         finite = np.unique(scores[np.isfinite(scores)])
         for gamma in finite[np.linspace(0, finite.size - 1, 12).astype(int)]:

@@ -230,7 +230,9 @@ class TestEstimateReport:
             EstimateReport(method="x", mean=0.5, variance=0.1, re=0.2, wall_seconds=1.0, m=2)
 
     @pytest.mark.parametrize("key,value", [
-        ("re", 0.2), ("re", None), ("re", "0.2"),
+        # a float and a string that print alike, numbered as pytest numbered them
+        pytest.param("re", 0.2, id="re-0.2_0"), ("re", None),
+        pytest.param("re", "0.2", id="re-0.2_1"),
         ("wnrv", 99.0), ("wnrv", None),
     ])
     def test_inconsistent_derived_field_rejected(self, key, value):

@@ -15,8 +15,9 @@ problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
 
 The gate tests its own power: the same harness, at the same scale and
-seeds, must fail a Gamma level whose shape is 0.5% too large and Poisson
-jumps whose rates are 1% too large.
+seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
+jumps whose rates are 1% too large, and a level loop that resamples its
+parents from every advanced state, failures included.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from raresplit.dist import Exponential, LogNormal, Poisson
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 from raresplit.process import RngStream, advance_gamma_batch
 from raresplit.sched import lower_bound_schedule
-from raresplit.split import run_splitting
+from raresplit.split import SplitRunResult, run_splitting
 
 S = 200
 RUNS = 4000
@@ -104,4 +105,24 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
     faster = dataclasses.replace(problem, marginals=[Poisson(m.lam * 1.01)
                                                      for m in problem.marginals])
     z = gate_z("poisson_weighted_sum", monkeypatch, runs_on=faster)
+    assert (z > Z_MAX).any(), z
+
+
+def resample_from_every_state(problem, schedule, s, rng):
+    """``run_splitting`` with a resampling fault: each level's parents are
+    drawn from all s states the last level advanced, failures included,
+    while the counts still count only the survivors."""
+    current, counts = np.zeros((s, problem.n)), []
+    for t0, t1 in zip((0.0, *schedule.times), schedule.times):
+        idx = rng.gen.integers(0, s, size=s)
+        current = advance_gamma_batch(current[idx], t1 - t0, rng)
+        counts.append(int(problem.process.survives(current, problem.gamma).sum()))
+        if not counts[-1]:
+            break
+    return SplitRunResult(float(np.prod([k / s for k in counts])), tuple(counts))
+
+
+def test_gate_fails_a_resampling_mutant(monkeypatch):
+    monkeypatch.setitem(globals(), "run_splitting", resample_from_every_state)
+    z = gate_z("exponential_sum", monkeypatch)
     assert (z > Z_MAX).any(), z
