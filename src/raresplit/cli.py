@@ -115,21 +115,41 @@ def build_schedule(problem, rng, *, levels_method=_BUILTIN["levels_method"],
     raise ScenarioError(f"unknown levels method {levels_method!r} (use 'lb' or 'iccdf')")
 
 
+def _on_box(problem: ProblemSpec) -> tuple[ProblemSpec, float]:
+    """The problem splitting and naive MC run on, its box where
+    ``ProblemSpec.boxed`` finds one, and the box's mass (1 without one)."""
+    boxed = problem.boxed()
+    return (problem, 1.0) if boxed is None else (boxed[0], math.exp(boxed[1]))
+
+
+def _scaled(report: EstimateReport, mass: float, **changes) -> EstimateReport:
+    """The report of a run on the box as an estimate of the whole problem."""
+    return dataclasses.replace(report, mean=mass * report.mean,
+                               variance=mass * (mass * report.variance), **changes)
+
+
 def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUILTIN["m"],
                    p_bar=_BUILTIN["p_bar"], levels_method=_BUILTIN["levels_method"],
                    pilot_levels=_BUILTIN["pilot_levels"], seed=0, workers=1) -> EstimateReport:
-    """Schedule (when splitting) plus estimation, with full-call wall time."""
+    """Schedule (when splitting) plus estimation, with full-call wall time.
+
+    Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``)
+    where it has one: the mean is scaled by the box mass and the variance
+    by the mass twice, while the levels and their survival are the boxed run's.
+    """
     rng = RngStream(seed)
     if method == "split":
         t0 = time.perf_counter()
+        problem, mass = _on_box(problem)
         schedule = build_schedule(problem, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = time.perf_counter()
         report = replicate(problem, schedule, s, m, rng, workers=workers)
-        return dataclasses.replace(report, wall_seconds=time.perf_counter() - t0,
-                                   schedule_seconds=built - t0)
+        return _scaled(report, mass, wall_seconds=time.perf_counter() - t0,
+                       schedule_seconds=built - t0)
     if method == "naive":
-        return naive_mc(problem, m, rng)
+        problem, mass = _on_box(problem)
+        return _scaled(naive_mc(problem, m, rng), mass)
     if method == "is":
         if problem.kind != "poisson":
             raise ScenarioError("--method is requires a poisson scenario")
@@ -271,8 +291,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_levels(args) -> int:
+    """The schedule a split run uses: its box's where it has one."""
     problem, settings = _load_scenario(args, None)
-    schedule = build_schedule(problem, RngStream(args.seed),
+    schedule = build_schedule(_on_box(problem)[0], RngStream(args.seed),
                               levels_method=settings["levels_method"], p_bar=settings["p_bar"],
                               pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
     targets = list(schedule.targets)
@@ -355,13 +376,18 @@ def _add_common(p, func):
                         "(makes reports non-reproducible byte-for-byte)")
     p.add_argument("--workers", type=int, default=1,
                    help="max worker processes for replications")
-    # the flag's first name, kept so existing command lines still run
-    p.add_argument("--threads", type=int, dest="workers", help=argparse.SUPPRESS)
     p.set_defaults(func=func)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subcommands' parsers, whose errors are one stderr line."""
+
+    def error(self, message):
+        self.exit(2, f"configuration error: {self.prog}: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raresplit",
         description="Rare-event probability estimation by multilevel splitting "
                     "over a monotone process embedding.")

@@ -201,6 +201,10 @@ class Marginal:
         """F at x > 0 (the base sets F = 0 off the support)."""
         raise NotImplementedError
 
+    def _sf(self, x):
+        """1 - F at x > 0, with its digits where it is small."""
+        raise NotImplementedError
+
     def _upper(self, g):
         """x with P[X > x] = e^{-g}, for every g in [0, inf]; NaN gives NaN."""
         raise NotImplementedError
@@ -232,6 +236,9 @@ class LogNormal(Marginal):
     def _cdf(self, x):
         return special.ndtr((np.log(x) - self.mu) / self.sigma)
 
+    def _sf(self, x):
+        return special.ndtr((self.mu - np.log(x)) / self.sigma)
+
     # ndtri_exp(-g) is the standard normal quantile at e^{-g}, which it never forms
     def _upper(self, g):
         with np.errstate(over="ignore"):  # +inf past g ~ (709 - mu)^2 / (2 sigma^2)
@@ -242,14 +249,19 @@ class LogNormal(Marginal):
             return np.exp(self.mu + self.sigma * special.ndtri_exp(-g))
 
 
+def _cum_hazard(g):
+    """H = -log(1 - e^{-g}), the cumulative hazard at which an exponential's
+    CDF is e^{-g}, through log1mexp (Maechler 2012): inf at g = 0, and 0 past
+    the underflow of e^{-g}."""
+    with np.errstate(divide="ignore"):
+        return -np.where(g < _LN2, np.log(-np.expm1(-g)), np.log1p(-np.exp(-g)))
+
+
 def _log_cum_hazard(g):
-    """log H for H = -log(1 - e^{-g}), the cumulative hazard at which an
-    exponential's CDF is e^{-g}: through log1mexp (Maechler 2012) while e^{-g}
-    is at least machine epsilon, then -g, to which log H = -g + e^{-g}/2 + ...
-    rounds."""
-    with np.errstate(divide="ignore"):  # H = inf at g = 0, 0 past e^{-g}'s underflow
-        h = -np.where(g < _LN2, np.log(-np.expm1(-g)), np.log1p(-np.exp(-g)))
-        return np.where(g < _NEG_LOG_EPS, np.log(h), -g)
+    """log H for H = ``_cum_hazard(g)`` while e^{-g} is at least machine
+    epsilon, then -g, to which log H = -g + e^{-g}/2 + ... rounds."""
+    with np.errstate(divide="ignore"):
+        return np.where(g < _NEG_LOG_EPS, np.log(_cum_hazard(g)), -g)
 
 
 @dataclass(frozen=True)
@@ -265,6 +277,9 @@ class Weibull(Marginal):
 
     def _cdf(self, x):
         return -np.expm1(-((x / self.eta) ** self.alpha))
+
+    def _sf(self, x):
+        return np.exp(-((x / self.eta) ** self.alpha))
 
     def _upper(self, g):
         return self.eta * g ** (1.0 / self.alpha)
@@ -381,6 +396,9 @@ class GeneralizedGamma(_GammaPower):
     def _cdf(self, x):
         return special.gammainc(self._k, (x / self.a) ** self.p)
 
+    def _sf(self, x):
+        return special.gammaincc(self._k, (x / self.a) ** self.p)
+
     def _from_y(self, y):
         return self.a * y ** (1.0 / self.p)
 
@@ -406,6 +424,9 @@ class Gamma(_GammaPower):
     def _cdf(self, x):
         return special.gammainc(self.shape, self.rate * x)
 
+    def _sf(self, x):
+        return special.gammaincc(self.shape, self.rate * x)
+
     def _from_y(self, y):
         return y / self.rate
 
@@ -426,11 +447,51 @@ class Exponential(Marginal):
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
+    def _sf(self, x):
+        return np.exp(-self.rate * x)
+
     def _upper(self, g):
         return g / self.rate
 
     def _lower(self, g):
         return np.exp(_log_cum_hazard(g) - math.log(self.rate))
+
+
+@dataclass(frozen=True)
+class Truncated(Marginal):
+    """A continuous ``law`` conditioned on X <= ``b``: F(min(x, b)) / F(b).
+
+    ``log_mass`` is ln F(b), read off the smaller of F(b) and 1 - F(b), so
+    that a b in either tail keeps its digits.  Both kernels are the law's
+    lower-tail quantile at a level that never rounds through a mass: F(x) is
+    F(b) e^{-g} on the lower tail and F(b) (1 - e^{-g}) on the upper one.
+    Internal: the Gamma embedding builds it for ``ProblemSpec.boxed``, and
+    no JSON kind reads it.
+    """
+
+    law: Marginal
+    b: float
+    log_mass: float = field(init=False, repr=False, compare=False)
+    kind = "truncated"
+
+    def __post_init__(self):
+        _require_positive(b=self.b)
+        at = np.array([float(self.b)])
+        mass = self.law._cdf(at)[0]
+        with np.errstate(divide="ignore"):  # -inf where F(b) is 0 in double
+            log_mass = np.log(mass) if mass < 0.5 else np.log1p(-self.law._sf(at)[0])
+        object.__setattr__(self, "log_mass", float(log_mass))
+
+    def _cdf(self, x):
+        inside = np.minimum(self.law._cdf(x) / math.exp(self.log_mass), 1.0)
+        return np.where(x < self.b, inside, 1.0)
+
+    # the minimum keeps a quantile an ulp past b inside the box
+    def _upper(self, g):
+        return np.minimum(self.law._lower(_cum_hazard(g) - self.log_mass), self.b)
+
+    def _lower(self, g):
+        return np.minimum(self.law._lower(g - self.log_mass), self.b)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ object from its kind, which owns the dynamics; ``curve.py`` owns the curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .dist import (Marginal, Poisson, _at, _fail, _json_fields, _json_kind, _json_object,
-                   _json_value, _require_positive, marginal_from_json)
+from .dist import (Marginal, Poisson, Truncated, _at, _fail, _json_fields, _json_kind,
+                   _json_object, _json_value, _require_positive, marginal_from_json)
 from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler, row_blocks
 
 __all__ = [
@@ -306,6 +307,13 @@ class _GammaEmbedding:
         n = len(self.marginals)
         return lambda gen, c: _embed(gen.standard_exponential((c, n)), self._groups)
 
+    def truncated(self, bounds):
+        """The marginals truncated to [0, b_i], an infinite b_i leaving its law
+        whole, and ln prod_i F_i(b_i)."""
+        laws = tuple(Truncated(m, b) if b < math.inf else m
+                     for m, b in zip(self.marginals, bounds))
+        return laws, math.fsum(law.log_mass for law, b in zip(laws, bounds) if b < math.inf)
+
 
 class _PoissonJumps:
     """The process of a Poisson problem: coordinate i counts the jumps of a
@@ -336,6 +344,10 @@ class _PoissonJumps:
 
     def sampler(self):
         return poisson_sampler(self._rates)
+
+    def truncated(self, bounds):
+        """None: a count is no embedded law, so it has no truncated one."""
+        return None
 
 
 _PROCESSES = {"continuous": _GammaEmbedding, "poisson": _PoissonJumps}
@@ -391,6 +403,26 @@ class ProblemSpec:
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma."""
         return self.process.step(states, idx, dt, rng, self.gamma)
+
+    def boxed(self):
+        """(the problem on the box, ln of the box's mass), or None.
+
+        Where S sums nonnegative terms w_i x_i, S <= gamma forces x_i <= b_i =
+        gamma / w_i, so P[S(X) <= gamma] = prod_i F_i(b_i) P[S(Y) <= gamma]
+        with Y_i drawn from F_i truncated to [0, b_i]: the mass is exact, and
+        the boxed event is far less rare.  A weight of 0 leaves its
+        coordinate uncut.  None where S is no such sum, a b_i is not > 0
+        (gamma <= 0), the process has no truncated laws (Poisson counts) or
+        the mass is 0 in double.
+        """
+        terms = self.importance.summands(self.n)
+        if terms is None:
+            return None
+        bounds = [self.gamma / w if w > 0 else math.inf for w in terms[0]]
+        cut = self.process.truncated(bounds) if min(bounds) > 0 else None
+        if cut is None or math.exp(cut[1]) == 0.0:
+            return None
+        return replace(self, marginals=cut[0]), cut[1]
 
     def to_json(self) -> dict:
         return {

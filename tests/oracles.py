@@ -240,6 +240,18 @@ def neg_log_tail_quantile_mp(marginal: dict, g: float, tail: str, dps: int = 30)
         return float(mpmath.exp((lo + hi) / 2))
 
 
+def truncated_quantile_mp(marginal: dict, b: float, g: float, tail: str,
+                          dps: int = 30) -> float:
+    """The quantile of ``marginal`` truncated to [0, b] at level g: x with
+    F(x) = F(b) e^{-g} (tail="lower") or F(b) (1 - e^{-g}) ("upper"), as the
+    law's own lower-tail quantile at -ln F(x), in dps-digit mpmath."""
+    with mpmath.workdps(dps):
+        log_cdf = _log_cdf_and_sf(marginal)[0]
+        g = mpmath.mpf(g)
+        below = g if tail == "lower" else -mpmath.log(-mpmath.expm1(-g))
+        return neg_log_tail_quantile_mp(marginal, below - log_cdf(mpmath.mpf(b)), "lower", dps)
+
+
 def lognormal_ratio_curve_mp(num, den, eta, gamma, t, dps: int = 30) -> float:
     """c(t) = P[X_1(t) <= gamma (X_2(t) + eta)] for embedded LogNormal laws
     ``num`` = (mu_1, sigma_1) on the upper tail and ``den`` = (mu_2, sigma_2)

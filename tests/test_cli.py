@@ -15,6 +15,7 @@ import pytest
 from scipy import special
 
 from raresplit import cli
+from raresplit.baseline import naive_mc
 from raresplit.cli import (
     CSV_COLUMNS,
     ScenarioError,
@@ -27,7 +28,9 @@ from raresplit.cli import (
 from raresplit.curve import MAX_LATTICE
 from raresplit.dist import LogNormal, Weibull
 from raresplit.model import Ratio
-from raresplit.sched import _GRID
+from raresplit.process import RngStream
+from raresplit.sched import _GRID, SchedulingError, lower_bound_schedule
+from raresplit.split import replicate
 
 
 def run_cli(*args):
@@ -376,19 +379,15 @@ class TestCliRun:
         assert report["wall_seconds"] is None  # timing suppressed by default
         assert report["seed"] == 77
 
-    def test_threads_is_a_hidden_alias_of_workers(self, tmp_path, capsys):
+    def test_threads_is_no_flag(self, tmp_path, capsys):
+        # --threads was --workers' first name; it is an unknown flag now
         preset = tmp_path / "preset.json"
         preset.write_text(json.dumps(load_preset("V")))
-        outs = []
-        for flag in ("--workers", "--threads"):
-            assert main(["run", "--scenario", str(preset), "--s", "300", "--m", "4",
-                         "--seed", "3", flag, "2"]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        with pytest.raises(SystemExit):
-            main(["run", "--help"])
-        usage = capsys.readouterr().out
-        assert "--workers" in usage and "--threads" not in usage
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(preset), "--s", "300", "--m", "4", "--threads", "2"])
+        assert exc.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "configuration error: raresplit: unrecognized arguments: --threads 2"
 
     def test_csv_format_and_columns(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
@@ -458,13 +457,15 @@ class TestCliLevels:
         times, targets = payload["times"], payload["targets"]
         assert times[-1] == 1.0
         assert all(b > a for a, b in zip(times, times[1:]))
-        # lb levels aim at P^(l/L), P the survival curve at t = 1: here the
-        # Gamma(4, 1) CDF at 0.1, up to the curve bracket's resolution
+        # lb levels aim at P^(l/L), P the survival curve at t = 1 of the box
+        # run: the Gamma(4, 1) CDF at 0.1 over the box mass (1 - e^{-0.1})^4,
+        # up to the curve bracket's resolution
         L = len(targets)
         assert L == len(times)
         for l, q in enumerate(targets, start=1):
             assert math.log(q) == pytest.approx(l / L * math.log(targets[-1]), rel=1e-12)
-        assert targets[-1] == pytest.approx(special.gammainc(4, 0.1), rel=0.03)
+        box_mass = (-math.expm1(-0.1)) ** 4
+        assert targets[-1] == pytest.approx(special.gammainc(4, 0.1) / box_mass, rel=0.03)
 
     def test_levels_csv(self, tmp_path):
         scen = write_scenario(tmp_path, EXP_SUM)
@@ -536,6 +537,80 @@ class TestCliVerify:
         verdict = json.loads(proc.stdout)
         assert verdict["mean"] == 1.0 and verdict["three_se"] == 0.0
         assert verdict["oracle"] == pytest.approx(1.0, rel=1e-12) and verdict["verified"] is True
+
+
+class TestBox:
+    """Splitting and naive MC run every sum on its box (``ProblemSpec.boxed``)."""
+
+    def test_split_report_is_the_mass_times_the_boxed_run(self):
+        problem = preset_problem(load_preset("IV"), 0.3)
+        boxed, log_mass = problem.boxed()
+        mass = math.exp(log_mass)
+        report = cli.run_estimation(problem, "split", s=300, m=6, seed=4)
+        plain = replicate(boxed, lower_bound_schedule(boxed), 300, 6, RngStream(4))
+        assert report.mean == mass * plain.mean > 0
+        assert report.variance == mass * (mass * plain.variance)
+        assert report.re == pytest.approx(plain.re, rel=1e-12)
+        assert (report.levels, report.per_level_survival) == (plain.levels,
+                                                              plain.per_level_survival)
+
+    def test_naive_report_is_the_mass_times_the_boxed_run(self):
+        problem = cli.ProblemSpec.from_json({**EXP_SUM, "gamma": 0.5})
+        boxed, log_mass = problem.boxed()
+        mass = math.exp(log_mass)
+        report = cli.run_estimation(problem, "naive", m=20000, seed=2)
+        plain = naive_mc(boxed, 20000, RngStream(2))
+        assert report.mean == mass * plain.mean > 0
+        assert report.variance == mass * (mass * plain.variance)
+
+    @pytest.mark.parametrize("gamma", [1e-40, 1e-12])
+    def test_mass_that_underflows_runs_as_without_a_box(self, tmp_path, capsys, gamma):
+        # gamma = 1e-40 puts F(b) past the underflow, 1e-12 the product of
+        # the 15 F(b); either way the run meets the plain problem's refusal
+        problem = preset_problem(load_preset("V"), gamma)
+        assert problem.boxed() is None
+        with pytest.raises(SchedulingError) as exc:
+            lower_bound_schedule(problem)
+        preset = write_scenario(tmp_path, load_preset("V"), "t5.json")
+        assert main(["run", "--scenario", str(preset), "--gamma", str(gamma),
+                     "--s", "300", "--m", "4"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"estimation error: {exc.value}"
+
+    def test_zero_weight_matches_the_unboxed_estimate(self):
+        # the zero-weight coordinate stays uncut; the box and the plain
+        # problem estimate one probability
+        problem = cli.ProblemSpec.from_json({
+            "marginals": [{"kind": "exponential", "params": {"rate": 1.0}},
+                          {"kind": "weibull", "params": {"alpha": 0.8, "eta": 1.0}},
+                          {"kind": "exponential", "params": {"rate": 0.5}}],
+            "directions": ["I"] * 3,
+            "importance": {"kind": "weighted_sum", "weights": [1.0, 0.0, 2.0]},
+            "gamma": 0.2, "kind": "continuous"})
+        assert problem.boxed()[0].marginals[1] == problem.marginals[1]
+        boxed = cli.run_estimation(problem, "split", s=1000, m=40, seed=6)
+        plain = replicate(problem, lower_bound_schedule(problem), 1000, 40, RngStream(6))
+        se = math.hypot(math.sqrt(boxed.variance / 40), math.sqrt(plain.variance / 40))
+        assert abs(boxed.mean - plain.mean) <= 3.0 * se
+
+    @pytest.mark.parametrize("gamma", ["0.05", "0.3", "1e-3"])
+    def test_verify_exponential_sum_with_the_box(self, tmp_path, capsys, gamma):
+        scen = write_scenario(tmp_path, EXP_SUM)
+        assert cli.ProblemSpec.from_json({**EXP_SUM, "gamma": float(gamma)}).boxed() is not None
+        assert main(["verify", "--scenario", str(scen), "--gamma", gamma,
+                     "--s", "1000", "--m", "40", "--seed", "3"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verified"] is True
+        assert verdict["oracle"] == pytest.approx(special.gammainc(4, float(gamma)), rel=1e-12)
+
+    def test_levels_print_the_boxed_schedule(self, tmp_path, capsys):
+        preset = write_scenario(tmp_path, load_preset("V"), "t5.json")
+        assert main(["levels", "--scenario", str(preset), "--gamma", "1.39"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        boxed = preset_problem(load_preset("V"), 1.39).boxed()[0]
+        schedule = lower_bound_schedule(boxed)
+        assert printed["times"] == list(schedule.times) and len(schedule) == 6
+        assert printed["targets"] == list(schedule.targets)
 
 
 POISSON_PAST_ITS_LATTICE = {
@@ -832,7 +907,7 @@ def test_directions_name_the_pairing(tmp_path, capsys):
 
 
 # every subcommand's option strings; the settings table must neither add nor drop one
-COMMON_FLAGS = {"-h", "--help", "--seed", "--out", "--timing", "--workers", "--threads"}
+COMMON_FLAGS = {"-h", "--help", "--seed", "--out", "--timing", "--workers"}
 SCENARIO_FLAGS = {"--scenario", "--gamma", "--s", "--pbar", "--levels-method", "--pilot-levels"}
 FLAGS = {
     "run": SCENARIO_FLAGS | {"--method", "--format", "--m"},

@@ -6,11 +6,14 @@ file, and ``reproduce --table T --s 300 --m 5 --baseline-m 1000``.  A
 change that keeps the draws and decisions keeps every digest.  The
 digests hold for the numpy and scipy versions recorded in
 ``digests.json``; other versions skip.  To record new digests on purpose,
-run ``PYTHONPATH=src python tests/test_digests.py``.
+run ``PYTHONPATH=src python tests/test_digests.py [NAME ...]``: it
+re-records the named digests (all of them when none is named) and prints
+the name of each one that changed.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -59,8 +62,26 @@ def test_digest(name, tmp_path):
     assert got == record["digests"][name], f"{name}: new digest {got}"
 
 
-if __name__ == "__main__":
+def rerecord(names) -> list:
+    """Re-record the digests of ``names`` (every output when empty); returns
+    the names whose digest changed.  Naming a part of the record keeps the
+    rest, so the record's versions must be the running ones."""
+    unknown = sorted(set(names) - OUTPUTS.keys())
+    if unknown:
+        raise SystemExit(f"unknown digests {unknown}; choose from {sorted(OUTPUTS)}")
+    versions = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    record = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"digests": {}}
+    if names and {k: record.get(k) for k in versions} != versions:
+        raise SystemExit(f"digests.json was recorded with other versions than {versions}; "
+                         "re-record every digest")
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"numpy": numpy.__version__, "scipy": scipy.__version__,
-                  "digests": {name: digest(argv, tmp) for name, argv in sorted(OUTPUTS.items())}}
+        new = {name: digest(OUTPUTS[name], tmp) for name in sorted(names or OUTPUTS)}
+    changed = [name for name, value in new.items() if record["digests"].get(name) != value]
+    record = {**versions, "digests": dict(sorted({**record["digests"], **new}.items()))}
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
+    return changed
+
+
+if __name__ == "__main__":
+    for name in rerecord(sys.argv[1:]):
+        print(name)

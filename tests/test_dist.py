@@ -12,6 +12,7 @@ from raresplit.dist import (
     GeneralizedGamma,
     LogNormal,
     Poisson,
+    Truncated,
     Weibull,
     marginal_from_json,
     poisson_cdf_at,
@@ -344,6 +345,77 @@ class TestNegLogTailQuantileExtremes:
         z = special.ndtri_exp(-g)
         through_log = np.exp(law.mu - law.sigma * z if tail == "upper" else law.mu + law.sigma * z)
         assert law.quantile_from_neg_log_tail(g, tail).tobytes() == through_log.tobytes()
+
+
+# F(b) from 1e-100 to 1 - 1e-12, each as the smaller of F(b) and 1 - F(b) reads;
+# 1 - F(b) = 1e-12 is no double's distance from 1, so F(b) rounds in double
+TRUNCATIONS = [("F", 1e-100), ("F", 1e-10), ("F", 0.5), ("1-F", 1e-6), ("1-F", 1e-12)]
+TRUNCATION_GS = [1e-30, 1e-6, _LN2, 1.0, 30.0, 700.0]
+
+
+def truncation_point(law, side, mass):
+    """The b at which F(b) (side "F") or 1 - F(b) (side "1-F") is ``mass``."""
+    return law.quantile_from_neg_log_tail(-math.log(mass), "lower" if side == "F" else "upper")
+
+
+class TestTruncated:
+    """F truncated to [0, b], on both tails, with b near either end of F."""
+
+    @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("side, mass", TRUNCATIONS)
+    def test_kernels_against_mpmath(self, law, side, mass):
+        b = truncation_point(law, side, mass)
+        cut = Truncated(law, b)
+        if side == "F":
+            assert cut.log_mass == pytest.approx(math.log(mass), rel=1e-9)
+        else:
+            assert cut.log_mass == pytest.approx(math.log1p(-mass), rel=1e-9)
+        for tail in ("upper", "lower"):
+            for g in TRUNCATION_GS:
+                expected = oracles.truncated_quantile_mp(law.to_json(), b, g, tail)
+                got = cut.quantile_from_neg_log_tail(g, tail)
+                if expected >= np.finfo(float).tiny:
+                    assert got == pytest.approx(expected, rel=1e-10, abs=0), (tail, g)
+                else:  # the true quantile underflows
+                    assert got < np.finfo(float).tiny, (tail, g)
+
+    @given(edge_or_any_g, edge_or_any_g)
+    def test_monotone_in_g_inside_the_box(self, g1, g2):
+        lo, hi = sorted((g1, g2))
+        for law in EXTREME_LAWS:
+            for side, mass in TRUNCATIONS:
+                cut = Truncated(law, truncation_point(law, side, mass))
+                up = cut.quantile_from_neg_log_tail(np.array([lo, hi]), "upper")
+                down = cut.quantile_from_neg_log_tail(np.array([lo, hi]), "lower")
+                assert 0.0 <= up[0] <= up[1] <= cut.b, (cut, up)
+                assert cut.b >= down[0] >= down[1] >= 0.0, (cut, down)
+
+    @pytest.mark.parametrize("law", EXTREME_LAWS, ids=lambda d: d.kind)
+    def test_ends_and_cdf(self, law):
+        b = truncation_point(law, "F", 0.3)
+        cut = Truncated(law, b)
+        assert cut.quantile_from_neg_log_tail(0.0, "upper") == 0.0
+        assert cut.quantile_from_neg_log_tail(math.inf, "upper") == pytest.approx(b, rel=1e-12)
+        assert cut.quantile_from_neg_log_tail(0.0, "lower") == pytest.approx(b, rel=1e-12)
+        assert cut.quantile_from_neg_log_tail(math.inf, "lower") == 0.0
+        gs = np.array([0.01, 0.5, 3.0])
+        assert np.all(cut.quantile_from_neg_log_tail(gs, "upper") <= b)
+        x = cut.quantile_from_neg_log_tail(gs, "lower")
+        assert cut.cdf(x) == pytest.approx(np.exp(-gs), rel=1e-9)
+        assert cut.cdf(2.0 * b) == 1.0 and cut.cdf(-1.0) == 0.0
+
+    def test_equal_and_hashable(self):
+        law = LogNormal(0.0, 2.0)
+        assert Truncated(law, 1.39) == Truncated(LogNormal(0.0, 2.0), 1.39)
+        assert len({Truncated(law, 1.39), Truncated(law, 1.39), Truncated(law, 2.0)}) == 2
+
+    def test_mass_that_underflows_reads_minus_inf(self):
+        assert Truncated(LogNormal(0.0, 2.0), 1e-40).log_mass == -math.inf
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_bound_rejected(self, b):
+        with pytest.raises(ValueError):
+            Truncated(Exponential(1.0), b)
 
 
 class TestRegLowerIncGamma:

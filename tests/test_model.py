@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Weibull, GeneralizedGamma,
-                            marginal_from_json)
+from raresplit.cli import load_preset, preset_problem
+from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Truncated, Weibull,
+                            GeneralizedGamma, marginal_from_json)
 from raresplit.model import (
     _BRACKET_BITS,
     _BRACKET_MAX_EXP,
     _BRACKET_MIN_EXP,
+    _quantile_groups,
     OrderedPartialSum,
     ProblemSpec,
     Ratio,
@@ -402,6 +404,43 @@ class TestProblemSpec:
         node[where[-1]] = value
         with pytest.raises(ValueError, match=path + ": mix of dB and natural fields"):
             ProblemSpec.from_json(scen)
+
+
+class TestBoxed:
+    """``ProblemSpec.boxed``: every sum's problem on the box x_i <= gamma / w_i."""
+
+    def test_table5_keeps_one_quantile_group(self):
+        problem = preset_problem(load_preset("V"), 1.39)
+        boxed, log_mass = problem.boxed()
+        law = Truncated(LogNormal(0.0, 2.0), 1.39)
+        assert boxed.marginals == (law,) * 15
+        assert log_mass == pytest.approx(15 * math.log(LogNormal(0.0, 2.0).cdf(1.39)), rel=1e-12)
+        [((group_law, tail), cols, width)] = _quantile_groups(boxed.marginals, boxed.directions)
+        assert (group_law, tail, cols, width) == (law, "upper", slice(0, 15), 15)
+        assert np.ndim(boxed.process.bracket._base) == 0  # the scalar bracket base
+
+    def test_weights_set_each_bound(self):
+        laws = (Exponential(1.0), Weibull(0.8, 1.0), Exponential(2.0))
+        problem = ProblemSpec(laws, ("I",) * 3, WeightedSum((2.0, 0.0, 0.5)), 0.3)
+        boxed, log_mass = problem.boxed()
+        # a weight of 0 leaves its coordinate uncut
+        assert boxed.marginals == (Truncated(laws[0], 0.15), laws[1], Truncated(laws[2], 0.6))
+        assert log_mass == pytest.approx(math.log(laws[0].cdf(0.15) * laws[2].cdf(0.6)),
+                                         rel=1e-12)
+        assert (boxed.importance, boxed.gamma) == (problem.importance, problem.gamma)
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param(ProblemSpec((LogNormal(2.0, 0.6), LogNormal(0.0, 0.9)), ("I", "D"),
+                                 Ratio(0.1), 0.02), id="ratio"),
+        pytest.param(ProblemSpec((Poisson(1.0), Poisson(1.2)), ("I", "I"),
+                                 WeightedSum((1.0, 2.0)), 30.0, "poisson"), id="poisson"),
+        pytest.param(ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 0.0),
+                     id="gamma-zero"),
+        pytest.param(ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), -1.0),
+                     id="gamma-negative"),
+    ])
+    def test_no_box(self, problem):
+        assert problem.boxed() is None
 
 
 def reference_score(problem, g):

@@ -292,6 +292,24 @@ class TestReplicate:
         assert (par.mean, par.variance) == (seq.mean, seq.variance)
         assert par.per_level_survival == seq.per_level_survival
 
+    def test_boxed_problem_pickles_without_its_tables(self):
+        # the box's laws are Truncated ones; a pool task carries the laws
+        # alone, and each worker builds the tables of their quantile
+        problem = preset_problem(load_preset("V"), 2.3).boxed()[0]
+        schedule = lower_bound_schedule(problem)
+        levels = RngStream(31).gen.gamma(0.5, size=(2000, problem.n))
+        survive = problem.process.survives(levels, problem.gamma)
+        assert 0 < survive.sum() < survive.size
+        assert "bracket" in vars(problem.process)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert "bracket" not in vars(copy.process)
+        assert np.array_equal(copy.process.survives(levels, copy.gamma), survive)
+        par = replicate(problem, schedule, 200, 4, RngStream(5), workers=2)
+        seq = replicate(problem, schedule, 200, 4, RngStream(5), workers=1)
+        assert par.mean > 0
+        assert (par.mean, par.variance) == (seq.mean, seq.variance)
+        assert par.per_level_survival == seq.per_level_survival
+
     def test_pool_capped_at_replications(self, monkeypatch):
         # an in-process stand-in for the pool records the size it was asked
         # for and the chunk size it maps with

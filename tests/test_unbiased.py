@@ -5,7 +5,8 @@ product is itself unbiased for c(t_l) = P[S(X(t_l)) <= gamma], and the
 sample-free engine (``curve.survival_bracket``) gives c(t_l) for each family
 below, so a bias in the draws, the embedding, the survival decision or the
 resampling shows at the first level where it enters.  Level 1 is plain MC
-over s * runs states, so its z is sharp.
+over s * runs states, so its z is sharp.  Two families are box-truncated
+problems, which ``run_estimation`` splits for every sum.
 
 The rule: at every level the mean prefix over ``RUNS`` runs lies within
 ``Z_MAX`` standard errors beyond the bracket's half-width.  A bracketed
@@ -50,6 +51,14 @@ FAMILIES = {
     "top2_of_3_lognormal": (
         ProblemSpec((LogNormal(0.0, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
                     "continuous"), 9104, 4096),
+    # the box-truncated problems that splitting runs on (ProblemSpec.boxed):
+    # laws truncated to [0, gamma], whose curve the engine brackets
+    "boxed_exponential_sum": (
+        ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 0.3,
+                    "continuous").boxed()[0], 9105, 4096),
+    "boxed_top2_of_3_lognormal": (
+        ProblemSpec((LogNormal(0.0, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
+                    "continuous").boxed()[0], 9106, 4096),
 }
 
 
