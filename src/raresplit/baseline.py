@@ -1,6 +1,6 @@
 """Baseline estimators: naive Monte Carlo and rate-scaled Poisson
 importance sampling for weighted Poisson sums.  Both draw Poisson counts
-with ``process.poisson_sampler``.
+with ``process.poisson_sampler``; neither embeds nor scores on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .model import ProblemSpec, importance
+from .model import ProblemSpec, WeightedSum
 from .process import RngStream, poisson_sampler
 from .stats import EstimateReport
 
@@ -44,16 +44,14 @@ def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
 def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo: m direct draws of X, fraction with S(X) <= gamma.
 
-    The draws come from the process's ``sampler()``: a continuous problem
-    embeds one Exp(1) level per coordinate, the subordinator at t = 1, and a
-    Poisson problem inverts one uniform per count (``poisson_sampler``).
+    The draws are the process's states at t = 1 (``sampler()``), Exp(1) levels
+    or Poisson counts, and ``process.survives`` decides, as it does for splitting.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = time.perf_counter()
-    draw = problem.process.sampler()
-    hits = sum(int(np.count_nonzero(importance(problem.importance, x) <= problem.gamma))
-               for x in _blocks(m, draw, rng.gen))
+    hits = sum(int(np.count_nonzero(problem.process.survives(x, problem.gamma)))
+               for x in _blocks(m, problem.process.sampler(), rng.gen))
     wall = time.perf_counter() - t0
     mean = hits / m
     variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
@@ -75,9 +73,9 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     weights = np.asarray(weights, dtype=float)
     if lambdas.ndim != 1 or lambdas.shape != weights.shape:
         raise ValueError("lambdas and weights must be 1-d and the same length")
-    if not (np.all(np.isfinite(lambdas) & (lambdas > 0))
-            and np.all(np.isfinite(weights) & (weights >= 0))):
-        raise ValueError("rates must be finite and > 0, weights finite and >= 0")
+    if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+        raise ValueError("rates must be finite and > 0")
+    score = WeightedSum(weights).score_rows  # it checks the weights: finite, >= 0, not all 0
     if m < 1:
         raise ValueError("m must be >= 1")
     if not gamma > 0:
@@ -98,8 +96,7 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     total = total_sq = 0.0
     for x in _blocks(m, draw, rng.gen):
         log_w = const - log_theta * np.einsum("ij->i", x)
-        score = np.einsum("ij,j->i", x, weights)  # row sums independent of the block
-        vals = np.where(score <= gamma, np.exp(log_w), 0.0)
+        vals = np.where(score(x) <= gamma, np.exp(log_w), 0.0)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     wall = time.perf_counter() - t0

@@ -465,8 +465,8 @@ class Truncated(Marginal):
     that a b in either tail keeps its digits.  Both kernels are the law's
     lower-tail quantile at a level that never rounds through a mass: F(x) is
     F(b) e^{-g} on the lower tail and F(b) (1 - e^{-g}) on the upper one.
-    Internal: the Gamma embedding builds it for ``ProblemSpec.boxed``, and
-    no JSON kind reads it.
+    Internal: the Gamma embedding builds it for ``ProblemSpec.boxed``; no
+    JSON kind reads it, and it writes none.
     """
 
     law: Marginal
@@ -492,6 +492,9 @@ class Truncated(Marginal):
 
     def _lower(self, g):
         return np.minimum(self.law._lower(g - self.log_mass), self.b)
+
+    def to_json(self):
+        raise ValueError("a truncated law has no JSON form; serialize the problem before boxing")
 
 
 @dataclass(frozen=True)

@@ -302,10 +302,10 @@ class _GammaEmbedding:
         return out
 
     def sampler(self):
-        """``draw(gen, c)``: c rows of X(1), the embedding of c rows of the
-        subordinator's Gamma(1, 1) = Exp(1) levels at t = 1."""
+        """``draw(gen, c)``: c states at t = 1, the subordinator's Gamma(1, 1)
+        = Exp(1) levels, whose embedding is X(1)."""
         n = len(self.marginals)
-        return lambda gen, c: _embed(gen.standard_exponential((c, n)), self._groups)
+        return lambda gen, c: gen.standard_exponential((c, n))
 
     def truncated(self, bounds):
         """The marginals truncated to [0, b_i], an infinite b_i leaving its law
@@ -360,7 +360,7 @@ class ProblemSpec:
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
     ``process``, built from it, runs a splitting level, decides which
-    states survive, and holds the target draw.
+    states survive, and draws the states at t = 1.
     """
 
     marginals: tuple

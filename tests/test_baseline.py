@@ -5,7 +5,9 @@ import pytest
 
 from raresplit import baseline
 from raresplit.baseline import naive_mc, poisson_is, poisson_is_tilt
-from raresplit.dist import Exponential, LogNormal, Poisson, Weibull, reg_lower_inc_gamma
+from raresplit.cli import load_preset, preset_problem
+from raresplit.dist import (Exponential, Gamma, GeneralizedGamma, LogNormal, Poisson, Weibull,
+                            reg_lower_inc_gamma)
 from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, embed, importance
 from raresplit.process import RngStream, poisson_sampler
 from raresplit.stats import oracle_exact
@@ -143,7 +145,8 @@ class TestPoissonIs:
 
 
 def one_chunk_naive(problem, m, seed):
-    """naive_mc's (mean, variance) from one (m, n) draw, as before row blocks."""
+    """naive_mc's (mean, variance) from one (m, n) draw, as before row blocks,
+    every row embedded and scored in full: the replay's route to S(X)."""
     gen = RngStream(seed).gen
     if problem.kind == "poisson":
         x = poisson_sampler(problem.rates())(gen, m)
@@ -204,6 +207,49 @@ class TestRowBlocks:
         rep = poisson_is(*args, m, RngStream(24))
         assert (rep.mean, rep.variance) == one_chunk_is(*args, m, 24)
         assert rep.mean > 0.0
+
+
+def preset_row(table, gamma, box):
+    problem = preset_problem(load_preset(table), gamma)
+    return problem.boxed()[0] if box else problem
+
+
+# one member of each continuous law, off the unit parameters
+LAWS = (LogNormal(0.3, 1.7), Weibull(0.6, 2.0), GeneralizedGamma(2.5, 0.7, 1.3),
+        Gamma(0.4, 2.0), Exponential(1.5))
+
+
+class TestOneDecision:
+    """naive MC decides S(X) <= gamma by ``process.survives``, the survival
+    bracket with exact scoring behind it; its estimate has the bits of
+    embedding every draw and scoring it with ``importance``."""
+
+    M = 3 * baseline._BLOCK + 123
+
+    # (problem, whether the row is loose enough that some draws hit at M)
+    @pytest.mark.parametrize("problem, hits", [
+        (preset_row("V", 1.39, False), False),
+        (preset_row("V", 1.39, True), False),
+        (preset_row("V", 10.0, False), True),
+        (preset_row("V", 10.0, True), True),
+        (preset_row("II", 0.005, False), False),
+        (preset_row("II", 0.005, True), True),
+        (preset_row("II", 1.0, False), True),
+        (preset_row("VI", 0.02, False), False),
+        (preset_row("VI", 0.3, False), True),
+        (ProblemSpec(LAWS, ("I",) * 5, Sum(), 3.0), True),
+        (ProblemSpec(LAWS, ("I",) * 5, Sum(), 3.0).boxed()[0], True),
+        (ProblemSpec((LogNormal(0.0, 1.0),) + LAWS, ("I",) + ("D",) * 5, Ratio(0.1), 0.1),
+         True),
+        (preset_row("I", 50.0, False), False),
+        (preset_row("I", 100.0, False), True),
+    ], ids=["V-1.39", "V-1.39-box", "V-10", "V-10-box", "II-0.005", "II-0.005-box", "II-1",
+            "VI-0.02", "VI-0.3", "laws-upper", "laws-upper-box", "laws-lower",
+            "I-50", "I-100"])
+    def test_hits_equal_exact_scoring_of_every_draw(self, problem, hits):
+        rep = naive_mc(problem, self.M, RngStream(31))
+        assert (rep.mean, rep.variance) == one_chunk_naive(problem, self.M, 31)
+        assert (rep.mean > 0.0) == hits
 
 
 class TestLogNormalRatioSmoke:

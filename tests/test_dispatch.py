@@ -11,7 +11,9 @@ and read them.  Exact answers are one path too: ``curve.py`` picks each
 family's formula and holds the Poisson DP, no process carries an
 ``exact_cdf`` hook, and the oracle reads the curve.  What the engine does
 not cover it refuses with a reason, never with a None, and only it knows
-its lattice budget.
+its lattice budget.  A sample's S(X) <= gamma is decided in one place as
+well: every estimator asks ``process.survives``, and only ``model.py``
+embeds whole rows and scores them with ``importance``.
 """
 
 import ast
@@ -304,3 +306,45 @@ def test_only_the_curve_engine_knows_its_budget_and_refuses_with_a_reason():
     curve = ast.parse((SRC / CURVE_OWNER).read_text(encoding="utf-8"))
     assert list(budget_names(curve))  # the guard still sees the budget where it lives
     assert not list(none_returns(curve))
+
+
+# the reference route to S(X), embedding every level and scoring every row:
+# model.py defines it, the package exports it, the tests and the replay check
+# the survival decision against it, and no estimator takes it, since
+# ``process.survives`` decides
+REFERENCE_OWNER = "model.py"
+REFERENCE_EXPORTER = "__init__.py"
+REFERENCE_ROUTE = {"embed", "importance"}
+
+
+def reference_uses(tree):
+    """(use, name, line) of each import ("import") of ``embed`` or
+    ``importance`` and of each call ("call") of either, plainly or as a module
+    attribute, in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name in REFERENCE_ROUTE:
+            yield "import", node.name, getattr(node, "lineno", None)
+        elif isinstance(node, ast.Call) and named(node.func) in REFERENCE_ROUTE:
+            yield "call", named(node.func), node.lineno
+
+
+def test_guard_finds_reference_uses():
+    source = ("from .model import ProblemSpec, embed, importance_from_json\n"
+              "def naive(problem, g):\n"
+              "    x = model.embed(g, problem.marginals, problem.directions)\n"
+              "    return importance(problem.importance, x) <= problem.gamma\n"
+              "score = problem.importance.score_rows\n")
+    assert sorted(reference_uses(ast.parse(source)), key=lambda use: use[2]) == [
+        ("import", "embed", 1), ("call", "embed", 3), ("call", "importance", 4)]
+
+
+def test_only_the_model_embeds_and_scores_whole_rows():
+    found, exported = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for use, name, line in reference_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == REFERENCE_EXPORTER and use == "import":
+                exported.add(name)
+            elif path.name != REFERENCE_OWNER:
+                found.append(f"{path.name}:{line} ({use} of {name})")
+    assert not found, found
+    assert exported == REFERENCE_ROUTE  # both stay public, as the reference

@@ -93,13 +93,16 @@ class TestEmbeddedMarginalLaw:
         ProblemSpec((LogNormal(0.0, 1.0),) + LAWS, ("I",) + ("D",) * 5, Ratio(0.1), 1.0),
     ], ids=["sum-upper", "ratio-lower"])
     def test_sampler_draws_every_column_from_its_marginal(self, problem):
-        # naive MC's draw of X(1): each law once on the upper tail ("I") and
-        # once on the lower tail ("D"), the Ratio's interferers
+        # naive MC's draw: the state at t = 1, Exp(1) levels, whose embedding
+        # is X(1), each law once on the upper tail ("I") and once on the lower
+        # tail ("D"), the Ratio's interferers
         c = 20_000
-        x = problem.process.sampler()(RngStream(22).gen, c)
-        assert x.shape == (c, problem.n)
-        # 1e-3 per column keeps the false-alarm rate of five or six columns near 0.5%
+        g = problem.process.sampler()(RngStream(22).gen, c)
+        assert g.shape == (c, problem.n)
+        x = embed(g, problem.marginals, problem.directions)
+        # 1e-3 per test keeps the false-alarm rate of ten or twelve tests near 1%
         for i, marginal in enumerate(problem.marginals):
+            assert stats.kstest(g[:, i], "expon").pvalue > 1e-3, i
             assert stats.kstest(x[:, i], marginal.cdf).pvalue > 1e-3, (i, marginal)
 
 
@@ -441,6 +444,12 @@ class TestBoxed:
     ])
     def test_no_box(self, problem):
         assert problem.boxed() is None
+
+    def test_boxed_problem_refuses_json_with_one_error(self):
+        problem = preset_problem(load_preset("V"), 1.39)
+        json.dumps(problem.to_json())  # the problem before boxing serializes
+        with pytest.raises(ValueError, match="serialize the problem before boxing"):
+            problem.boxed()[0].to_json()
 
 
 def reference_score(problem, g):

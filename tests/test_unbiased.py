@@ -5,7 +5,7 @@ product is itself unbiased for c(t_l) = P[S(X(t_l)) <= gamma], and the
 sample-free engine (``curve.survival_bracket``) gives c(t_l) for each family
 below, so a bias in the draws, the embedding, the survival decision or the
 resampling shows at the first level where it enters.  Level 1 is plain MC
-over s * runs states, so its z is sharp.  Two families are box-truncated
+over s * runs states, so its z is sharp.  Three families are box-truncated
 problems, which ``run_estimation`` splits for every sum.
 
 The rule: at every level the mean prefix over ``RUNS`` runs lies within
@@ -28,7 +28,7 @@ import pytest
 
 from raresplit import curve, model
 from raresplit.curve import survival_bracket
-from raresplit.dist import Exponential, LogNormal, Poisson
+from raresplit.dist import Exponential, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 from raresplit.process import RngStream, advance_gamma_batch
 from raresplit.sched import lower_bound_schedule
@@ -59,6 +59,10 @@ FAMILIES = {
     "boxed_top2_of_3_lognormal": (
         ProblemSpec((LogNormal(0.0, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
                     "continuous").boxed()[0], 9106, 4096),
+    # the law of Tables II-III on its upper tail
+    "boxed_top2_of_3_weibull": (
+        ProblemSpec((Weibull(0.7, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
+                    "continuous").boxed()[0], 9107, 4096),
 }
 
 
