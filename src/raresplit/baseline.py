@@ -47,14 +47,14 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     The draws are the process's states at t = 1 (``sampler()``), Exp(1) levels
     or Poisson counts, and ``process.survives`` decides, as it does for splitting.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
     hits = sum(int(np.count_nonzero(problem.process.survives(x, problem.gamma)))
                for x in _blocks(m, problem.process.sampler(), rng.gen))
     wall = time.perf_counter() - t0
     mean = hits / m
-    variance = mean * (1.0 - mean) * m / (m - 1) if m > 1 else 0.0
+    variance = mean * (1.0 - mean) * m / (m - 1)
     return EstimateReport(method="naive", mean=mean, variance=variance, wall_seconds=wall,
                           m=m, seed=rng.seed)
 
@@ -76,8 +76,8 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
         raise ValueError("rates must be finite and > 0")
     score = WeightedSum(weights).score_rows  # it checks the weights: finite, >= 0, not all 0
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     if not gamma > 0:
         raise ValueError("gamma must be > 0")
     theta = poisson_is_tilt(lambdas, weights, gamma)
@@ -102,7 +102,6 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
     wall = time.perf_counter() - t0
 
     mean = total / m
-    variance = (total_sq - m * mean * mean) / (m - 1) if m > 1 else 0.0
-    variance = max(variance, 0.0)
+    variance = max((total_sq - m * mean * mean) / (m - 1), 0.0)
     return EstimateReport(method="is", mean=mean, variance=variance, wall_seconds=wall,
                           m=m, seed=rng.seed)

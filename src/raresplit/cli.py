@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -115,41 +116,17 @@ def build_schedule(problem, rng, *, levels_method=_BUILTIN["levels_method"],
     raise ScenarioError(f"unknown levels method {levels_method!r} (use 'lb' or 'iccdf')")
 
 
-def _on_box(problem: ProblemSpec) -> tuple[ProblemSpec, float]:
-    """The problem splitting and naive MC run on, its box where
-    ``ProblemSpec.boxed`` finds one, and the box's mass (1 without one)."""
-    boxed = problem.boxed()
-    return (problem, 1.0) if boxed is None else (boxed[0], math.exp(boxed[1]))
-
-
-def _scaled(report: EstimateReport, mass: float, **changes) -> EstimateReport:
-    """The report of a run on the box as an estimate of the whole problem."""
-    return dataclasses.replace(report, mean=mass * report.mean,
-                               variance=mass * (mass * report.variance), **changes)
-
-
 def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUILTIN["m"],
                    p_bar=_BUILTIN["p_bar"], levels_method=_BUILTIN["levels_method"],
                    pilot_levels=_BUILTIN["pilot_levels"], seed=0, workers=1) -> EstimateReport:
     """Schedule (when splitting) plus estimation, with full-call wall time.
 
-    Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``)
-    where it has one: the mean is scaled by the box mass and the variance
-    by the mass twice, while the levels and their survival are the boxed run's.
+    Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``):
+    the mean is scaled by the box mass and the variance by the mass twice,
+    while the levels and their survival are the boxed run's.  IS runs on
+    the plain problem.
     """
     rng = RngStream(seed)
-    if method == "split":
-        t0 = time.perf_counter()
-        problem, mass = _on_box(problem)
-        schedule = build_schedule(problem, rng, levels_method=levels_method,
-                                  p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
-        built = time.perf_counter()
-        report = replicate(problem, schedule, s, m, rng, workers=workers)
-        return _scaled(report, mass, wall_seconds=time.perf_counter() - t0,
-                       schedule_seconds=built - t0)
-    if method == "naive":
-        problem, mass = _on_box(problem)
-        return _scaled(naive_mc(problem, m, rng), mass)
     if method == "is":
         if problem.kind != "poisson":
             raise ScenarioError("--method is requires a poisson scenario")
@@ -157,7 +134,21 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
             raise ScenarioError(f"gamma = {problem.gamma!r}: --method is needs gamma > 0")
         return poisson_is(problem.rates(), problem.importance.weight_array(),
                           problem.gamma, m, rng)
-    raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
+    if method not in ("split", "naive"):
+        raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
+    t0 = time.perf_counter()
+    box, log_mass = problem.boxed()
+    if method == "split":
+        schedule = build_schedule(box, rng, levels_method=levels_method,
+                                  p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
+        built = {"schedule_seconds": time.perf_counter() - t0}
+        report = replicate(box, schedule, s, m, rng, workers=workers)
+    else:
+        built, report = {}, naive_mc(box, m, rng)
+    mass = math.exp(log_mass)
+    return dataclasses.replace(report, mean=mass * report.mean,
+                               variance=mass * (mass * report.variance),
+                               wall_seconds=time.perf_counter() - t0, **built)
 
 
 def _report_fields(report: EstimateReport, include_timing: bool) -> dict:
@@ -265,9 +256,8 @@ def _check_schedule(settings: dict) -> None:
 
 
 def _check_samples(m, method):
-    least = 2 if method == "split" else 1
-    if m < least:
-        _fail(f"m = {m!r}", f"{method} needs m >= {least}")
+    if m < 2:
+        _fail(f"m = {m!r}", f"{method} needs m >= 2 for a sample variance")
 
 
 def _load_scenario(args, method):
@@ -293,7 +283,7 @@ def cmd_run(args) -> int:
 def cmd_levels(args) -> int:
     """The schedule a split run uses: its box's where it has one."""
     problem, settings = _load_scenario(args, None)
-    schedule = build_schedule(_on_box(problem)[0], RngStream(args.seed),
+    schedule = build_schedule(problem.boxed()[0], RngStream(args.seed),
                               levels_method=settings["levels_method"], p_bar=settings["p_bar"],
                               pilot_levels=settings["pilot_levels"], pilot_s=settings["s"])
     targets = list(schedule.targets)
@@ -417,11 +407,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning is one stderr line, not source code
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -404,25 +404,24 @@ class ProblemSpec:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma."""
         return self.process.step(states, idx, dt, rng, self.gamma)
 
-    def boxed(self):
-        """(the problem on the box, ln of the box's mass), or None.
+    def boxed(self) -> tuple[ProblemSpec, float]:
+        """(the problem on the box, ln of the box's mass).
 
         Where S sums nonnegative terms w_i x_i, S <= gamma forces x_i <= b_i =
         gamma / w_i, so P[S(X) <= gamma] = prod_i F_i(b_i) P[S(Y) <= gamma]
         with Y_i drawn from F_i truncated to [0, b_i]: the mass is exact, and
         the boxed event is far less rare.  A weight of 0 leaves its
-        coordinate uncut.  None where S is no such sum, a b_i is not > 0
-        (gamma <= 0), the process has no truncated laws (Poisson counts) or
-        the mass is 0 in double.
+        coordinate uncut.  (self, 0.0), no box, where S is no such sum, a b_i
+        is not > 0 (gamma <= 0), the process has no truncated laws (Poisson
+        counts) or the mass is 0 in double.
         """
         terms = self.importance.summands(self.n)
-        if terms is None:
-            return None
-        bounds = [self.gamma / w if w > 0 else math.inf for w in terms[0]]
-        cut = self.process.truncated(bounds) if min(bounds) > 0 else None
-        if cut is None or math.exp(cut[1]) == 0.0:
-            return None
-        return replace(self, marginals=cut[0]), cut[1]
+        if terms is not None:
+            bounds = [self.gamma / w if w > 0 else math.inf for w in terms[0]]
+            cut = self.process.truncated(bounds) if min(bounds) > 0 else None
+            if cut is not None and math.exp(cut[1]) != 0.0:
+                return replace(self, marginals=cut[0]), cut[1]
+        return self, 0.0
 
     def to_json(self) -> dict:
         return {

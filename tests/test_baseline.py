@@ -79,6 +79,10 @@ class TestNaiveMc:
         with pytest.raises(ValueError):
             naive_mc(exp_sum(), 0, RngStream(0))
 
+    def test_one_sample_has_no_variance(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            naive_mc(exp_sum(), 1, RngStream(0))
+
 
 class TestPoissonIs:
     def test_tilt_arithmetic(self):
@@ -129,6 +133,10 @@ class TestPoissonIs:
             poisson_is([1.0], [1.0], -1.0, 100, RngStream(0))
         with pytest.raises(ValueError):
             poisson_is([1.0, 1.0], [1.0], 1.0, 100, RngStream(0))
+
+    def test_one_sample_has_no_variance(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            poisson_is([1.0, 1.0], [1.0, 2.0], 1.0, 1, RngStream(0))
 
     @pytest.mark.parametrize("lambdas,weights", [
         ([1.0, math.nan], [1.0, 1.0]), ([1.0, math.inf], [1.0, 1.0]),

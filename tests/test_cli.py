@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -568,7 +569,7 @@ class TestBox:
         # gamma = 1e-40 puts F(b) past the underflow, 1e-12 the product of
         # the 15 F(b); either way the run meets the plain problem's refusal
         problem = preset_problem(load_preset("V"), gamma)
-        assert problem.boxed() is None
+        assert problem.boxed() == (problem, 0.0)
         with pytest.raises(SchedulingError) as exc:
             lower_bound_schedule(problem)
         preset = write_scenario(tmp_path, load_preset("V"), "t5.json")
@@ -596,7 +597,7 @@ class TestBox:
     @pytest.mark.parametrize("gamma", ["0.05", "0.3", "1e-3"])
     def test_verify_exponential_sum_with_the_box(self, tmp_path, capsys, gamma):
         scen = write_scenario(tmp_path, EXP_SUM)
-        assert cli.ProblemSpec.from_json({**EXP_SUM, "gamma": float(gamma)}).boxed() is not None
+        assert cli.ProblemSpec.from_json({**EXP_SUM, "gamma": float(gamma)}).boxed()[1] < 0.0
         assert main(["verify", "--scenario", str(scen), "--gamma", gamma,
                      "--s", "1000", "--m", "40", "--seed", "3"]) == 0
         verdict = json.loads(capsys.readouterr().out)
@@ -682,6 +683,30 @@ class TestNonFiniteGamma:
         assert "Traceback" not in proc.stderr
 
 
+class TestWarnings:
+    """A library warning reaches the user as one ``warning:`` stderr line."""
+
+    def test_is_clamp_is_one_line(self, tmp_path):
+        # theta >= 1: IS is clamped to naive MC and says so
+        preset = write_scenario(tmp_path, load_preset("I"), "t1.json")
+        proc = run_cli("run", "--scenario", str(preset), "--method", "is", "--m", "1000",
+                       "--gamma", "1e9")
+        assert proc.returncode == 0, proc.stderr
+        warning, timing = proc.stderr.splitlines()
+        assert warning.startswith("warning: theta = gamma / sum(w*lambda) = ")
+        assert warning.endswith("(the event is not rare and the estimator reduces to naive MC)")
+        assert timing.startswith("[timing] ")
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_only_the_cli_call_shows_warnings_its_way(self, tmp_path, capsys):
+        shown = warnings.showwarning
+        preset = write_scenario(tmp_path, load_preset("I"), "t1.json")
+        assert main(["run", "--scenario", str(preset), "--method", "is", "--m", "1000",
+                     "--gamma", "1e9"]) == 0
+        assert capsys.readouterr().err.splitlines()[0].startswith("warning: theta = ")
+        assert warnings.showwarning is shown
+
+
 BAD_SETTINGS = [
     ("--s", "1"), ("--m", "1"), ("--pbar", "1.5"),
     ("--levels-method", "iccdf", "--s", "50"), ("--pilot-levels", "1"),
@@ -708,6 +733,9 @@ class TestBadSettings:
         # one past the schedules' level cap; a larger value is never run
         *[(command, table, ("--pilot-levels", "10001"))
           for command, table in (("run", "V"), ("levels", "V"), ("verify", "I"))],
+        # a sample variance needs two samples, whatever the method
+        ("run", "V", ("--method", "naive", "--m", "1")),
+        ("verify", "I", ("--method", "is", "--m", "1")),
     ])
     def test_scenario_commands(self, tmp_path, capsys, command, table, flags):
         preset = tmp_path / "preset.json"
@@ -809,7 +837,7 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("flags", [
         ("--s", "1"), ("--m", "1"), ("--baseline-m", "0"),
-        ("--table", "VI", "--s", "50"), ("--seed", "-1"),
+        ("--table", "VI", "--s", "50"), ("--seed", "-1"), ("--baseline-m", "1"),
     ])
     def test_reproduce(self, capsys, flags):
         argv = ["reproduce", *flags] if "--table" in flags else ["reproduce", "--table", "I", *flags]

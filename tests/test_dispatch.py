@@ -13,7 +13,10 @@ family's formula and holds the Poisson DP, no process carries an
 not cover it refuses with a reason, never with a None, and only it knows
 its lattice budget.  A sample's S(X) <= gamma is decided in one place as
 well: every estimator asks ``process.survives``, and only ``model.py``
-embeds whole rows and scores them with ``importance``.
+embeds whole rows and scores them with ``importance``.  A problem is boxed
+in one place: only the CLI calls ``boxed``, which always answers, so the
+estimators and schedule builders take the problem as given and no caller
+compares a box with None.
 """
 
 import ast
@@ -348,3 +351,67 @@ def test_only_the_model_embeds_and_scores_whole_rows():
                 found.append(f"{path.name}:{line} ({use} of {name})")
     assert not found, found
     assert exported == REFERENCE_ROUTE  # both stay public, as the reference
+
+
+# where a problem may be boxed: the CLI boxes each split and naive run once,
+# and ``levels`` prints the schedule of that box
+BOX_CALLERS = {("cli.py", "run_estimation"), ("cli.py", "cmd_levels")}
+
+
+def is_boxed_call(node):
+    return isinstance(node, ast.Call) and named(node.func) == "boxed"
+
+
+def boxed_uses(tree):
+    """(use, enclosing function, line) of each call of a ``.boxed`` method
+    ("call") in ``tree``, and of each comparison with None ("none") of such
+    a call or of a name its function assigns from one."""
+    def bound_names(function):
+        return {target.id for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and is_boxed_call(node.value)
+                for target in node.targets if isinstance(target, ast.Name)}
+
+    def from_boxed(operand, bound):
+        operand = operand.value if isinstance(operand, ast.NamedExpr) else operand
+        return is_boxed_call(operand) or isinstance(operand, ast.Name) and operand.id in bound
+
+    def visit(node, scope, bound):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_bound = scope, bound
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner, inner_bound = scope + (child.name,), bound_names(child)
+            elif is_boxed_call(child):
+                yield "call", ".".join(scope), child.lineno
+            elif isinstance(child, ast.Compare):
+                operands = (child.left, *child.comparators)
+                if any(isinstance(o, ast.Constant) and o.value is None for o in operands) \
+                        and any(from_boxed(o, bound) for o in operands):
+                    yield "none", ".".join(scope), child.lineno
+            yield from visit(child, inner, inner_bound)
+
+    yield from visit(tree, (), set())
+
+
+def test_guard_finds_boxed_uses():
+    source = ("def _on_box(problem):\n"
+              "    boxed = problem.boxed()\n"
+              "    return (problem, 1.0) if boxed is None else boxed\n"
+              "def replicate(problem):\n"
+              "    if (box := problem.boxed()) is not None:\n"
+              "        problem = box[0]\n"
+              "    return None is problem.boxed() or problem is None\n")
+    assert sorted(boxed_uses(ast.parse(source))) == [
+        ("call", "_on_box", 2), ("call", "replicate", 5), ("call", "replicate", 7),
+        ("none", "_on_box", 3), ("none", "replicate", 5), ("none", "replicate", 7)]
+
+
+def test_only_the_cli_boxes_and_never_asks_for_none():
+    found, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for use, scope, line in boxed_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if use == "call" and (path.name, scope) in BOX_CALLERS:
+                used.add((path.name, scope))
+            else:
+                found.append(f"{path.name}:{line} ({use}) in {scope or '<module>'}")
+    assert not found, found
+    assert used == BOX_CALLERS  # an allowance whose call is gone is removed too

@@ -443,7 +443,7 @@ class TestBoxed:
                      id="gamma-negative"),
     ])
     def test_no_box(self, problem):
-        assert problem.boxed() is None
+        assert problem.boxed() == (problem, 0.0)
 
     def test_boxed_problem_refuses_json_with_one_error(self):
         problem = preset_problem(load_preset("V"), 1.39)

@@ -28,7 +28,7 @@ import pytest
 
 from raresplit import curve, model
 from raresplit.curve import survival_bracket
-from raresplit.dist import Exponential, LogNormal, Poisson, Weibull
+from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
 from raresplit.process import RngStream, advance_gamma_batch
 from raresplit.sched import lower_bound_schedule
@@ -63,6 +63,11 @@ FAMILIES = {
     "boxed_top2_of_3_weibull": (
         ProblemSpec((Weibull(0.7, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
                     "continuous").boxed()[0], 9107, 4096),
+    # a weighted sum of two different laws, one of them Gamma-power; run
+    # plain, since its box leaves one level and the plain problem has three
+    "weighted_lognormal_gamma": (
+        ProblemSpec((LogNormal(0.0, 1.5), Gamma(0.5, 1.0)), ("I", "I"), WeightedSum((1.0, 2.0)),
+                    0.05, "continuous"), 9108, 4096),
 }
 
 
