@@ -9,6 +9,8 @@ takes either.  An error names the JSON path of the bad value, $-rooted at
 the file's top level.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime estimation error.
+A warning is one stderr line; one that the interpreter's filters raise as
+an error is an estimation error.
 By default the timing fields (wall_seconds, wnrv, schedule_seconds) are
 written as null so reports are byte-stable for a fixed seed; pass
 --timing to include the measured values (stderr always shows them).
@@ -123,8 +125,9 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
 
     Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``):
     the mean is scaled by the box mass and the variance by the mass twice,
-    while the levels and their survival are the boxed run's.  IS runs on
-    the plain problem.
+    while the levels and their survival are the boxed run's.  Splitting
+    refreshes the clones of a Poisson problem at each level's start
+    (``run_splitting``'s ``refresh``).  IS runs on the plain problem.
     """
     rng = RngStream(seed)
     if method == "is":
@@ -142,7 +145,7 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
         schedule = build_schedule(box, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = {"schedule_seconds": time.perf_counter() - t0}
-        report = replicate(box, schedule, s, m, rng, workers=workers)
+        report = replicate(box, schedule, s, m, rng, workers=workers, refresh=True)
     else:
         built, report = {}, naive_mc(box, m, rng)
     mass = math.exp(log_mass)
@@ -421,7 +424,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SchedulingError, ValueError, MemoryError) as exc:
+    except (SchedulingError, ValueError, MemoryError, Warning) as exc:
         print(f"estimation error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,9 @@
 ``advance_gamma_batch`` adds independent Gamma(dt, 1) increments, the
 multivariate Gamma subordinator that continuous problems are embedded in.
 The Poisson jump process (``model.ProblemSpec.process``) adds numpy's
-Poisson counts instead.  ``poisson_sampler`` draws whole Poisson vectors
-by inversion for the baselines.
+Poisson counts instead.  ``poisson_sampler`` draws Poisson counts by
+inversion: whole vectors for the baselines, one chosen coordinate per row
+for the Poisson clones' refresh.
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.nda
 
 def poisson_sampler(rates):
     """``draw(gen, c)``: a (c, n) float array of Poisson(rates[j]) counts in
-    column j, by inversion with a guide table (Chen & Asau 1974).
+    column j, by inversion with a guide table (Chen & Asau 1974);
+    ``draw(gen, c, cols)``: c counts, count i from column cols[i]'s law.
 
     Each column's CDF F is tabulated once, from the first k with F(k) > 0 to
     the first k where F rounds to 1.0: about 80 sqrt(rate) entries, so rates
     above ``dist.MAX_POISSON_RATE`` are rejected.  ``draw`` makes one
-    ``gen.random((c, n))`` call and returns X = min{k : u < F(k)}, one uniform
-    per count in C order, so the counts do not depend on how the rows are
-    split into calls.
+    ``gen.random((c, n))`` (or ``gen.random(c)``) call and returns
+    X = min{k : u < F(k)}, one uniform per count in C order, so the counts do
+    not depend on how the rows are split into calls.
     The law is exact up to the rounding of F and the 2^-53 grid of u.
     """
     rates = np.asarray(rates, dtype=float)
@@ -131,20 +133,32 @@ def poisson_sampler(rates):
                             for s, f in zip(starts, cdfs)])
     bin_base = np.arange(n) * _GUIDE_BINS
 
-    def draw(gen: np.random.Generator, c: int) -> np.ndarray:
+    def invert(u, base, columns):
+        """The counts of uniforms ``u``, written over them: ``base`` is each
+        entry's first guide bin, ``columns(far)`` the columns of flat entries."""
+        # F(guide - 1) <= the bin's lower edge <= u, so X >= guide, and
+        # one step settles every bin that holds at most one jump of F
+        k = guide.take((u * _GUIDE_BINS).astype(np.intp) + base)
+        k += u >= cdf.take(k)
+        far = np.flatnonzero(u >= cdf.take(k))
+        col = columns(far)
+        for j in np.unique(col):
+            at = far[col == j]
+            k.flat[at] = starts[j] + np.searchsorted(
+                cdf[starts[j]:starts[j + 1]], u.flat[at], side="right")
+        count.take(k, out=u)
+
+    def draw(gen: np.random.Generator, c: int, cols=None) -> np.ndarray:
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+            if cols.shape != (c,) or c and not 0 <= cols.min() <= cols.max() < n:
+                raise ValueError(f"cols must hold {c} column indices in [0, {n})")
+            u = gen.random(c)
+            invert(u, bin_base.take(cols), cols.take)
+            return u
         u = gen.random((c, n))
         for block in row_blocks(c, n):
-            part = u[block]
-            # F(guide - 1) <= the bin's lower edge <= u, so X >= guide, and
-            # one step settles every bin that holds at most one jump of F
-            k = guide.take((part * _GUIDE_BINS).astype(np.intp) + bin_base)
-            k += part >= cdf.take(k)
-            far = np.flatnonzero(part >= cdf.take(k))
-            for j in np.unique(far % n):
-                at = far[far % n == j]
-                k.flat[at] = starts[j] + np.searchsorted(
-                    cdf[starts[j]:starts[j + 1]], part.flat[at], side="right")
-            count.take(k, out=part)  # the counts overwrite their uniforms
+            invert(u[block], bin_base, lambda far: far % n)
         return u
 
     return draw

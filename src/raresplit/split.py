@@ -1,8 +1,9 @@
 """Fixed-effort multilevel splitting over a schedule of intermediate times.
 
 Each level resamples exactly ``s`` states uniformly with replacement from
-the previous level's survivors, advances them by the scheduled increment,
-and keeps those still satisfying S(X(t)) <= gamma.  The estimate is the
+the previous level's survivors, advances them by the scheduled increment
+(a Poisson problem's clones, on request, after one refresh each), and
+keeps those still satisfying S(X(t)) <= gamma.  The estimate is the
 product of the per-level survivor fractions; a level with zero survivors
 short-circuits the run with estimate 0.
 """
@@ -66,12 +67,17 @@ class SplitRunResult:
 
 
 def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
-                  rng: RngStream) -> SplitRunResult:
+                  rng: RngStream, *, refresh: bool = False) -> SplitRunResult:
     """One fixed-effort splitting run with ``s`` states per level.
 
     Per level the generator draws the parent indices, then ``problem.step``
     its increments, so a given stream reproduces the run bit-for-bit.
     States are float64; Poisson counts are exact integers in them.
+    With ``refresh``, from level 2 on each clone of a Poisson problem gets
+    one exact Metropolis refresh at the level's start time before it
+    advances (``ProblemSpec.step``), which decorrelates the clones of one
+    survivor and keeps every level's law, so the product stays unbiased;
+    the default is the paper's plain loop.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -79,20 +85,20 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     counts = []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, current.shape[0], size=s)
-        current = problem.step(current, idx, t1 - t0, rng)
+        current = problem.step(current, idx, t1 - t0, rng, refresh_at=t0 if refresh else 0.0)
         counts.append(len(current))
         if not counts[-1]:
             break
     return SplitRunResult(float(np.prod([k / s for k in counts])), tuple(counts))
 
 
-def _replication(problem, schedule, s, rng, i):
+def _replication(problem, schedule, s, rng, i, refresh):
     """Replication i: one splitting run on rng.substream(i)."""
-    return run_splitting(problem, schedule, s, rng.substream(i))
+    return run_splitting(problem, schedule, s, rng.substream(i), refresh=refresh)
 
 
 def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
-              rng: RngStream, workers: int = 1) -> EstimateReport:
+              rng: RngStream, workers: int = 1, *, refresh: bool = False) -> EstimateReport:
     """Run ``m`` independent splitting replications and summarize them.
 
     Replication i always uses rng.substream(i), and results are aggregated
@@ -101,6 +107,7 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     process, or a pool of at most min(workers, m, CPUs this process may use)
     processes that gets at most one chunk of replications per worker, each
     pickling the problem once.
+    ``refresh`` is ``run_splitting``'s, for every replication.
     Extinct runs contribute a zero estimate to the sample, not an error.
     ``wall_seconds`` covers the replications only.
     """
@@ -109,7 +116,7 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     t0 = time.perf_counter()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, m, cpus or 1)
-    run = functools.partial(_replication, problem, schedule, s, rng)
+    run = functools.partial(_replication, problem, schedule, s, rng, refresh=refresh)
     if workers <= 1:
         results = list(map(run, range(m)))
     else:

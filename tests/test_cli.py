@@ -697,6 +697,17 @@ class TestWarnings:
         assert warning.endswith("(the event is not rare and the estimator reduces to naive MC)")
         assert timing.startswith("[timing] ")
 
+    def test_a_warning_raised_as_an_error_is_one_line(self, tmp_path):
+        # -W error turns the warning into an exception: an estimation error, not a traceback
+        preset = write_scenario(tmp_path, load_preset("I"), "t1.json")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "raresplit", "run",
+                               "--scenario", str(preset), "--method", "is", "--m", "1000",
+                               "--gamma", "1e9"], capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("estimation error: theta = gamma / sum(w*lambda) = ")
+        assert proc.stdout == ""
+
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_only_the_cli_call_shows_warnings_its_way(self, tmp_path, capsys):
         shown = warnings.showwarning

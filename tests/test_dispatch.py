@@ -16,7 +16,10 @@ well: every estimator asks ``process.survives``, and only ``model.py``
 embeds whole rows and scores them with ``importance``.  A problem is boxed
 in one place: only the CLI calls ``boxed``, which always answers, so the
 estimators and schedule builders take the problem as given and no caller
-compares a box with None.
+compares a box with None.  Only the CLI asks for the Poisson clones'
+refresh, and ``split.py`` and ``model.py`` hand it down to the one class
+that defines it, so the schedule builders, the pilot and the baselines
+run the paper's plain loop.
 """
 
 import ast
@@ -415,3 +418,75 @@ def test_only_the_cli_boxes_and_never_asks_for_none():
                 found.append(f"{path.name}:{line} ({use}) in {scope or '<module>'}")
     assert not found, found
     assert used == BOX_CALLERS  # an allowance whose call is gone is removed too
+
+
+# where the refresh may be asked for or run: the CLI asks for it, and the
+# splitting loop and the Poisson step hand it down to the one class that has it
+REFRESH_NAMES = {"refresh", "refresh_at"}
+REFRESH_SITES = {
+    ("cli.py", "run_estimation"),  # every split the CLI runs refreshes
+    ("split.py", "replicate"),
+    ("split.py", "_replication"),
+    ("split.py", "run_splitting"),
+    ("model.py", "_PoissonJumps.step"),
+}
+REFRESH_OWNERS = {"_PoissonJumps"}
+
+
+def refresh_uses(tree):
+    """(use, enclosing function or class, line) of each call in ``tree``
+    that passes a ``refresh`` or ``refresh_at`` keyword ("pass") or calls a
+    ``.refresh`` method ("call"), and of each class body that defines a
+    ``refresh`` method or attribute ("define")."""
+    def defines_refresh(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name == "refresh"
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return any(named(target) == "refresh" for target in targets)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(node, ast.ClassDef) and defines_refresh(child):
+                yield "define", ".".join(scope), child.lineno
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                if any(kw.arg in REFRESH_NAMES for kw in child.keywords):
+                    yield "pass", ".".join(scope), child.lineno
+                if isinstance(child.func, ast.Attribute) and child.func.attr == "refresh":
+                    yield "call", ".".join(scope), child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, ())
+
+
+def test_guard_finds_refresh_uses():
+    source = ("def inverse_ccdf_schedule(problem, rng):\n"
+              "    pilot = run_splitting(problem, schedule, 100, rng, refresh=True)\n"
+              "    problem.process.refresh(rows, 0.5, rng, 1.0)\n"
+              "    return problem.step(rows, idx, 0.1, rng, refresh_at=0.5)\n"
+              "class _GammaEmbedding:\n"
+              "    refresh = None\n"
+              "    def refresh(self, rows):\n"
+              "        refresh = 1\n")
+    assert sorted(refresh_uses(ast.parse(source))) == [
+        ("call", "inverse_ccdf_schedule", 3), ("define", "_GammaEmbedding", 6),
+        ("define", "_GammaEmbedding", 7), ("pass", "inverse_ccdf_schedule", 2),
+        ("pass", "inverse_ccdf_schedule", 4)]
+
+
+def test_only_the_cli_asks_for_the_refresh_and_one_class_has_it():
+    found, used, owners = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for use, scope, line in refresh_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if use == "define" and path.name == "model.py" and scope in REFRESH_OWNERS:
+                owners.add(scope)
+            elif use != "define" and (path.name, scope) in REFRESH_SITES:
+                used.add((path.name, scope))
+            else:
+                found.append(f"{path.name}:{line} ({use}) in {scope or '<module>'}")
+    assert not found, found
+    assert used == REFRESH_SITES  # an allowance whose site is gone is removed too
+    assert owners == REFRESH_OWNERS

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from raresplit import model
 from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Truncated, Weibull,
                             GeneralizedGamma, marginal_from_json)
@@ -25,7 +27,7 @@ from raresplit.model import (
     importance,
     importance_from_json,
 )
-from raresplit.process import RngStream, advance_gamma_batch
+from raresplit.process import RngStream, advance_gamma_batch, poisson_sampler
 
 KS_1PCT = 1.63
 
@@ -708,3 +710,95 @@ class TestSurvives:
             reference_score(problem, np.array([[0.1, -1.0]]))
         with pytest.raises(ValueError, match="g must be >= 0"):
             survives(problem, np.array([[0.1, -1.0]]))
+
+
+def two_sample_chi_square_p(a, b):
+    """p-value of the chi-square test that two samples of counts share one
+    law: cells of consecutive counts are merged until each expects at least
+    5 draws of the smaller sample; the last cell holds every count above."""
+    top = int(max(a.max(), b.max())) + 1
+    ca, cb = (np.bincount(x.astype(np.int64), minlength=top) for x in (a, b))
+    cum = np.cumsum(ca + cb)
+    share = min(a.size, b.size) / (a.size + b.size)
+    edges, below = [], 0
+    for k in range(top - 1):
+        if (cum[k] - below) * share >= 5 and (cum[-1] - cum[k]) * share >= 5:
+            edges.append(k + 1)
+            below = cum[k]
+    table = [np.add.reduceat(c, [0, *edges]) for c in (ca, cb)]
+    return stats.chi2_contingency(table).pvalue
+
+
+class TestPoissonRefresh:
+    """A Poisson clone's refresh keeps the survivors' law at its time t:
+    independent Poisson(rates * t) counts restricted to S <= gamma.  The
+    setting, Table I's rates at t = 0.5 and gamma = 50, where
+    P[S <= gamma] = 0.049, and the seeds were fixed before the first run."""
+
+    T, GAMMA, ROWS = 0.5, 50.0, 20_000
+
+    def survivors(self, problem, rng, rows=ROWS):
+        """``rows`` rejection samples of the survivors' law at T, decided by
+        the reference S rather than the process."""
+        rates, out = problem.rates() * self.T, []
+        while sum(map(len, out)) < rows:
+            x = rng.gen.poisson(rates, size=(100_000, problem.n)).astype(float)
+            out.append(x[importance(problem.importance, x) <= problem.gamma])
+        return np.concatenate(out)[:rows]
+
+    def refreshed(self):
+        """Survivors after five refreshes, and per coordinate the p-value
+        against an independent rejection sample."""
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        rows, rng = self.survivors(problem, RngStream(9201)), RngStream(9202)
+        for _ in range(5):
+            problem.process.refresh(rows, self.T, rng, problem.gamma)
+        reference = self.survivors(problem, RngStream(9203))
+        return rows, [two_sample_chi_square_p(a, b) for a, b in zip(rows.T, reference.T)]
+
+    def test_keeps_the_survivors_law(self):
+        rows, p = self.refreshed()
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        assert (importance(problem.importance, rows) <= self.GAMMA).all()
+        assert min(p) > 1e-3, p
+
+    def test_fails_a_proposal_at_a_later_time(self, monkeypatch):
+        monkeypatch.setattr(model, "poisson_sampler", lambda rates: poisson_sampler(1.3 * rates))
+        assert min(self.refreshed()[1]) < 1e-3
+
+    def test_fails_a_step_that_keeps_rejected_proposals(self, monkeypatch):
+        monkeypatch.setattr(model._PoissonJumps, "survives",
+                            lambda self, states, gamma: np.ones(len(states), dtype=bool))
+        assert min(self.refreshed()[1]) < 1e-3
+
+    def test_moves_one_coordinate_per_row_from_its_draws(self):
+        # the stream: one column per row, then the sampler's one uniform per row
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        before = self.survivors(problem, RngStream(9204), 3000)
+        rows, rng, ref = before.copy(), RngStream(5), RngStream(5)
+        problem.process.refresh(rows, self.T, rng, problem.gamma)
+        cols = ref.gen.integers(0, problem.n, size=3000)
+        moved = before.copy()
+        moved[np.arange(3000), cols] = poisson_sampler(problem.rates() * self.T)(
+            ref.gen, 3000, cols)
+        kept = importance(problem.importance, moved) <= problem.gamma
+        assert 0 < kept.sum() < 3000 and (moved != before).any(axis=1)[kept].any()
+        assert np.array_equal(rows, np.where(kept[:, None], moved, before))
+        assert rng.gen.random() == ref.gen.random()  # no draw more or less
+
+    def test_refuses_rows_it_cannot_write_in_place(self):
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            problem.process.refresh(np.zeros((12, 10)).T, self.T, RngStream(7), self.GAMMA)
+
+    def test_one_sampler_per_time_and_none_in_a_pickle(self, monkeypatch):
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        rows, rng = np.zeros((10, problem.n)), RngStream(6)
+        for t in (0.25, 0.5, 0.25):
+            problem.process.refresh(rows, t, rng, problem.gamma)
+        assert sorted(problem.process._proposals) == [0.25, 0.5]
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy.process._proposals == {}
+        monkeypatch.setattr(model, "_MAX_PROPOSALS", 2)
+        problem.process.refresh(rows, 0.75, rng, problem.gamma)
+        assert list(problem.process._proposals) == [0.75]  # a full cache starts over

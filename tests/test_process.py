@@ -220,6 +220,38 @@ class TestPoissonSampler:
         x = poisson_sampler(SAMPLER_RATES)(RngStream(32).gen, 20_000)
         assert np.array_equal(x, stats.poisson.ppf(u, SAMPLER_RATES))
 
+    def test_cols_law_chi_square(self, monkeypatch):
+        # one count per row from a random column; the tails of 50 and 1e4 hold
+        # guide bins with several jumps of F, which the binary search settles.
+        # Rate 1e-6 is left out: its 370,000 draws would expect one count above 0
+        rates = SAMPLER_RATES[1:]
+        draw = poisson_sampler(rates)
+        search, searches = np.searchsorted, []
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: searches.append(1) or search(*args, **kw))
+        gen, n = RngStream(36).gen, len(rates)
+        counts = np.zeros((n, 12_000), dtype=np.int64)
+        for _ in range(40):  # 2.6 M draws, about 370,000 per column
+            cols = gen.integers(0, n, size=1 << 16)
+            x = draw(gen, cols.size, cols).astype(np.int64)
+            for j in range(n):
+                counts[j] += np.bincount(x[cols == j], minlength=counts.shape[1])
+        assert searches
+        for lam, col in zip(rates, counts):
+            assert poisson_chi_square_p(col, lam) > 1e-3, lam
+
+    def test_cols_invert_the_cdf_of_the_same_uniforms(self):
+        cols = RngStream(37).gen.integers(0, len(SAMPLER_RATES), size=20_000)
+        u = RngStream(32).gen.random(20_000)
+        x = poisson_sampler(SAMPLER_RATES)(RngStream(32).gen, 20_000, cols)
+        assert x.shape == (20_000,) and x.dtype == np.float64
+        assert np.array_equal(x, stats.poisson.ppf(u, np.take(SAMPLER_RATES, cols)))
+
+    @pytest.mark.parametrize("c,cols", [(3, [0, 1]), (2, [0, 2]), (2, [-1, 0]), (1, [[0]])])
+    def test_bad_cols_rejected(self, c, cols):
+        with pytest.raises(ValueError, match="cols"):
+            poisson_sampler([1.0, 2.0])(RngStream(38).gen, c, cols)
+
     def test_counts_do_not_depend_on_the_blocks(self):
         draw = poisson_sampler([0.3, 4.0, 1e4])
         gen = RngStream(33).gen

@@ -208,6 +208,23 @@ class TestRunSplitting:
         result = run_splitting(problem, schedule, 100, RngStream(1))
         assert len(seen) == len(result.survivor_counts) > 1
 
+    def test_refresh_moves_poisson_clones_from_level_two(self):
+        poisson = preset_problem(load_preset("I"), 50.0)
+        schedule = lower_bound_schedule(poisson)
+        plain = [run_splitting(poisson, schedule, 300, RngStream(8, (i,))) for i in range(4)]
+        moved = [run_splitting(poisson, schedule, 300, RngStream(8, (i,)), refresh=True)
+                 for i in range(4)]
+        # level 1 starts at t = 0, where there is nothing to refresh
+        assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
+        assert plain != moved
+
+    def test_refresh_leaves_continuous_runs_as_they_are(self):
+        problem = exp_sum_problem(4, 1.0)
+        schedule = lower_bound_schedule(problem)
+        assert len(schedule) > 1
+        assert run_splitting(problem, schedule, 200, RngStream(12), refresh=True) \
+            == run_splitting(problem, schedule, 200, RngStream(12))
+
     def test_s_validation(self):
         problem = exp_sum_problem()
         with pytest.raises(ValueError):
@@ -262,16 +279,17 @@ class TestReplicate:
     ])
     def test_workers_do_not_change_results(self, problem):
         # the problem and its process object are pickled into the workers,
-        # which build their own survival bracket; m = 7 on two workers maps
-        # chunks of 4 and 3 replications
+        # which build their own survival bracket and refresh samplers; m = 7
+        # on two workers maps chunks of 4 and 3 replications
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
-        seq = replicate(problem, schedule, 100, 7, RngStream(13), workers=1)
-        par = replicate(problem, schedule, 100, 7, RngStream(13), workers=2)
-        assert seq.mean > 0
-        assert seq.mean == par.mean
-        assert seq.variance == par.variance
-        assert seq.per_level_survival == par.per_level_survival
+        for refresh in (False, True):
+            seq = replicate(problem, schedule, 100, 7, RngStream(13), workers=1, refresh=refresh)
+            par = replicate(problem, schedule, 100, 7, RngStream(13), workers=2, refresh=refresh)
+            assert seq.mean > 0
+            assert seq.mean == par.mean
+            assert seq.variance == par.variance
+            assert seq.per_level_survival == par.per_level_survival
 
     def test_pool_tasks_carry_no_bracket(self):
         # Table VI has two (marginal, tail) groups; the parent builds their

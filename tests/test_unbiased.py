@@ -15,10 +15,15 @@ that its half-width stays a small fraction of a standard error.  The
 problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
 
+The Poisson family also runs with the clones' refresh
+(``run_splitting(..., refresh=True)``), which the CLI splits with; its
+seed and rule are the family's own, fixed before its first refreshed run.
+
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
-jumps whose rates are 1% too large, and a level loop that resamples its
-parents from every advanced state, failures included.
+jumps whose rates are 1% too large, a level loop that resamples its
+parents from every advanced state, failures included, and a refresh that
+keeps the proposals that fail S <= gamma.
 """
 
 import dataclasses
@@ -71,13 +76,14 @@ FAMILIES = {
 }
 
 
-def prefix_estimates(problem, schedule, s, runs, rng):
+def prefix_estimates(problem, schedule, s, runs, rng, refresh=False):
     """(runs, levels) array whose row i holds the prefix products
     prod_{j<=l} k_j / s of run i, on ``rng.substream(i)``; 0 from the
     level where the run went extinct."""
     out = np.zeros((runs, len(schedule)))
     for i in range(runs):
-        counts = run_splitting(problem, schedule, s, rng.substream(i)).survivor_counts
+        counts = run_splitting(problem, schedule, s, rng.substream(i),
+                               refresh=refresh).survivor_counts
         out[i, :len(counts)] = np.cumprod(np.asarray(counts) / s)
     return out
 
@@ -90,17 +96,18 @@ def excess_z(prefixes, lo, hi):
     return (np.abs(mean - 0.5 * (lo + hi)) - 0.5 * (hi - lo)) / se
 
 
-def gate_z(family, monkeypatch, runs_on=None):
+def gate_z(family, monkeypatch, runs_on=None, refresh=False):
     """The gate's excess z at every level of ``family``: its runs go on
-    ``runs_on`` (the family's own problem by default), its schedule and
-    bracket always come from the family's problem."""
+    ``runs_on`` (the family's own problem by default), with the Poisson
+    clones' ``refresh`` or without, its schedule and bracket always come
+    from the family's problem."""
     problem, seed, cells = FAMILIES[family]
     schedule = lower_bound_schedule(problem)
     if cells is not None:
         monkeypatch.setattr(curve, "CELLS", cells)
     lo, hi = survival_bracket(problem, schedule.times)
     assert np.array_equal(lo, hi) == (cells is None)
-    prefixes = prefix_estimates(runs_on or problem, schedule, S, RUNS, RngStream(seed))
+    prefixes = prefix_estimates(runs_on or problem, schedule, S, RUNS, RngStream(seed), refresh)
     return excess_z(prefixes, lo, hi)
 
 
@@ -108,6 +115,21 @@ def gate_z(family, monkeypatch, runs_on=None):
 def test_every_prefix_is_unbiased(family, monkeypatch):
     z = gate_z(family, monkeypatch)
     assert (z <= Z_MAX).all(), z
+
+
+def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
+    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=True)
+    assert (z <= Z_MAX).all(), z
+
+
+def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
+    def refresh_keeping_all(self, rows, t, rng, gamma):
+        cols = rng.gen.integers(0, rows.shape[1], size=len(rows))
+        rows[np.arange(len(rows)), cols] = self._proposal(t)(rng.gen, len(rows), cols)
+
+    monkeypatch.setattr(model._PoissonJumps, "refresh", refresh_keeping_all)
+    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=True)
+    assert (z > Z_MAX).any(), z
 
 
 @pytest.mark.parametrize("family", ["exponential_sum", "lognormal_ratio"])
@@ -126,10 +148,11 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
     assert (z > Z_MAX).any(), z
 
 
-def resample_from_every_state(problem, schedule, s, rng):
+def resample_from_every_state(problem, schedule, s, rng, refresh=False):
     """``run_splitting`` with a resampling fault: each level's parents are
     drawn from all s states the last level advanced, failures included,
-    while the counts still count only the survivors."""
+    while the counts still count only the survivors.  Its Gamma levels take
+    no refresh, as the library's do not."""
     current, counts = np.zeros((s, problem.n)), []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, s, size=s)
