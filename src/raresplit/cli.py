@@ -118,6 +118,16 @@ def build_schedule(problem, rng, *, levels_method=_BUILTIN["levels_method"],
     raise ScenarioError(f"unknown levels method {levels_method!r} (use 'lb' or 'iccdf')")
 
 
+def _check_method(problem: ProblemSpec, method: str) -> None:
+    """Fail unless ``method`` is an estimator that can run ``problem``."""
+    if method not in METHODS:
+        raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
+    if method == "is" and problem.kind != "poisson":
+        raise ScenarioError("--method is requires a poisson scenario")
+    if method == "is" and not problem.gamma > 0:
+        raise ScenarioError(f"gamma = {problem.gamma!r}: --method is needs gamma > 0")
+
+
 def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUILTIN["m"],
                    p_bar=_BUILTIN["p_bar"], levels_method=_BUILTIN["levels_method"],
                    pilot_levels=_BUILTIN["pilot_levels"], seed=0, workers=1) -> EstimateReport:
@@ -129,16 +139,11 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
     refreshes the clones of a Poisson problem at each level's start
     (``run_splitting``'s ``refresh``).  IS runs on the plain problem.
     """
+    _check_method(problem, method)
     rng = RngStream(seed)
     if method == "is":
-        if problem.kind != "poisson":
-            raise ScenarioError("--method is requires a poisson scenario")
-        if not problem.gamma > 0:
-            raise ScenarioError(f"gamma = {problem.gamma!r}: --method is needs gamma > 0")
         return poisson_is(problem.rates(), problem.importance.weight_array(),
                           problem.gamma, m, rng)
-    if method not in ("split", "naive"):
-        raise ScenarioError(f"unknown method {method!r} (use split, naive or is)")
     t0 = time.perf_counter()
     box, log_mass = problem.boxed()
     if method == "split":
@@ -264,9 +269,11 @@ def _check_samples(m, method):
 
 
 def _load_scenario(args, method):
-    """The --scenario problem at --gamma, and its run settings checked for ``method``."""
+    """The --scenario problem at --gamma, and its run settings, both checked for ``method``."""
     problem, defaults = parse_scenario(args.scenario)
     problem = _with_gamma(problem, args.gamma, f"--gamma {args.gamma!r}")
+    if method is not None:
+        _check_method(problem, method)
     return problem, _settings(args, defaults, method)
 
 

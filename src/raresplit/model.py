@@ -268,14 +268,10 @@ class _GammaEmbedding:
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
 
-    def step(self, states, idx, dt, rng, gamma, refresh_at=0.0):
-        """The Gamma clones take no refresh: ``refresh_at`` moves nothing."""
-        advanced = advance_gamma_batch(states[idx], dt, rng)
-        kept = advanced[self.survives(advanced, gamma)]
-        # the survivors fill the head of the level's array, keeping it allocated
-        # through the next level; freeing it here made glibc trim and refault the heap
-        advanced[:len(kept)] = kept
-        return advanced[:len(kept)]
+    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):
+        """The rows of ``states[idx]``, dt later.  The Gamma clones take no
+        refresh: ``gamma`` and ``refresh_at`` move nothing."""
+        return advance_gamma_batch(states[idx], dt, rng)
 
     @cached_property
     def bracket(self):
@@ -316,10 +312,6 @@ class _GammaEmbedding:
         return laws, math.fsum(law.log_mass for law, b in zip(laws, bounds) if b < math.inf)
 
 
-# Proposal samplers a Poisson process keeps, one per refresh time.
-_MAX_PROPOSALS = 64
-
-
 class _PoissonJumps:
     """The process of a Poisson problem: coordinate i counts the jumps of a
     rate-lambda_i Poisson process, so the states are the coordinates."""
@@ -330,31 +322,22 @@ class _PoissonJumps:
             raise ValueError("poisson problems require a weighted-sum importance")
         self.importance = importance
         self._rates = np.asarray([m.lam for m in marginals], dtype=float)
-        self._proposals = {}  # refresh time -> poisson_sampler(rates * t)
-
-    def __getstate__(self):
-        # a pickled copy (a pool task's) carries no samplers; it builds its own
-        return {**self.__dict__, "_proposals": {}}
 
     def rates(self):
         return self._rates.copy()
 
-    def step(self, states, idx, dt, rng, gamma, refresh_at=0.0):
+    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):
         """The rows of ``states[idx]``, gathered once, each refreshed at time
         ``refresh_at`` when it is > 0, then advanced by
-        ``gen.poisson(rates * dt, size=(len(idx), n))``'s stream in row blocks;
-        the survivors are compacted into the head of the gathered array."""
-        lam, kept = self._rates * _check_dt(dt), 0
+        ``gen.poisson(rates * dt, size=(len(idx), n))``'s stream in row blocks."""
+        lam = self._rates * _check_dt(dt)
         rows = states.take(idx, axis=0)
         if refresh_at > 0:
             self.refresh(rows, refresh_at, rng, gamma)
         for block in row_blocks(len(rows), lam.size):
             part = rows[block]
             part += rng.gen.poisson(lam, size=part.shape)
-            alive = part[self.survives(part, gamma)]
-            rows[kept:kept + len(alive)] = alive
-            kept += len(alive)
-        return rows[:kept]
+        return rows
 
     def refresh(self, rows, t, rng, gamma):
         """One Metropolis step per row of counts at time t, in place: a
@@ -372,19 +355,9 @@ class _PoissonJumps:
         at = np.arange(0, c * n, n) + cols
         flat = rows.reshape(-1)
         old = flat.take(at)
-        flat[at] = self._proposal(t)(rng.gen, c, cols)
+        flat[at] = poisson_sampler(self._rates * t)(rng.gen, c, cols)
         back = ~self.survives(rows, gamma)
         flat[at[back]] = old[back]
-
-    def _proposal(self, t):
-        """``poisson_sampler(rates * t)``, built once per time t while at most
-        _MAX_PROPOSALS are kept; a full cache starts over."""
-        draw = self._proposals.get(t)
-        if draw is None:
-            if len(self._proposals) == _MAX_PROPOSALS:
-                self._proposals.clear()
-            draw = self._proposals[t] = poisson_sampler(self._rates * t)
-        return draw
 
     def survives(self, states, gamma):
         """S(states) <= gamma for every row of counts."""
@@ -407,8 +380,9 @@ class ProblemSpec:
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
-    ``process``, built from it, runs a splitting level, decides which
-    states survive, and draws the states at t = 1.
+    ``process``, built from it, advances the states, decides which of
+    them survive, and draws the states at t = 1; ``step`` runs a splitting
+    level on it.
     """
 
     marginals: tuple
@@ -455,7 +429,12 @@ class ProblemSpec:
         With ``refresh_at`` > 0, the time of ``states``, a Poisson process
         first gives each gathered row one refresh that keeps the survivors'
         law at that time; the Gamma embedding has none and ignores it."""
-        return self.process.step(states, idx, dt, rng, self.gamma, refresh_at)
+        rows = self.process.advance(states, idx, dt, rng, self.gamma, refresh_at)
+        kept = rows[self.process.survives(rows, self.gamma)]
+        # the survivors fill the head of the level's array, keeping it allocated
+        # through the next level; freeing it here made glibc trim and refault the heap
+        rows[:len(kept)] = kept
+        return rows[:len(kept)]
 
     def boxed(self) -> tuple[ProblemSpec, float]:
         """(the problem on the box, ln of the box's mass).

@@ -4,12 +4,13 @@
 multivariate Gamma subordinator that continuous problems are embedded in.
 The Poisson jump process (``model.ProblemSpec.process``) adds numpy's
 Poisson counts instead.  ``poisson_sampler`` draws Poisson counts by
-inversion: whole vectors for the baselines, one chosen coordinate per row
-for the Poisson clones' refresh.
+inversion from tables kept per rate vector: whole vectors for the
+baselines, one chosen coordinate per row for the Poisson clones' refresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -105,13 +106,21 @@ def poisson_sampler(rates):
 
     Each column's CDF F is tabulated once, from the first k with F(k) > 0 to
     the first k where F rounds to 1.0: about 80 sqrt(rate) entries, so rates
-    above ``dist.MAX_POISSON_RATE`` are rejected.  ``draw`` makes one
-    ``gen.random((c, n))`` (or ``gen.random(c)``) call and returns
-    X = min{k : u < F(k)}, one uniform per count in C order, so the counts do
-    not depend on how the rows are split into calls.
+    above ``dist.MAX_POISSON_RATE`` are rejected.  The 64 rate vectors used last
+    keep their tables, which ``draw`` only reads, so the refresh, naive MC and
+    IS build each once per process.  ``draw`` makes one ``gen.random((c, n))``
+    (or ``gen.random(c)``) call and returns X = min{k : u < F(k)}, one uniform
+    per count in C order, so the counts do not depend on how the rows are split into calls.
     The law is exact up to the rounding of F and the 2^-53 grid of u.
     """
     rates = np.asarray(rates, dtype=float)
+    return _sampler(rates.shape, rates.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _sampler(shape, data):
+    """``poisson_sampler`` of the rates with this shape and these bytes."""
+    rates = np.frombuffer(data).reshape(shape)
     if (rates.ndim != 1 or rates.size == 0
             or not np.all((rates > 0) & (rates <= MAX_POISSON_RATE))):
         raise ValueError(

@@ -1,18 +1,23 @@
 import argparse
+import contextlib
 import csv
+import functools
 import importlib
 import io
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from raresplit import cli
@@ -527,6 +532,15 @@ class TestCliVerify:
         assert err.startswith("estimation error: ") and "0 to double precision" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("table", ["V", "VI"])
+    def test_is_on_a_continuous_scenario_names_the_method(self, tmp_path, capsys, table):
+        # the method's needs are checked with the settings, before the oracle,
+        # whose refusal (a bracket, a ratio of 11 laws) would hide the reason
+        preset = write_scenario(tmp_path, load_preset(table))
+        assert main(["verify", "--scenario", str(preset), "--method", "is", "--m", "10"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "configuration error: --method is requires a poisson scenario"
+
     @pytest.mark.parametrize("method", ["split", "naive", "is"])
     def test_zero_spread_agrees_within_the_oracle_rounding(self, tmp_path, method):
         # every sample sits below gamma = 1000, so each method reads 1.0 with
@@ -954,6 +968,66 @@ FLAGS = {
     "verify": SCENARIO_FLAGS | {"--method", "--m"},
     "reproduce": {"--table", "--s", "--m", "--baseline-m"},
 }
+
+
+# values of the wrong type or range for any field of a preset
+BAD_VALUES = [None, True, False, math.nan, math.inf, -math.inf, 1e308, -1e308, 10 ** 400,
+              -10 ** 400, 0, -1, 1e-300, "", "x", "2.5", [], [1.0, "a"], {}, {"kind": "sum"}]
+
+
+def json_locations(obj, path=()):
+    """The path of every object key and array entry in ``obj``; the
+    published rows, which run, levels and verify do not read, stay whole."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        if key != "rows":
+            yield from json_locations(value, path + (key,))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A built-in preset with one key deleted, one added, or one value
+    replaced by one of the wrong type or range."""
+    preset = load_preset(draw(st.sampled_from(sorted(TABLES))))
+    *where, key = draw(st.sampled_from(list(json_locations(preset))))
+    parent = functools.reduce(operator.getitem, where, preset)
+    edit = draw(st.sampled_from(["delete", "add", "replace"]))
+    value = draw(st.sampled_from(BAD_VALUES))
+    if edit == "delete":
+        del parent[key]
+    elif edit == "add" and isinstance(parent, dict):
+        parent["unknown_key"] = value
+    elif edit == "add":
+        parent.insert(key, value)
+    else:
+        parent[key] = value
+    return preset
+
+
+class TestGeneratedBadInput:
+    """ROADMAP item 8's table of bad inputs, generated: every mutated preset
+    exits with a documented code, and a refusal is one stderr line."""
+
+    FLAGS = {"run": ("--s", "120", "--m", "3"), "levels": ("--s", "120"),
+             "verify": ("--s", "120", "--m", "3")}
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(preset=mutated_presets())
+    def test_documented_exit_and_one_line(self, preset):
+        with tempfile.TemporaryDirectory() as tmp:
+            scen = write_scenario(Path(tmp), preset)
+            for command, flags in self.FLAGS.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--scenario", str(scen), *flags])
+                assert code in (0, 1, 2, 3), (command, code)
+                lines = [line for line in err.getvalue().splitlines()
+                         if not line.startswith("[timing] ")]
+                assert "Traceback" not in err.getvalue()
+                if code in (2, 3):
+                    assert len(lines) == 1, (command, lines)
 
 
 class TestParser:

@@ -19,13 +19,17 @@ estimators and schedule builders take the problem as given and no caller
 compares a box with None.  Only the CLI asks for the Poisson clones'
 refresh, and ``split.py`` and ``model.py`` hand it down to the one class
 that defines it, so the schedule builders, the pilot and the baselines
-run the paper's plain loop.
+run the paper's plain loop.  A splitting level is one path as well:
+``ProblemSpec.step`` makes its one survival decision and compaction, no
+process defines a ``step``, and only the Gamma embedding keeps a table out
+of its pickles.
 """
 
 import ast
 from pathlib import Path
 
 import raresplit
+from raresplit import model
 from raresplit.dist import Marginal
 from raresplit.model import _Aggregate
 
@@ -34,7 +38,7 @@ SRC = Path(raresplit.__file__).resolve().parent
 # (module, enclosing function) of every comparison with a ``.kind`` allowed
 ALLOWED = {
     ("model.py", "ProblemSpec.__post_init__"),  # the kind names the process to build
-    ("cli.py", "run_estimation"),  # --method is needs a Poisson scenario
+    ("cli.py", "_check_method"),  # --method is needs a Poisson scenario
 }
 
 
@@ -421,14 +425,14 @@ def test_only_the_cli_boxes_and_never_asks_for_none():
 
 
 # where the refresh may be asked for or run: the CLI asks for it, and the
-# splitting loop and the Poisson step hand it down to the one class that has it
+# splitting loop and the Poisson advance hand it down to the one class that has it
 REFRESH_NAMES = {"refresh", "refresh_at"}
 REFRESH_SITES = {
     ("cli.py", "run_estimation"),  # every split the CLI runs refreshes
     ("split.py", "replicate"),
     ("split.py", "_replication"),
     ("split.py", "run_splitting"),
-    ("model.py", "_PoissonJumps.step"),
+    ("model.py", "_PoissonJumps.advance"),
 }
 REFRESH_OWNERS = {"_PoissonJumps"}
 
@@ -490,3 +494,49 @@ def test_only_the_cli_asks_for_the_refresh_and_one_class_has_it():
     assert not found, found
     assert used == REFRESH_SITES  # an allowance whose site is gone is removed too
     assert owners == REFRESH_OWNERS
+
+
+# the one class whose pickled copy drops what it built (the Gamma embedding's
+# bracket), and the one splitting level: ``ProblemSpec.step`` decides and
+# compacts, while a process only advances and decides
+PICKLE_HOOK_OWNERS = {"_GammaEmbedding"}
+LEVEL_OWNER = "ProblemSpec"
+
+
+def class_members(tree):
+    """(class, name, line) of each method and attribute a class body in
+    ``tree`` defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, child.name, child.lineno
+                targets = child.targets if isinstance(child, ast.Assign) else (
+                    [child.target] if isinstance(child, ast.AnnAssign) else [])
+                for target in targets:
+                    if named(target):
+                        yield node.name, named(target), child.lineno
+
+
+def test_guard_finds_class_members():
+    source = ("class _PoissonJumps:\n"
+              "    def __getstate__(self):\n"
+              "        step = 1\n"
+              "    step = None\n"
+              "class ProblemSpec:\n"
+              "    def step(self):\n"
+              "        pass\n"
+              "def step():\n"
+              "    pass\n")
+    assert sorted(class_members(ast.parse(source))) == [
+        ("ProblemSpec", "step", 6), ("_PoissonJumps", "__getstate__", 2),
+        ("_PoissonJumps", "step", 4)]
+
+
+def test_one_pickle_hook_and_one_splitting_level():
+    members = list(class_members(ast.parse((SRC / "model.py").read_text(encoding="utf-8"))))
+    assert {cls for cls, name, _ in members if name == "__getstate__"} == PICKLE_HOOK_OWNERS
+    processes = {cls.__name__ for cls in model._PROCESSES.values()}
+    assert {"_GammaEmbedding", "_PoissonJumps"} <= processes
+    steps = {cls for cls, name, _ in members if name == "step"}
+    assert steps == {LEVEL_OWNER} and not steps & processes

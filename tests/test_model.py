@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from raresplit import model
+from raresplit import model, process
+from raresplit.baseline import naive_mc
 from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Truncated, Weibull,
                             GeneralizedGamma, marginal_from_json)
@@ -729,6 +730,20 @@ def two_sample_chi_square_p(a, b):
     return stats.chi2_contingency(table).pvalue
 
 
+class PoissonSizes:
+    """A generator that records the ``size`` of each of its ``poisson`` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def poisson(self, lam, size):
+        self.sizes.append(size)
+        return self.gen.poisson(lam, size=size)
+
+
 class TestPoissonRefresh:
     """A Poisson clone's refresh keeps the survivors' law at its time t:
     independent Poisson(rates * t) counts restricted to S <= gamma.  The
@@ -791,14 +806,40 @@ class TestPoissonRefresh:
         with pytest.raises(ValueError, match="C-contiguous"):
             problem.process.refresh(np.zeros((12, 10)).T, self.T, RngStream(7), self.GAMMA)
 
-    def test_one_sampler_per_time_and_none_in_a_pickle(self, monkeypatch):
+    @pytest.mark.parametrize("refresh_at", [0.0, T])
+    def test_level_draws_in_row_blocks(self, refresh_at):
+        # whole-level draws fault in fresh heap pages on every level; the
+        # blocks keep each temporary under process.BLOCK_ENTRIES entries
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        s, dt = 3000, 0.1
+        states = self.survivors(problem, RngStream(9205), s)
+        idx = RngStream(9206).gen.integers(0, s, size=s)
+        rng, ref = RngStream(5), RngStream(5)
+        rng.gen = PoissonSizes(rng.gen)
+        got = problem.step(states, idx, dt, rng, refresh_at=refresh_at)
+        rows = states[idx]
+        if refresh_at:
+            problem.process.refresh(rows, refresh_at, ref, problem.gamma)
+        rows += ref.gen.poisson(problem.rates() * dt, size=rows.shape)
+        expected = rows[importance(problem.importance, rows) <= problem.gamma]
+        assert 0 < len(expected) < s
+        assert np.array_equal(got, expected)
+        assert len(rng.gen.sizes) > 1 and sum(size[0] for size in rng.gen.sizes) == s
+        assert all(math.prod(size) <= process.BLOCK_ENTRIES for size in rng.gen.sizes)
+
+    def test_one_table_per_rate_vector_shared_and_bounded(self):
+        # two refreshes at one time, a pickled copy's refresh and naive MC
+        # build the tables of rates * t and of rates once each
         problem = preset_problem(load_preset("I"), self.GAMMA)
         rows, rng = np.zeros((10, problem.n)), RngStream(6)
-        for t in (0.25, 0.5, 0.25):
-            problem.process.refresh(rows, t, rng, problem.gamma)
-        assert sorted(problem.process._proposals) == [0.25, 0.5]
-        copy = pickle.loads(pickle.dumps(problem))
-        assert copy.process._proposals == {}
-        monkeypatch.setattr(model, "_MAX_PROPOSALS", 2)
-        problem.process.refresh(rows, 0.75, rng, problem.gamma)
-        assert list(problem.process._proposals) == [0.75]  # a full cache starts over
+        process._sampler.cache_clear()
+        for copy in (problem, problem, pickle.loads(pickle.dumps(problem))):
+            copy.process.refresh(rows, 0.25, rng, problem.gamma)
+        naive_mc(problem, 10, RngStream(7))
+        info = process._sampler.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert poisson_sampler(problem.rates() * 0.25) is poisson_sampler(
+            list(problem.rates() * 0.25))
+        for lam in range(1, 100):
+            poisson_sampler([float(lam)])
+        assert process._sampler.cache_info().currsize == 64

@@ -35,7 +35,7 @@ from raresplit import curve, model
 from raresplit.curve import survival_bracket
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
-from raresplit.process import RngStream, advance_gamma_batch
+from raresplit.process import RngStream, advance_gamma_batch, poisson_sampler
 from raresplit.sched import lower_bound_schedule
 from raresplit.split import SplitRunResult, run_splitting
 
@@ -125,7 +125,8 @@ def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
 def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
     def refresh_keeping_all(self, rows, t, rng, gamma):
         cols = rng.gen.integers(0, rows.shape[1], size=len(rows))
-        rows[np.arange(len(rows)), cols] = self._proposal(t)(rng.gen, len(rows), cols)
+        draw = poisson_sampler(self._rates * t)
+        rows[np.arange(len(rows)), cols] = draw(rng.gen, len(rows), cols)
 
     monkeypatch.setattr(model._PoissonJumps, "refresh", refresh_keeping_all)
     z = gate_z("poisson_weighted_sum", monkeypatch, refresh=True)
