@@ -135,8 +135,8 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
 
     Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``):
     the mean is scaled by the box mass and the variance by the mass twice,
-    while the levels and their survival are the boxed run's.  Splitting
-    refreshes the clones of a Poisson problem at each level's start
+    while the levels and their survival are the boxed run's.  Only a
+    Poisson problem's split refreshes its clones at each level's start
     (``run_splitting``'s ``refresh``).  IS runs on the plain problem.
     """
     _check_method(problem, method)
@@ -150,7 +150,7 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
         schedule = build_schedule(box, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = {"schedule_seconds": time.perf_counter() - t0}
-        report = replicate(box, schedule, s, m, rng, workers=workers, refresh=True)
+        report = replicate(box, schedule, s, m, rng, workers, refresh=problem.kind == "poisson")
     else:
         built, report = {}, naive_mc(box, m, rng)
     mass = math.exp(log_mass)

@@ -268,10 +268,13 @@ class _GammaEmbedding:
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
 
-    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):
-        """The rows of ``states[idx]``, dt later.  The Gamma clones take no
-        refresh: ``gamma`` and ``refresh_at`` move nothing."""
-        return advance_gamma_batch(states[idx], dt, rng)
+    def advance(self, rows, dt, rng):
+        """``rows`` of levels, dt later, in a new array."""
+        return advance_gamma_batch(rows, dt, rng)
+
+    def propose(self, cols, t, rng):
+        """One level per entry of ``cols``, from any column's own law at t: Gamma(t, 1)."""
+        return advance_gamma_batch(np.zeros(len(cols)), t, rng)
 
     @cached_property
     def bracket(self):
@@ -326,38 +329,17 @@ class _PoissonJumps:
     def rates(self):
         return self._rates.copy()
 
-    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):
-        """The rows of ``states[idx]``, gathered once, each refreshed at time
-        ``refresh_at`` when it is > 0, then advanced by
-        ``gen.poisson(rates * dt, size=(len(idx), n))``'s stream in row blocks."""
+    def advance(self, rows, dt, rng):
+        """``rows`` of counts, dt later, in place, by gen.poisson(rates * dt) in row blocks."""
         lam = self._rates * _check_dt(dt)
-        rows = states.take(idx, axis=0)
-        if refresh_at > 0:
-            self.refresh(rows, refresh_at, rng, gamma)
         for block in row_blocks(len(rows), lam.size):
             part = rows[block]
             part += rng.gen.poisson(lam, size=part.shape)
         return rows
 
-    def refresh(self, rows, t, rng, gamma):
-        """One Metropolis step per row of counts at time t, in place: a
-        uniformly chosen coordinate j is redrawn from Poisson(rates[j] * t),
-        and its old count is restored where the row no longer survives.
-
-        The proposal is the coordinate's own law, so the Metropolis ratio is
-        the indicator of S <= gamma, and the step leaves the law of
-        independent Poisson(rates * t) counts restricted to S <= gamma as it
-        is: the survivors' law at t."""
-        if not rows.flags.c_contiguous:
-            raise ValueError("refresh writes through a flat view; rows must be C-contiguous")
-        c, n = rows.shape
-        cols = rng.gen.integers(0, n, size=c)
-        at = np.arange(0, c * n, n) + cols
-        flat = rows.reshape(-1)
-        old = flat.take(at)
-        flat[at] = poisson_sampler(self._rates * t)(rng.gen, c, cols)
-        back = ~self.survives(rows, gamma)
-        flat[at[back]] = old[back]
+    def propose(self, cols, t, rng):
+        """One count per entry j of ``cols``, from its own law at t: Poisson(rates[j] * t)."""
+        return poisson_sampler(self._rates * t)(rng.gen, len(cols), cols)
 
     def survives(self, states, gamma):
         """S(states) <= gamma for every row of counts."""
@@ -380,9 +362,9 @@ class ProblemSpec:
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
-    ``process``, built from it, advances the states, decides which of
-    them survive, and draws the states at t = 1; ``step`` runs a splitting
-    level on it.
+    ``process``, built from it, advances and proposes states, decides
+    which survive and draws the states at t = 1; ``step`` and ``refresh``
+    run a splitting level on it.
     """
 
     marginals: tuple
@@ -426,15 +408,34 @@ class ProblemSpec:
              refresh_at: float = 0.0) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
 
-        With ``refresh_at`` > 0, the time of ``states``, a Poisson process
-        first gives each gathered row one refresh that keeps the survivors'
-        law at that time; the Gamma embedding has none and ignores it."""
-        rows = self.process.advance(states, idx, dt, rng, self.gamma, refresh_at)
+        With ``refresh_at`` > 0, the time of ``states``, each gathered row
+        first gets one ``refresh`` at that time."""
+        rows = states.take(idx, axis=0)
+        if refresh_at > 0:
+            self.refresh(rows, refresh_at, rng)
+        rows = self.process.advance(rows, dt, rng)
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
         # through the next level; freeing it here made glibc trim and refault the heap
         rows[:len(kept)] = kept
         return rows[:len(kept)]
+
+    def refresh(self, rows: np.ndarray, t: float, rng: RngStream) -> None:
+        """One Metropolis step per row of states at time t > 0, in place: a
+        uniformly chosen coordinate is redrawn from its own law at t
+        (``process.propose``), and restored where the row no longer survives.
+        The Metropolis ratio is then the indicator of S <= gamma, so the step
+        keeps the survivors' law at t (generalized splitting's move)."""
+        if not rows.flags.c_contiguous:
+            raise ValueError("refresh writes through a flat view; rows must be C-contiguous")
+        c, n = rows.shape
+        cols = rng.gen.integers(0, n, size=c)
+        at = np.arange(0, c * n, n) + cols
+        flat = rows.reshape(-1)
+        old = flat.take(at)
+        flat[at] = self.process.propose(cols, t, rng)
+        back = ~self.process.survives(rows, self.gamma)
+        flat[at[back]] = old[back]
 
     def boxed(self) -> tuple[ProblemSpec, float]:
         """(the problem on the box, ln of the box's mass).

@@ -2,10 +2,10 @@
 
 Each level resamples exactly ``s`` states uniformly with replacement from
 the previous level's survivors, advances them by the scheduled increment
-(a Poisson problem's clones, on request, after one refresh each), and
-keeps those still satisfying S(X(t)) <= gamma.  The estimate is the
-product of the per-level survivor fractions; a level with zero survivors
-short-circuits the run with estimate 0.
+(on request, after one refresh of each clone), and keeps those still
+satisfying S(X(t)) <= gamma.  The estimate is the product of the
+per-level survivor fractions; a level with zero survivors short-circuits
+the run with estimate 0.
 """
 
 from __future__ import annotations
@@ -73,11 +73,10 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     Per level the generator draws the parent indices, then ``problem.step``
     its increments, so a given stream reproduces the run bit-for-bit.
     States are float64; Poisson counts are exact integers in them.
-    With ``refresh``, from level 2 on each clone of a Poisson problem gets
-    one exact Metropolis refresh at the level's start time before it
-    advances (``ProblemSpec.step``), which decorrelates the clones of one
-    survivor and keeps every level's law, so the product stays unbiased;
-    the default is the paper's plain loop.
+    With ``refresh``, from level 2 on each clone gets one exact Metropolis
+    step at the level's start time before it advances (``ProblemSpec.refresh``),
+    which decorrelates the clones of one survivor and keeps every level's
+    law, so the product stays unbiased; the default is the paper's plain loop.
     """
     if s < 2:
         raise ValueError("s must be >= 2")

@@ -16,16 +16,18 @@ well: every estimator asks ``process.survives``, and only ``model.py``
 embeds whole rows and scores them with ``importance``.  A problem is boxed
 in one place: only the CLI calls ``boxed``, which always answers, so the
 estimators and schedule builders take the problem as given and no caller
-compares a box with None.  Only the CLI asks for the Poisson clones'
-refresh, and ``split.py`` and ``model.py`` hand it down to the one class
-that defines it, so the schedule builders, the pilot and the baselines
-run the paper's plain loop.  A splitting level is one path as well:
-``ProblemSpec.step`` makes its one survival decision and compaction, no
-process defines a ``step``, and only the Gamma embedding keeps a table out
-of its pickles.
+compares a box with None.  Only the CLI asks for the clones' refresh,
+and only for Poisson problems; ``split.py`` hands it down to
+``ProblemSpec``, the one class that defines it, so the schedule builders,
+the pilot and the baselines run the paper's plain loop.  A splitting level
+is one path as well: ``ProblemSpec.step`` makes its one refresh, survival
+decision and compaction, no process defines a ``step``, a process's
+``advance`` and ``propose`` read every parameter they take, and only the
+Gamma embedding keeps a table out of its pickles.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import raresplit
@@ -39,6 +41,7 @@ SRC = Path(raresplit.__file__).resolve().parent
 ALLOWED = {
     ("model.py", "ProblemSpec.__post_init__"),  # the kind names the process to build
     ("cli.py", "_check_method"),  # --method is needs a Poisson scenario
+    ("cli.py", "run_estimation"),  # the CLI's per-kind refresh default, until item 14 sets it
 }
 
 
@@ -424,17 +427,17 @@ def test_only_the_cli_boxes_and_never_asks_for_none():
     assert used == BOX_CALLERS  # an allowance whose call is gone is removed too
 
 
-# where the refresh may be asked for or run: the CLI asks for it, and the
-# splitting loop and the Poisson advance hand it down to the one class that has it
+# where the refresh may be asked for or run: the CLI asks for it, the
+# splitting loop hands it down, and ``ProblemSpec.step`` runs the one refresh
 REFRESH_NAMES = {"refresh", "refresh_at"}
 REFRESH_SITES = {
-    ("cli.py", "run_estimation"),  # every split the CLI runs refreshes
+    ("cli.py", "run_estimation"),  # the CLI's one refresh policy, by the problem's kind
     ("split.py", "replicate"),
     ("split.py", "_replication"),
     ("split.py", "run_splitting"),
-    ("model.py", "_PoissonJumps.advance"),
+    ("model.py", "ProblemSpec.step"),
 }
-REFRESH_OWNERS = {"_PoissonJumps"}
+REFRESH_OWNERS = {"ProblemSpec"}
 
 
 def refresh_uses(tree):
@@ -540,3 +543,52 @@ def test_one_pickle_hook_and_one_splitting_level():
     assert {"_GammaEmbedding", "_PoissonJumps"} <= processes
     steps = {cls for cls, name, _ in members if name == "step"}
     assert steps == {LEVEL_OWNER} and not steps & processes
+
+
+# the hooks through which a splitting level drives a process, and their parameters
+PROCESS_HOOKS = {"advance": ["rows", "dt", "rng"], "propose": ["cols", "t", "rng"]}
+
+
+def unread_parameters(tree, classes):
+    """(class, method, parameter) of each parameter, ``self`` aside, that an
+    ``advance`` or ``propose`` method of a class named in ``classes`` does
+    not read in its body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and method.name in PROCESS_HOOKS:
+                    args = method.args
+                    params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                              *args.kwonlyargs, args.kwarg) if a][1:]
+                    read = {n.id for n in ast.walk(method)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    for param in params:
+                        if param not in read:
+                            yield node.name, method.name, param
+
+
+def test_guard_finds_unread_parameters():
+    source = ("class _GammaEmbedding:\n"
+              "    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):\n"
+              "        return advance_gamma_batch(states[idx], dt, rng)\n"
+              "    def propose(self, cols, t, rng, *rest, **options):\n"
+              "        t = len(cols)\n"
+              "        return draw(t, rest, rng)\n"
+              "    def survives(self, states, gamma):\n"
+              "        return states\n"
+              "class Other:\n"
+              "    def advance(self, rows, dt, rng):\n"
+              "        pass\n")
+    assert list(unread_parameters(ast.parse(source), {"_GammaEmbedding"})) == [
+        ("_GammaEmbedding", "advance", "gamma"), ("_GammaEmbedding", "advance", "refresh_at"),
+        ("_GammaEmbedding", "propose", "options")]
+
+
+def test_every_process_hook_takes_and_reads_the_same_parameters():
+    processes = {cls.__name__: cls for cls in model._PROCESSES.values()}
+    for cls in processes.values():
+        for hook, params in PROCESS_HOOKS.items():
+            assert list(inspect.signature(getattr(cls, hook)).parameters) == ["self", *params]
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert not list(unread_parameters(tree, set(processes)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -767,7 +768,7 @@ class TestPoissonRefresh:
         problem = preset_problem(load_preset("I"), self.GAMMA)
         rows, rng = self.survivors(problem, RngStream(9201)), RngStream(9202)
         for _ in range(5):
-            problem.process.refresh(rows, self.T, rng, problem.gamma)
+            problem.refresh(rows, self.T, rng)
         reference = self.survivors(problem, RngStream(9203))
         return rows, [two_sample_chi_square_p(a, b) for a, b in zip(rows.T, reference.T)]
 
@@ -791,7 +792,7 @@ class TestPoissonRefresh:
         problem = preset_problem(load_preset("I"), self.GAMMA)
         before = self.survivors(problem, RngStream(9204), 3000)
         rows, rng, ref = before.copy(), RngStream(5), RngStream(5)
-        problem.process.refresh(rows, self.T, rng, problem.gamma)
+        problem.refresh(rows, self.T, rng)
         cols = ref.gen.integers(0, problem.n, size=3000)
         moved = before.copy()
         moved[np.arange(3000), cols] = poisson_sampler(problem.rates() * self.T)(
@@ -804,7 +805,7 @@ class TestPoissonRefresh:
     def test_refuses_rows_it_cannot_write_in_place(self):
         problem = preset_problem(load_preset("I"), self.GAMMA)
         with pytest.raises(ValueError, match="C-contiguous"):
-            problem.process.refresh(np.zeros((12, 10)).T, self.T, RngStream(7), self.GAMMA)
+            problem.refresh(np.zeros((12, 10)).T, self.T, RngStream(7))
 
     @pytest.mark.parametrize("refresh_at", [0.0, T])
     def test_level_draws_in_row_blocks(self, refresh_at):
@@ -819,7 +820,7 @@ class TestPoissonRefresh:
         got = problem.step(states, idx, dt, rng, refresh_at=refresh_at)
         rows = states[idx]
         if refresh_at:
-            problem.process.refresh(rows, refresh_at, ref, problem.gamma)
+            problem.refresh(rows, refresh_at, ref)
         rows += ref.gen.poisson(problem.rates() * dt, size=rows.shape)
         expected = rows[importance(problem.importance, rows) <= problem.gamma]
         assert 0 < len(expected) < s
@@ -834,7 +835,7 @@ class TestPoissonRefresh:
         rows, rng = np.zeros((10, problem.n)), RngStream(6)
         process._sampler.cache_clear()
         for copy in (problem, problem, pickle.loads(pickle.dumps(problem))):
-            copy.process.refresh(rows, 0.25, rng, problem.gamma)
+            copy.refresh(rows, 0.25, rng)
         naive_mc(problem, 10, RngStream(7))
         info = process._sampler.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
@@ -843,3 +844,54 @@ class TestPoissonRefresh:
         for lam in range(1, 100):
             poisson_sampler([float(lam)])
         assert process._sampler.cache_info().currsize == 64
+
+
+class TestGammaRefresh:
+    """A continuous clone's refresh keeps the survivors' law at its time t:
+    independent Gamma(t, 1) levels restricted to S(embed(g)) <= gamma.  The
+    setting, Table V's box at gamma = 1.39 and t = 0.5, and the seeds were
+    fixed before the first run; each column's levels are compared with an
+    independent rejection sample by a two-sample KS test."""
+
+    T, GAMMA, ROWS = 0.5, 1.39, 20_000
+
+    @classmethod
+    @functools.cache
+    def samples(cls):
+        """The problem, ``ROWS`` rejection samples of the survivors' levels at T
+        to refresh, and as many independent ones; numpy's Gamma sampler draws
+        them and the reference S decides them, so no mutant reaches them."""
+        problem, out = preset_problem(load_preset("V"), cls.GAMMA).boxed()[0], []
+        for seed in (9211, 9213):
+            rng, kept = RngStream(seed), []
+            while sum(map(len, kept)) < cls.ROWS:
+                g = rng.gen.standard_gamma(cls.T, size=(50_000, problem.n))
+                x = embed(g, problem.marginals, problem.directions)
+                kept.append(g[importance(problem.importance, x) <= problem.gamma])
+            out.append(np.concatenate(kept)[:cls.ROWS])
+        return problem, *out
+
+    def refreshed(self):
+        """Survivors after five refreshes, and per column the KS p-value
+        against the independent rejection sample."""
+        problem, start, reference = self.samples()
+        rows, rng = start.copy(), RngStream(9212)
+        for _ in range(5):
+            problem.refresh(rows, self.T, rng)
+        return problem, rows, [stats.ks_2samp(a, b).pvalue for a, b in zip(rows.T, reference.T)]
+
+    def test_keeps_the_survivors_law(self):
+        problem, rows, p = self.refreshed()
+        x = embed(rows, problem.marginals, problem.directions)
+        assert (importance(problem.importance, x) <= self.GAMMA).all()
+        assert min(p) > 1e-3, p
+
+    def test_fails_a_proposal_at_a_later_time(self, monkeypatch):
+        monkeypatch.setattr(model, "advance_gamma_batch",
+                            lambda values, dt, rng: advance_gamma_batch(values, 1.3 * dt, rng))
+        assert min(self.refreshed()[2]) < 1e-3
+
+    def test_fails_a_step_that_keeps_rejected_proposals(self, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "survives",
+                            lambda self, states, gamma: np.ones(len(states), dtype=bool))
+        assert min(self.refreshed()[2]) < 1e-3

@@ -9,7 +9,7 @@ import pytest
 
 from raresplit import model
 from raresplit.baseline import naive_mc
-from raresplit.cli import load_preset, preset_problem
+from raresplit.cli import build_schedule, load_preset, preset_problem, run_estimation
 from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
 from raresplit.model import ProblemSpec, Sum, WeightedSum, embed, importance
 from raresplit.process import RngStream
@@ -218,12 +218,30 @@ class TestRunSplitting:
         assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
         assert plain != moved
 
-    def test_refresh_leaves_continuous_runs_as_they_are(self):
+    def test_refresh_moves_continuous_clones_from_level_two(self):
         problem = exp_sum_problem(4, 1.0)
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
-        assert run_splitting(problem, schedule, 200, RngStream(12), refresh=True) \
-            == run_splitting(problem, schedule, 200, RngStream(12))
+        plain = [run_splitting(problem, schedule, 200, RngStream(12, (i,))) for i in range(4)]
+        moved = [run_splitting(problem, schedule, 200, RngStream(12, (i,)), refresh=True)
+                 for i in range(4)]
+        # level 1 starts at t = 0, where there is nothing to refresh
+        assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
+        assert plain != moved
+
+    def test_the_cli_splits_continuous_problems_plain(self):
+        # the CLI refreshes Poisson clones only: Table V splits as replicate's
+        # default, scaled by the box mass as run_estimation scales it
+        problem = preset_problem(load_preset("V"))
+        got = run_estimation(problem, "split", s=300, m=4, seed=1)
+        rng = RngStream(1)
+        box, log_mass = problem.boxed()
+        plain = replicate(box, build_schedule(box, rng, pilot_s=300), 300, 4, rng)
+        mass = math.exp(log_mass)
+        assert log_mass < 0 and len(plain.levels) > 1
+        assert (got.mean, got.variance, got.levels, got.per_level_survival) == (
+            mass * plain.mean, mass * (mass * plain.variance), plain.levels,
+            plain.per_level_survival)
 
     def test_s_validation(self):
         problem = exp_sum_problem()

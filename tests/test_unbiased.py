@@ -15,9 +15,10 @@ that its half-width stays a small fraction of a standard error.  The
 problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
 
-The Poisson family also runs with the clones' refresh
-(``run_splitting(..., refresh=True)``), which the CLI splits with; its
-seed and rule are the family's own, fixed before its first refreshed run.
+The Poisson family, which the CLI splits with the clones' refresh
+(``run_splitting(..., refresh=True)``), also runs with it, and so does
+one continuous family, the boxed exponential sum; their seeds and rule are
+the families' own, fixed before their first refreshed runs.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
@@ -35,7 +36,7 @@ from raresplit import curve, model
 from raresplit.curve import survival_bracket
 from raresplit.dist import Exponential, Gamma, LogNormal, Poisson, Weibull
 from raresplit.model import OrderedPartialSum, ProblemSpec, Ratio, Sum, WeightedSum
-from raresplit.process import RngStream, advance_gamma_batch, poisson_sampler
+from raresplit.process import RngStream, advance_gamma_batch
 from raresplit.sched import lower_bound_schedule
 from raresplit.split import SplitRunResult, run_splitting
 
@@ -98,8 +99,8 @@ def excess_z(prefixes, lo, hi):
 
 def gate_z(family, monkeypatch, runs_on=None, refresh=False):
     """The gate's excess z at every level of ``family``: its runs go on
-    ``runs_on`` (the family's own problem by default), with the Poisson
-    clones' ``refresh`` or without, its schedule and bracket always come
+    ``runs_on`` (the family's own problem by default), with the clones'
+    ``refresh`` or without; its schedule and bracket always come
     from the family's problem."""
     problem, seed, cells = FAMILIES[family]
     schedule = lower_bound_schedule(problem)
@@ -122,15 +123,20 @@ def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
     assert (z <= Z_MAX).all(), z
 
 
-def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
-    def refresh_keeping_all(self, rows, t, rng, gamma):
-        cols = rng.gen.integers(0, rows.shape[1], size=len(rows))
-        draw = poisson_sampler(self._rates * t)
-        rows[np.arange(len(rows)), cols] = draw(rng.gen, len(rows), cols)
+def test_every_prefix_of_a_continuous_family_is_unbiased_with_the_refresh(monkeypatch):
+    z = gate_z("boxed_exponential_sum", monkeypatch, refresh=True)
+    assert (z <= Z_MAX).all(), z
 
-    monkeypatch.setattr(model._PoissonJumps, "refresh", refresh_keeping_all)
-    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=True)
-    assert (z > Z_MAX).any(), z
+
+def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
+    def refresh_keeping_all(self, rows, t, rng):
+        cols = rng.gen.integers(0, rows.shape[1], size=len(rows))
+        rows[np.arange(len(rows)), cols] = self.process.propose(cols, t, rng)
+
+    monkeypatch.setattr(model.ProblemSpec, "refresh", refresh_keeping_all)
+    for family in ("poisson_weighted_sum", "boxed_exponential_sum"):
+        z = gate_z(family, monkeypatch, refresh=True)
+        assert (z > Z_MAX).any(), (family, z)
 
 
 @pytest.mark.parametrize("family", ["exponential_sum", "lognormal_ratio"])
@@ -152,8 +158,8 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
 def resample_from_every_state(problem, schedule, s, rng, refresh=False):
     """``run_splitting`` with a resampling fault: each level's parents are
     drawn from all s states the last level advanced, failures included,
-    while the counts still count only the survivors.  Its Gamma levels take
-    no refresh, as the library's do not."""
+    while the counts still count only the survivors.  It takes no refresh:
+    the gate runs it on a plain loop only."""
     current, counts = np.zeros((s, problem.n)), []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, s, size=s)
