@@ -405,14 +405,15 @@ class ProblemSpec:
         return self.process.rates()
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
-             refresh_at: float = 0.0) -> np.ndarray:
+             refresh_at: float = 0.0, refresh: int = 0) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
 
-        With ``refresh_at`` > 0, the time of ``states``, each gathered row
-        first gets one ``refresh`` at that time."""
+        With ``refresh`` > 0 updates and ``refresh_at`` > 0, the time of
+        ``states``, the gathered rows first get ``refresh(rows, refresh_at,
+        rng, refresh)``."""
         rows = states.take(idx, axis=0)
-        if refresh_at > 0:
-            self.refresh(rows, refresh_at, rng)
+        if refresh and refresh_at > 0:
+            self.refresh(rows, refresh_at, rng, refresh)
         rows = self.process.advance(rows, dt, rng)
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
@@ -420,22 +421,29 @@ class ProblemSpec:
         rows[:len(kept)] = kept
         return rows[:len(kept)]
 
-    def refresh(self, rows: np.ndarray, t: float, rng: RngStream) -> None:
-        """One Metropolis step per row of states at time t > 0, in place: a
-        uniformly chosen coordinate is redrawn from its own law at t
-        (``process.propose``), and restored where the row no longer survives.
-        The Metropolis ratio is then the indicator of S <= gamma, so the step
-        keeps the survivors' law at t (generalized splitting's move)."""
+    def refresh(self, rows: np.ndarray, t: float, rng: RngStream, updates: int = 1) -> None:
+        """``updates`` Metropolis steps per row of states at time t > 0, in
+        place: each redraws a uniformly chosen coordinate from its own law at
+        t (``process.propose``) and restores it where the row no longer
+        survives.  The Metropolis ratio is then the indicator of S <= gamma,
+        so every step keeps the survivors' law at t (generalized splitting's move).
+
+        A proposal does not depend on the row, so all updates x rows column
+        picks come from one ``integers`` call and their proposals from one
+        ``propose`` call; the steps then decide in order, one ``survives``
+        call each.  One update draws the stream of a single step."""
         if not rows.flags.c_contiguous:
             raise ValueError("refresh writes through a flat view; rows must be C-contiguous")
         c, n = rows.shape
-        cols = rng.gen.integers(0, n, size=c)
-        at = np.arange(0, c * n, n) + cols
+        cols = rng.gen.integers(0, n, size=(updates, c))
+        proposals = self.process.propose(cols.ravel(), t, rng).reshape(updates, c)
+        cols += np.arange(0, c * n, n)  # each pick's flat index
         flat = rows.reshape(-1)
-        old = flat.take(at)
-        flat[at] = self.process.propose(cols, t, rng)
-        back = ~self.process.survives(rows, self.gamma)
-        flat[at[back]] = old[back]
+        for at, new in zip(cols, proposals):
+            old = flat.take(at)
+            flat[at] = new
+            np.putmask(new, ~self.process.survives(rows, self.gamma), old)
+            flat[at] = new
 
     def boxed(self) -> tuple[ProblemSpec, float]:
         """(the problem on the box, ln of the box's mass).

@@ -1006,9 +1006,41 @@ def mutated_presets(draw):
     return preset
 
 
+def parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# reproduce's flags at values it accepts, and for each flag values it refuses
+# before the first estimate: an unknown table, an --s or a --m below 2, a
+# --baseline-m below 2 (Table I runs naive and IS), a negative --seed, and
+# anything that is no integer at all for a count or the seed
+REPRODUCE_FLAGS = {"--table": "I", "--s": "120", "--m": "3", "--baseline-m": "20",
+                   "--seed": "0"}
+_NOT_AN_INT = st.text(max_size=8).filter(lambda v: not parses_as_int(v))
+BAD_REPRODUCE_VALUES = {
+    "--table": st.text(max_size=8).filter(lambda v: v not in TABLES),
+    "--s": st.one_of(st.integers(max_value=1).map(str), _NOT_AN_INT),
+    "--m": st.one_of(st.integers(max_value=1).map(str), _NOT_AN_INT),
+    "--baseline-m": st.one_of(st.integers(max_value=1).map(str), _NOT_AN_INT),
+    "--seed": st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT),
+}
+
+
+@st.composite
+def bad_reproduce_flags(draw):
+    """reproduce's flags with one of them at a value it refuses."""
+    flag = draw(st.sampled_from(sorted(BAD_REPRODUCE_VALUES)))
+    return {**REPRODUCE_FLAGS, flag: draw(BAD_REPRODUCE_VALUES[flag])}
+
+
 class TestGeneratedBadInput:
     """ROADMAP item 8's table of bad inputs, generated: every mutated preset
-    exits with a documented code, and a refusal is one stderr line."""
+    exits with a documented code, a bad reproduce flag exits 2, and a
+    refusal is one stderr line."""
 
     FLAGS = {"run": ("--s", "120", "--m", "3"), "levels": ("--s", "120"),
              "verify": ("--s", "120", "--m", "3")}
@@ -1028,6 +1060,19 @@ class TestGeneratedBadInput:
                 assert "Traceback" not in err.getvalue()
                 if code in (2, 3):
                     assert len(lines) == 1, (command, lines)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(flags=bad_reproduce_flags())
+    def test_reproduce_refuses_a_bad_flag_in_one_line(self, flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["reproduce", *(f"{k}={v}" for k, v in flags.items())])
+            except SystemExit as exc:  # the parser refuses the value
+                code = exc.code
+        assert code == 2, (flags, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1, (flags, err.getvalue())
+        assert out.getvalue() == ""
 
 
 class TestParser:

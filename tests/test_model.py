@@ -745,11 +745,17 @@ class PoissonSizes:
         return self.gen.poisson(lam, size=size)
 
 
+# Two ways to give each row five refresh updates: five calls of one update
+# each, and one call of five updates, whose draws come in one batch.
+FIVE_UPDATES = [(5, 1), (1, 5)]
+
+
 class TestPoissonRefresh:
     """A Poisson clone's refresh keeps the survivors' law at its time t:
     independent Poisson(rates * t) counts restricted to S <= gamma.  The
     setting, Table I's rates at t = 0.5 and gamma = 50, where
-    P[S <= gamma] = 0.049, and the seeds were fixed before the first run."""
+    P[S <= gamma] = 0.049, and the seeds were fixed before the first run;
+    both ways of ``FIVE_UPDATES`` start from the same rows and seeds."""
 
     T, GAMMA, ROWS = 0.5, 50.0, 20_000
 
@@ -762,30 +768,33 @@ class TestPoissonRefresh:
             out.append(x[importance(problem.importance, x) <= problem.gamma])
         return np.concatenate(out)[:rows]
 
-    def refreshed(self):
-        """Survivors after five refreshes, and per coordinate the p-value
-        against an independent rejection sample."""
+    def refreshed(self, calls, updates):
+        """Survivors after ``calls`` refreshes of ``updates`` updates each,
+        and per coordinate the p-value against an independent rejection sample."""
         problem = preset_problem(load_preset("I"), self.GAMMA)
         rows, rng = self.survivors(problem, RngStream(9201)), RngStream(9202)
-        for _ in range(5):
-            problem.refresh(rows, self.T, rng)
+        for _ in range(calls):
+            problem.refresh(rows, self.T, rng, updates)
         reference = self.survivors(problem, RngStream(9203))
         return rows, [two_sample_chi_square_p(a, b) for a, b in zip(rows.T, reference.T)]
 
     def test_keeps_the_survivors_law(self):
-        rows, p = self.refreshed()
         problem = preset_problem(load_preset("I"), self.GAMMA)
-        assert (importance(problem.importance, rows) <= self.GAMMA).all()
-        assert min(p) > 1e-3, p
+        for passes in FIVE_UPDATES:
+            rows, p = self.refreshed(*passes)
+            assert (importance(problem.importance, rows) <= self.GAMMA).all()
+            assert min(p) > 1e-3, (passes, p)
 
     def test_fails_a_proposal_at_a_later_time(self, monkeypatch):
         monkeypatch.setattr(model, "poisson_sampler", lambda rates: poisson_sampler(1.3 * rates))
-        assert min(self.refreshed()[1]) < 1e-3
+        for passes in FIVE_UPDATES:
+            assert min(self.refreshed(*passes)[1]) < 1e-3, passes
 
     def test_fails_a_step_that_keeps_rejected_proposals(self, monkeypatch):
         monkeypatch.setattr(model._PoissonJumps, "survives",
                             lambda self, states, gamma: np.ones(len(states), dtype=bool))
-        assert min(self.refreshed()[1]) < 1e-3
+        for passes in FIVE_UPDATES:
+            assert min(self.refreshed(*passes)[1]) < 1e-3, passes
 
     def test_moves_one_coordinate_per_row_from_its_draws(self):
         # the stream: one column per row, then the sampler's one uniform per row
@@ -800,6 +809,26 @@ class TestPoissonRefresh:
         kept = importance(problem.importance, moved) <= problem.gamma
         assert 0 < kept.sum() < 3000 and (moved != before).any(axis=1)[kept].any()
         assert np.array_equal(rows, np.where(kept[:, None], moved, before))
+        assert rng.gen.random() == ref.gen.random()  # no draw more or less
+
+    def test_updates_decide_in_order_from_one_batch_of_draws(self):
+        # the stream: every update's columns, then every proposal; each update
+        # then moves the rows its predecessor left, decided by the reference S
+        problem = preset_problem(load_preset("I"), self.GAMMA)
+        before = self.survivors(problem, RngStream(9204), 3000)
+        rows, rng, ref = before.copy(), RngStream(5), RngStream(5)
+        problem.refresh(rows, self.T, rng, 3)
+        cols = ref.gen.integers(0, problem.n, size=(3, 3000))
+        proposals = poisson_sampler(problem.rates() * self.T)(
+            ref.gen, cols.size, cols.ravel()).reshape(cols.shape)
+        expected = before.copy()
+        for picked, new in zip(cols, proposals):
+            moved = expected.copy()
+            moved[np.arange(3000), picked] = new
+            kept = importance(problem.importance, moved) <= problem.gamma
+            assert 0 < kept.sum() < 3000
+            expected = np.where(kept[:, None], moved, expected)
+        assert np.array_equal(rows, expected)
         assert rng.gen.random() == ref.gen.random()  # no draw more or less
 
     def test_refuses_rows_it_cannot_write_in_place(self):
@@ -817,7 +846,7 @@ class TestPoissonRefresh:
         idx = RngStream(9206).gen.integers(0, s, size=s)
         rng, ref = RngStream(5), RngStream(5)
         rng.gen = PoissonSizes(rng.gen)
-        got = problem.step(states, idx, dt, rng, refresh_at=refresh_at)
+        got = problem.step(states, idx, dt, rng, refresh_at=refresh_at, refresh=1)
         rows = states[idx]
         if refresh_at:
             problem.refresh(rows, refresh_at, ref)
@@ -851,7 +880,8 @@ class TestGammaRefresh:
     independent Gamma(t, 1) levels restricted to S(embed(g)) <= gamma.  The
     setting, Table V's box at gamma = 1.39 and t = 0.5, and the seeds were
     fixed before the first run; each column's levels are compared with an
-    independent rejection sample by a two-sample KS test."""
+    independent rejection sample by a two-sample KS test, after either way
+    of ``FIVE_UPDATES`` from the same rows and seed."""
 
     T, GAMMA, ROWS = 0.5, 1.39, 20_000
 
@@ -871,27 +901,58 @@ class TestGammaRefresh:
             out.append(np.concatenate(kept)[:cls.ROWS])
         return problem, *out
 
-    def refreshed(self):
-        """Survivors after five refreshes, and per column the KS p-value
-        against the independent rejection sample."""
+    def refreshed(self, calls, updates):
+        """Survivors after ``calls`` refreshes of ``updates`` updates each,
+        and per column the KS p-value against the independent rejection sample."""
         problem, start, reference = self.samples()
         rows, rng = start.copy(), RngStream(9212)
-        for _ in range(5):
-            problem.refresh(rows, self.T, rng)
+        for _ in range(calls):
+            problem.refresh(rows, self.T, rng, updates)
         return problem, rows, [stats.ks_2samp(a, b).pvalue for a, b in zip(rows.T, reference.T)]
 
     def test_keeps_the_survivors_law(self):
-        problem, rows, p = self.refreshed()
-        x = embed(rows, problem.marginals, problem.directions)
-        assert (importance(problem.importance, x) <= self.GAMMA).all()
-        assert min(p) > 1e-3, p
+        for passes in FIVE_UPDATES:
+            problem, rows, p = self.refreshed(*passes)
+            x = embed(rows, problem.marginals, problem.directions)
+            assert (importance(problem.importance, x) <= self.GAMMA).all()
+            assert min(p) > 1e-3, (passes, p)
 
     def test_fails_a_proposal_at_a_later_time(self, monkeypatch):
         monkeypatch.setattr(model, "advance_gamma_batch",
                             lambda values, dt, rng: advance_gamma_batch(values, 1.3 * dt, rng))
-        assert min(self.refreshed()[2]) < 1e-3
+        for passes in FIVE_UPDATES:
+            assert min(self.refreshed(*passes)[2]) < 1e-3, passes
 
     def test_fails_a_step_that_keeps_rejected_proposals(self, monkeypatch):
         monkeypatch.setattr(model._GammaEmbedding, "survives",
                             lambda self, states, gamma: np.ones(len(states), dtype=bool))
-        assert min(self.refreshed()[2]) < 1e-3
+        for passes in FIVE_UPDATES:
+            assert min(self.refreshed(*passes)[2]) < 1e-3, passes
+
+
+class CallLog:
+    """A generator that records the name of each method called on it."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("updates", [1, 4])
+@pytest.mark.parametrize("table,gamma,box", [("I", 50.0, False), ("V", 1.39, True)])
+def test_refresh_draws_every_update_in_one_batch(table, gamma, box, updates, monkeypatch):
+    # one integers call for every column pick and one propose call for every
+    # proposal, whatever the number of updates: no pass per update
+    problem = preset_problem(load_preset(table), gamma)
+    problem = problem.boxed()[0] if box else problem
+    rows, rng = np.zeros((300, problem.n)), RngStream(5)
+    proposed, propose = [], problem.process.propose
+    monkeypatch.setattr(problem.process, "propose",
+                        lambda cols, t, rng: proposed.append(len(cols)) or propose(cols, t, rng))
+    rng.gen = CallLog(rng.gen)
+    problem.refresh(rows, 0.5, rng, updates)
+    assert rng.gen.calls.count("integers") == 1
+    assert proposed == [updates * 300]

@@ -16,15 +16,16 @@ problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
 
 The Poisson family, which the CLI splits with the clones' refresh
-(``run_splitting(..., refresh=True)``), also runs with it, and so does
-one continuous family, the boxed exponential sum; their seeds and rule are
-the families' own, fixed before their first refreshed runs.
+(``run_splitting(..., refresh=3)``, three updates per clone), also runs
+with it, at one update and at three, and so does one continuous family,
+the boxed exponential sum; their seeds and rule are the families' own,
+fixed before their first refreshed runs.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
 jumps whose rates are 1% too large, a level loop that resamples its
 parents from every advanced state, failures included, and a refresh that
-keeps the proposals that fail S <= gamma.
+keeps the proposals that fail S <= gamma, at one update and at three.
 """
 
 import dataclasses
@@ -77,7 +78,7 @@ FAMILIES = {
 }
 
 
-def prefix_estimates(problem, schedule, s, runs, rng, refresh=False):
+def prefix_estimates(problem, schedule, s, runs, rng, refresh=0):
     """(runs, levels) array whose row i holds the prefix products
     prod_{j<=l} k_j / s of run i, on ``rng.substream(i)``; 0 from the
     level where the run went extinct."""
@@ -97,10 +98,10 @@ def excess_z(prefixes, lo, hi):
     return (np.abs(mean - 0.5 * (lo + hi)) - 0.5 * (hi - lo)) / se
 
 
-def gate_z(family, monkeypatch, runs_on=None, refresh=False):
+def gate_z(family, monkeypatch, runs_on=None, refresh=0):
     """The gate's excess z at every level of ``family``: its runs go on
-    ``runs_on`` (the family's own problem by default), with the clones'
-    ``refresh`` or without; its schedule and bracket always come
+    ``runs_on`` (the family's own problem by default), with ``refresh``
+    updates per clone (0: none); its schedule and bracket always come
     from the family's problem."""
     problem, seed, cells = FAMILIES[family]
     schedule = lower_bound_schedule(problem)
@@ -119,24 +120,33 @@ def test_every_prefix_is_unbiased(family, monkeypatch):
 
 
 def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
-    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=True)
+    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=1)
     assert (z <= Z_MAX).all(), z
 
 
 def test_every_prefix_of_a_continuous_family_is_unbiased_with_the_refresh(monkeypatch):
-    z = gate_z("boxed_exponential_sum", monkeypatch, refresh=True)
+    z = gate_z("boxed_exponential_sum", monkeypatch, refresh=1)
+    assert (z <= Z_MAX).all(), z
+
+
+@pytest.mark.parametrize("family", ["poisson_weighted_sum", "boxed_exponential_sum"])
+def test_every_prefix_is_unbiased_with_three_refresh_updates(family, monkeypatch):
+    z = gate_z(family, monkeypatch, refresh=3)
     assert (z <= Z_MAX).all(), z
 
 
 def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
-    def refresh_keeping_all(self, rows, t, rng):
-        cols = rng.gen.integers(0, rows.shape[1], size=len(rows))
-        rows[np.arange(len(rows)), cols] = self.process.propose(cols, t, rng)
+    def refresh_keeping_all(self, rows, t, rng, updates=1):
+        cols = rng.gen.integers(0, rows.shape[1], size=(updates, len(rows)))
+        proposals = self.process.propose(cols.ravel(), t, rng).reshape(cols.shape)
+        for picked, new in zip(cols, proposals):
+            rows[np.arange(len(rows)), picked] = new
 
     monkeypatch.setattr(model.ProblemSpec, "refresh", refresh_keeping_all)
     for family in ("poisson_weighted_sum", "boxed_exponential_sum"):
-        z = gate_z(family, monkeypatch, refresh=True)
-        assert (z > Z_MAX).any(), (family, z)
+        for updates in (1, 3):
+            z = gate_z(family, monkeypatch, refresh=updates)
+            assert (z > Z_MAX).any(), (family, updates, z)
 
 
 @pytest.mark.parametrize("family", ["exponential_sum", "lognormal_ratio"])
@@ -155,7 +165,7 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
     assert (z > Z_MAX).any(), z
 
 
-def resample_from_every_state(problem, schedule, s, rng, refresh=False):
+def resample_from_every_state(problem, schedule, s, rng, refresh=0):
     """``run_splitting`` with a resampling fault: each level's parents are
     drawn from all s states the last level advanced, failures included,
     while the counts still count only the survivors.  It takes no refresh:
