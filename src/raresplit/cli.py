@@ -61,10 +61,6 @@ _SETTINGS = {
 }
 _BUILTIN = {key: row[2] for key, row in _SETTINGS.items()}  # the library calls' defaults
 _LEVELS_METHODS = ("lb", "iccdf")
-# Metropolis updates per Poisson clone and level: on Table I at gamma = 50
-# (s = 3000, 2-core VM) relative variance x time per run reads 1, 0.63, 0.55
-# and 0.54 at 1, 2, 3 and 4 updates
-POISSON_REFRESH = 3
 
 
 def _read_scenario(data) -> tuple[ProblemSpec, dict]:
@@ -140,9 +136,8 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
     Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``):
     the mean is scaled by the box mass and the variance by the mass twice,
     while the levels and their survival are the boxed run's.  Only a
-    Poisson problem's split refreshes its clones at each level's start,
-    with ``POISSON_REFRESH`` updates each (``run_splitting``'s ``refresh``).
-    IS runs on the plain problem.
+    Poisson problem's split refreshes its clones at each level's start
+    (``run_splitting``'s ``refresh``).  IS runs on the plain problem.
     """
     _check_method(problem, method)
     rng = RngStream(seed)
@@ -155,8 +150,7 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
         schedule = build_schedule(box, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = {"schedule_seconds": time.perf_counter() - t0}
-        refresh = POISSON_REFRESH if problem.kind == "poisson" else 0
-        report = replicate(box, schedule, s, m, rng, workers, refresh=refresh)
+        report = replicate(box, schedule, s, m, rng, workers, refresh=problem.kind == "poisson")
     else:
         built, report = {}, naive_mc(box, m, rng)
     mass = math.exp(log_mass)

@@ -355,6 +355,13 @@ class _PoissonJumps:
 
 _PROCESSES = {"continuous": _GammaEmbedding, "poisson": _PoissonJumps}
 
+# Metropolis updates per clone in ``ProblemSpec.step``'s refresh.  On Table I
+# (s = 3000, lb levels, 1,500 paired runs per arm, 2-core VM) relative
+# variance x time per run at 3 updates against 1 reads 0.60, 0.55, 0.66 and
+# 0.62 at gamma = 60, 50, 40 and 30.  4 against 3 reads 0.92 to 1.02, with 1
+# inside its 95% interval on three rows of four, and 4 draws a third more values
+REFRESH_UPDATES = 3
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -405,15 +412,14 @@ class ProblemSpec:
         return self.process.rates()
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
-             refresh_at: float = 0.0, refresh: int = 0) -> np.ndarray:
+             refresh_at: float = 0.0) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
 
-        With ``refresh`` > 0 updates and ``refresh_at`` > 0, the time of
-        ``states``, the gathered rows first get ``refresh(rows, refresh_at,
-        rng, refresh)``."""
+        With ``refresh_at`` > 0, the time of ``states``, each gathered row
+        first gets ``REFRESH_UPDATES`` refresh updates at that time."""
         rows = states.take(idx, axis=0)
-        if refresh and refresh_at > 0:
-            self.refresh(rows, refresh_at, rng, refresh)
+        if refresh_at > 0:
+            self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
         rows = self.process.advance(rows, dt, rng)
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated

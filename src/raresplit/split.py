@@ -13,7 +13,6 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -67,32 +66,26 @@ class SplitRunResult:
         return self.survivor_counts.index(0) if 0 in self.survivor_counts else None
 
 
-def _check_refresh(refresh) -> None:
-    if isinstance(refresh, bool) or not isinstance(refresh, numbers.Integral) or refresh < 0:
-        raise ValueError(f"refresh must be an integer >= 0 (updates per clone), got {refresh!r}")
-
-
 def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
-                  rng: RngStream, *, refresh: int = 0) -> SplitRunResult:
+                  rng: RngStream, *, refresh: bool = False) -> SplitRunResult:
     """One fixed-effort splitting run with ``s`` states per level.
 
     Per level the generator draws the parent indices, then ``problem.step``
     its increments, so a given stream reproduces the run bit-for-bit.
     States are float64; Poisson counts are exact integers in them.
-    With ``refresh`` = k > 0, from level 2 on each clone gets k exact
-    Metropolis steps at the level's start time before it advances
+    With ``refresh``, from level 2 on each clone gets ``model.REFRESH_UPDATES``
+    exact Metropolis steps at the level's start time before it advances
     (``ProblemSpec.refresh``), which decorrelate the clones of one survivor
-    and keep every level's law, so the product stays unbiased; the default,
-    0, is the paper's plain loop.
+    and keep every level's law, so the product stays unbiased; the default
+    is the paper's plain loop.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    _check_refresh(refresh)
     current = np.zeros((s, problem.n))
     counts = []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, current.shape[0], size=s)
-        current = problem.step(current, idx, t1 - t0, rng, refresh_at=t0, refresh=refresh)
+        current = problem.step(current, idx, t1 - t0, rng, refresh_at=t0 if refresh else 0.0)
         counts.append(len(current))
         if not counts[-1]:
             break
@@ -105,7 +98,7 @@ def _replication(problem, schedule, s, rng, i, refresh):
 
 
 def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
-              rng: RngStream, workers: int = 1, *, refresh: int = 0) -> EstimateReport:
+              rng: RngStream, workers: int = 1, *, refresh: bool = False) -> EstimateReport:
     """Run ``m`` independent splitting replications and summarize them.
 
     Replication i always uses rng.substream(i), and results are aggregated
@@ -120,7 +113,6 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    _check_refresh(refresh)
     t0 = time.perf_counter()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, m, cpus or 1)

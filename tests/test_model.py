@@ -846,10 +846,10 @@ class TestPoissonRefresh:
         idx = RngStream(9206).gen.integers(0, s, size=s)
         rng, ref = RngStream(5), RngStream(5)
         rng.gen = PoissonSizes(rng.gen)
-        got = problem.step(states, idx, dt, rng, refresh_at=refresh_at, refresh=1)
+        got = problem.step(states, idx, dt, rng, refresh_at=refresh_at)
         rows = states[idx]
         if refresh_at:
-            problem.refresh(rows, refresh_at, ref)
+            problem.refresh(rows, refresh_at, ref, model.REFRESH_UPDATES)
         rows += ref.gen.poisson(problem.rates() * dt, size=rows.shape)
         expected = rows[importance(problem.importance, rows) <= problem.gamma]
         assert 0 < len(expected) < s

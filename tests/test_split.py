@@ -17,10 +17,6 @@ from raresplit.sched import inverse_ccdf_schedule, lower_bound_schedule
 from raresplit.split import LevelSchedule, SplitRunResult, replicate, run_splitting
 
 
-# refresh depths that are no count of updates: the check refuses each
-BAD_REFRESH = [-1, 1.5, True, "3", None]
-
-
 def exp_sum_problem(n=4, gamma=1.5):
     return ProblemSpec((Exponential(1.0),) * n, ("I",) * n, Sum(), gamma, "continuous")
 
@@ -216,7 +212,7 @@ class TestRunSplitting:
         poisson = preset_problem(load_preset("I"), 50.0)
         schedule = lower_bound_schedule(poisson)
         plain = [run_splitting(poisson, schedule, 300, RngStream(8, (i,))) for i in range(4)]
-        moved = [run_splitting(poisson, schedule, 300, RngStream(8, (i,)), refresh=1)
+        moved = [run_splitting(poisson, schedule, 300, RngStream(8, (i,)), refresh=True)
                  for i in range(4)]
         # level 1 starts at t = 0, where there is nothing to refresh
         assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
@@ -227,7 +223,7 @@ class TestRunSplitting:
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
         plain = [run_splitting(problem, schedule, 200, RngStream(12, (i,))) for i in range(4)]
-        moved = [run_splitting(problem, schedule, 200, RngStream(12, (i,)), refresh=1)
+        moved = [run_splitting(problem, schedule, 200, RngStream(12, (i,)), refresh=True)
                  for i in range(4)]
         # level 1 starts at t = 0, where there is nothing to refresh
         assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
@@ -252,13 +248,6 @@ class TestRunSplitting:
         with pytest.raises(ValueError):
             run_splitting(problem, LevelSchedule((1.0,)), 1, RngStream(0))
 
-    @pytest.mark.parametrize("refresh", BAD_REFRESH)
-    def test_refresh_validation(self, refresh):
-        # a one-level run never refreshes, so only the check can refuse it
-        with pytest.raises(ValueError, match=r"refresh must be an integer >= 0"):
-            run_splitting(exp_sum_problem(), LevelSchedule((1.0,)), 10, RngStream(0),
-                          refresh=refresh)
-
 
 class TestRefreshStreams:
     """Table I at gamma = 50, s = 300: survivor counts at substreams 0, 7 and
@@ -267,19 +256,18 @@ class TestRefreshStreams:
 
     PINNED = {0: (35, 39, 31, 33, 38), 7: (44, 28, 39, 33, 46), 31: (46, 31, 39, 24, 15)}
 
-    def runs(self, refresh=None):
+    def runs(self, **options):
         problem = preset_problem(load_preset("I"), 50.0)
         schedule, rng = lower_bound_schedule(problem), RngStream(2026)
-        options = {} if refresh is None else {"refresh": refresh}
         return {i: run_splitting(problem, schedule, 300, rng.substream(i), **options)
                 for i in self.PINNED}
 
-    def test_one_update_draws_the_single_step_stream(self):
-        assert {i: r.survivor_counts for i, r in self.runs(1).items()} == self.PINNED
-        assert self.runs(np.int64(1)) == self.runs(1)
+    def test_one_update_draws_the_single_step_stream(self, monkeypatch):
+        monkeypatch.setattr(model, "REFRESH_UPDATES", 1)
+        assert {i: r.survivor_counts for i, r in self.runs(refresh=True).items()} == self.PINNED
 
-    def test_no_update_is_the_default_plain_loop(self):
-        assert self.runs(0) == self.runs()
+    def test_no_refresh_is_the_default_plain_loop(self):
+        assert self.runs(refresh=False) == self.runs()
 
 
 class TestReplicate:
@@ -334,7 +322,7 @@ class TestReplicate:
         # on two workers maps chunks of 4 and 3 replications
         schedule = lower_bound_schedule(problem)
         assert len(schedule) > 1
-        for refresh in (0, 3):
+        for refresh in (False, True):
             seq = replicate(problem, schedule, 100, 7, RngStream(13), workers=1, refresh=refresh)
             par = replicate(problem, schedule, 100, 7, RngStream(13), workers=2, refresh=refresh)
             assert seq.mean > 0
@@ -429,10 +417,3 @@ class TestReplicate:
         problem = exp_sum_problem()
         with pytest.raises(ValueError):
             replicate(problem, LevelSchedule((1.0,)), 10, 1, RngStream(0))
-
-    @pytest.mark.parametrize("refresh", BAD_REFRESH)
-    def test_refresh_validation(self, refresh):
-        # refused before any replication runs, in this process or a pool
-        with pytest.raises(ValueError, match=r"refresh must be an integer >= 0"):
-            replicate(exp_sum_problem(), LevelSchedule((1.0,)), 10, 4, RngStream(0),
-                      workers=2, refresh=refresh)

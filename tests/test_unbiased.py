@@ -16,10 +16,10 @@ problems, seeds and threshold were fixed before the gate's first run; a
 failure is a finding about the program, never a reason to re-pick them.
 
 The Poisson family, which the CLI splits with the clones' refresh
-(``run_splitting(..., refresh=3)``, three updates per clone), also runs
-with it, at one update and at three, and so does one continuous family,
-the boxed exponential sum; their seeds and rule are the families' own,
-fixed before their first refreshed runs.
+(``run_splitting(..., refresh=True)``, ``model.REFRESH_UPDATES`` = 3
+updates per clone), also runs with it, at one update and at three, and so
+does one continuous family, the boxed exponential sum; their seeds and
+rule are the families' own, fixed before their first refreshed runs.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
@@ -78,7 +78,7 @@ FAMILIES = {
 }
 
 
-def prefix_estimates(problem, schedule, s, runs, rng, refresh=0):
+def prefix_estimates(problem, schedule, s, runs, rng, refresh=False):
     """(runs, levels) array whose row i holds the prefix products
     prod_{j<=l} k_j / s of run i, on ``rng.substream(i)``; 0 from the
     level where the run went extinct."""
@@ -98,18 +98,21 @@ def excess_z(prefixes, lo, hi):
     return (np.abs(mean - 0.5 * (lo + hi)) - 0.5 * (hi - lo)) / se
 
 
-def gate_z(family, monkeypatch, runs_on=None, refresh=0):
+def gate_z(family, monkeypatch, runs_on=None, updates=0):
     """The gate's excess z at every level of ``family``: its runs go on
-    ``runs_on`` (the family's own problem by default), with ``refresh``
-    updates per clone (0: none); its schedule and bracket always come
-    from the family's problem."""
+    ``runs_on`` (the family's own problem by default), with ``updates``
+    refresh updates per clone (0: the plain loop); its schedule and bracket
+    always come from the family's problem."""
+    if updates:
+        monkeypatch.setattr(model, "REFRESH_UPDATES", updates)
     problem, seed, cells = FAMILIES[family]
     schedule = lower_bound_schedule(problem)
     if cells is not None:
         monkeypatch.setattr(curve, "CELLS", cells)
     lo, hi = survival_bracket(problem, schedule.times)
     assert np.array_equal(lo, hi) == (cells is None)
-    prefixes = prefix_estimates(runs_on or problem, schedule, S, RUNS, RngStream(seed), refresh)
+    prefixes = prefix_estimates(runs_on or problem, schedule, S, RUNS, RngStream(seed),
+                                updates > 0)
     return excess_z(prefixes, lo, hi)
 
 
@@ -120,18 +123,18 @@ def test_every_prefix_is_unbiased(family, monkeypatch):
 
 
 def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
-    z = gate_z("poisson_weighted_sum", monkeypatch, refresh=1)
+    z = gate_z("poisson_weighted_sum", monkeypatch, updates=1)
     assert (z <= Z_MAX).all(), z
 
 
 def test_every_prefix_of_a_continuous_family_is_unbiased_with_the_refresh(monkeypatch):
-    z = gate_z("boxed_exponential_sum", monkeypatch, refresh=1)
+    z = gate_z("boxed_exponential_sum", monkeypatch, updates=1)
     assert (z <= Z_MAX).all(), z
 
 
 @pytest.mark.parametrize("family", ["poisson_weighted_sum", "boxed_exponential_sum"])
 def test_every_prefix_is_unbiased_with_three_refresh_updates(family, monkeypatch):
-    z = gate_z(family, monkeypatch, refresh=3)
+    z = gate_z(family, monkeypatch, updates=3)
     assert (z <= Z_MAX).all(), z
 
 
@@ -145,7 +148,7 @@ def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
     monkeypatch.setattr(model.ProblemSpec, "refresh", refresh_keeping_all)
     for family in ("poisson_weighted_sum", "boxed_exponential_sum"):
         for updates in (1, 3):
-            z = gate_z(family, monkeypatch, refresh=updates)
+            z = gate_z(family, monkeypatch, updates=updates)
             assert (z > Z_MAX).any(), (family, updates, z)
 
 
@@ -165,7 +168,7 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
     assert (z > Z_MAX).any(), z
 
 
-def resample_from_every_state(problem, schedule, s, rng, refresh=0):
+def resample_from_every_state(problem, schedule, s, rng, refresh=False):
     """``run_splitting`` with a resampling fault: each level's parents are
     drawn from all s states the last level advanced, failures included,
     while the counts still count only the survivors.  It takes no refresh:
