@@ -1,18 +1,21 @@
-"""Baseline estimators: naive Monte Carlo and rate-scaled Poisson
-importance sampling for weighted Poisson sums.  Both draw Poisson counts
-with ``process.poisson_sampler``; neither embeds nor scores on its own.
+"""Baseline estimators: naive Monte Carlo, and rate-scaled Poisson importance
+sampling, which is naive MC on the tilted problem with each hit weighted by
+its likelihood ratio.  Both draw and decide through the problem's process in
+one block loop; neither draws, embeds nor scores on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
 
 import numpy as np
 
+from .dist import Poisson
 from .model import ProblemSpec, WeightedSum
-from .process import RngStream, poisson_sampler
+from .process import RngStream
 from .stats import EstimateReport
 
 __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
@@ -25,10 +28,16 @@ __all__ = ["naive_mc", "poisson_is", "poisson_is_tilt"]
 _BLOCK = 1 << 12
 
 
-def _blocks(m: int, draw, gen):
-    """draw(gen, c) for consecutive blocks of c <= _BLOCK rows, m rows in all."""
+def _decided(problem: ProblemSpec, m: int, rng: RngStream):
+    """(x, hits) for consecutive blocks x of at most _BLOCK draws of X, m in
+    all: the process's states at t = 1 (``sampler()``), whose hits
+    S(x) <= gamma ``process.survives`` decides, as it does for splitting."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    draw = problem.process.sampler()
     for start in range(0, m, _BLOCK):
-        yield draw(gen, min(_BLOCK, m - start))
+        x = draw(rng.gen, min(_BLOCK, m - start))
+        yield x, problem.process.survives(x, problem.gamma)
 
 
 def poisson_is_tilt(lambdas, weights, gamma: float) -> float:
@@ -47,11 +56,8 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
     The draws are the process's states at t = 1 (``sampler()``), Exp(1) levels
     or Poisson counts, and ``process.survives`` decides, as it does for splitting.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
-    hits = sum(int(np.count_nonzero(problem.process.survives(x, problem.gamma)))
-               for x in _blocks(m, problem.process.sampler(), rng.gen))
+    hits = sum(int(np.count_nonzero(hit)) for _, hit in _decided(problem, m, rng))
     wall = time.perf_counter() - t0
     mean = hits / m
     variance = mean * (1.0 - mean) * m / (m - 1)
@@ -62,22 +68,19 @@ def naive_mc(problem: ProblemSpec, m: int, rng: RngStream) -> EstimateReport:
 def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> EstimateReport:
     """Importance sampling for P[sum_j w_j X_j <= gamma], X_j ~ Poisson(lambda_j).
 
-    Every rate is scaled by theta = gamma / sum_j w_j lambda_j so the tilted
-    mean of the weighted sum equals gamma; each sample is reweighted by the
-    likelihood ratio prod_j exp(-lambda_j (1 - theta)) theta^{-X_j},
-    accumulated in log space.  theta >= 1 (gamma not rare) is clamped to 1,
-    which reduces the estimator to naive MC.  The first and second moments
-    of the weighted indicators are summed block by block, in row order.
+    The problem of the arguments, ``ProblemSpec``'s checks and all, has every
+    rate scaled by theta = gamma / sum_j w_j lambda_j, so the tilted mean of
+    the weighted sum equals gamma; each hit of the tilted problem is weighted
+    by the likelihood ratio prod_j exp(-lambda_j (1 - theta)) theta^{-X_j},
+    formed in log space.  theta >= 1 (gamma not rare) is clamped to 1, which
+    reduces the estimator to naive MC.  The first and second moments of the
+    weighted indicators are summed block by block, in row order.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if lambdas.ndim != 1 or lambdas.shape != weights.shape:
-        raise ValueError("lambdas and weights must be 1-d and the same length")
-    if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
-        raise ValueError("rates must be finite and > 0")
-    score = WeightedSum(weights).score_rows  # it checks the weights: finite, >= 0, not all 0
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    if lambdas.ndim != 1:
+        raise ValueError("lambdas must be 1-d")
+    problem = ProblemSpec(tuple(map(Poisson, lambdas)), ("I",) * lambdas.size,
+                          WeightedSum(weights), gamma, "poisson")
     if not gamma > 0:
         raise ValueError("gamma must be > 0")
     theta = poisson_is_tilt(lambdas, weights, gamma)
@@ -87,16 +90,16 @@ def poisson_is(lambdas, weights, gamma: float, m: int, rng: RngStream) -> Estima
             "(the event is not rare and the estimator reduces to naive MC)",
             stacklevel=2)
         theta = 1.0
+    tilted = dataclasses.replace(problem, marginals=tuple(map(Poisson, lambdas * theta)))
 
     log_theta = math.log(theta) if theta < 1.0 else 0.0
     const = -float(lambdas.sum()) * (1.0 - theta)
 
     t0 = time.perf_counter()
-    draw = poisson_sampler(lambdas * theta)
     total = total_sq = 0.0
-    for x in _blocks(m, draw, rng.gen):
+    for x, hits in _decided(tilted, m, rng):
         log_w = const - log_theta * np.einsum("ij->i", x)
-        vals = np.where(score(x) <= gamma, np.exp(log_w), 0.0)
+        vals = np.where(hits, np.exp(log_w), 0.0)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     wall = time.perf_counter() - t0

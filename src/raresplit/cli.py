@@ -32,7 +32,7 @@ from importlib import resources
 from pathlib import Path
 
 from .baseline import naive_mc, poisson_is
-from .dist import ScenarioError, _at, _fail, _json_value
+from .dist import ScenarioError, _at, _fail, _json_object, _json_value
 from .model import ProblemSpec
 from .process import RngStream
 from .sched import (_MAX_LEVELS, SchedulingError, inverse_ccdf_schedule,
@@ -64,20 +64,32 @@ _LEVELS_METHODS = ("lb", "iccdf")
 
 
 def _read_scenario(data) -> tuple[ProblemSpec, dict]:
-    """The problem and run defaults of a scenario object, or of a preset wrapping one."""
+    """The problem and run defaults of a scenario object, or of a preset wrapping
+    one, whose defaults are run settings, the methods and the baselines' counts."""
     if not (isinstance(data, dict) and "scenario" in data):
         return ProblemSpec.from_json(data), {}
-    defaults = data.get("defaults", {})
-    if not isinstance(defaults, dict):
-        _fail("$.defaults", f"must be an object, got {defaults!r}")
+    wrapper = ("scenario", "name", "description", "defaults", "rows")
+    _json_object(data, wrapper, "$", optional=wrapper[1:])
+    known = (*_SETTINGS, "methods", "naive_m", "is_m")
+    defaults = _json_object(data.get("defaults", {}), known, "$.defaults", optional=known)
     return ProblemSpec.from_json(data["scenario"], "$.scenario"), dict(defaults)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's ``object_pairs_hook``: a key given twice is a configuration error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"key {key!r} is given more than once")
+        obj[key] = value
+    return obj
 
 
 def parse_scenario(path) -> tuple[ProblemSpec, dict]:
     """Load a scenario (or preset) file; returns the problem and run defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, a file not UTF-8
@@ -92,7 +104,7 @@ def load_preset(table: str) -> dict:
     if key not in TABLES:
         _fail("$.table", f"unknown table {table!r}; choose one of {sorted(TABLES)}")
     text = resources.files(__package__).joinpath("presets", f"{TABLES[key]}.json").read_text()
-    return json.loads(text)
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _with_gamma(problem: ProblemSpec, gamma, path: str) -> ProblemSpec:
@@ -133,26 +145,26 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
                    pilot_levels=_BUILTIN["pilot_levels"], seed=0, workers=1) -> EstimateReport:
     """Schedule (when splitting) plus estimation, with full-call wall time.
 
-    Splitting and naive MC run on the problem's box (``ProblemSpec.boxed``):
-    the mean is scaled by the box mass and the variance by the mass twice,
-    while the levels and their survival are the boxed run's.  Only a
-    Poisson problem's split refreshes its clones at each level's start
-    (``run_splitting``'s ``refresh``).  IS runs on the plain problem.
+    Every method runs on the problem's box (``ProblemSpec.boxed``), which
+    for IS's Poisson problems is the problem itself with log mass 0: the mean
+    is scaled by the box mass and the variance by the mass twice, while the
+    levels and their survival are the boxed run's.  Only a Poisson problem's
+    split refreshes its clones at each level's start (``run_splitting``'s ``refresh``).
     """
     _check_method(problem, method)
     rng = RngStream(seed)
-    if method == "is":
-        return poisson_is(problem.rates(), problem.importance.weight_array(),
-                          problem.gamma, m, rng)
     t0 = time.perf_counter()
     box, log_mass = problem.boxed()
+    built = {}
     if method == "split":
         schedule = build_schedule(box, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = {"schedule_seconds": time.perf_counter() - t0}
         report = replicate(box, schedule, s, m, rng, workers, refresh=problem.kind == "poisson")
+    elif method == "naive":
+        report = naive_mc(box, m, rng)
     else:
-        built, report = {}, naive_mc(box, m, rng)
+        report = poisson_is(box.rates(), box.importance.weight_array(), box.gamma, m, rng)
     mass = math.exp(log_mass)
     return dataclasses.replace(report, mean=mass * report.mean,
                                variance=mass * (mass * report.variance),

@@ -5,9 +5,9 @@ import pytest
 
 from raresplit import baseline
 from raresplit.baseline import naive_mc, poisson_is, poisson_is_tilt
-from raresplit.cli import load_preset, preset_problem
-from raresplit.dist import (Exponential, Gamma, GeneralizedGamma, LogNormal, Poisson, Weibull,
-                            reg_lower_inc_gamma)
+from raresplit.cli import load_preset, preset_problem, run_estimation
+from raresplit.dist import (MAX_POISSON_RATE, Exponential, Gamma, GeneralizedGamma, LogNormal,
+                            Poisson, Weibull, reg_lower_inc_gamma)
 from raresplit.model import ProblemSpec, Ratio, Sum, WeightedSum, embed, importance
 from raresplit.process import RngStream, poisson_sampler
 from raresplit.stats import oracle_exact
@@ -133,6 +133,9 @@ class TestPoissonIs:
             poisson_is([1.0], [1.0], -1.0, 100, RngStream(0))
         with pytest.raises(ValueError):
             poisson_is([1.0, 1.0], [1.0], 1.0, 100, RngStream(0))
+        for lambdas in ([[1.0, 2.0]], 1.0):
+            with pytest.raises(ValueError):
+                poisson_is(lambdas, [1.0, 2.0], 1.0, 100, RngStream(0))
 
     def test_one_sample_has_no_variance(self):
         with pytest.raises(ValueError, match="m must be >= 2"):
@@ -145,6 +148,25 @@ class TestPoissonIs:
     def test_non_finite_inputs_rejected(self, lambdas, weights):
         with pytest.raises(ValueError, match="finite"):
             poisson_is(lambdas, weights, 1.0, 100, RngStream(0))
+
+    def test_rate_above_the_sampler_cap_refused(self):
+        # its tilted rate, 2e6 * 10 / (2e6 + 1), is within the cap, but the problem is not
+        with pytest.raises(ValueError, match="lam must be <="):
+            poisson_is([2.0 * MAX_POISSON_RATE, 1.0], [1.0, 1.0], 10.0, 100, RngStream(0))
+
+    def test_infinite_gamma_refused(self):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            poisson_is([1.0, 1.0], [1.0, 2.0], math.inf, 100, RngStream(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_cli_path_has_the_bits_of_the_call(self, seed):
+        # run_estimation boxes IS like every method; a Poisson box is the problem, mass 1
+        problem = preset_problem(load_preset("I"), 50.0)
+        run = run_estimation(problem, "is", m=20_000, seed=seed)
+        rep = poisson_is(problem.rates(), problem.importance.weight_array(), 50.0, 20_000,
+                         RngStream(seed))
+        assert (run.mean, run.variance) == (rep.mean, rep.variance)
+        assert run.method == "is" and rep.mean > 0.0
 
     def test_deterministic(self):
         a = poisson_is([1.0, 2.0], [1.0, 1.0], 1.0, 50_000, RngStream(10))

@@ -740,6 +740,11 @@ BAD_SETTINGS = [
 BAD_COMMON_FLAGS = [("--seed", "-1"), ("--workers", "0")]
 
 
+# each scenario command's flags at a desk scale
+SMALL = {"run": ("--s", "120", "--m", "3"), "levels": ("--s", "120"),
+         "verify": ("--s", "120", "--m", "3")}
+
+
 class TestBadSettings:
     """A setting no estimator can run with is a configuration error (exit 2,
     one stderr line), caught before any estimation starts."""
@@ -871,6 +876,60 @@ class TestBadSettings:
         assert err.startswith("configuration error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    @pytest.mark.parametrize("where,key,path", [
+        pytest.param((), "extra", "$", id="wrapper"),
+        pytest.param(("defaults",), "pbar", "$.defaults", id="defaults"),
+    ])
+    def test_unknown_preset_key(self, tmp_path, capsys, command, where, key, path):
+        # a misspelt key is refused, never run at the built-in value
+        data = load_preset("I")
+        data["defaults"]["p_bar"] = 0.5
+        functools.reduce(operator.getitem, where, data)[key] = 0.5
+        preset = write_scenario(tmp_path, data, "preset.json")
+        assert main([command, "--scenario", str(preset), *SMALL[command]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {path}: unknown fields [{key!r}]\n"
+
+    def test_reproduce_refuses_an_unknown_default(self, capsys, monkeypatch):
+        data = load_preset("I")
+        data["defaults"]["baseline_m"] = 20
+        monkeypatch.setattr(cli, "load_preset", lambda table: data)
+        assert main(["reproduce", "--table", "I", "--s", "120", "--m", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: $.defaults: unknown fields ['baseline_m']\n"
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_every_built_in_preset_gives_each_known_key_once(self, table):
+        cli._read_scenario(load_preset(table))  # load_preset refuses a repeated key
+
+
+# a two-exponential sum, as JSON text in which one key is given twice
+TWO_EXP = {"marginals": [{"kind": "exponential", "params": {"rate": 1.0}}] * 2,
+           "directions": ["I", "I"], "importance": {"kind": "sum"}, "gamma": 5.0,
+           "kind": "continuous"}
+
+
+class TestRepeatedKey:
+    """Every field is given once: a JSON object that repeats a key is a
+    configuration error naming the key, not a run at the last value."""
+
+    @pytest.mark.parametrize("command", ["run", "levels", "verify"])
+    @pytest.mark.parametrize("old,new,key", [
+        pytest.param('"gamma": 5.0', '"gamma": 0.1, "gamma": 5.0', "gamma", id="top-level"),
+        pytest.param('"rate": 1.0}', '"rate": 3.0, "rate": 1.0}', "rate", id="marginal"),
+        pytest.param('"s": 3000', '"s": 300, "s": 3000', "s", id="preset-default"),
+    ])
+    def test_refused_with_its_name(self, tmp_path, capsys, command, old, new, key):
+        text = json.dumps(TWO_EXP if key != "s" else {**load_preset("I"), "rows": []})
+        assert text.count(old) >= 1
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(old, new, 1))
+        assert main([command, "--scenario", str(path), *SMALL[command]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: key {key!r} is given more than once\n"
 
 
 class TestNonFiniteScenario:

@@ -13,10 +13,14 @@ family's formula and holds the Poisson DP, no process carries an
 not cover it refuses with a reason, never with a None, and only it knows
 its lattice budget.  A sample's S(X) <= gamma is decided in one place as
 well: every estimator asks ``process.survives``, and only ``model.py``
-embeds whole rows and scores them with ``importance``.  A problem is boxed
-in one place: only the CLI calls ``boxed``, which always answers, so the
-estimators and schedule builders take the problem as given and no caller
-compares a box with None.  Only the CLI asks for the clones' refresh,
+embeds whole rows and scores them with ``importance``.  Drawing and scoring
+are one path too: only ``model.py`` names ``score_rows`` or
+``poisson_sampler``, so IS, which is naive MC on its tilted problem, draws
+through ``process.sampler()`` and decides through ``process.survives``.  A
+problem is boxed in one place: only the CLI calls ``boxed``, once per
+estimate of every method and once for the schedule ``levels`` prints, and
+it always answers, so the estimators and schedule builders take the
+problem as given and no caller compares a box with None.  Only the CLI asks for the clones' refresh,
 and only for Poisson problems; ``split.py`` hands it down to
 ``ProblemSpec``, the one class that defines it, so the schedule builders,
 the pilot and the baselines run the paper's plain loop.  A splitting level
@@ -363,8 +367,49 @@ def test_only_the_model_embeds_and_scores_whole_rows():
     assert exported == REFERENCE_ROUTE  # both stay public, as the reference
 
 
-# where a problem may be boxed: the CLI boxes each split and naive run once,
-# and ``levels`` prints the schedule of that box
+# the Poisson draws and the row scores, which only the model's processes and
+# aggregates take: ``process.py`` defines ``poisson_sampler`` and calls it nowhere
+DRAW_AND_SCORE = {"score_rows", "poisson_sampler"}
+DRAW_AND_SCORE_OWNER = "model.py"
+
+
+def draw_and_score_uses(tree):
+    """(name, line) of each import, name or attribute in ``tree`` that reads
+    ``score_rows`` or ``poisson_sampler``; a ``def`` of either is no use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name in DRAW_AND_SCORE:
+            yield node.name, getattr(node, "lineno", None)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                and named(node) in DRAW_AND_SCORE:
+            yield named(node), node.lineno
+
+
+def test_guard_finds_draw_and_score_uses():
+    source = ("from .process import RngStream, poisson_sampler\n"
+              "def poisson_is(lambdas, weights, gamma, m, rng):\n"
+              "    score = WeightedSum(weights).score_rows\n"
+              "    draw = process.poisson_sampler(lambdas)\n"
+              "    return score(draw(rng.gen, m)) <= gamma\n"
+              "def poisson_sampler(rates):\n"
+              "    score_rows = rates\n")
+    assert sorted(draw_and_score_uses(ast.parse(source)), key=lambda use: use[1]) == [
+        ("poisson_sampler", 1), ("score_rows", 3), ("poisson_sampler", 4)]
+
+
+def test_only_the_model_draws_poisson_counts_and_scores_rows():
+    found, owned = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, line in draw_and_score_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == DRAW_AND_SCORE_OWNER:
+                owned.add(name)
+            else:
+                found.append(f"{path.name}:{line} ({name})")
+    assert not found, found
+    assert owned == DRAW_AND_SCORE  # the guard still sees both where they live
+
+
+# where a problem may be boxed: the CLI boxes each run once, whatever its
+# method, and ``levels`` prints the schedule of that box
 BOX_CALLERS = {("cli.py", "run_estimation"), ("cli.py", "cmd_levels")}
 
 
