@@ -525,10 +525,10 @@ class Poisson(Marginal):
 def reg_lower_inc_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
     a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr <= 0):
+    if not np.all(a_arr > 0):
         raise ValueError("shape a must be > 0")
     x_arr, scalar = _as_float_array(x)
-    if np.any(x_arr < 0):
+    if not np.all(x_arr >= 0):
         raise ValueError("x must be >= 0")
     out = special.gammainc(a_arr, x_arr)
     return _maybe_scalar(out, scalar and np.ndim(a) == 0)
@@ -537,7 +537,7 @@ def reg_lower_inc_gamma(a, x):
 def poisson_cdf_at(lam, k):
     """P[Poisson(lam) <= floor(k)]; 0 for k < 0.  Stable for lam up to 1e4+."""
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr <= 0):
+    if not np.all(lam_arr > 0):
         raise ValueError("lam must be > 0")
     k_arr, scalar = _as_float_array(k)
     k_floor = np.floor(k_arr)

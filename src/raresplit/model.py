@@ -21,7 +21,8 @@ import numpy as np
 
 from .dist import (Marginal, Poisson, Truncated, _at, _fail, _json_fields, _json_kind,
                    _json_object, _json_value, _require_positive, marginal_from_json)
-from .process import RngStream, _check_dt, advance_gamma_batch, poisson_sampler, row_blocks
+from .process import (RngStream, _check_dt, advance_gamma_batch, gamma_increments,
+                      poisson_sampler, row_blocks)
 
 __all__ = [
     "Sum",
@@ -301,11 +302,14 @@ class _GammaEmbedding:
             out[undecided] = score(rows) <= gamma
         return out
 
-    def sampler(self):
-        """``draw(gen, c)``: c states at t = 1, the subordinator's Gamma(1, 1)
-        = Exp(1) levels, whose embedding is X(1)."""
-        n = len(self.marginals)
-        return lambda gen, c: gen.standard_exponential((c, n))
+    def sampler(self, t=1.0):
+        """``draw(gen, c)``: c states at time t > 0, the subordinator's
+        Gamma(t, 1) levels, whose embedding is X(t): ``gamma_increments``, the
+        draws ``advance`` adds, and at t = 1 numpy's Exp(1) levels."""
+        n, t = len(self.marginals), _check_dt(t)
+        if t == 1.0:
+            return lambda gen, c: gen.standard_exponential((c, n))
+        return lambda gen, c: gamma_increments((c, n), t, gen)
 
     def truncated(self, bounds):
         """The marginals truncated to [0, b_i], an infinite b_i leaving its law
@@ -345,8 +349,10 @@ class _PoissonJumps:
         """S(states) <= gamma for every row of counts."""
         return self.importance.score_rows(states) <= gamma
 
-    def sampler(self):
-        return poisson_sampler(self._rates)
+    def sampler(self, t=1.0):
+        """``draw(gen, c)``: c states at time t > 0, Poisson(rates * t) counts
+        from the tables of ``poisson_sampler``."""
+        return poisson_sampler(self._rates * _check_dt(t))
 
     def truncated(self, bounds):
         """None: a count is no embedded law, so it has no truncated one."""
@@ -370,7 +376,7 @@ class ProblemSpec:
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
     ``process``, built from it, advances and proposes states, decides
-    which survive and draws the states at t = 1; ``step`` and ``refresh``
+    which survive and draws the states at a time t; ``step`` and ``refresh``
     run a splitting level on it.
     """
 
@@ -412,15 +418,25 @@ class ProblemSpec:
         return self.process.rates()
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
-             refresh_at: float = 0.0) -> np.ndarray:
+             refresh_at: float | None = 0.0) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
 
-        With ``refresh_at`` > 0, the time of ``states``, each gathered row
-        first gets ``REFRESH_UPDATES`` refresh updates at that time."""
+        In the paper's plain loop (``refresh_at`` 0.0, the default) the rows
+        advance by ``process.advance``: numpy's ``gen.poisson`` counts for a
+        Poisson problem.  A refreshed run passes the time of ``states``, and
+        None at its first level, where t = 0 leaves nothing to refresh: at a
+        time > 0 each gathered row first gets ``REFRESH_UPDATES`` refresh
+        updates, and at every level the rows add one draw of X(dt) from
+        ``process.sampler(dt)``, Poisson counts from the tables of rates * dt.
+        Both draws have the increments' law; for dt < 1 the Gamma draws are
+        also ``advance``'s bits."""
         rows = states.take(idx, axis=0)
-        if refresh_at > 0:
+        if refresh_at:
             self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
-        rows = self.process.advance(rows, dt, rng)
+        if refresh_at == 0.0:
+            rows = self.process.advance(rows, dt, rng)
+        else:
+            rows += self.process.sampler(dt)(rng.gen, len(rows))
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
         # through the next level; freeing it here made glibc trim and refault the heap

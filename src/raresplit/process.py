@@ -3,9 +3,10 @@
 ``advance_gamma_batch`` adds independent Gamma(dt, 1) increments, the
 multivariate Gamma subordinator that continuous problems are embedded in.
 The Poisson jump process (``model.ProblemSpec.process``) adds numpy's
-Poisson counts instead.  ``poisson_sampler`` draws Poisson counts by
-inversion from tables kept per rate vector: whole vectors for the
-baselines, one chosen coordinate per row for the Poisson clones' refresh.
+Poisson counts instead in the paper's plain loop.  ``poisson_sampler``
+draws Poisson counts by inversion from tables kept per rate vector: whole
+vectors for the baselines and for every level of a refreshed splitting
+run, one chosen coordinate per row for the Poisson clones' refresh.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dist import MAX_POISSON_RATE, poisson_cdf_at
 
-__all__ = ["RngStream", "advance_gamma_batch", "poisson_sampler"]
+__all__ = ["RngStream", "advance_gamma_batch", "gamma_increments", "poisson_sampler"]
 
 # Bins of u in each column's guide table.
 _GUIDE_BINS = 1 << 10
@@ -78,24 +79,32 @@ def _gs_candidates(a: float, n: int, gen: np.random.Generator):
     return x, x <= e
 
 
-def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
-    """Add independent Gamma(dt, 1) increments to every entry of ``values``.
+def gamma_increments(shape, dt: float, gen: np.random.Generator) -> np.ndarray:
+    """An array of ``shape`` of independent Gamma(dt, 1) variates.
 
     Shape f = dt - (ceil(dt) - 1) in (0, 1] is drawn by the GS rejection
     numpy runs entry by entry for shapes below 1, over the whole array at
     once, redrawing rejected entries in index order until none are left;
-    dt > 1 adds ceil(dt) - 1 exponentials.  numpy's law, not its stream."""
+    dt > 1 adds ceil(dt) - 1 exponentials.  numpy's law, not its stream:
+    the draws depend only on dt and the array's size."""
     dt = _check_dt(dt)
     whole = math.ceil(dt) - 1
-    inc, keep = _gs_candidates(dt - whole, values.size, rng.gen)
+    inc, keep = _gs_candidates(dt - whole, math.prod(shape), gen)
     redo = np.flatnonzero(~keep)
     while redo.size:
-        x, keep = _gs_candidates(dt - whole, redo.size, rng.gen)
+        x, keep = _gs_candidates(dt - whole, redo.size, gen)
         inc[redo[keep]] = x[keep]
         redo = redo[~keep]
-    inc = inc.reshape(values.shape)
+    inc = inc.reshape(shape)
     for _ in range(whole):
-        inc += rng.gen.standard_exponential(values.shape)
+        inc += gen.standard_exponential(shape)
+    return inc
+
+
+def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
+    """``values`` plus independent Gamma(dt, 1) increments (``gamma_increments``),
+    in a new array."""
+    inc = gamma_increments(values.shape, dt, rng.gen)
     return np.add(inc, values, out=inc)
 
 
@@ -106,18 +115,26 @@ def poisson_sampler(rates):
 
     Each column's CDF F is tabulated once, from the first k with F(k) > 0 to
     the first k where F rounds to 1.0: about 80 sqrt(rate) entries, so rates
-    above ``dist.MAX_POISSON_RATE`` are rejected.  The 64 rate vectors used last
-    keep their tables, which ``draw`` only reads, so the refresh, naive MC and
-    IS build each once per process.  ``draw`` makes one ``gen.random((c, n))``
-    (or ``gen.random(c)``) call and returns X = min{k : u < F(k)}, one uniform
-    per count in C order, so the counts do not depend on how the rows are split into calls.
-    The law is exact up to the rounding of F and the 2^-53 grid of u.
+    above ``dist.MAX_POISSON_RATE`` are rejected.  The ``_sampler.maxsize`` rate
+    vectors used last keep their tables, which ``draw`` only reads, so the
+    refresh, a refreshed run's levels, naive MC and IS build each once per
+    process.  ``draw`` returns X = min{k : u < F(k)}, one uniform per count in
+    C order, from one ``gen.random(c)`` call or one ``gen.random`` call per
+    block of rows (``row_blocks``), so the counts do not depend on how the
+    rows are split into calls.  The law is exact up to the rounding of F and
+    the 2^-53 grid of u.
     """
     rates = np.asarray(rates, dtype=float)
     return _sampler(rates.shape, rates.tobytes())
 
 
-@functools.lru_cache(maxsize=64)
+# A refreshed splitting run of L levels reads up to 2L - 1 rate vectors (L
+# increments and L - 1 refresh times), so 128 keep the tables of runs of up
+# to 64 levels, beside naive MC's and IS's.  A column holds about 80 sqrt(rate)
+# + 40 CDF entries (16 bytes with its count) and a 1,024-bin guide (8 KiB): a
+# Table I vector about 0.1 MB, one rate-1e6 column (about 80,000 entries)
+# 1.3 MB, so the memo holds at most 128 x n x 1.3 MB.
+@functools.lru_cache(maxsize=128)
 def _sampler(shape, data):
     """``poisson_sampler`` of the rates with this shape and these bytes."""
     rates = np.frombuffer(data).reshape(shape)
@@ -142,9 +159,9 @@ def _sampler(shape, data):
                             for s, f in zip(starts, cdfs)])
     bin_base = np.arange(n) * _GUIDE_BINS
 
-    def invert(u, base, columns):
-        """The counts of uniforms ``u``, written over them: ``base`` is each
-        entry's first guide bin, ``columns(far)`` the columns of flat entries."""
+    def invert(u, base, columns, out):
+        """The counts of uniforms ``u``, written to ``out`` of u's shape: ``base``
+        is each entry's first guide bin, ``columns(far)`` the columns of flat entries."""
         # F(guide - 1) <= the bin's lower edge <= u, so X >= guide, and
         # one step settles every bin that holds at most one jump of F
         k = guide.take((u * _GUIDE_BINS).astype(np.intp) + base)
@@ -155,7 +172,7 @@ def _sampler(shape, data):
             at = far[col == j]
             k.flat[at] = starts[j] + np.searchsorted(
                 cdf[starts[j]:starts[j + 1]], u.flat[at], side="right")
-        count.take(k, out=u)
+        count.take(k, out=out)
 
     def draw(gen: np.random.Generator, c: int, cols=None) -> np.ndarray:
         if cols is not None:
@@ -163,11 +180,12 @@ def _sampler(shape, data):
             if cols.shape != (c,) or c and not 0 <= cols.min() <= cols.max() < n:
                 raise ValueError(f"cols must hold {c} column indices in [0, {n})")
             u = gen.random(c)
-            invert(u, bin_base.take(cols), cols.take)
+            invert(u, bin_base.take(cols), cols.take, u)
             return u
-        u = gen.random((c, n))
+        x = np.empty((c, n))
         for block in row_blocks(c, n):
-            invert(u[block], bin_base, lambda far: far % n)
-        return u
+            part = x[block]
+            invert(gen.random(part.shape), bin_base, lambda far: far % n, part)
+        return x
 
     return draw

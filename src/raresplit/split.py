@@ -39,14 +39,19 @@ class LevelSchedule:
         object.__setattr__(self, "times", times)
         if len(times) == 0:
             raise ValueError("schedule needs at least one level")
+        if not all(map(math.isfinite, times)):
+            raise ValueError(f"levels must be finite, got {times!r}")
         if times[0] <= 0.0:
             raise ValueError("first level must be > 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("levels must be strictly increasing")
         if times[-1] != 1.0:
             raise ValueError(f"last level must be exactly 1, got {times[-1]!r}")
-        if self.targets is not None and len(self.targets) != len(times):
-            raise ValueError("targets must have one entry per level")
+        if self.targets is not None:
+            if len(self.targets) != len(times):
+                raise ValueError("targets must have one entry per level")
+            if not all(0.0 < p <= 1.0 for p in self.targets):
+                raise ValueError(f"targets must lie in (0, 1], got {tuple(self.targets)!r}")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -73,11 +78,14 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     Per level the generator draws the parent indices, then ``problem.step``
     its increments, so a given stream reproduces the run bit-for-bit.
     States are float64; Poisson counts are exact integers in them.
+    The default is the paper's plain loop: the clones advance by
+    ``process.advance``, numpy's ``gen.poisson`` counts for a Poisson problem.
     With ``refresh``, from level 2 on each clone gets ``model.REFRESH_UPDATES``
     exact Metropolis steps at the level's start time before it advances
     (``ProblemSpec.refresh``), which decorrelate the clones of one survivor
-    and keep every level's law, so the product stays unbiased; the default
-    is the paper's plain loop.
+    and keep every level's law, so the product stays unbiased; and every
+    level, the first too, draws its increments as X(dt) from
+    ``process.sampler(dt)``, Poisson counts from ``poisson_sampler``'s tables.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -85,7 +93,9 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     counts = []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, current.shape[0], size=s)
-        current = problem.step(current, idx, t1 - t0, rng, refresh_at=t0 if refresh else 0.0)
+        # a refreshed level is told its start time, None at t = 0; a plain one 0.0
+        current = problem.step(current, idx, t1 - t0, rng,
+                               refresh_at=(t0 or None) if refresh else 0.0)
         counts.append(len(current))
         if not counts[-1]:
             break
@@ -113,6 +123,8 @@ def replicate(problem: ProblemSpec, schedule: LevelSchedule, s: int, m: int,
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, m, cpus or 1)

@@ -21,7 +21,7 @@ __all__ = ["EstimateReport", "relative_error", "wnrv", "oracle_exact"]
 
 def relative_error(mean: float, variance: float, m: int):
     """sqrt(variance) / (mean * sqrt(m)); None (absent) when mean <= 0."""
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError("variance must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -63,7 +63,7 @@ class EstimateReport:
     def __post_init__(self):
         # IS likelihood ratios can push a tiny-sample mean above 1, so only
         # nonnegativity is enforced here
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise ValueError("mean must be >= 0")
         self.re = relative_error(self.mean, self.variance, self.m)
         self.wnrv = (None if self.re is None or self.wall_seconds is None

@@ -16,7 +16,10 @@ well: every estimator asks ``process.survives``, and only ``model.py``
 embeds whole rows and scores them with ``importance``.  Drawing and scoring
 are one path too: only ``model.py`` names ``score_rows`` or
 ``poisson_sampler``, so IS, which is naive MC on its tilted problem, draws
-through ``process.sampler()`` and decides through ``process.survives``.  A
+through ``process.sampler()`` and decides through ``process.survives``, and
+a refreshed splitting level draws its increments through
+``process.sampler(dt)``: only the paper's plain loop draws numpy's
+``gen.poisson`` counts.  A
 problem is boxed in one place: only the CLI calls ``boxed``, once per
 estimate of every method and once for the schedule ``levels`` prints, and
 it always answers, so the estimators and schedule builders take the
@@ -36,8 +39,12 @@ from pathlib import Path
 
 import raresplit
 from raresplit import model
+from raresplit.cli import load_preset, preset_problem
 from raresplit.dist import Marginal
 from raresplit.model import _Aggregate
+from raresplit.process import RngStream
+from raresplit.sched import lower_bound_schedule
+from raresplit.split import run_splitting
 
 SRC = Path(raresplit.__file__).resolve().parent
 
@@ -591,7 +598,8 @@ def test_one_pickle_hook_and_one_splitting_level():
 
 
 # the hooks through which a splitting level drives a process, and their parameters
-PROCESS_HOOKS = {"advance": ["rows", "dt", "rng"], "propose": ["cols", "t", "rng"]}
+PROCESS_HOOKS = {"advance": ["rows", "dt", "rng"], "propose": ["cols", "t", "rng"],
+                 "sampler": ["t"]}
 
 
 def unread_parameters(tree, classes):
@@ -637,3 +645,53 @@ def test_every_process_hook_takes_and_reads_the_same_parameters():
             assert list(inspect.signature(getattr(cls, hook)).parameters) == ["self", *params]
     tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
     assert not list(unread_parameters(tree, set(processes)))
+
+
+class _PoissonDrawn(Exception):
+    """Raised by ``_NoPoisson`` where a run calls ``gen.poisson``."""
+
+
+class _NoPoisson:
+    """A generator whose ``poisson`` raises; every other draw is the wrapped one's."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def poisson(self, *args, **kwargs):
+        raise _PoissonDrawn
+
+
+def draws_poisson(run, rng):
+    """Whether ``run(rng)`` calls ``gen.poisson`` on ``rng``: its generator
+    refuses the call, so a run that returns drew no numpy Poisson count."""
+    rng.gen = _NoPoisson(rng.gen)
+    try:
+        run(rng)
+    except _PoissonDrawn:
+        return True
+    return False
+
+
+def test_guard_finds_poisson_draws():
+    assert draws_poisson(lambda rng: (rng.gen.random(3), rng.gen.poisson(1.0, 3)), RngStream(1))
+    assert draws_poisson(lambda rng: rng.gen.poisson(lam=1.0), RngStream(1))
+    assert not draws_poisson(lambda rng: rng.gen.random(3) + rng.gen.integers(0, 2, 3),
+                             RngStream(1))
+
+
+def test_only_the_plain_loop_draws_numpy_poisson_counts():
+    # a refreshed run draws every count from the sampler's tables; the
+    # plain loop keeps the gen.poisson stream that the benchmark replays
+    problem = preset_problem(load_preset("I"), 50.0)
+    schedule = lower_bound_schedule(problem)
+    counts = []
+
+    def refreshed(rng):
+        counts.append(run_splitting(problem, schedule, 300, rng, refresh=True).survivor_counts)
+
+    assert not draws_poisson(refreshed, RngStream(3))
+    assert len(counts[0]) == len(schedule) > 1
+    assert draws_poisson(lambda rng: run_splitting(problem, schedule, 300, rng), RngStream(3))

@@ -450,6 +450,10 @@ class TestRegLowerIncGamma:
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(1.0, -1.0)
 
+    def test_nan_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape a must be > 0"):
+            reg_lower_inc_gamma(math.nan, 1.0)
+
 
 class TestPoissonCdfAt:
     def test_single_term(self):
@@ -472,6 +476,10 @@ class TestPoissonCdfAt:
     def test_validation(self):
         with pytest.raises(ValueError):
             poisson_cdf_at(0.0, 1)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            poisson_cdf_at(math.nan, 3)
 
 
 class TestGeneralizedGammaReductions:

@@ -372,6 +372,19 @@ class TestProblemSpec:
         assert np.array_equal(p.step(states, idx, dt, rng), expected)
         assert rng.gen.random() == ref.gen.random()
 
+    def test_a_refreshed_level_draws_advances_gamma_bits(self):
+        # below dt = 1 the sampler's X(dt) is advance's Gamma(dt, 1)
+        # increments, so a refreshed first level is the plain one, bit for bit
+        s, n, dt = 3000, 12, 0.3
+        idx = RngStream(1).gen.integers(0, s, size=s)
+        p = ProblemSpec((Exponential(1.0),) * n, ("I",) * n, Sum(), 8.0, "continuous")
+        states = RngStream(3).gen.exponential(0.5, size=(s, n))
+        rng, ref = RngStream(4), RngStream(4)
+        got = p.step(states, idx, dt, rng, refresh_at=None)
+        assert 0 < len(got) < s
+        assert np.array_equal(got, p.step(states, idx, dt, ref))
+        assert rng.gen.random() == ref.gen.random()
+
     def test_json_round_trip(self):
         specs = [
             ProblemSpec((Exponential(1.0),) * 4, ("I",) * 4, Sum(), 1.5, "continuous"),
@@ -731,11 +744,12 @@ def two_sample_chi_square_p(a, b):
     return stats.chi2_contingency(table).pvalue
 
 
-class PoissonSizes:
-    """A generator that records the ``size`` of each of its ``poisson`` calls."""
+class DrawSizes:
+    """A generator that records the ``size`` of each of its ``poisson``
+    calls (``sizes``) and of its ``random`` calls (``uniform_sizes``)."""
 
     def __init__(self, gen):
-        self.gen, self.sizes = gen, []
+        self.gen, self.sizes, self.uniform_sizes = gen, [], []
 
     def __getattr__(self, name):
         return getattr(self.gen, name)
@@ -743,6 +757,10 @@ class PoissonSizes:
     def poisson(self, lam, size):
         self.sizes.append(size)
         return self.gen.poisson(lam, size=size)
+
+    def random(self, size=None):
+        self.uniform_sizes.append(size)
+        return self.gen.random(size)
 
 
 # Two ways to give each row five refresh updates: five calls of one update
@@ -839,23 +857,31 @@ class TestPoissonRefresh:
     @pytest.mark.parametrize("refresh_at", [0.0, T])
     def test_level_draws_in_row_blocks(self, refresh_at):
         # whole-level draws fault in fresh heap pages on every level; the
-        # blocks keep each temporary under process.BLOCK_ENTRIES entries
+        # blocks keep each temporary under process.BLOCK_ENTRIES entries.  The
+        # plain level draws gen.poisson counts; the refreshed one (at T) its
+        # refresh's proposals in one batch, then its counts from the tables
         problem = preset_problem(load_preset("I"), self.GAMMA)
         s, dt = 3000, 0.1
         states = self.survivors(problem, RngStream(9205), s)
         idx = RngStream(9206).gen.integers(0, s, size=s)
         rng, ref = RngStream(5), RngStream(5)
-        rng.gen = PoissonSizes(rng.gen)
+        rng.gen = DrawSizes(rng.gen)
         got = problem.step(states, idx, dt, rng, refresh_at=refresh_at)
         rows = states[idx]
         if refresh_at:
             problem.refresh(rows, refresh_at, ref, model.REFRESH_UPDATES)
-        rows += ref.gen.poisson(problem.rates() * dt, size=rows.shape)
+            rows += poisson_sampler(problem.rates() * dt)(ref.gen, s)
+            proposals, *blocks = rng.gen.uniform_sizes
+            assert proposals == model.REFRESH_UPDATES * s and not rng.gen.sizes
+        else:
+            rows += ref.gen.poisson(problem.rates() * dt, size=rows.shape)
+            blocks = rng.gen.sizes
         expected = rows[importance(problem.importance, rows) <= problem.gamma]
         assert 0 < len(expected) < s
         assert np.array_equal(got, expected)
-        assert len(rng.gen.sizes) > 1 and sum(size[0] for size in rng.gen.sizes) == s
-        assert all(math.prod(size) <= process.BLOCK_ENTRIES for size in rng.gen.sizes)
+        assert len(blocks) > 1 and sum(size[0] for size in blocks) == s
+        assert all(math.prod(size) <= process.BLOCK_ENTRIES for size in blocks)
+        assert rng.gen.random() == ref.gen.random()  # no draw more or less
 
     def test_one_table_per_rate_vector_shared_and_bounded(self):
         # two refreshes at one time, a pickled copy's refresh and naive MC
@@ -870,9 +896,9 @@ class TestPoissonRefresh:
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
         assert poisson_sampler(problem.rates() * 0.25) is poisson_sampler(
             list(problem.rates() * 0.25))
-        for lam in range(1, 100):
+        for lam in range(1, 200):
             poisson_sampler([float(lam)])
-        assert process._sampler.cache_info().currsize == 64
+        assert process._sampler.cache_info().currsize == 128
 
 
 class TestGammaRefresh:

@@ -152,6 +152,19 @@ class TestAdvancePoisson:
         _, p, _, _ = stats.chi2_contingency(table[:, keep])
         assert p > 0.01
 
+    @pytest.mark.parametrize("dt", [0.05, 0.7])
+    def test_refreshed_level_law_chi_square(self, dt):
+        # a refreshed run's level adds one draw of X(dt) from the sampler's
+        # tables; at its first level (refresh_at None) nothing is refreshed,
+        # and no count reaches the threshold, so each row's increment is the draw
+        n, rates = 200_000, (0.5, 3.0, 40.0)
+        states = RngStream(40).gen.poisson(rates, size=(n, len(rates))).astype(float)
+        out = poisson_problem(*rates).step(states, np.arange(n), dt, RngStream(41),
+                                           refresh_at=None)
+        assert out.shape == states.shape
+        for lam, col in zip(rates, (out - states).astype(np.int64).T):
+            assert poisson_chi_square_p(np.bincount(col), lam * dt) > 1e-3, lam
+
     def test_counts_never_decrease(self):
         rng = RngStream(9)
         problem = poisson_problem(0.5, 1.0, 2.0)

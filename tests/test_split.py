@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from raresplit import model
+from raresplit import model, process
 from raresplit.baseline import naive_mc
 from raresplit.cli import build_schedule, load_preset, preset_problem, run_estimation
 from raresplit.dist import Exponential, LogNormal, Poisson, reg_lower_inc_gamma
@@ -77,6 +77,16 @@ class TestLevelSchedule:
         assert LevelSchedule((0.5, 1.0), (0.1, 0.01)).targets == (0.1, 0.01)
         with pytest.raises(ValueError):
             LevelSchedule((0.5, 1.0), (0.1,))
+
+    @pytest.mark.parametrize("times", [(math.nan, 1.0), (0.5, math.nan, 1.0)])
+    def test_nan_time_rejected(self, times):
+        # a NaN fails every comparison, so the ordering checks let it through
+        with pytest.raises(ValueError, match="levels must be finite"):
+            LevelSchedule(times)
+
+    def test_targets_must_be_survival_probabilities(self):
+        with pytest.raises(ValueError, match=r"targets must lie in \(0, 1\]"):
+            LevelSchedule((0.5, 1.0), (math.nan, 2.0))
 
 
 class TestSplitRunResult:
@@ -208,14 +218,25 @@ class TestRunSplitting:
         result = run_splitting(problem, schedule, 100, RngStream(1))
         assert len(seen) == len(result.survivor_counts) > 1
 
-    def test_refresh_moves_poisson_clones_from_level_two(self):
+    def test_refresh_moves_poisson_clones_from_level_two(self, monkeypatch):
         poisson = preset_problem(load_preset("I"), 50.0)
         schedule = lower_bound_schedule(poisson)
+        refresh, times = model.ProblemSpec.refresh, []
+
+        def recorded(self, rows, t, rng, updates=1):
+            times.append(t)
+            refresh(self, rows, t, rng, updates)
+
+        monkeypatch.setattr(model.ProblemSpec, "refresh", recorded)
         plain = [run_splitting(poisson, schedule, 300, RngStream(8, (i,))) for i in range(4)]
+        assert not times
         moved = [run_splitting(poisson, schedule, 300, RngStream(8, (i,)), refresh=True)
                  for i in range(4)]
-        # level 1 starts at t = 0, where there is nothing to refresh
-        assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
+        # level 1 starts at t = 0, where there is nothing to refresh; each
+        # later level refreshes at its start time (its level-1 increments come
+        # from the sampler's tables, so its counts differ there too)
+        assert all(len(r.survivor_counts) == len(schedule) for r in moved)
+        assert times == list(schedule.times[:-1]) * 4
         assert plain != moved
 
     def test_refresh_moves_continuous_clones_from_level_two(self):
@@ -228,6 +249,25 @@ class TestRunSplitting:
         # level 1 starts at t = 0, where there is nothing to refresh
         assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
         assert plain != moved
+
+    def test_a_refreshed_run_builds_each_table_once(self):
+        # Table I's longest CLI schedule (gamma = 30, p_bar = 0.7: 41 levels)
+        # reads 2L - 1 = 81 rate vectors per replication: each level's
+        # increments at its dt and each later level's refresh at its start
+        # time; 80 differ, since level 1's dt is t_1, level 2's refresh time
+        problem = preset_problem(load_preset("I"), 30.0)
+        schedule = lower_bound_schedule(problem, 0.7)
+        times = schedule.times
+        reads = [(problem.rates() * t).tobytes()
+                 for t in (*times[:-1], *np.diff((0.0, *times)))]
+        tables = len(set(reads))
+        assert len(schedule) == 41 and (len(reads), tables) == (81, 80)
+        process._sampler.cache_clear()
+        for i in (1, 2):
+            result = run_splitting(problem, schedule, 300, RngStream(11, (i,)), refresh=True)
+            assert len(result.survivor_counts) == len(schedule)
+            info = process._sampler.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (tables, i * 81 - tables, tables)
 
     def test_the_cli_splits_continuous_problems_plain(self):
         # the CLI refreshes Poisson clones only: Table V splits as replicate's
@@ -251,10 +291,12 @@ class TestRunSplitting:
 
 class TestRefreshStreams:
     """Table I at gamma = 50, s = 300: survivor counts at substreams 0, 7 and
-    31 of seed 2026 with one refresh update per clone, recorded from the
-    single-step refresh before its draws were batched."""
+    31 of seed 2026 with one refresh update per clone.  Recorded from the
+    single-step refresh before its draws were batched, which the batched
+    refresh matched, and re-recorded when the refreshed levels began to draw
+    their increments from the sampler's tables instead of ``gen.poisson``."""
 
-    PINNED = {0: (35, 39, 31, 33, 38), 7: (44, 28, 39, 33, 46), 31: (46, 31, 39, 24, 15)}
+    PINNED = {0: (42, 31, 34, 39, 26), 7: (41, 28, 42, 42, 51), 31: (39, 39, 55, 42, 37)}
 
     def runs(self, **options):
         problem = preset_problem(load_preset("I"), 50.0)
@@ -417,3 +459,9 @@ class TestReplicate:
         problem = exp_sum_problem()
         with pytest.raises(ValueError):
             replicate(problem, LevelSchedule((1.0,)), 10, 1, RngStream(0))
+
+    def test_workers_validation(self):
+        # as --workers 0 exits, not run serially
+        problem = exp_sum_problem()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            replicate(problem, LevelSchedule((1.0,)), 10, 2, RngStream(0), workers=0)

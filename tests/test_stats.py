@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -228,6 +229,23 @@ class TestEstimateReport:
             EstimateReport(method="x", mean=0.5, variance=-1.0, wall_seconds=1.0, m=2)
         with pytest.raises(TypeError):
             EstimateReport(method="x", mean=0.5, variance=0.1, re=0.2, wall_seconds=1.0, m=2)
+
+    def test_nan_mean_rejected(self):
+        # NaN < 0 is False, so a sign check alone lets it through
+        with pytest.raises(ValueError, match="mean must be >= 0"):
+            EstimateReport("split", math.nan, 1.0, 1.0, 10)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            EstimateReport("split", 0.5, math.nan, 1.0, 10)
+
+    def test_json_with_nan_rejected(self):
+        # Python's json reads the non-standard NaN token as a float
+        text = json.dumps(self.make().to_json_dict()).replace('"variance": 1.6e-07',
+                                                               '"variance": NaN')
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            EstimateReport.from_json_dict(json.loads(text))
 
     @pytest.mark.parametrize("key,value", [
         # a float and a string that print alike, numbered as pytest numbered them

@@ -23,9 +23,11 @@ rule are the families' own, fixed before their first refreshed runs.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
-jumps whose rates are 1% too large, a level loop that resamples its
-parents from every advanced state, failures included, and a refresh that
-keeps the proposals that fail S <= gamma, at one update and at three.
+jumps whose rates are 1% too large, in the plain loop and in the
+refreshed levels' draw from the sampler's tables, a level loop that
+resamples its parents from every advanced state, failures included, and a
+refresh that keeps the proposals that fail S <= gamma, at one update and
+at three.
 """
 
 import dataclasses
@@ -165,6 +167,16 @@ def test_gate_fails_a_poisson_rate_mutant(monkeypatch):
     faster = dataclasses.replace(problem, marginals=[Poisson(m.lam * 1.01)
                                                      for m in problem.marginals])
     z = gate_z("poisson_weighted_sum", monkeypatch, runs_on=faster)
+    assert (z > Z_MAX).any(), z
+
+
+def test_gate_fails_a_poisson_rate_mutant_in_the_refreshed_draw(monkeypatch):
+    # the refreshed levels' increments come from the sampler's tables
+    # (process.sampler(dt)), not gen.poisson; make those 1% too fast
+    sampler = model._PoissonJumps.sampler
+    monkeypatch.setattr(model._PoissonJumps, "sampler",
+                        lambda self, t=1.0: sampler(self, 1.01 * t))
+    z = gate_z("poisson_weighted_sum", monkeypatch, updates=3)
     assert (z > Z_MAX).any(), z
 
 
