@@ -273,10 +273,6 @@ class _GammaEmbedding:
         """``rows`` of levels, dt later, in a new array."""
         return advance_gamma_batch(rows, dt, rng)
 
-    def propose(self, cols, t, rng):
-        """One level per entry of ``cols``, from any column's own law at t: Gamma(t, 1)."""
-        return advance_gamma_batch(np.zeros(len(cols)), t, rng)
-
     @cached_property
     def bracket(self):
         """The survival bracket, built on first use."""
@@ -305,11 +301,15 @@ class _GammaEmbedding:
     def sampler(self, t=1.0):
         """``draw(gen, c)``: c states at time t > 0, the subordinator's
         Gamma(t, 1) levels, whose embedding is X(t): ``gamma_increments``, the
-        draws ``advance`` adds, and at t = 1 numpy's Exp(1) levels."""
+        draws ``advance`` adds, and at t = 1 numpy's Exp(1) levels.
+        ``draw(gen, c, cols)``: c levels, level i from column cols[i]'s law
+        at t, which is Gamma(t, 1) for every column."""
         n, t = len(self.marginals), _check_dt(t)
-        if t == 1.0:
-            return lambda gen, c: gen.standard_exponential((c, n))
-        return lambda gen, c: gamma_increments((c, n), t, gen)
+
+        def draw(gen, c, cols=None):
+            shape = (c, n) if cols is None else (c,)
+            return gen.standard_exponential(shape) if t == 1.0 else gamma_increments(shape, t, gen)
+        return draw
 
     def truncated(self, bounds):
         """The marginals truncated to [0, b_i], an infinite b_i leaving its law
@@ -341,17 +341,14 @@ class _PoissonJumps:
             part += rng.gen.poisson(lam, size=part.shape)
         return rows
 
-    def propose(self, cols, t, rng):
-        """One count per entry j of ``cols``, from its own law at t: Poisson(rates[j] * t)."""
-        return poisson_sampler(self._rates * t)(rng.gen, len(cols), cols)
-
     def survives(self, states, gamma):
         """S(states) <= gamma for every row of counts."""
         return self.importance.score_rows(states) <= gamma
 
     def sampler(self, t=1.0):
         """``draw(gen, c)``: c states at time t > 0, Poisson(rates * t) counts
-        from the tables of ``poisson_sampler``."""
+        from the tables of ``poisson_sampler``; ``draw(gen, c, cols)``: c
+        counts, count i from column cols[i]'s law at t."""
         return poisson_sampler(self._rates * _check_dt(t))
 
     def truncated(self, bounds):
@@ -375,9 +372,9 @@ class ProblemSpec:
 
     ``kind`` is "continuous" (Gamma-embedded) or "poisson" (native jump
     process; requires all-Poisson marginals and a weighted-sum S).
-    ``process``, built from it, advances and proposes states, decides
-    which survive and draws the states at a time t; ``step`` and ``refresh``
-    run a splitting level on it.
+    ``process``, built from it, advances states, draws their law at a
+    time t and decides which states survive; ``step`` and ``refresh`` run a
+    splitting level on it.
     """
 
     marginals: tuple
@@ -418,24 +415,23 @@ class ProblemSpec:
         return self.process.rates()
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
-             refresh_at: float | None = 0.0) -> np.ndarray:
+             refresh_at: float | None = None) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
 
-        In the paper's plain loop (``refresh_at`` 0.0, the default) the rows
+        In the paper's plain loop (``refresh_at`` None, the default) the rows
         advance by ``process.advance``: numpy's ``gen.poisson`` counts for a
-        Poisson problem.  A refreshed run passes the time of ``states``, and
-        None at its first level, where t = 0 leaves nothing to refresh: at a
-        time > 0 each gathered row first gets ``REFRESH_UPDATES`` refresh
-        updates, and at every level the rows add one draw of X(dt) from
-        ``process.sampler(dt)``, Poisson counts from the tables of rates * dt.
-        Both draws have the increments' law; for dt < 1 the Gamma draws are
-        also ``advance``'s bits."""
+        Poisson problem.  A refreshed run passes the time of ``states``: at a
+        time other than 0 each gathered row first gets ``REFRESH_UPDATES``
+        refresh updates (a NaN, negative or infinite time raises there), and
+        the rows then add one draw of X(dt) from ``process.sampler(dt)``,
+        Poisson counts from the tables of rates * dt.  Both draws have the
+        increments' law; for dt < 1 the Gamma draws are also ``advance``'s bits."""
         rows = states.take(idx, axis=0)
-        if refresh_at:
-            self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
-        if refresh_at == 0.0:
+        if refresh_at is None:
             rows = self.process.advance(rows, dt, rng)
         else:
+            if refresh_at:
+                self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
             rows += self.process.sampler(dt)(rng.gen, len(rows))
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
@@ -446,19 +442,19 @@ class ProblemSpec:
     def refresh(self, rows: np.ndarray, t: float, rng: RngStream, updates: int = 1) -> None:
         """``updates`` Metropolis steps per row of states at time t > 0, in
         place: each redraws a uniformly chosen coordinate from its own law at
-        t (``process.propose``) and restores it where the row no longer
+        t (``process.sampler(t)``) and restores it where the row no longer
         survives.  The Metropolis ratio is then the indicator of S <= gamma,
         so every step keeps the survivors' law at t (generalized splitting's move).
 
         A proposal does not depend on the row, so all updates x rows column
         picks come from one ``integers`` call and their proposals from one
-        ``propose`` call; the steps then decide in order, one ``survives``
+        ``sampler(t)`` draw; the steps then decide in order, one ``survives``
         call each.  One update draws the stream of a single step."""
         if not rows.flags.c_contiguous:
             raise ValueError("refresh writes through a flat view; rows must be C-contiguous")
         c, n = rows.shape
         cols = rng.gen.integers(0, n, size=(updates, c))
-        proposals = self.process.propose(cols.ravel(), t, rng).reshape(updates, c)
+        proposals = self.process.sampler(t)(rng.gen, cols.size, cols.ravel()).reshape(updates, c)
         cols += np.arange(0, c * n, n)  # each pick's flat index
         flat = rows.reshape(-1)
         for at, new in zip(cols, proposals):

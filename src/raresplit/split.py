@@ -78,14 +78,11 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     Per level the generator draws the parent indices, then ``problem.step``
     its increments, so a given stream reproduces the run bit-for-bit.
     States are float64; Poisson counts are exact integers in them.
-    The default is the paper's plain loop: the clones advance by
-    ``process.advance``, numpy's ``gen.poisson`` counts for a Poisson problem.
-    With ``refresh``, from level 2 on each clone gets ``model.REFRESH_UPDATES``
-    exact Metropolis steps at the level's start time before it advances
-    (``ProblemSpec.refresh``), which decorrelate the clones of one survivor
-    and keep every level's law, so the product stays unbiased; and every
-    level, the first too, draws its increments as X(dt) from
-    ``process.sampler(dt)``, Poisson counts from ``poisson_sampler``'s tables.
+    The default is the paper's plain loop.  With ``refresh``, each level is
+    refreshed from its start time: from level 2 on the clones get exact
+    Metropolis steps (``ProblemSpec.refresh``), which decorrelate the clones
+    of one survivor and keep every level's law, so the product stays
+    unbiased.  ``ProblemSpec.step`` says which loop draws how.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -93,9 +90,8 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     counts = []
     for t0, t1 in zip((0.0, *schedule.times), schedule.times):
         idx = rng.gen.integers(0, current.shape[0], size=s)
-        # a refreshed level is told its start time, None at t = 0; a plain one 0.0
         current = problem.step(current, idx, t1 - t0, rng,
-                               refresh_at=(t0 or None) if refresh else 0.0)
+                               refresh_at=t0 if refresh else None)
         counts.append(len(current))
         if not counts[-1]:
             break

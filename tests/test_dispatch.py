@@ -29,7 +29,7 @@ and only for Poisson problems; ``split.py`` hands it down to
 the pilot and the baselines run the paper's plain loop.  A splitting level
 is one path as well: ``ProblemSpec.step`` makes its one refresh, survival
 decision and compaction, no process defines a ``step``, a process's
-``advance`` and ``propose`` read every parameter they take, and only the
+``advance`` and ``sampler`` read every parameter they take, and only the
 Gamma embedding keeps a table out of its pickles.
 """
 
@@ -598,13 +598,12 @@ def test_one_pickle_hook_and_one_splitting_level():
 
 
 # the hooks through which a splitting level drives a process, and their parameters
-PROCESS_HOOKS = {"advance": ["rows", "dt", "rng"], "propose": ["cols", "t", "rng"],
-                 "sampler": ["t"]}
+PROCESS_HOOKS = {"advance": ["rows", "dt", "rng"], "sampler": ["t"]}
 
 
 def unread_parameters(tree, classes):
     """(class, method, parameter) of each parameter, ``self`` aside, that an
-    ``advance`` or ``propose`` method of a class named in ``classes`` does
+    ``advance`` or ``sampler`` method of a class named in ``classes`` does
     not read in its body."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name in classes:
@@ -625,9 +624,8 @@ def test_guard_finds_unread_parameters():
     source = ("class _GammaEmbedding:\n"
               "    def advance(self, states, idx, dt, rng, gamma, refresh_at=0.0):\n"
               "        return advance_gamma_batch(states[idx], dt, rng)\n"
-              "    def propose(self, cols, t, rng, *rest, **options):\n"
-              "        t = len(cols)\n"
-              "        return draw(t, rest, rng)\n"
+              "    def sampler(self, t=1.0, *rest, **options):\n"
+              "        return lambda gen, c, cols=None: draw(gen, c, t, rest)\n"
               "    def survives(self, states, gamma):\n"
               "        return states\n"
               "class Other:\n"
@@ -635,7 +633,7 @@ def test_guard_finds_unread_parameters():
               "        pass\n")
     assert list(unread_parameters(ast.parse(source), {"_GammaEmbedding"})) == [
         ("_GammaEmbedding", "advance", "gamma"), ("_GammaEmbedding", "advance", "refresh_at"),
-        ("_GammaEmbedding", "propose", "options")]
+        ("_GammaEmbedding", "sampler", "options")]
 
 
 def test_every_process_hook_takes_and_reads_the_same_parameters():

@@ -29,7 +29,7 @@ from raresplit.model import (
     importance,
     importance_from_json,
 )
-from raresplit.process import RngStream, advance_gamma_batch, poisson_sampler
+from raresplit.process import RngStream, advance_gamma_batch, gamma_increments, poisson_sampler
 
 KS_1PCT = 1.63
 
@@ -108,6 +108,20 @@ class TestEmbeddedMarginalLaw:
         for i, marginal in enumerate(problem.marginals):
             assert stats.kstest(g[:, i], "expon").pvalue > 1e-3, i
             assert stats.kstest(x[:, i], marginal.cdf).pvalue > 1e-3, (i, marginal)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_sampler_draws_named_columns(self, t):
+        # the refresh's proposals: one level per named column, from the law
+        # every column has at t, Gamma(t, 1): gamma_increments' bits, and at
+        # t = 1 numpy's Exp(1); the whole states' draw stays as it was
+        c, problem = 500, ProblemSpec(self.LAWS, ("I",) * 5, Sum(), 1.0)
+        draw = problem.process.sampler(t)
+        cols = RngStream(23).gen.integers(0, problem.n, size=c)
+        for shape, got in [((c,), draw(RngStream(24).gen, c, cols)),
+                           ((c, problem.n), draw(RngStream(24).gen, c))]:
+            ref = RngStream(24).gen
+            expected = gamma_increments(shape, t, ref) if t < 1 else ref.standard_exponential(shape)
+            assert np.array_equal(got, expected), shape
 
 
 class TestImportance:
@@ -346,6 +360,16 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             p.step(np.zeros((4, 2)), np.arange(4), dt, RngStream(0))
 
+    @pytest.mark.parametrize("refresh_at", [math.nan, -0.5, math.inf])
+    @pytest.mark.parametrize("table,gamma,box", [("I", 50.0, False), ("V", 1.39, True)])
+    def test_a_refreshed_level_refuses_a_bad_start_time(self, table, gamma, box, refresh_at):
+        # no time to refresh at: the level raises rather than run unrefreshed
+        problem = preset_problem(load_preset(table), gamma)
+        problem = problem.boxed()[0] if box else problem
+        with pytest.raises(ValueError):
+            problem.step(np.zeros((4, problem.n)), np.arange(4), 0.1, RngStream(0),
+                         refresh_at=refresh_at)
+
     def test_advance_draws(self):
         # the benchmark's replay makes these same generator calls; 3000 rows
         # of 12 are four full row blocks of a Poisson level and a ragged one
@@ -380,7 +404,7 @@ class TestProblemSpec:
         p = ProblemSpec((Exponential(1.0),) * n, ("I",) * n, Sum(), 8.0, "continuous")
         states = RngStream(3).gen.exponential(0.5, size=(s, n))
         rng, ref = RngStream(4), RngStream(4)
-        got = p.step(states, idx, dt, rng, refresh_at=None)
+        got = p.step(states, idx, dt, rng, refresh_at=0.0)
         assert 0 < len(got) < s
         assert np.array_equal(got, p.step(states, idx, dt, ref))
         assert rng.gen.random() == ref.gen.random()
@@ -854,7 +878,7 @@ class TestPoissonRefresh:
         with pytest.raises(ValueError, match="C-contiguous"):
             problem.refresh(np.zeros((12, 10)).T, self.T, RngStream(7))
 
-    @pytest.mark.parametrize("refresh_at", [0.0, T])
+    @pytest.mark.parametrize("refresh_at", [None, T])
     def test_level_draws_in_row_blocks(self, refresh_at):
         # whole-level draws fault in fresh heap pages on every level; the
         # blocks keep each temporary under process.BLOCK_ENTRIES entries.  The
@@ -944,8 +968,9 @@ class TestGammaRefresh:
             assert min(p) > 1e-3, (passes, p)
 
     def test_fails_a_proposal_at_a_later_time(self, monkeypatch):
-        monkeypatch.setattr(model, "advance_gamma_batch",
-                            lambda values, dt, rng: advance_gamma_batch(values, 1.3 * dt, rng))
+        # the refresh proposes through the sampler, whose draw at t < 1 this is
+        monkeypatch.setattr(model, "gamma_increments",
+                            lambda shape, t, gen: gamma_increments(shape, 1.3 * t, gen))
         for passes in FIVE_UPDATES:
             assert min(self.refreshed(*passes)[2]) < 1e-3, passes
 
@@ -970,15 +995,19 @@ class CallLog:
 @pytest.mark.parametrize("updates", [1, 4])
 @pytest.mark.parametrize("table,gamma,box", [("I", 50.0, False), ("V", 1.39, True)])
 def test_refresh_draws_every_update_in_one_batch(table, gamma, box, updates, monkeypatch):
-    # one integers call for every column pick and one propose call for every
-    # proposal, whatever the number of updates: no pass per update
+    # one integers call for every column pick and one sampler(t) draw for
+    # every proposal, whatever the number of updates: no pass per update
     problem = preset_problem(load_preset(table), gamma)
     problem = problem.boxed()[0] if box else problem
     rows, rng = np.zeros((300, problem.n)), RngStream(5)
-    proposed, propose = [], problem.process.propose
-    monkeypatch.setattr(problem.process, "propose",
-                        lambda cols, t, rng: proposed.append(len(cols)) or propose(cols, t, rng))
+    proposed, sampler = [], problem.process.sampler
+
+    def counted(t=1.0):
+        draw = sampler(t)
+        return lambda gen, c, cols=None: proposed.append((t, c, len(cols))) or draw(gen, c, cols)
+
+    monkeypatch.setattr(problem.process, "sampler", counted)
     rng.gen = CallLog(rng.gen)
     problem.refresh(rows, 0.5, rng, updates)
     assert rng.gen.calls.count("integers") == 1
-    assert proposed == [updates * 300]
+    assert proposed == [(0.5, updates * 300, updates * 300)]

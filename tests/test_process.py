@@ -155,12 +155,12 @@ class TestAdvancePoisson:
     @pytest.mark.parametrize("dt", [0.05, 0.7])
     def test_refreshed_level_law_chi_square(self, dt):
         # a refreshed run's level adds one draw of X(dt) from the sampler's
-        # tables; at its first level (refresh_at None) nothing is refreshed,
+        # tables; at its first level (refresh_at 0.0) nothing is refreshed,
         # and no count reaches the threshold, so each row's increment is the draw
         n, rates = 200_000, (0.5, 3.0, 40.0)
         states = RngStream(40).gen.poisson(rates, size=(n, len(rates))).astype(float)
         out = poisson_problem(*rates).step(states, np.arange(n), dt, RngStream(41),
-                                           refresh_at=None)
+                                           refresh_at=0.0)
         assert out.shape == states.shape
         for lam, col in zip(rates, (out - states).astype(np.int64).T):
             assert poisson_chi_square_p(np.bincount(col), lam * dt) > 1e-3, lam

@@ -143,7 +143,8 @@ def test_every_prefix_is_unbiased_with_three_refresh_updates(family, monkeypatch
 def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
     def refresh_keeping_all(self, rows, t, rng, updates=1):
         cols = rng.gen.integers(0, rows.shape[1], size=(updates, len(rows)))
-        proposals = self.process.propose(cols.ravel(), t, rng).reshape(cols.shape)
+        draw = self.process.sampler(t)
+        proposals = draw(rng.gen, cols.size, cols.ravel()).reshape(cols.shape)
         for picked, new in zip(cols, proposals):
             rows[np.arange(len(rows)), picked] = new
 
