@@ -148,8 +148,8 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
     Every method runs on the problem's box (``ProblemSpec.boxed``), which
     for IS's Poisson problems is the problem itself with log mass 0: the mean
     is scaled by the box mass and the variance by the mass twice, while the
-    levels and their survival are the boxed run's.  Only a Poisson problem's
-    split refreshes its clones at each level's start (``run_splitting``'s ``refresh``).
+    levels and their survival are the boxed run's.  ``ProblemSpec.refreshes``
+    says whether a split refreshes its clones (``run_splitting``'s ``refresh``).
     """
     _check_method(problem, method)
     rng = RngStream(seed)
@@ -160,7 +160,7 @@ def run_estimation(problem: ProblemSpec, method: str, *, s=_BUILTIN["s"], m=_BUI
         schedule = build_schedule(box, rng, levels_method=levels_method,
                                   p_bar=p_bar, pilot_levels=pilot_levels, pilot_s=s)
         built = {"schedule_seconds": time.perf_counter() - t0}
-        report = replicate(box, schedule, s, m, rng, workers, refresh=problem.kind == "poisson")
+        report = replicate(box, schedule, s, m, rng, workers, refresh=problem.refreshes)
     elif method == "naive":
         report = naive_mc(box, m, rng)
     else:

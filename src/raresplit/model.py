@@ -59,6 +59,10 @@ class _Aggregate:
         terms w_i x_i over n coordinates; None when S is no such sum."""
         return (1.0,) * n, n
 
+    # room(rows, gamma): each row's largest x_1 with S <= gamma given the
+    # others, where S has one in closed form (a ratio's numerator)
+    room = None
+
     def to_json(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
@@ -90,6 +94,10 @@ class Ratio(_Aggregate):
 
     def summands(self, n):
         return None
+
+    def room(self, rows, gamma):
+        """gamma (x_2 + ... + x_n + eta) per row: S <= gamma iff x_1 is at most it."""
+        return gamma * (np.einsum("ij->i", rows[:, 1:]) + self.eta)
 
     def score_rows(self, rows):
         denom = np.einsum("ij->i", rows[:, 1:]) + self.eta
@@ -230,7 +238,7 @@ class _SurvivalBracket:
         v = np.arange(first, first + K + 2, dtype=np.uint64) << (52 - _BRACKET_BITS)
         grid = np.concatenate(([0.0], v.view(float)))  # 0, then v_0 .. v_{K+1}
         lo, hi = [], []
-        offsets = np.empty(n, dtype=np.intp)
+        self._offsets = offsets = np.empty(n, dtype=np.intp)
         for j, ((m, tail), cols, _) in enumerate(groups):
             q = np.empty_like(grid)  # q[1 + k]: at v_k
             for block in row_blocks(grid.size, 1):
@@ -255,6 +263,16 @@ class _SurvivalBracket:
         c.clip(self._first, self._last, out=c)
         c -= self._base
         return c
+
+    def below(self, x: np.ndarray, col: int) -> np.ndarray:
+        """Per entry of ``x``, a level of the "I" column ``col`` at and below
+        which its embedding is at most the entry: v_{k-1}, with cells 0..k-1
+        the ones whose ``hi`` is at most it (0 for k = 0).  Each ``hi`` reads
+        a grid point past its cell, which absorbs the table's ulp-level wobble."""
+        start = self._offsets[col]
+        k = np.searchsorted(self.hi[start:start + self._last - self._first], x, "right")
+        bits = (k + (self._first - 1)).view(np.uint64) << np.uint64(52 - _BRACKET_BITS)
+        return np.where(k > 0, bits.view(float), 0.0)  # no kept grid: it refaulted the heap
 
 
 class _GammaEmbedding:
@@ -298,17 +316,39 @@ class _GammaEmbedding:
             out[undecided] = score(rows) <= gamma
         return out
 
+    def room(self, states, gamma):
+        """Per row of levels, a level a_lo <= the first one's largest with S <=
+        gamma given the others: ``importance.room`` on the bracket's ``hi``,
+        below every "D" coordinate (all a ratio's room reads), as a level."""
+        bracket = self.bracket
+        bounds = bracket.hi.take(bracket.cells(states))
+        return bracket.below(self.importance.room(bounds, gamma), 0)
+
+    def move_first(self, rows, a_lo, t, rng):
+        """One independence Metropolis-Hastings update of each row's first
+        level g at time t > 0, in place: g' = a_lo U^(1/t) has density ~ g'^(t-1)
+        on [0, a_lo], accepted where g <= a_lo and a uniform V < e^(g - g').  It
+        keeps the Gamma(t, 1) level's law given the others, and rows survive."""
+        g, t = rows[:, 0].copy(), _check_dt(t)
+        u, v = rng.gen.random((2, len(rows)))
+        new = a_lo * u ** (1.0 / t)
+        accept = (g <= a_lo) & (v < np.exp(g - new))
+        rows[:, 0] = np.where(accept, new, g)
+
     def sampler(self, t=1.0):
         """``draw(gen, c)``: c states at time t > 0, the subordinator's
         Gamma(t, 1) levels, whose embedding is X(t): ``gamma_increments``, the
         draws ``advance`` adds, and at t = 1 numpy's Exp(1) levels.
         ``draw(gen, c, cols)``: c levels, level i from column cols[i]'s law
-        at t, which is Gamma(t, 1) for every column."""
+        at t, which is Gamma(t, 1) for every column.  ``plus=rows`` adds the
+        rows over the draw, which a level then keeps as ``advance`` does (adding
+        into the rows refaulted the heap: 805 faults per VI replication, not 256)."""
         n, t = len(self.marginals), _check_dt(t)
 
-        def draw(gen, c, cols=None):
+        def draw(gen, c, cols=None, plus=None):
             shape = (c, n) if cols is None else (c,)
-            return gen.standard_exponential(shape) if t == 1.0 else gamma_increments(shape, t, gen)
+            x = gen.standard_exponential(shape) if t == 1.0 else gamma_increments(shape, t, gen)
+            return x if plus is None else np.add(x, plus, out=x)
         return draw
 
     def truncated(self, bounds):
@@ -348,7 +388,8 @@ class _PoissonJumps:
     def sampler(self, t=1.0):
         """``draw(gen, c)``: c states at time t > 0, Poisson(rates * t) counts
         from the tables of ``poisson_sampler``; ``draw(gen, c, cols)``: c
-        counts, count i from column cols[i]'s law at t."""
+        counts, count i from column cols[i]'s law at t; ``draw(gen, c,
+        plus=rows)`` adds the draw into the rows."""
         return poisson_sampler(self._rates * _check_dt(t))
 
     def truncated(self, bounds):
@@ -414,6 +455,14 @@ class ProblemSpec:
         """Poisson rates vector (poisson-kind problems only)."""
         return self.process.rates()
 
+    @property
+    def refreshes(self) -> bool:
+        """Whether ``cli.run_estimation`` refreshes this problem's levels: where
+        that cut relative variance x time at under twice a replication's time,
+        for Poisson counts (Table I) and a first coordinate whose room S states
+        (Table VI).  A continuous sum's updates take about twice as long."""
+        return isinstance(self.process, _PoissonJumps) or self.importance.room is not None
+
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
              refresh_at: float | None = None) -> np.ndarray:
         """The rows of ``states[idx]``, a finite dt > 0 later, whose score is still <= gamma.
@@ -421,18 +470,22 @@ class ProblemSpec:
         In the paper's plain loop (``refresh_at`` None, the default) the rows
         advance by ``process.advance``: numpy's ``gen.poisson`` counts for a
         Poisson problem.  A refreshed run passes the time of ``states``: at a
-        time other than 0 each gathered row first gets ``REFRESH_UPDATES``
-        refresh updates (a NaN, negative or infinite time raises there), and
-        the rows then add one draw of X(dt) from ``process.sampler(dt)``,
-        Poisson counts from the tables of rates * dt.  Both draws have the
-        increments' law; for dt < 1 the Gamma draws are also ``advance``'s bits."""
+        time other than 0 each gathered row is first moved (a NaN, negative
+        or infinite time raises there): by ``process.move_first`` within its
+        parent's ``process.room`` where S states one, else by ``REFRESH_UPDATES``
+        refresh updates.  The rows then add one draw of X(dt), ``process.sampler(dt)``'s
+        (Poisson counts from the tables of rates * dt).  Both draws have the
+        increments' law; for dt < 1 the Gamma draws are ``advance``'s bits."""
         rows = states.take(idx, axis=0)
         if refresh_at is None:
             rows = self.process.advance(rows, dt, rng)
         else:
-            if refresh_at:
+            if refresh_at and self.importance.room is not None:
+                a_lo = self.process.room(states, self.gamma).take(idx)
+                self.process.move_first(rows, a_lo, refresh_at, rng)
+            elif refresh_at:
                 self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
-            rows += self.process.sampler(dt)(rng.gen, len(rows))
+            rows = self.process.sampler(dt)(rng.gen, len(rows), plus=rows)
         kept = rows[self.process.survives(rows, self.gamma)]
         # the survivors fill the head of the level's array, keeping it allocated
         # through the next level; freeing it here made glibc trim and refault the heap

@@ -11,7 +11,6 @@ run, one chosen coordinate per row for the Poisson clones' refresh.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -111,13 +110,14 @@ def advance_gamma_batch(values: np.ndarray, dt: float, rng: RngStream) -> np.nda
 def poisson_sampler(rates):
     """``draw(gen, c)``: a (c, n) float array of Poisson(rates[j]) counts in
     column j, by inversion with a guide table (Chen & Asau 1974);
-    ``draw(gen, c, cols)``: c counts, count i from column cols[i]'s law.
+    ``draw(gen, c, cols)``: c counts, count i from column cols[i]'s law;
+    ``draw(gen, c, plus=rows)``: the (c, n) counts added into ``rows``.
 
     Each column's CDF F is tabulated once, from the first k with F(k) > 0 to
     the first k where F rounds to 1.0: about 80 sqrt(rate) entries, so rates
-    above ``dist.MAX_POISSON_RATE`` are rejected.  The ``_sampler.maxsize`` rate
-    vectors used last keep their tables, which ``draw`` only reads, so the
-    refresh, a refreshed run's levels, naive MC and IS build each once per
+    above ``dist.MAX_POISSON_RATE`` are rejected.  The rate vectors used last
+    keep their tables, up to ``_TABLE_BYTES``, which ``draw`` only reads, so
+    the refresh, a refreshed run's levels, naive MC and IS build each once per
     process.  ``draw`` returns X = min{k : u < F(k)}, one uniform per count in
     C order, from one ``gen.random(c)`` call or one ``gen.random`` call per
     block of rows (``row_blocks``), so the counts do not depend on how the
@@ -125,18 +125,25 @@ def poisson_sampler(rates):
     the 2^-53 grid of u.
     """
     rates = np.asarray(rates, dtype=float)
-    return _sampler(rates.shape, rates.tobytes())
+    key = rates.shape, rates.tobytes()
+    entry = _tables.pop(key, None) or _sampler(*key)
+    _tables[key] = entry  # last; past the budget the first go, never the newest
+    held = sum(nbytes for _, nbytes in _tables.values())
+    while held > _TABLE_BYTES and len(_tables) > 1:
+        held -= _tables.pop(next(iter(_tables)))[1]
+    return entry[0]
 
 
-# A refreshed splitting run of L levels reads up to 2L - 1 rate vectors (L
-# increments and L - 1 refresh times), so 128 keep the tables of runs of up
-# to 64 levels, beside naive MC's and IS's.  A column holds about 80 sqrt(rate)
-# + 40 CDF entries (16 bytes with its count) and a 1,024-bin guide (8 KiB): a
-# Table I vector about 0.1 MB, one rate-1e6 column (about 80,000 entries)
-# 1.3 MB, so the memo holds at most 128 x n x 1.3 MB.
-@functools.lru_cache(maxsize=128)
+# A refreshed run of L levels reads up to 2L - 1 rate vectors (L increments,
+# L - 1 refresh times).  A column holds about 80 sqrt(rate) + 40 CDF entries
+# (16 bytes with its count) and an 8 KiB guide: a Table I vector takes 0.1 MB,
+# so the budget keeps hundreds, and a rate-1e6 column takes up to 1.3 MB.
+_TABLE_BYTES = 64 << 20
+_tables = {}  # (shape, bytes) of a rate vector -> (draw, bytes of its tables)
+
+
 def _sampler(shape, data):
-    """``poisson_sampler`` of the rates with this shape and these bytes."""
+    """(``poisson_sampler``'s draw of the rates of this shape and bytes, its tables' bytes)."""
     rates = np.frombuffer(data).reshape(shape)
     if (rates.ndim != 1 or rates.size == 0
             or not np.all((rates > 0) & (rates <= MAX_POISSON_RATE))):
@@ -174,7 +181,7 @@ def _sampler(shape, data):
                 cdf[starts[j]:starts[j + 1]], u.flat[at], side="right")
         count.take(k, out=out)
 
-    def draw(gen: np.random.Generator, c: int, cols=None) -> np.ndarray:
+    def draw(gen: np.random.Generator, c: int, cols=None, plus=None) -> np.ndarray:
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
             if cols.shape != (c,) or c and not 0 <= cols.min() <= cols.max() < n:
@@ -186,6 +193,6 @@ def _sampler(shape, data):
         for block in row_blocks(c, n):
             part = x[block]
             invert(gen.random(part.shape), bin_base, lambda far: far % n, part)
-        return x
+        return x if plus is None else np.add(plus, x, out=plus)
 
-    return draw
+    return draw, cdf.nbytes + count.nbytes + guide.nbytes

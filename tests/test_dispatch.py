@@ -24,7 +24,8 @@ problem is boxed in one place: only the CLI calls ``boxed``, once per
 estimate of every method and once for the schedule ``levels`` prints, and
 it always answers, so the estimators and schedule builders take the
 problem as given and no caller compares a box with None.  Only the CLI asks for the clones' refresh,
-and only for Poisson problems; ``split.py`` hands it down to
+for the problems that ``ProblemSpec.refreshes`` names, and no module but
+``model.py`` tests an aggregate's class; ``split.py`` hands the refresh down to
 ``ProblemSpec``, the one class that defines it, so the schedule builders,
 the pilot and the baselines run the paper's plain loop.  A splitting level
 is one path as well: ``ProblemSpec.step`` makes its one refresh, survival
@@ -52,7 +53,6 @@ SRC = Path(raresplit.__file__).resolve().parent
 ALLOWED = {
     ("model.py", "ProblemSpec.__post_init__"),  # the kind names the process to build
     ("cli.py", "_check_method"),  # --method is needs a Poisson scenario
-    ("cli.py", "run_estimation"),  # the CLI's per-kind refresh default, until item 14 sets it
 }
 
 
@@ -259,10 +259,15 @@ def test_only_the_curve_engine_holds_the_poisson_dp():
     assert sorted(owned) == ["call", "def"]  # defined once and run from one place
 
 
-def test_the_curve_engine_tests_no_aggregate_class():
-    # an aggregate's ``summands`` tells the engine whether S is a sum
-    curve = ast.parse((SRC / CURVE_OWNER).read_text(encoding="utf-8"))
-    assert not list(class_tests(curve, class_names(_Aggregate)))
+def test_only_the_model_tests_aggregate_classes():
+    # an aggregate states its own behaviour: ``summands`` tells the curve
+    # engine whether S is a sum, ``room`` whether its first coordinate has
+    # one, and the one rule of which problems refresh lives in ``model.py``
+    found = [f"{path.name}:{line} in {scope or '<module>'}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for scope, line in class_tests(ast.parse(path.read_text(encoding="utf-8")),
+                                            class_names(_Aggregate))]
+    assert not found, found
 
 
 LATTICE_BUDGET = "MAX_LATTICE"
@@ -483,7 +488,7 @@ def test_only_the_cli_boxes_and_never_asks_for_none():
 # splitting loop hands it down, and ``ProblemSpec.step`` runs the one refresh
 REFRESH_NAMES = {"refresh", "refresh_at"}
 REFRESH_SITES = {
-    ("cli.py", "run_estimation"),  # the CLI's one refresh policy, by the problem's kind
+    ("cli.py", "run_estimation"),  # the CLI's one refresh policy, ProblemSpec.refreshes
     ("split.py", "replicate"),
     ("split.py", "_replication"),
     ("split.py", "run_splitting"),

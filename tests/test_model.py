@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import json
@@ -12,9 +13,9 @@ from scipy import stats
 
 from raresplit import model, process
 from raresplit.baseline import naive_mc
-from raresplit.cli import load_preset, preset_problem
-from raresplit.dist import (Exponential, Gamma, LogNormal, Poisson, Truncated, Weibull,
-                            GeneralizedGamma, marginal_from_json)
+from raresplit.cli import build_schedule, load_preset, preset_problem
+from raresplit.dist import (MAX_POISSON_RATE, Exponential, Gamma, LogNormal, Poisson, Truncated,
+                            Weibull, GeneralizedGamma, marginal_from_json)
 from raresplit.model import (
     _BRACKET_BITS,
     _BRACKET_MAX_EXP,
@@ -30,6 +31,7 @@ from raresplit.model import (
     importance_from_json,
 )
 from raresplit.process import RngStream, advance_gamma_batch, gamma_increments, poisson_sampler
+from raresplit.split import run_splitting
 
 KS_1PCT = 1.63
 
@@ -361,7 +363,8 @@ class TestProblemSpec:
             p.step(np.zeros((4, 2)), np.arange(4), dt, RngStream(0))
 
     @pytest.mark.parametrize("refresh_at", [math.nan, -0.5, math.inf])
-    @pytest.mark.parametrize("table,gamma,box", [("I", 50.0, False), ("V", 1.39, True)])
+    @pytest.mark.parametrize("table,gamma,box", [("I", 50.0, False), ("V", 1.39, True),
+                                                 ("VI", 0.001, False)])
     def test_a_refreshed_level_refuses_a_bad_start_time(self, table, gamma, box, refresh_at):
         # no time to refresh at: the level raises rather than run unrefreshed
         problem = preset_problem(load_preset(table), gamma)
@@ -907,22 +910,37 @@ class TestPoissonRefresh:
         assert all(math.prod(size) <= process.BLOCK_ENTRIES for size in blocks)
         assert rng.gen.random() == ref.gen.random()  # no draw more or less
 
-    def test_one_table_per_rate_vector_shared_and_bounded(self):
+    def test_one_table_per_rate_vector_shared_and_bounded(self, monkeypatch):
         # two refreshes at one time, a pickled copy's refresh and naive MC
         # build the tables of rates * t and of rates once each
         problem = preset_problem(load_preset("I"), self.GAMMA)
         rows, rng = np.zeros((10, problem.n)), RngStream(6)
-        process._sampler.cache_clear()
+        built, sampler = [], process._sampler
+        monkeypatch.setattr(process, "_sampler", lambda *key: built.append(key) or sampler(*key))
+        monkeypatch.setattr(process, "_tables", {})
         for copy in (problem, problem, pickle.loads(pickle.dumps(problem))):
             copy.refresh(rows, 0.25, rng)
         naive_mc(problem, 10, RngStream(7))
-        info = process._sampler.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert len(built) == len(process._tables) == 2
         assert poisson_sampler(problem.rates() * 0.25) is poisson_sampler(
             list(problem.rates() * 0.25))
-        for lam in range(1, 200):
-            poisson_sampler([float(lam)])
-        assert process._sampler.cache_info().currsize == 128
+        # past the byte budget the least recently used tables go: the memo
+        # keeps the longest run of the vectors read last that fits it
+        monkeypatch.setattr(process, "_TABLE_BYTES", 300_000)
+        keys = [((1,), np.array([float(lam)]).tobytes()) for lam in range(1, 200)]
+        for _, data in keys:
+            poisson_sampler(np.frombuffer(data))
+        kept = list(process._tables)
+        held = sum(nbytes for _, nbytes in process._tables.values())
+        assert kept == keys[-len(kept):] and 10 < len(kept) < 150
+        assert held <= 300_000 < held + sampler(*keys[-len(kept) - 1])[1]
+        # a read moves its vector's tables to the end, with no build; the
+        # newest tables stay, even past the budget
+        count = len(built)
+        poisson_sampler(np.frombuffer(kept[0][1]))
+        assert len(built) == count and list(process._tables)[-1] == kept[0]
+        poisson_sampler([MAX_POISSON_RATE])
+        assert list(process._tables) == [((1,), np.array([MAX_POISSON_RATE]).tobytes())]
 
 
 class TestGammaRefresh:
@@ -979,6 +997,118 @@ class TestGammaRefresh:
                             lambda self, states, gamma: np.ones(len(states), dtype=bool))
         for passes in FIVE_UPDATES:
             assert min(self.refreshed(*passes)[2]) < 1e-3, passes
+
+
+def room_from_lo(self, states, gamma):
+    """``_GammaEmbedding.room`` read from the bracket's ``lo`` bounds, which
+    lie above every "D" coordinate: an a_lo above the true room."""
+    swapped = copy.copy(self)
+    swapped.bracket = copy.copy(self.bracket)
+    swapped.bracket.hi = self.bracket.lo
+    return ROOM(swapped, states, gamma)
+
+
+def move_with_exponent_one(self, rows, a_lo, t, rng):
+    """``_GammaEmbedding.move_first`` proposing a_lo U, uniform on [0, a_lo]."""
+    g = rows[:, 0].copy()
+    u, v = rng.gen.random((2, len(rows)))
+    new = a_lo * u
+    accept = (g <= a_lo) & (v < np.exp(g - new))
+    rows[:, 0] = np.where(accept, new, g)
+
+
+ROOM = model._GammaEmbedding.room
+
+
+class TestRatioMove:
+    """A ratio's numerator move keeps the survivors' law at its time t:
+    Gamma(t, 1) levels restricted to S(embed(g)) <= gamma.  The setting, the
+    unbiasedness gate's two-coordinate LogNormal ratio at gamma = 0.1 and
+    t = 0.5, and the seeds were fixed before the first run; each column's
+    levels are compared with an independent rejection sample by a two-sample
+    KS test after one move and after five, from the same rows and seed."""
+
+    T, GAMMA, ROWS = 0.5, 0.1, 20_000
+
+    @classmethod
+    @functools.cache
+    def samples(cls):
+        """The problem, ``ROWS`` rejection samples of the survivors' levels at
+        T to move, and as many independent ones, decided by the reference S."""
+        problem, out = ProblemSpec((LogNormal(1.0, 0.8), LogNormal(0.0, 0.6)), ("I", "D"),
+                                   Ratio(0.2), cls.GAMMA, "continuous"), []
+        for seed in (9221, 9223):
+            rng, kept = RngStream(seed), []
+            while sum(map(len, kept)) < cls.ROWS:
+                g = rng.gen.standard_gamma(cls.T, size=(200_000, problem.n))
+                kept.append(g[reference_score(problem, g) <= problem.gamma])
+            out.append(np.concatenate(kept)[:cls.ROWS])
+        return problem, *out
+
+    def moved(self, calls):
+        """(the fewest rows that survive a move, the share of rows a move
+        changed, per column the KS p-value against the independent sample)
+        after ``calls`` moves, each from the rows' own room."""
+        problem, start, reference = self.samples()
+        rows, rng, alive, changed = start.copy(), RngStream(9222), [], []
+        for _ in range(calls):
+            before = rows.copy()
+            problem.process.move_first(rows, problem.process.room(rows, self.GAMMA), self.T, rng)
+            alive.append((reference_score(problem, rows) <= self.GAMMA).sum())
+            changed.append((rows != before).any(axis=1).mean())
+        return min(alive), min(changed), [stats.ks_2samp(a, b).pvalue
+                                          for a, b in zip(rows.T, reference.T)]
+
+    @pytest.mark.parametrize("calls", [1, 5])
+    def test_keeps_the_survivors_law(self, calls):
+        alive, changed, p = self.moved(calls)
+        assert alive == self.ROWS and changed > 0.9
+        assert min(p) > 1e-3, p
+
+    def test_fails_a_room_above_the_true_one(self, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "room", room_from_lo)
+        for calls in (1, 5):
+            assert self.moved(calls)[0] < self.ROWS, calls
+
+    def test_fails_a_proposal_exponent_of_one(self, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "move_first", move_with_exponent_one)
+        for calls in (1, 5):
+            assert min(self.moved(calls)[2]) < 1e-3, calls
+
+    @classmethod
+    @functools.cache
+    def refreshed_levels(cls):
+        """(the rows before each move, the a_lo it was given, the rows after
+        it, the problem) over one refreshed run on Table VI at gamma = 0.001."""
+        problem = preset_problem(load_preset("VI"), 0.001)
+        schedule = build_schedule(problem, RngStream(99), levels_method="iccdf")
+        seen, move = [], problem.process.move_first
+
+        def recorded(rows, a_lo, t, rng):
+            before = rows.copy()
+            move(rows, a_lo, t, rng)
+            seen.append((before, a_lo, rows.copy()))
+
+        problem.process.move_first = recorded
+        counts = run_splitting(problem, schedule, 3000, RngStream(5), refresh=True).survivor_counts
+        del problem.process.move_first
+        assert len(seen) == len(counts) - 1 == len(schedule) - 1
+        return seen, problem
+
+    def test_every_moved_row_survives(self):
+        seen, problem = self.refreshed_levels()
+        for before, _, after in seen:
+            assert problem.process.survives(after, problem.gamma).all()
+            assert (after != before).any(axis=1).mean() > 0.5
+            assert np.array_equal(after[:, 1:], before[:, 1:])
+
+    def test_each_parents_room_gathered_is_the_room_of_its_clones(self):
+        # a parent's clones are equal rows, so its room, computed once and
+        # gathered by idx, is the room of each clone, bit for bit
+        seen, problem = self.refreshed_levels()
+        for before, a_lo, _ in seen:
+            assert np.array_equal(a_lo, problem.process.room(before, problem.gamma))
+            assert len(np.unique(a_lo)) < len(a_lo) / 2
 
 
 class CallLog:

@@ -250,7 +250,7 @@ class TestRunSplitting:
         assert [r.survivor_counts[0] for r in plain] == [r.survivor_counts[0] for r in moved]
         assert plain != moved
 
-    def test_a_refreshed_run_builds_each_table_once(self):
+    def test_a_refreshed_run_builds_each_table_once(self, monkeypatch):
         # Table I's longest CLI schedule (gamma = 30, p_bar = 0.7: 41 levels)
         # reads 2L - 1 = 81 rate vectors per replication: each level's
         # increments at its dt and each later level's refresh at its start
@@ -262,16 +262,18 @@ class TestRunSplitting:
                  for t in (*times[:-1], *np.diff((0.0, *times)))]
         tables = len(set(reads))
         assert len(schedule) == 41 and (len(reads), tables) == (81, 80)
-        process._sampler.cache_clear()
+        built, sampler = [], process._sampler
+        monkeypatch.setattr(process, "_sampler", lambda *key: built.append(key) or sampler(*key))
+        monkeypatch.setattr(process, "_tables", {})
         for i in (1, 2):
             result = run_splitting(problem, schedule, 300, RngStream(11, (i,)), refresh=True)
             assert len(result.survivor_counts) == len(schedule)
-            info = process._sampler.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (tables, i * 81 - tables, tables)
+            assert len(built) == len(process._tables) == tables
 
     def test_the_cli_splits_continuous_problems_plain(self):
-        # the CLI refreshes Poisson clones only: Table V splits as replicate's
-        # default, scaled by the box mass as run_estimation scales it
+        # the CLI refreshes only what ProblemSpec.refreshes names: Table V's
+        # sum splits as replicate's default, scaled by the box mass as
+        # run_estimation scales it
         problem = preset_problem(load_preset("V"))
         got = run_estimation(problem, "split", s=300, m=4, seed=1)
         rng = RngStream(1)
@@ -282,6 +284,20 @@ class TestRunSplitting:
         assert (got.mean, got.variance, got.levels, got.per_level_survival) == (
             mass * plain.mean, mass * (mass * plain.variance), plain.levels,
             plain.per_level_survival)
+
+    def test_the_cli_refreshes_poisson_counts_and_a_ratio(self):
+        # Table VI's ratio (no box) splits with the numerator's move, as
+        # replicate's refresh runs it; of the presets only it and Table I refresh
+        tables = ("I", "II", "III", "IV", "V", "VI")
+        assert [t for t in tables if preset_problem(load_preset(t)).refreshes] == ["I", "VI"]
+        problem = preset_problem(load_preset("VI"), 0.003)
+        got = run_estimation(problem, "split", s=300, m=4, levels_method="iccdf", seed=1)
+        rng = RngStream(1)
+        schedule = build_schedule(problem, rng, levels_method="iccdf", pilot_s=300)
+        assert problem.boxed() == (problem, 0.0) and len(schedule) > 2
+        refreshed = replicate(problem, schedule, 300, 4, rng, refresh=True)
+        assert got.per_level_survival == refreshed.per_level_survival
+        assert (got.mean, got.variance) == (refreshed.mean, refreshed.variance)
 
     def test_s_validation(self):
         problem = exp_sum_problem()

@@ -19,15 +19,20 @@ The Poisson family, which the CLI splits with the clones' refresh
 (``run_splitting(..., refresh=True)``, ``model.REFRESH_UPDATES`` = 3
 updates per clone), also runs with it, at one update and at three, and so
 does one continuous family, the boxed exponential sum; their seeds and
-rule are the families' own, fixed before their first refreshed runs.
+rule are the families' own, fixed before their first refreshed runs.  The
+LogNormal ratio, which the CLI splits with its numerator's move
+(``ProblemSpec.step``), runs with the move, on its own seed and rule.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
 jumps whose rates are 1% too large, in the plain loop and in the
 refreshed levels' draw from the sampler's tables, a level loop that
-resamples its parents from every advanced state, failures included, and a
+resamples its parents from every advanced state, failures included, a
 refresh that keeps the proposals that fail S <= gamma, at one update and
-at three.
+at three, and a numerator move whose a_lo lies 10% above the room's.  (A
+room read from the bracket's ``lo`` bounds puts about 0.3% of the moved
+clones outside the true room per level, below this scale's resolution:
+``test_model.TestRatioMove`` catches it.)
 """
 
 import dataclasses
@@ -138,6 +143,20 @@ def test_every_prefix_of_a_continuous_family_is_unbiased_with_the_refresh(monkey
 def test_every_prefix_is_unbiased_with_three_refresh_updates(family, monkeypatch):
     z = gate_z(family, monkeypatch, updates=3)
     assert (z <= Z_MAX).all(), z
+
+
+def test_every_prefix_of_the_ratio_is_unbiased_with_the_numerator_move(monkeypatch):
+    # a refreshed ratio level moves the numerator, whatever REFRESH_UPDATES is
+    z = gate_z("lognormal_ratio", monkeypatch, updates=model.REFRESH_UPDATES)
+    assert (z <= Z_MAX).all(), z
+
+
+def test_gate_fails_a_numerator_move_past_its_room(monkeypatch):
+    room = model._GammaEmbedding.room
+    monkeypatch.setattr(model._GammaEmbedding, "room",
+                        lambda self, states, gamma: 1.1 * room(self, states, gamma))
+    z = gate_z("lognormal_ratio", monkeypatch, updates=model.REFRESH_UPDATES)
+    assert (z > Z_MAX).any(), z
 
 
 def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
