@@ -59,9 +59,19 @@ class _Aggregate:
         terms w_i x_i over n coordinates; None when S is no such sum."""
         return (1.0,) * n, n
 
-    # room(rows, gamma): each row's largest x_1 with S <= gamma given the
-    # others, where S has one in closed form (a ratio's numerator)
-    room = None
+    def room_columns(self, n: int) -> tuple:
+        """The columns of n whose room ``room`` states: where S is the sum of
+        all n terms w_i x_i, those with w_i > 0; none for a top-n_bar sum."""
+        weights, top = self.summands(n)
+        return tuple(i for i, w in enumerate(weights) if w > 0) if top == n else ()
+
+    def room(self, rows, cols, gamma):
+        """Per row i, the largest x_j, j = cols[i], with S <= gamma given the
+        other entries: (gamma - sum_{i != j} w_i x_i) / w_j for a full sum."""
+        weights = np.asarray(self.summands(rows.shape[1])[0], dtype=float)
+        rest = rows.copy()
+        rest[np.arange(len(rows)), cols] = 0.0
+        return (gamma - self.score_rows(rest)) / weights.take(cols)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -95,8 +105,11 @@ class Ratio(_Aggregate):
     def summands(self, n):
         return None
 
-    def room(self, rows, gamma):
-        """gamma (x_2 + ... + x_n + eta) per row: S <= gamma iff x_1 is at most it."""
+    def room_columns(self, n):
+        return (0,)
+
+    def room(self, rows, cols, gamma):
+        """gamma (x_2 + ... + x_n + eta) per row, the numerator's (every col is 0)."""
         return gamma * (np.einsum("ij->i", rows[:, 1:]) + self.eta)
 
     def score_rows(self, rows):
@@ -267,10 +280,13 @@ class _SurvivalBracket:
     def below(self, x: np.ndarray, col: int) -> np.ndarray:
         """Per entry of ``x``, a level of the "I" column ``col`` at and below
         which its embedding is at most the entry: v_{k-1}, with cells 0..k-1
-        the ones whose ``hi`` is at most it (0 for k = 0).  Each ``hi`` reads
-        a grid point past its cell, which absorbs the table's ulp-level wobble."""
-        start = self._offsets[col]
-        k = np.searchsorted(self.hi[start:start + self._last - self._first], x, "right")
+        the ones whose ``hi`` is at most it (0 for k = 0, and for a NaN entry,
+        the room of a row with a level the bracket leaves open).  Each ``hi``
+        reads a grid point past its cell, which absorbs the table's ulp-level wobble."""
+        start, K = self._offsets[col], self._last - self._first
+        # a NaN entry reads K + 1, past the table's NaN slot K, and then 0
+        k = np.searchsorted(self.hi[start:start + K + 1], x, "right")
+        k %= K + 1
         bits = (k + (self._first - 1)).view(np.uint64) << np.uint64(52 - _BRACKET_BITS)
         return np.where(k > 0, bits.view(float), 0.0)  # no kept grid: it refaulted the heap
 
@@ -283,6 +299,13 @@ class _GammaEmbedding:
         self.marginals = marginals
         self.importance = importance
         self._groups = _quantile_groups(marginals, directions)
+        self.room_columns = np.array(importance.room_columns(len(marginals)), dtype=np.intp)
+        group = np.empty(len(marginals), dtype=np.intp)
+        for j, (_, cols, _) in enumerate(self._groups):
+            group[cols] = j
+        # per quantile table that room columns read: one of them, and its columns
+        firsts = {group[c]: c for c in self.room_columns[::-1]}
+        self._room_tables = [(c, group == j) for j, c in firsts.items()]
 
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
@@ -316,24 +339,36 @@ class _GammaEmbedding:
             out[undecided] = score(rows) <= gamma
         return out
 
-    def room(self, states, gamma):
-        """Per row of levels, a level a_lo <= the first one's largest with S <=
-        gamma given the others: ``importance.room`` on the bracket's ``hi``,
-        below every "D" coordinate (all a ratio's room reads), as a level."""
+    def room(self, states, cols, gamma):
+        """Per row i of levels, a level a_lo <= the largest of column cols[i]
+        with S <= gamma given the others: ``importance.room`` on the bracket's
+        ``hi``, above every "I" and below every "D" coordinate, as a level."""
         bracket = self.bracket
-        bounds = bracket.hi.take(bracket.cells(states))
-        return bracket.below(self.importance.room(bounds, gamma), 0)
+        x = self.importance.room(bracket.hi.take(bracket.cells(states)), cols, gamma)
+        if len(self._room_tables) == 1:  # every row reads one table
+            return bracket.below(x, self._room_tables[0][0])
+        a_lo = np.empty_like(x)
+        for col, member in self._room_tables:
+            at = member.take(cols)
+            a_lo[at] = bracket.below(x[at], col)
+        return a_lo
 
-    def move_first(self, rows, a_lo, t, rng):
-        """One independence Metropolis-Hastings update of each row's first
-        level g at time t > 0, in place: g' = a_lo U^(1/t) has density ~ g'^(t-1)
-        on [0, a_lo], accepted where g <= a_lo and a uniform V < e^(g - g').  It
-        keeps the Gamma(t, 1) level's law given the others, and rows survive."""
-        g, t = rows[:, 0].copy(), _check_dt(t)
+    def move(self, rows, cols, a_lo, t, rng):
+        """One independence Metropolis-Hastings update of level g = rows[i, cols[i]]
+        of each row i at time t > 0, in place: g' = a_lo U^(1/t) has density ~
+        g'^(t-1) on [0, a_lo], accepted where g <= a_lo and a uniform V < e^(g - g').
+        It keeps the Gamma(t, 1) level's law given the others, and rows survive."""
+        t, n = _check_dt(t), rows.shape[1]
+        if not rows.flags.c_contiguous:
+            raise ValueError("move writes through a flat view; rows must be C-contiguous")
+        flat, at = rows.reshape(-1), np.arange(0, rows.size, n)
+        at += cols
+        g = flat.take(at)
         u, v = rng.gen.random((2, len(rows)))
-        new = a_lo * u ** (1.0 / t)
+        new = np.power(u, 1.0 / t, out=u)
+        new *= a_lo
         accept = (g <= a_lo) & (v < np.exp(g - new))
-        rows[:, 0] = np.where(accept, new, g)
+        flat[at] = np.where(accept, new, g)
 
     def sampler(self, t=1.0):
         """``draw(gen, c)``: c states at time t > 0, the subordinator's
@@ -369,6 +404,9 @@ class _PoissonJumps:
             raise ValueError("poisson problems require a weighted-sum importance")
         self.importance = importance
         self._rates = np.asarray([m.lam for m in marginals], dtype=float)
+
+    # counts have no bracket, so no column is moved within its room
+    room_columns = np.empty(0, dtype=np.intp)
 
     def rates(self):
         return self._rates.copy()
@@ -458,10 +496,10 @@ class ProblemSpec:
     @property
     def refreshes(self) -> bool:
         """Whether ``cli.run_estimation`` refreshes this problem's levels: where
-        that cut relative variance x time at under twice a replication's time,
-        for Poisson counts (Table I) and a first coordinate whose room S states
-        (Table VI).  A continuous sum's updates take about twice as long."""
-        return isinstance(self.process, _PoissonJumps) or self.importance.room is not None
+        that cut relative variance x time at a replication's time x 1.15 at most:
+        Poisson counts (Table I), and an aggregate whose columns the process moves
+        within their rooms, a ratio's numerator (Table VI) or a full sum (Table V)."""
+        return isinstance(self.process, _PoissonJumps) or self.process.room_columns.size > 0
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
              refresh_at: float | None = None) -> np.ndarray:
@@ -471,18 +509,23 @@ class ProblemSpec:
         advance by ``process.advance``: numpy's ``gen.poisson`` counts for a
         Poisson problem.  A refreshed run passes the time of ``states``: at a
         time other than 0 each gathered row is first moved (a NaN, negative
-        or infinite time raises there): by ``process.move_first`` within its
-        parent's ``process.room`` where S states one, else by ``REFRESH_UPDATES``
-        refresh updates.  The rows then add one draw of X(dt), ``process.sampler(dt)``'s
-        (Poisson counts from the tables of rates * dt).  Both draws have the
+        or infinite time raises there).  Where the process has ``room_columns``,
+        each parent draws one of them uniformly (one ``integers`` call, which
+        draws no bits for one column), its ``process.room`` is computed once and
+        gathered by ``idx``, and each clone takes one ``process.move`` of that
+        column; else each row takes ``REFRESH_UPDATES`` refresh updates.  The
+        rows then add one draw of X(dt), ``process.sampler(dt)``'s (Poisson
+        counts from the tables of rates * dt).  Both draws have the
         increments' law; for dt < 1 the Gamma draws are ``advance``'s bits."""
         rows = states.take(idx, axis=0)
         if refresh_at is None:
             rows = self.process.advance(rows, dt, rng)
         else:
-            if refresh_at and self.importance.room is not None:
-                a_lo = self.process.room(states, self.gamma).take(idx)
-                self.process.move_first(rows, a_lo, refresh_at, rng)
+            room_columns = self.process.room_columns
+            if refresh_at and room_columns.size:
+                cols = room_columns.take(rng.gen.integers(0, room_columns.size, len(states)))
+                a_lo = self.process.room(states, cols, self.gamma)
+                self.process.move(rows, cols.take(idx), a_lo.take(idx), refresh_at, rng)
             elif refresh_at:
                 self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
             rows = self.process.sampler(dt)(rng.gen, len(rows), plus=rows)

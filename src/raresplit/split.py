@@ -80,7 +80,7 @@ def run_splitting(problem: ProblemSpec, schedule: LevelSchedule, s: int,
     States are float64; Poisson counts are exact integers in them.
     The default is the paper's plain loop.  With ``refresh``, each level is
     refreshed from its start time: from level 2 on the clones get exact
-    Metropolis steps (``ProblemSpec.refresh``), which decorrelate the clones
+    Metropolis steps or moves within a room, which decorrelate the clones
     of one survivor and keep every level's law, so the product stays
     unbiased.  ``ProblemSpec.step`` says which loop draws how.
     """

@@ -98,12 +98,13 @@ def test_no_kind_dispatch_outside_input_checks():
 # the classes, by module, that may read the survival bracket and its tables
 BRACKET_OWNERS = {"model.py": {"_GammaEmbedding", "_SurvivalBracket"}}
 BRACKET_ATTRS = {"bracket", "lo", "hi"}
+BRACKET_CALLS = {"cells", "below"}
 
 
 def bracket_reads(tree, owners=frozenset()):
     """(enclosing function, line) of each read of a ``.bracket``, ``.lo`` or
-    ``.hi`` attribute and each call of a ``.cells`` method in ``tree``,
-    outside the classes named in ``owners``."""
+    ``.hi`` attribute and each call of a ``.cells`` or ``.below`` method in
+    ``tree``, outside the classes named in ``owners``."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
@@ -113,7 +114,7 @@ def bracket_reads(tree, owners=frozenset()):
                     isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
                     and child.attr in BRACKET_ATTRS
                     or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "cells"):
+                    and child.func.attr in BRACKET_CALLS):
                 yield ".".join(scope), child.lineno
             yield from visit(child, inner)
 
@@ -129,9 +130,10 @@ def test_guard_finds_bracket_reads():
               "    def cells(self, g):\n"
               "        self.lo = self.hi = g\n"
               "        return self.lo.take(self.cells(g))\n"
-              "x = y.cells(z).hi\n")
+              "x = y.cells(z).hi\n"
+              "w = y.below(z, 0)\n")
     assert sorted(bracket_reads(ast.parse(source), {"_SurvivalBracket"})) == [
-        ("", 9), ("", 9), ("ProblemSpec.survives", 3), ("ProblemSpec.survives", 4),
+        ("", 9), ("", 9), ("", 10), ("ProblemSpec.survives", 3), ("ProblemSpec.survives", 4),
         ("ProblemSpec.survives", 4), ("ProblemSpec.survives", 4)]
 
 
@@ -261,8 +263,8 @@ def test_only_the_curve_engine_holds_the_poisson_dp():
 
 def test_only_the_model_tests_aggregate_classes():
     # an aggregate states its own behaviour: ``summands`` tells the curve
-    # engine whether S is a sum, ``room`` whether its first coordinate has
-    # one, and the one rule of which problems refresh lives in ``model.py``
+    # engine whether S is a sum, ``room_columns`` which columns have a room,
+    # and the one rule of which problems refresh lives in ``model.py``
     found = [f"{path.name}:{line} in {scope or '<module>'}"
              for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
              for scope, line in class_tests(ast.parse(path.read_text(encoding="utf-8")),

@@ -999,25 +999,63 @@ class TestGammaRefresh:
             assert min(self.refreshed(*passes)[2]) < 1e-3, passes
 
 
-def room_from_lo(self, states, gamma):
+def room_from_lo(self, states, cols, gamma):
     """``_GammaEmbedding.room`` read from the bracket's ``lo`` bounds, which
-    lie above every "D" coordinate: an a_lo above the true room."""
+    lie below every "I" and above every "D" coordinate: an a_lo above the true room."""
     swapped = copy.copy(self)
     swapped.bracket = copy.copy(self.bracket)
     swapped.bracket.hi = self.bracket.lo
-    return ROOM(swapped, states, gamma)
+    return ROOM(swapped, states, cols, gamma)
 
 
-def move_with_exponent_one(self, rows, a_lo, t, rng):
-    """``_GammaEmbedding.move_first`` proposing a_lo U, uniform on [0, a_lo]."""
-    g = rows[:, 0].copy()
+def move_with_exponent_one(self, rows, cols, a_lo, t, rng):
+    """``_GammaEmbedding.move`` proposing a_lo U, uniform on [0, a_lo]."""
+    at = (np.arange(len(rows)), cols)
+    g = rows[at]
     u, v = rng.gen.random((2, len(rows)))
     new = a_lo * u
     accept = (g <= a_lo) & (v < np.exp(g - new))
-    rows[:, 0] = np.where(accept, new, g)
+    rows[at] = np.where(accept, new, g)
 
 
 ROOM = model._GammaEmbedding.room
+
+
+def moved_rows(problem, start, reference, gamma, t, calls, seed):
+    """(the fewest rows that survive a move, the share of rows a move
+    changed, per column the KS p-value against the independent sample)
+    after ``calls`` moves of ``start``'s rows, each of a column drawn
+    uniformly from the process's room columns, from the rows' own room."""
+    rows, rng, alive, changed = start.copy(), RngStream(seed), [], []
+    room_columns = problem.process.room_columns
+    for _ in range(calls):
+        before = rows.copy()
+        cols = room_columns.take(rng.gen.integers(0, room_columns.size, len(rows)))
+        problem.process.move(rows, cols, problem.process.room(rows, cols, gamma), t, rng)
+        alive.append((reference_score(problem, rows) <= gamma).sum())
+        changed.append((rows != before).any(axis=1).mean())
+    return min(alive), min(changed), [stats.ks_2samp(a, b).pvalue
+                                      for a, b in zip(rows.T, reference.T)]
+
+
+@functools.cache
+def refreshed_levels(table, gamma, levels_method):
+    """(per move over one refreshed run of the preset row's box: the rows
+    before it, their columns and a_lo, the rows after it; the problem)."""
+    problem = preset_problem(load_preset(table), gamma).boxed()[0]
+    schedule = build_schedule(problem, RngStream(99), levels_method=levels_method)
+    seen, move = [], problem.process.move
+
+    def recorded(rows, cols, a_lo, t, rng):
+        before = rows.copy()
+        move(rows, cols, a_lo, t, rng)
+        seen.append((before, cols, a_lo, rows.copy()))
+
+    problem.process.move = recorded
+    counts = run_splitting(problem, schedule, 3000, RngStream(5), refresh=True).survivor_counts
+    del problem.process.move
+    assert len(seen) == len(counts) - 1 == len(schedule) - 1
+    return seen, problem
 
 
 class TestRatioMove:
@@ -1046,18 +1084,7 @@ class TestRatioMove:
         return problem, *out
 
     def moved(self, calls):
-        """(the fewest rows that survive a move, the share of rows a move
-        changed, per column the KS p-value against the independent sample)
-        after ``calls`` moves, each from the rows' own room."""
-        problem, start, reference = self.samples()
-        rows, rng, alive, changed = start.copy(), RngStream(9222), [], []
-        for _ in range(calls):
-            before = rows.copy()
-            problem.process.move_first(rows, problem.process.room(rows, self.GAMMA), self.T, rng)
-            alive.append((reference_score(problem, rows) <= self.GAMMA).sum())
-            changed.append((rows != before).any(axis=1).mean())
-        return min(alive), min(changed), [stats.ks_2samp(a, b).pvalue
-                                          for a, b in zip(rows.T, reference.T)]
+        return moved_rows(*self.samples(), self.GAMMA, self.T, calls, 9222)
 
     @pytest.mark.parametrize("calls", [1, 5])
     def test_keeps_the_survivors_law(self, calls):
@@ -1071,44 +1098,150 @@ class TestRatioMove:
             assert self.moved(calls)[0] < self.ROWS, calls
 
     def test_fails_a_proposal_exponent_of_one(self, monkeypatch):
-        monkeypatch.setattr(model._GammaEmbedding, "move_first", move_with_exponent_one)
+        monkeypatch.setattr(model._GammaEmbedding, "move", move_with_exponent_one)
         for calls in (1, 5):
             assert min(self.moved(calls)[2]) < 1e-3, calls
 
-    @classmethod
-    @functools.cache
-    def refreshed_levels(cls):
-        """(the rows before each move, the a_lo it was given, the rows after
-        it, the problem) over one refreshed run on Table VI at gamma = 0.001."""
-        problem = preset_problem(load_preset("VI"), 0.001)
-        schedule = build_schedule(problem, RngStream(99), levels_method="iccdf")
-        seen, move = [], problem.process.move_first
-
-        def recorded(rows, a_lo, t, rng):
-            before = rows.copy()
-            move(rows, a_lo, t, rng)
-            seen.append((before, a_lo, rows.copy()))
-
-        problem.process.move_first = recorded
-        counts = run_splitting(problem, schedule, 3000, RngStream(5), refresh=True).survivor_counts
-        del problem.process.move_first
-        assert len(seen) == len(counts) - 1 == len(schedule) - 1
-        return seen, problem
-
     def test_every_moved_row_survives(self):
-        seen, problem = self.refreshed_levels()
-        for before, _, after in seen:
+        seen, problem = refreshed_levels("VI", 0.001, "iccdf")
+        for before, cols, _, after in seen:
             assert problem.process.survives(after, problem.gamma).all()
             assert (after != before).any(axis=1).mean() > 0.5
-            assert np.array_equal(after[:, 1:], before[:, 1:])
+            assert np.array_equal(after[:, 1:], before[:, 1:]) and not cols.any()
 
     def test_each_parents_room_gathered_is_the_room_of_its_clones(self):
         # a parent's clones are equal rows, so its room, computed once and
         # gathered by idx, is the room of each clone, bit for bit
-        seen, problem = self.refreshed_levels()
-        for before, a_lo, _ in seen:
-            assert np.array_equal(a_lo, problem.process.room(before, problem.gamma))
+        seen, problem = refreshed_levels("VI", 0.001, "iccdf")
+        for before, cols, a_lo, _ in seen:
+            assert np.array_equal(a_lo, problem.process.room(before, cols, problem.gamma))
             assert len(np.unique(a_lo)) < len(a_lo) / 2
+
+
+class TestSumMove:
+    """A full sum's move keeps the survivors' law at its time t.  The setting
+    is ``TestGammaRefresh``'s: Table V's box at gamma = 1.39, t = 0.5 and
+    its rejection samples; each move draws each row's column uniformly, and
+    its seed and call counts were fixed before the first run.  The law test
+    holds when every row survives every move and each column's KS p-value
+    against the independent sample stays above 1e-3, after one move and after 15."""
+
+    CALLS = (1, 15)
+
+    def law_holds(self, calls):
+        problem, start, reference = TestGammaRefresh.samples()
+        alive, changed, p = moved_rows(problem, start, reference, TestGammaRefresh.GAMMA,
+                                       TestGammaRefresh.T, calls, 9231)
+        assert changed > 0.5, changed  # most rows move: the test sees the move
+        return alive == len(start) and min(p) > 1e-3
+
+    @pytest.mark.parametrize("calls", CALLS)
+    def test_keeps_the_survivors_law(self, calls):
+        assert self.law_holds(calls)
+
+    def test_fails_a_room_above_the_true_one(self, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "room", room_from_lo)
+        assert not all(self.law_holds(calls) for calls in self.CALLS)
+
+    def test_fails_a_proposal_exponent_of_one(self, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "move", move_with_exponent_one)
+        assert not all(self.law_holds(calls) for calls in self.CALLS)
+
+    def test_every_moved_row_survives(self):
+        seen, problem = refreshed_levels("V", 1.39, "lb")
+        for before, cols, _, after in seen:
+            assert problem.process.survives(after, problem.gamma).all()
+            assert (after != before).any(axis=1).mean() > 0.5
+            assert len(np.unique(cols)) == problem.n  # every column is drawn
+            untouched = np.ones_like(before, dtype=bool)
+            untouched[np.arange(len(cols)), cols] = False
+            assert np.array_equal(after[untouched], before[untouched])
+
+    def test_each_parents_room_gathered_is_the_room_of_its_clones(self):
+        seen, problem = refreshed_levels("V", 1.39, "lb")
+        for before, cols, a_lo, _ in seen:
+            assert np.array_equal(a_lo, problem.process.room(before, cols, problem.gamma))
+            assert len(np.unique(a_lo)) < len(a_lo) / 2
+
+
+def bisected_room(spec, row, j, gamma):
+    """The largest double x with spec.score_rows <= gamma when row's entry
+    j is x, by bisection on the doubles' bit patterns (nonnegative x only);
+    -inf where even x = 0 fails."""
+    def fits(x):
+        trial = row.copy()
+        trial[j] = x
+        return spec.score_rows(trial[None, :])[0] <= gamma
+
+    if not fits(0.0):
+        return -math.inf
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))  # fits(lo); hi: inf, or a failing x
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(np.int64(mid).view(np.float64)) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+class TestRoom:
+    """``_Aggregate.room`` against a bisection on ``score_rows``, for every
+    aggregate with room columns, on rows with ties; and the bracket form,
+    ``process.room``, whose level's embedding never exceeds the bisection's
+    room on surviving rows.  Sizes and seeds were fixed before the first run."""
+
+    AGGREGATES = [Sum(), WeightedSum((1.0, 0.0, 2.5, 1.0)), OrderedPartialSum(4)]
+
+    def test_room_columns(self):
+        assert Sum().room_columns(3) == OrderedPartialSum(3).room_columns(3) == (0, 1, 2)
+        assert WeightedSum((1.0, 0.0, 2.5)).room_columns(3) == (0, 2)
+        assert OrderedPartialSum(2).room_columns(3) == ()
+        assert Ratio(0.1).room_columns(3) == (0,)
+
+    @pytest.mark.parametrize("spec", AGGREGATES, ids=lambda s: s.kind)
+    def test_matches_a_bisection_with_ties(self, spec):
+        gen = np.random.default_rng(9241)
+        rows = np.round(gen.lognormal(0.0, 1.0, size=(60, 4)), 1)  # one decimal: ties
+        rows[:10] = rows[:10, :1]  # rows of four equal entries
+        columns = spec.room_columns(4)
+        cols = np.array(columns).take(gen.integers(0, len(columns), len(rows)))
+        gamma = 5.0
+        got = spec.room(rows, cols, gamma)
+        for row, j, x in zip(rows, cols, got):
+            want = bisected_room(spec, row, j, gamma)
+            if want == -math.inf:
+                assert x < 0
+            else:
+                assert abs(x - want) <= 2 * np.spacing(gamma), (row, j, x, want)
+
+    @pytest.mark.parametrize("spec,marginals", [
+        (Sum(), (LogNormal(0.0, 1.0),) * 4),
+        (WeightedSum((1.0, 0.0, 2.5, 1.0)), (LogNormal(0.0, 1.0), Weibull(0.7, 1.0),
+                                             Gamma(0.5, 1.0), LogNormal(0.0, 1.0))),
+        (OrderedPartialSum(4), (Weibull(0.7, 1.0),) * 4),
+    ], ids=["sum", "weighted_sum", "ordered_partial_sum"])
+    def test_the_bracket_form_never_exceeds_the_bisection(self, spec, marginals):
+        problem = ProblemSpec(marginals, ("I",) * 4, spec, 2.0, "continuous")
+        gen = np.random.default_rng(9242)
+        g = gen.standard_gamma(0.5, size=(4000, 4))
+        g = g[reference_score(problem, g) <= problem.gamma][:400]
+        columns = problem.process.room_columns
+        cols = columns.take(gen.integers(0, columns.size, len(g)))
+        a_lo = problem.process.room(g, cols, problem.gamma)
+        x = embed(g, problem.marginals, problem.directions)
+        for row, j, level in zip(x, cols, a_lo):
+            top = problem.marginals[j].quantile_from_neg_log_tail(np.array([level]), "upper")[0]
+            assert top <= bisected_room(spec, row, j, problem.gamma)
+        assert (a_lo > 0).mean() > 0.9
+
+    @pytest.mark.parametrize("level", [2000.0, np.inf, np.nan])
+    def test_a_level_the_bracket_leaves_open_reads_no_room(self, level):
+        # Table VI's interferer or Table V's other column past 2^10, at +inf or
+        # NaN: the room reads a NaN bound, and the row gets a_lo = 0, no move
+        for table, gamma, j in (("VI", 0.001, 3), ("V", 1.39, 3)):
+            problem = preset_problem(load_preset(table), gamma).boxed()[0]
+            rows = np.full((2, problem.n), 0.01)
+            rows[1, j] = level
+            a_lo = problem.process.room(rows, np.zeros(2, dtype=np.intp), gamma)
+            assert a_lo[0] > 0 and a_lo[1] == 0.0, (table, a_lo)
 
 
 class CallLog:

@@ -271,33 +271,40 @@ class TestRunSplitting:
             assert len(built) == len(process._tables) == tables
 
     def test_the_cli_splits_continuous_problems_plain(self):
-        # the CLI refreshes only what ProblemSpec.refreshes names: Table V's
-        # sum splits as replicate's default, scaled by the box mass as
-        # run_estimation scales it
-        problem = preset_problem(load_preset("V"))
+        # the CLI refreshes only what ProblemSpec.refreshes names: Table IV's
+        # top-n_bar sum (n_bar < n) states no room, so it splits as
+        # replicate's default, scaled by the box mass as run_estimation scales it
+        problem = preset_problem(load_preset("IV"))
         got = run_estimation(problem, "split", s=300, m=4, seed=1)
         rng = RngStream(1)
         box, log_mass = problem.boxed()
         plain = replicate(box, build_schedule(box, rng, pilot_s=300), 300, 4, rng)
         mass = math.exp(log_mass)
-        assert log_mass < 0 and len(plain.levels) > 1
+        assert log_mass < 0 and len(plain.levels) > 1 and not problem.refreshes
         assert (got.mean, got.variance, got.levels, got.per_level_survival) == (
             mass * plain.mean, mass * (mass * plain.variance), plain.levels,
             plain.per_level_survival)
 
-    def test_the_cli_refreshes_poisson_counts_and_a_ratio(self):
-        # Table VI's ratio (no box) splits with the numerator's move, as
-        # replicate's refresh runs it; of the presets only it and Table I refresh
+    def test_the_cli_refreshes_poisson_counts_a_ratio_and_a_full_sum(self):
+        # Table VI's ratio (no box) splits with the numerator's move, and
+        # Table V's full sum with the move of a column per parent on its
+        # box, as replicate's refresh runs them; of the presets only they
+        # and Table I refresh
         tables = ("I", "II", "III", "IV", "V", "VI")
-        assert [t for t in tables if preset_problem(load_preset(t)).refreshes] == ["I", "VI"]
-        problem = preset_problem(load_preset("VI"), 0.003)
-        got = run_estimation(problem, "split", s=300, m=4, levels_method="iccdf", seed=1)
-        rng = RngStream(1)
-        schedule = build_schedule(problem, rng, levels_method="iccdf", pilot_s=300)
-        assert problem.boxed() == (problem, 0.0) and len(schedule) > 2
-        refreshed = replicate(problem, schedule, 300, 4, rng, refresh=True)
-        assert got.per_level_survival == refreshed.per_level_survival
-        assert (got.mean, got.variance) == (refreshed.mean, refreshed.variance)
+        assert [t for t in tables if preset_problem(load_preset(t)).refreshes] == ["I", "V", "VI"]
+        for table, gamma, levels_method in (("VI", 0.003, "iccdf"), ("V", 1.39, "lb")):
+            problem = preset_problem(load_preset(table), gamma)
+            got = run_estimation(problem, "split", s=300, m=4, levels_method=levels_method,
+                                 seed=1)
+            rng = RngStream(1)
+            box, log_mass = problem.boxed()
+            schedule = build_schedule(box, rng, levels_method=levels_method, pilot_s=300)
+            assert (log_mass < 0) == (table == "V") and len(schedule) > 2
+            refreshed = replicate(box, schedule, 300, 4, rng, refresh=True)
+            mass = math.exp(log_mass)
+            assert got.per_level_survival == refreshed.per_level_survival
+            assert (got.mean, got.variance) == (mass * refreshed.mean,
+                                                mass * (mass * refreshed.variance))
 
     def test_s_validation(self):
         problem = exp_sum_problem()

@@ -18,10 +18,12 @@ failure is a finding about the program, never a reason to re-pick them.
 The Poisson family, which the CLI splits with the clones' refresh
 (``run_splitting(..., refresh=True)``, ``model.REFRESH_UPDATES`` = 3
 updates per clone), also runs with it, at one update and at three, and so
-does one continuous family, the boxed exponential sum; their seeds and
-rule are the families' own, fixed before their first refreshed runs.  The
-LogNormal ratio, which the CLI splits with its numerator's move
-(``ProblemSpec.step``), runs with the move, on its own seed and rule.
+does one continuous family with no room, the boxed top-2 of 3 LogNormal;
+their seeds and rule are the families' own, fixed before their first
+refreshed runs.  The families whose aggregate states a room, which the
+CLI splits with the move of a column within it (``ProblemSpec.step``), run
+with the move on their own seeds and rule: the LogNormal ratio, the boxed
+exponential sum, and the unboxed weighted sum of two laws.
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
@@ -29,10 +31,10 @@ jumps whose rates are 1% too large, in the plain loop and in the
 refreshed levels' draw from the sampler's tables, a level loop that
 resamples its parents from every advanced state, failures included, a
 refresh that keeps the proposals that fail S <= gamma, at one update and
-at three, and a numerator move whose a_lo lies 10% above the room's.  (A
-room read from the bracket's ``lo`` bounds puts about 0.3% of the moved
-clones outside the true room per level, below this scale's resolution:
-``test_model.TestRatioMove`` catches it.)
+at three, and a move whose a_lo lies 10% above the room's, on the ratio
+and on the exponential sum.  (A room read from the bracket's ``lo`` bounds
+puts about 0.3% of the ratio's moved clones outside the true room per
+level, below this scale's resolution: ``test_model``'s law tests catch it.)
 """
 
 import dataclasses
@@ -77,8 +79,9 @@ FAMILIES = {
     "boxed_top2_of_3_weibull": (
         ProblemSpec((Weibull(0.7, 1.0),) * 3, ("I",) * 3, OrderedPartialSum(2), 0.3,
                     "continuous").boxed()[0], 9107, 4096),
-    # a weighted sum of two different laws, one of them Gamma-power; run
-    # plain, since its box leaves one level and the plain problem has three
+    # a weighted sum of two different laws, one of them Gamma-power, in two
+    # quantile groups; run unboxed, since its box leaves one level and the
+    # plain problem has three
     "weighted_lognormal_gamma": (
         ProblemSpec((LogNormal(0.0, 1.5), Gamma(0.5, 1.0)), ("I", "I"), WeightedSum((1.0, 2.0)),
                     0.05, "continuous"), 9108, 4096),
@@ -135,11 +138,12 @@ def test_every_prefix_is_unbiased_with_the_refresh(monkeypatch):
 
 
 def test_every_prefix_of_a_continuous_family_is_unbiased_with_the_refresh(monkeypatch):
-    z = gate_z("boxed_exponential_sum", monkeypatch, updates=1)
+    # a top-n_bar sum below n states no room, so its levels take the updates
+    z = gate_z("boxed_top2_of_3_lognormal", monkeypatch, updates=1)
     assert (z <= Z_MAX).all(), z
 
 
-@pytest.mark.parametrize("family", ["poisson_weighted_sum", "boxed_exponential_sum"])
+@pytest.mark.parametrize("family", ["poisson_weighted_sum", "boxed_top2_of_3_lognormal"])
 def test_every_prefix_is_unbiased_with_three_refresh_updates(family, monkeypatch):
     z = gate_z(family, monkeypatch, updates=3)
     assert (z <= Z_MAX).all(), z
@@ -151,11 +155,29 @@ def test_every_prefix_of_the_ratio_is_unbiased_with_the_numerator_move(monkeypat
     assert (z <= Z_MAX).all(), z
 
 
-def test_gate_fails_a_numerator_move_past_its_room(monkeypatch):
+@pytest.mark.parametrize("family", ["boxed_exponential_sum", "weighted_lognormal_gamma"])
+def test_every_prefix_of_a_full_sum_is_unbiased_with_the_move(family, monkeypatch):
+    # a refreshed level of a full sum moves one column per parent within its room
+    z = gate_z(family, monkeypatch, updates=model.REFRESH_UPDATES)
+    assert (z <= Z_MAX).all(), z
+
+
+def room_above_the_brackets(monkeypatch):
+    """Make ``process.room`` return an a_lo 10% above the bracket's."""
     room = model._GammaEmbedding.room
     monkeypatch.setattr(model._GammaEmbedding, "room",
-                        lambda self, states, gamma: 1.1 * room(self, states, gamma))
+                        lambda self, states, cols, gamma: 1.1 * room(self, states, cols, gamma))
+
+
+def test_gate_fails_a_numerator_move_past_its_room(monkeypatch):
+    room_above_the_brackets(monkeypatch)
     z = gate_z("lognormal_ratio", monkeypatch, updates=model.REFRESH_UPDATES)
+    assert (z > Z_MAX).any(), z
+
+
+def test_gate_fails_a_sum_move_past_its_room(monkeypatch):
+    room_above_the_brackets(monkeypatch)
+    z = gate_z("boxed_exponential_sum", monkeypatch, updates=model.REFRESH_UPDATES)
     assert (z > Z_MAX).any(), z
 
 
@@ -168,7 +190,7 @@ def test_gate_fails_a_refresh_that_keeps_rejected_proposals(monkeypatch):
             rows[np.arange(len(rows)), picked] = new
 
     monkeypatch.setattr(model.ProblemSpec, "refresh", refresh_keeping_all)
-    for family in ("poisson_weighted_sum", "boxed_exponential_sum"):
+    for family in ("poisson_weighted_sum", "boxed_top2_of_3_lognormal"):
         for updates in (1, 3):
             z = gate_z(family, monkeypatch, updates=updates)
             assert (z > Z_MAX).any(), (family, updates, z)
