@@ -231,6 +231,10 @@ def embed(g, marginals, directions):
 _BRACKET_BITS = 8
 _BRACKET_MIN_EXP = -100
 _BRACKET_MAX_EXP = 10
+# The room search's guide: buckets of the doubles that share their sign,
+# exponent and top _GUIDE_BITS mantissa bits, at most _GUIDE_BUCKETS per table
+_GUIDE_BITS = 11
+_GUIDE_BUCKETS = 1 << 18
 
 
 class _SurvivalBracket:
@@ -266,15 +270,17 @@ class _SurvivalBracket:
         # a scalar for one group spares numpy a broadcast over short rows
         base = first - offsets
         self._base = base[0] if (base == base[0]).all() else base
+        self._guides = {}  # table offset -> (first bucket's key, bucket starts)
 
-    def cells(self, g: np.ndarray) -> np.ndarray:
+    def cells(self, g: np.ndarray, cols=None) -> np.ndarray:
         """Index into ``lo`` and ``hi`` of every entry of ``g``: lo[c] is the
-        embedding at a level at or below the entry, hi[c] at or above it."""
+        embedding at a level at or below the entry, hi[c] at or above it.
+        ``g`` holds rows of every column, or with ``cols`` entry i of column cols[i]."""
         # sign, exponent and top mantissa bits, below 2^20; a set sign bit (negative
         # values, -0.0) and the all-ones exponent (inf, NaN) clamp to slot K
         c = (g.view(np.uint64) >> np.uint64(52 - _BRACKET_BITS)).view(np.intp)
         c.clip(self._first, self._last, out=c)
-        c -= self._base
+        c -= self._base if cols is None or self._base.ndim == 0 else self._base.take(cols)
         return c
 
     def below(self, x: np.ndarray, col: int) -> np.ndarray:
@@ -284,11 +290,46 @@ class _SurvivalBracket:
         the room of a row with a level the bracket leaves open).  Each ``hi``
         reads a grid point past its cell, which absorbs the table's ulp-level wobble."""
         start, K = self._offsets[col], self._last - self._first
-        # a NaN entry reads K + 1, past the table's NaN slot K, and then 0
-        k = np.searchsorted(self.hi[start:start + K + 1], x, "right")
-        k %= K + 1
+        table = self.hi[start:start + K + 1]
+        guide = self._guides.get(start)
+        if guide is None:
+            guide = self._guides[start] = _guide(table)
+        # k = the entries of the table at most x, as searchsorted(table, x, "right")
+        # counts them: the entries below x's bucket, plus its one entry if that is
+        # at most x; a bucket's -1 reads the NaN slot, adds 0 and marks a search
+        key = x.view(np.int64) >> np.int64(52 - _GUIDE_BITS)
+        key -= guide[0]
+        k = guide[1].take(key, mode="clip")
+        k += table.take(k) <= x
+        slow = k < 0
+        if slow.any():
+            at = slow.nonzero()[0]
+            # a NaN entry reads K + 1, past the table's NaN slot K, and then 0
+            k[at] = np.searchsorted(table, x.take(at), "right") % (K + 1)
         bits = (k + (self._first - 1)).view(np.uint64) << np.uint64(52 - _BRACKET_BITS)
         return np.where(k > 0, bits.view(float), 0.0)  # no kept grid: it refaulted the heap
+
+
+def _guide(table):
+    """(the first bucket's key, the entries of ``table`` below each bucket) of
+    ``below``'s guide over a table of K values and its NaN slot.  The key of a
+    double x >= 0 is its bits >> (52 - _GUIDE_BITS), which orders the doubles
+    >= 0; a bucket starts at the double whose bits are its key << (52 - _GUIDE_BITS).
+    Keys clip to the first bucket, which holds no entry unless it starts at 0,
+    and to the last, past the table's last entry.  A bucket holding two
+    entries or more and the last one (+inf, NaN and all values past the guide)
+    read -1: their rooms are searched.  So does every bucket of a table that
+    is not sorted or has an entry below 0."""
+    values, shift = table[:-1], 52 - _GUIDE_BITS
+    if not (values[0] >= 0 and (values[1:] >= values[:-1]).all()):
+        return np.int64(0), np.full(1, -1, dtype=np.int32)
+    first = max(int(values[0].view(np.int64)) >> shift, 1) - 1
+    last = min((int(values[-1].view(np.int64)) >> shift) + 1, first + _GUIDE_BUCKETS - 1)
+    edges = (np.arange(first, last + 1, dtype=np.int64) << shift).view(float)
+    starts = np.searchsorted(values, edges, "left").astype(np.int32)
+    starts[np.diff(starts, append=values.size) > 1] = -1
+    starts[-1] = -1
+    return np.int64(first), starts
 
 
 class _GammaEmbedding:
@@ -306,6 +347,8 @@ class _GammaEmbedding:
         # per quantile table that room columns read: one of them, and its columns
         firsts = {group[c]: c for c in self.room_columns[::-1]}
         self._room_tables = [(c, group == j) for j, c in firsts.items()]
+        terms = importance.summands(len(marginals))
+        self._weights = None if terms is None else np.asarray(terms[0], dtype=float)
 
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
@@ -344,7 +387,32 @@ class _GammaEmbedding:
         with S <= gamma given the others: ``importance.room`` on the bracket's
         ``hi``, above every "I" and below every "D" coordinate, as a level."""
         bracket = self.bracket
-        x = self.importance.room(bracket.hi.take(bracket.cells(states)), cols, gamma)
+        return self._level(self.importance.room(bracket.hi.take(bracket.cells(states)),
+                                                cols, gamma), cols)
+
+    def clone_room(self, states, idx, rows, cols, gamma):
+        """Per clone rows[i] of parent states[idx[i]], a level a_lo of its
+        column j = cols[idx[i], -1] within the clone's own room, after the
+        moves of cols[idx[i], :-1]: gamma minus S of the parent's ``hi`` row with
+        every column of cols[idx[i]] zeroed (once per parent), minus w_c times
+        the ``hi`` of each moved column c at the clone's level, in order, over
+        w_j.  It reads no level of column j, so a move within it keeps the law."""
+        bracket, n = self.bracket, rows.shape[1]
+        rest = bracket.hi.take(bracket.cells(states))
+        rest[np.arange(len(states))[:, None], cols] = 0.0
+        x = gamma - self.importance.score_rows(rest)
+        x, cols = x.take(idx), cols.take(idx, axis=0)
+        flat, at = rows.reshape(-1), np.arange(0, rows.size, n)
+        for c in cols[:, :-1].T:
+            g = flat.take(at + c)
+            x -= self._weights.take(c) * bracket.hi.take(bracket.cells(g, c))
+        x /= self._weights.take(cols[:, -1])
+        return self._level(x, cols[:, -1])
+
+    def _level(self, x, cols):
+        """Per entry of ``x``, the bracket's level of column cols[i] at and below
+        which the embedding is at most x[i] (``_SurvivalBracket.below``)."""
+        bracket = self.bracket
         if len(self._room_tables) == 1:  # every row reads one table
             return bracket.below(x, self._room_tables[0][0])
         a_lo = np.empty_like(x)
@@ -352,6 +420,26 @@ class _GammaEmbedding:
             at = member.take(cols)
             a_lo[at] = bracket.below(x[at], col)
         return a_lo
+
+    def moves(self, states, rows, idx, gamma, t, rng):
+        """Moves of each clone rows[i] of parent states[idx[i]] at time t > 0,
+        in place.  Each parent draws min(ROOM_MOVES, m) distinct columns of
+        the m room columns (``_room_picks``; none where m is 1, so no bits), and
+        each clone takes one ``move`` of each in turn: the first within its
+        parent's ``room``, computed once per parent, each later one within
+        the clone's own room (``clone_room``)."""
+        columns = self.room_columns
+        if columns.size == 1:  # a ratio's numerator: no pick, no gather
+            col = columns[0]
+            self.move(rows, col, self.room(states, col, gamma).take(idx), t, rng)
+            return
+        cols = columns.take(_room_picks(rng.gen, columns.size, len(states),
+                                        min(ROOM_MOVES, columns.size)))
+        ours = cols.take(idx, axis=0)
+        self.move(rows, ours[:, 0], self.room(states, cols[:, 0], gamma).take(idx), t, rng)
+        for k in range(2, cols.shape[1] + 1):
+            self.move(rows, ours[:, k - 1], self.clone_room(states, idx, rows, cols[:, :k], gamma),
+                      t, rng)
 
     def move(self, rows, cols, a_lo, t, rng):
         """One independence Metropolis-Hastings update of level g = rows[i, cols[i]]
@@ -392,6 +480,19 @@ class _GammaEmbedding:
         laws = tuple(Truncated(m, b) if b < math.inf else m
                      for m, b in zip(self.marginals, bounds))
         return laws, math.fsum(law.log_mass for law, b in zip(laws, bounds) if b < math.inf)
+
+
+def _room_picks(gen, m, c, depth):
+    """c rows of ``depth`` distinct indices into m columns, in one ``integers``
+    call: pick k is uniform over the m - k columns not picked before it."""
+    picks = gen.integers(0, m - np.arange(depth), (c, depth))
+    for k in range(1, depth):
+        # the r-th column not picked yet: r steps past each earlier pick at or
+        # below it, in increasing order
+        r = picks[:, k]
+        for taken in np.sort(picks[:, :k], axis=1).T:
+            r += r >= taken
+    return picks
 
 
 class _PoissonJumps:
@@ -443,6 +544,14 @@ _PROCESSES = {"continuous": _GammaEmbedding, "poisson": _PoissonJumps}
 # 0.62 at gamma = 60, 50, 40 and 30.  4 against 3 reads 0.92 to 1.02, with 1
 # inside its 95% interval on three rows of four, and 4 draws a third more values
 REFRESH_UPDATES = 3
+
+# Room columns each parent draws and each clone moves in ``ProblemSpec.step``'s
+# refresh, where the process has that many.  On Table V's box (gamma = 1.39,
+# s = 3000, 600 paired replications in one interpreter, 2-core VM) 2, 3 and 4
+# moves take 1.13, 1.28 and 1.44 times one move's time and read relative
+# variance per run 0.046, 0.030 and 0.027 against 0.073: 2 is the deepest
+# within 1.18 times
+ROOM_MOVES = 2
 
 
 @dataclass(frozen=True)
@@ -496,9 +605,10 @@ class ProblemSpec:
     @property
     def refreshes(self) -> bool:
         """Whether ``cli.run_estimation`` refreshes this problem's levels: where
-        that cut relative variance x time at a replication's time x 1.15 at most:
-        Poisson counts (Table I), and an aggregate whose columns the process moves
-        within their rooms, a ratio's numerator (Table VI) or a full sum (Table V)."""
+        that was measured to cut relative variance x time: Poisson counts
+        (Table I), and an aggregate whose columns the process moves within
+        their rooms, a ratio's numerator (Table VI) or a full sum (Table V,
+        whose refreshed replication takes about 1.28 times the plain loop's)."""
         return isinstance(self.process, _PoissonJumps) or self.process.room_columns.size > 0
 
     def step(self, states: np.ndarray, idx: np.ndarray, dt: float, rng: RngStream,
@@ -510,22 +620,19 @@ class ProblemSpec:
         Poisson problem.  A refreshed run passes the time of ``states``: at a
         time other than 0 each gathered row is first moved (a NaN, negative
         or infinite time raises there).  Where the process has ``room_columns``,
-        each parent draws one of them uniformly (one ``integers`` call, which
-        draws no bits for one column), its ``process.room`` is computed once and
-        gathered by ``idx``, and each clone takes one ``process.move`` of that
-        column; else each row takes ``REFRESH_UPDATES`` refresh updates.  The
-        rows then add one draw of X(dt), ``process.sampler(dt)``'s (Poisson
-        counts from the tables of rates * dt).  Both draws have the
-        increments' law; for dt < 1 the Gamma draws are ``advance``'s bits."""
+        each clone takes ``process.moves``: one ``process.move`` of each of
+        ``ROOM_MOVES`` distinct columns its parent draws, within rooms that
+        never read the column moved; else each row takes ``REFRESH_UPDATES``
+        refresh updates.  The rows then add one draw of X(dt),
+        ``process.sampler(dt)``'s (Poisson counts from the tables of rates *
+        dt).  Both draws have the increments' law; for dt < 1 the Gamma draws
+        are ``advance``'s bits."""
         rows = states.take(idx, axis=0)
         if refresh_at is None:
             rows = self.process.advance(rows, dt, rng)
         else:
-            room_columns = self.process.room_columns
-            if refresh_at and room_columns.size:
-                cols = room_columns.take(rng.gen.integers(0, room_columns.size, len(states)))
-                a_lo = self.process.room(states, cols, self.gamma)
-                self.process.move(rows, cols.take(idx), a_lo.take(idx), refresh_at, rng)
+            if refresh_at and self.process.room_columns.size:
+                self.process.moves(states, rows, idx, self.gamma, refresh_at, rng)
             elif refresh_at:
                 self.refresh(rows, refresh_at, rng, REFRESH_UPDATES)
             rows = self.process.sampler(dt)(rng.gen, len(rows), plus=rows)

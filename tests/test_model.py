@@ -1018,22 +1018,36 @@ def move_with_exponent_one(self, rows, cols, a_lo, t, rng):
     rows[at] = np.where(accept, new, g)
 
 
+def same_column_once_in_m(gen, m, c, depth):
+    """``model._room_picks`` whose second pick, (j1 + 1 + U{0..m-1}) mod m,
+    is the first one once in m: that move's room then reads its own column."""
+    first = gen.integers(0, m, c)
+    return np.stack([first, (first + 1 + gen.integers(0, m, c)) % m], axis=1)
+
+
 ROOM = model._GammaEmbedding.room
 
 
-def moved_rows(problem, start, reference, gamma, t, calls, seed):
-    """(the fewest rows that survive a move, the share of rows a move
+def stale_clone_room(self, states, idx, rows, cols, gamma):
+    """``_GammaEmbedding.clone_room`` read from the parent's rest: the room of
+    the column before the clone's first move, which may have grown into it."""
+    return ROOM(self, states, cols[:, -1], gamma).take(idx)
+
+
+def moved_rows(problem, start, reference, gamma, t, calls, seed, depth=model.ROOM_MOVES):
+    """(the fewest rows that survive a call, the share of rows a call
     changed, per column the KS p-value against the independent sample)
-    after ``calls`` moves of ``start``'s rows, each of a column drawn
-    uniformly from the process's room columns, from the rows' own room."""
+    after ``calls`` calls of ``process.moves`` with ``model.ROOM_MOVES`` =
+    ``depth`` on ``start``'s rows, each row its own parent."""
     rows, rng, alive, changed = start.copy(), RngStream(seed), [], []
-    room_columns = problem.process.room_columns
-    for _ in range(calls):
-        before = rows.copy()
-        cols = room_columns.take(rng.gen.integers(0, room_columns.size, len(rows)))
-        problem.process.move(rows, cols, problem.process.room(rows, cols, gamma), t, rng)
-        alive.append((reference_score(problem, rows) <= gamma).sum())
-        changed.append((rows != before).any(axis=1).mean())
+    idx = np.arange(len(rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "ROOM_MOVES", depth)
+        for _ in range(calls):
+            before = rows.copy()
+            problem.process.moves(before, rows, idx, gamma, t, rng)
+            alive.append((reference_score(problem, rows) <= gamma).sum())
+            changed.append((rows != before).any(axis=1).mean())
     return min(alive), min(changed), [stats.ks_2samp(a, b).pvalue
                                       for a, b in zip(rows.T, reference.T)]
 
@@ -1054,7 +1068,8 @@ def refreshed_levels(table, gamma, levels_method):
     problem.process.move = recorded
     counts = run_splitting(problem, schedule, 3000, RngStream(5), refresh=True).survivor_counts
     del problem.process.move
-    assert len(seen) == len(counts) - 1 == len(schedule) - 1
+    depth = min(model.ROOM_MOVES, problem.process.room_columns.size)
+    assert len(seen) == depth * (len(counts) - 1) == depth * (len(schedule) - 1)
     return seen, problem
 
 
@@ -1119,33 +1134,129 @@ class TestRatioMove:
 
 
 class TestSumMove:
-    """A full sum's move keeps the survivors' law at its time t.  The setting
-    is ``TestGammaRefresh``'s: Table V's box at gamma = 1.39, t = 0.5 and
-    its rejection samples; each move draws each row's column uniformly, and
-    its seed and call counts were fixed before the first run.  The law test
-    holds when every row survives every move and each column's KS p-value
-    against the independent sample stays above 1e-3, after one move and after 15."""
+    """A full sum's moves keep the survivors' law at their time t = 0.5.
+    Two settings: ``TestGammaRefresh``'s, Table V's box at gamma = 1.39 and
+    its rejection samples, at one move (seed 9231) and at two
+    (``model.ROOM_MOVES``, seed 9232); and the unbiasedness gate's weighted
+    sum of a LogNormal and a Gamma column at gamma = 0.05, at two moves
+    (samples on seeds 9234 and 9236, moves on 9235).  Each row is its own
+    parent and draws its columns uniformly.  Settings, seeds and call counts
+    were fixed before the first run.  The law test holds when every row
+    survives every call and each column's KS p-value against the independent
+    sample stays above 1e-3, after one call and after 15.
+
+    A second pick that repeats the first once in m columns moves a column
+    within a room that reads it.  Every row survives it; among Table V's 15
+    columns it is too rare for this test to see, and on two columns, where
+    it comes once in two, the test fails it."""
 
     CALLS = (1, 15)
+    SEEDS = {("V", 1): 9231, ("V", 2): 9232, ("two_columns", 2): 9235}
 
-    def law_holds(self, calls):
-        problem, start, reference = TestGammaRefresh.samples()
-        alive, changed, p = moved_rows(problem, start, reference, TestGammaRefresh.GAMMA,
-                                       TestGammaRefresh.T, calls, 9231)
+    @staticmethod
+    @functools.cache
+    def two_columns():
+        """The weighted sum, ``TestGammaRefresh.ROWS`` rejection samples of
+        its survivors' levels at T to move, and as many independent ones."""
+        problem, out = ProblemSpec((LogNormal(0.0, 1.5), Gamma(0.5, 1.0)), ("I", "I"),
+                                   WeightedSum((1.0, 2.0)), 0.05, "continuous"), []
+        for seed in (9234, 9236):
+            rng, kept = RngStream(seed), []
+            while sum(map(len, kept)) < TestGammaRefresh.ROWS:
+                g = rng.gen.standard_gamma(TestGammaRefresh.T, size=(200_000, problem.n))
+                kept.append(g[reference_score(problem, g) <= problem.gamma])
+            out.append(np.concatenate(kept)[:TestGammaRefresh.ROWS])
+        return problem, *out
+
+    def law_holds(self, calls, depth, setting="V"):
+        problem, start, reference = (TestGammaRefresh.samples() if setting == "V"
+                                     else self.two_columns())
+        alive, changed, p = moved_rows(problem, start, reference, problem.gamma,
+                                       TestGammaRefresh.T, calls, self.SEEDS[setting, depth], depth)
         assert changed > 0.5, changed  # most rows move: the test sees the move
         return alive == len(start) and min(p) > 1e-3
 
     @pytest.mark.parametrize("calls", CALLS)
     def test_keeps_the_survivors_law(self, calls):
-        assert self.law_holds(calls)
+        assert self.law_holds(calls, 1)
+
+    @pytest.mark.parametrize("setting", ["V", "two_columns"])
+    @pytest.mark.parametrize("calls", CALLS)
+    def test_keeps_the_survivors_law_two_deep(self, calls, setting):
+        assert self.law_holds(calls, 2, setting)
 
     def test_fails_a_room_above_the_true_one(self, monkeypatch):
         monkeypatch.setattr(model._GammaEmbedding, "room", room_from_lo)
-        assert not all(self.law_holds(calls) for calls in self.CALLS)
+        for depth in (1, 2):
+            assert not all(self.law_holds(calls, depth) for calls in self.CALLS), depth
 
     def test_fails_a_proposal_exponent_of_one(self, monkeypatch):
         monkeypatch.setattr(model._GammaEmbedding, "move", move_with_exponent_one)
-        assert not all(self.law_holds(calls) for calls in self.CALLS)
+        for depth in (1, 2):
+            assert not all(self.law_holds(calls, depth) for calls in self.CALLS), depth
+
+    def test_fails_a_second_move_on_the_first_column(self, monkeypatch):
+        monkeypatch.setattr(model, "_room_picks", same_column_once_in_m)
+        assert not all(self.law_holds(calls, 2, "two_columns") for calls in self.CALLS)
+
+    @pytest.mark.parametrize("setting", ["V", "two_columns"])
+    def test_fails_a_second_room_read_from_the_parents_rest(self, setting, monkeypatch):
+        monkeypatch.setattr(model._GammaEmbedding, "clone_room", stale_clone_room)
+        assert not all(self.law_holds(calls, 2, setting) for calls in self.CALLS)
+
+    def test_each_parent_picks_distinct_columns_uniformly(self):
+        # every ordered pair of distinct columns, equally often; seed fixed before the first run
+        m, c = 5, 40_000
+        picks = model._room_picks(RngStream(9237).gen, m, c, 2)
+        assert picks.shape == (c, 2) and not (picks[:, 0] == picks[:, 1]).any()
+        counts = np.bincount(picks[:, 0] * m + picks[:, 1], minlength=m * m).reshape(m, m)
+        assert stats.chisquare(counts[~np.eye(m, dtype=bool)]).pvalue > 1e-3
+        deep = model._room_picks(RngStream(9237).gen, m, c, 4)
+        assert (np.sort(deep, axis=1)[:, 1:] > np.sort(deep, axis=1)[:, :-1]).all()
+        assert stats.chisquare(np.bincount(deep[:, 3], minlength=m)).pvalue > 1e-3
+
+    @staticmethod
+    @functools.cache
+    def second_rooms():
+        """(problem, 300 parents, idx of 3000 clones, each parent's two
+        columns, the clones after their first move, their second rooms) on
+        ``TestGammaRefresh``'s rejection samples; seed fixed before the first run."""
+        problem, start, _ = TestGammaRefresh.samples()
+        gamma, t, rng = TestGammaRefresh.GAMMA, TestGammaRefresh.T, RngStream(9233)
+        parents = start[:300]
+        idx = rng.gen.integers(0, len(parents), 3000)
+        cols = model._room_picks(rng.gen, problem.n, len(parents), 2)
+        rows = parents.take(idx, axis=0)
+        room = problem.process.room(parents, cols[:, 0], gamma)
+        problem.process.move(rows, cols[idx, 0], room.take(idx), t, rng)
+        assert (rows != parents[idx]).any(axis=1).mean() > 0.5
+        return problem, parents, idx, cols, rows, problem.process.clone_room(
+            parents, idx, rows, cols, gamma)
+
+    def test_the_second_room_reads_no_level_of_its_column(self):
+        problem, parents, idx, cols, rows, a_lo = self.second_rooms()
+        clones = np.arange(len(idx))
+        for level in (0.0, 1e-9, 0.5, 30.0, 2000.0, np.inf, np.nan):
+            perturbed = rows.copy()
+            perturbed[clones, cols[idx, 1]] = level
+            again = problem.process.clone_room(parents, idx, perturbed, cols,
+                                               TestGammaRefresh.GAMMA)
+            assert again.tobytes() == a_lo.tobytes(), level
+        assert (a_lo > 0).mean() > 0.9
+
+    def test_the_second_room_is_each_clones_room_from_scratch(self):
+        # per clone, from its own row alone: gamma minus its hi row with both
+        # columns zeroed, minus the moved column's hi, at the bracket's level
+        problem, _, idx, cols, rows, a_lo = self.second_rooms()
+        bracket, clones = problem.process.bracket, np.arange(len(idx))
+        j1, j2 = cols[idx, 0], cols[idx, 1]
+        hi = bracket.hi.take(bracket.cells(rows))
+        rest = hi.copy()
+        rest[clones, j1] = rest[clones, j2] = 0.0
+        x = TestGammaRefresh.GAMMA - problem.importance.score_rows(rest) - hi[clones, j1]
+        assert a_lo.tobytes() == problem.process._level(x, j2).tobytes()
+        # and it is the first move's room of each clone, read from its own row
+        assert a_lo.tobytes() == problem.process.room(rows, j2, TestGammaRefresh.GAMMA).tobytes()
 
     def test_every_moved_row_survives(self):
         seen, problem = refreshed_levels("V", 1.39, "lb")
@@ -1158,10 +1269,17 @@ class TestSumMove:
             assert np.array_equal(after[untouched], before[untouched])
 
     def test_each_parents_room_gathered_is_the_room_of_its_clones(self):
+        # the first of each level's moves reads its parents' rooms
         seen, problem = refreshed_levels("V", 1.39, "lb")
-        for before, cols, a_lo, _ in seen:
+        for before, cols, a_lo, _ in seen[::model.ROOM_MOVES]:
             assert np.array_equal(a_lo, problem.process.room(before, cols, problem.gamma))
             assert len(np.unique(a_lo)) < len(a_lo) / 2
+
+    def test_each_clone_moves_two_distinct_columns(self):
+        seen, problem = refreshed_levels("V", 1.39, "lb")
+        for (_, first, _, _), (_, second, _, _) in zip(seen[::2], seen[1::2]):
+            assert not (first == second).any()
+            assert len(np.unique(second)) == problem.n
 
 
 def bisected_room(spec, row, j, gamma):
@@ -1242,6 +1360,85 @@ class TestRoom:
             rows[1, j] = level
             a_lo = problem.process.room(rows, np.zeros(2, dtype=np.intp), gamma)
             assert a_lo[0] > 0 and a_lo[1] == 0.0, (table, a_lo)
+
+
+def searched_level(bracket, x, col):
+    """``_SurvivalBracket.below`` by a plain binary search of column col's
+    table for every entry: v_{k-1}, k the entries at most x, 0 for k = 0
+    and for a NaN x, which searchsorted counts past the table's NaN slot."""
+    start, K = bracket._offsets[col], bracket._last - bracket._first
+    k = np.searchsorted(bracket.hi[start:start + K + 1], x, "right") % (K + 1)
+    bits = (k + (bracket._first - 1)).view(np.uint64) << np.uint64(52 - _BRACKET_BITS)
+    return np.where(k > 0, bits.view(float), 0.0)
+
+
+# bit patterns: quiet, negative quiet and signalling NaN
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                dtype=np.uint64).view(float)
+
+
+class TestRoomSearch:
+    """``below`` finds a room's level through a guide over the room's bits;
+    it must equal the plain search, bit for bit, for every double.  The
+    tables: Table V's box at gamma = 1.39, whose top 1,247 entries equal
+    the box bound, Table VI's numerator and its decreasing interferers'
+    table, which the guide leaves to the search, and the two tables of the
+    weighted LogNormal and Gamma sum."""
+
+    TABLES = [(("V", 1.39), 0), (("VI", 0.001), 0), (("VI", 0.001), 1),
+              ("two_columns", 0), ("two_columns", 1)]
+
+    @staticmethod
+    @functools.cache
+    def bracket(problem):
+        if problem == "two_columns":
+            return TestSumMove.two_columns()[0].process.bracket
+        return preset_problem(load_preset(problem[0]), problem[1]).boxed()[0].process.bracket
+
+    def table(self, problem, col):
+        bracket = self.bracket(problem)
+        start, K = bracket._offsets[col], bracket._last - bracket._first
+        return bracket, bracket.hi[start:start + K]
+
+    def assert_same(self, problem, col, x):
+        bracket = self.bracket(problem)
+        x = np.asarray(x, dtype=float)
+        got, want = bracket.below(x, col), searched_level(bracket, x, col)
+        assert got.tobytes() == want.tobytes(), x[got.view(np.uint64) != want.view(np.uint64)]
+
+    @pytest.mark.parametrize("problem,col", TABLES)
+    def test_fixed_cases(self, problem, col):
+        bracket, values = self.table(problem, col)
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, -1.0, -1e300, -tiny, tiny, 1e-310, 2.2250738585072014e-308,
+                 np.inf, -np.inf, np.finfo(float).max, *NANS]
+        picked = values[np.unique(np.linspace(0, values.size - 1, 3001).astype(int))]
+        top = values[-1]
+        above = [top, np.nextafter(top, np.inf), np.nextafter(top, 0.0), 2.0 * top, 1e300]
+        for x in (edges, picked, np.nextafter(picked, np.inf), np.nextafter(picked, -np.inf),
+                  above, values):
+            self.assert_same(problem, col, x)
+
+    def test_rooms_at_the_box_bound_are_searched_not_stepped(self):
+        # Table V's top run: the guide's bucket of the bound reads -1
+        bracket, values = self.table(("V", 1.39), 0)
+        assert (values == 1.39).sum() == 1247
+        self.assert_same(("V", 1.39), 0, [1.39, np.nextafter(1.39, 0.0)] * 5)
+        first, starts = bracket._guides[bracket._offsets[0]]
+        key = (np.float64(1.39).view(np.int64) >> np.int64(52 - model._GUIDE_BITS)) - first
+        assert starts[key] == -1 and (starts >= 0).mean() > 0.99
+
+    @pytest.mark.parametrize("problem,col", TABLES)
+    @given(x=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                      | st.floats(0.0, 3.0), min_size=1, max_size=40))
+    def test_equals_the_plain_search(self, problem, col, x):
+        self.assert_same(problem, col, x)
+
+    def test_an_unsorted_or_negative_table_is_searched_throughout(self):
+        table = np.array([0.5, 0.25, 1.0, np.nan])
+        assert (model._guide(table)[1] == -1).all()
+        assert (model._guide(np.array([-1.0, 0.25, 1.0, np.nan]))[1] == -1).all()
+        assert (model._guide(np.array([0.25, 0.5, 1.0, np.nan]))[1] >= 0).any()
 
 
 class CallLog:

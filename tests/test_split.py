@@ -2,7 +2,10 @@ import concurrent.futures
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +186,33 @@ class TestRunSplitting:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_refreshed_table5_replications_refault_no_heap(self):
+        # boxed Table V at gamma = 1.39, s = 3000, in a fresh interpreter: after
+        # 10 warm-up replications a refreshed one takes about 0 minor page
+        # faults.  A level whose pages glibc hands back to the kernel refaults
+        # them on every level: trimming the heap at each bracket read took
+        # about 3,000 per replication
+        src = str(Path(model.__file__).resolve().parent.parent)
+        code = f"""
+import resource, sys
+sys.path.insert(0, {src!r})
+from raresplit import RngStream, run_splitting
+from raresplit.cli import build_schedule, load_preset, preset_problem
+box = preset_problem(load_preset("V"), 1.39).boxed()[0]
+schedule = build_schedule(box, RngStream(99), levels_method="lb")
+rng = RngStream(5)
+for i in range(10):
+    run_splitting(box, schedule, 3000, rng.substream(i), refresh=True)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(10, 40):
+    run_splitting(box, schedule, 3000, rng.substream(i), refresh=True)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 30)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 64
 
     def test_degenerate_threshold_all_survive(self):
         marginals = (Poisson(1.0), Poisson(1.5))

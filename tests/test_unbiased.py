@@ -23,7 +23,8 @@ their seeds and rule are the families' own, fixed before their first
 refreshed runs.  The families whose aggregate states a room, which the
 CLI splits with the move of a column within it (``ProblemSpec.step``), run
 with the move on their own seeds and rule: the LogNormal ratio, the boxed
-exponential sum, and the unboxed weighted sum of two laws.
+exponential sum, and the unboxed weighted sum of two laws, whose clones
+move two distinct columns each (``model.ROOM_MOVES``).
 
 The gate tests its own power: the same harness, at the same scale and
 seeds, must fail a Gamma level whose shape is 0.5% too large, Poisson
@@ -31,8 +32,9 @@ jumps whose rates are 1% too large, in the plain loop and in the
 refreshed levels' draw from the sampler's tables, a level loop that
 resamples its parents from every advanced state, failures included, a
 refresh that keeps the proposals that fail S <= gamma, at one update and
-at three, and a move whose a_lo lies 10% above the room's, on the ratio
-and on the exponential sum.  (A room read from the bracket's ``lo`` bounds
+at three, a move whose a_lo lies 10% above the room's, on the ratio
+and on the exponential sum, and on both full sums a second move whose
+column repeats the first once in m.  (A room read from the bracket's ``lo`` bounds
 puts about 0.3% of the ratio's moved clones outside the true room per
 level, below this scale's resolution: ``test_model``'s law tests catch it.)
 """
@@ -157,7 +159,10 @@ def test_every_prefix_of_the_ratio_is_unbiased_with_the_numerator_move(monkeypat
 
 @pytest.mark.parametrize("family", ["boxed_exponential_sum", "weighted_lognormal_gamma"])
 def test_every_prefix_of_a_full_sum_is_unbiased_with_the_move(family, monkeypatch):
-    # a refreshed level of a full sum moves one column per parent within its room
+    # a refreshed level of a full sum moves model.ROOM_MOVES = 2 distinct
+    # columns of each clone: the first within its parent's room, the second
+    # within the clone's own
+    assert model.ROOM_MOVES == 2
     z = gate_z(family, monkeypatch, updates=model.REFRESH_UPDATES)
     assert (z <= Z_MAX).all(), z
 
@@ -178,6 +183,19 @@ def test_gate_fails_a_numerator_move_past_its_room(monkeypatch):
 def test_gate_fails_a_sum_move_past_its_room(monkeypatch):
     room_above_the_brackets(monkeypatch)
     z = gate_z("boxed_exponential_sum", monkeypatch, updates=model.REFRESH_UPDATES)
+    assert (z > Z_MAX).any(), z
+
+
+@pytest.mark.parametrize("family", ["boxed_exponential_sum", "weighted_lognormal_gamma"])
+def test_gate_fails_a_second_move_on_the_same_column(family, monkeypatch):
+    # the second pick (j1 + 1 + U{0..m-1}) mod m repeats the first once in m,
+    # and that move's room then reads the column it moves; every row survives
+    def picks(gen, m, c, depth):
+        first = gen.integers(0, m, c)
+        return np.stack([first, (first + 1 + gen.integers(0, m, c)) % m], axis=1)
+
+    monkeypatch.setattr(model, "_room_picks", picks)
+    z = gate_z(family, monkeypatch, updates=model.REFRESH_UPDATES)
     assert (z > Z_MAX).any(), z
 
 
