@@ -65,13 +65,11 @@ class _Aggregate:
         weights, top = self.summands(n)
         return tuple(i for i, w in enumerate(weights) if w > 0) if top == n else ()
 
-    def room(self, rows, cols, gamma):
-        """Per row i, the largest x_j, j = cols[i], with S <= gamma given the
-        other entries: (gamma - sum_{i != j} w_i x_i) / w_j for a full sum."""
-        weights = np.asarray(self.summands(rows.shape[1])[0], dtype=float)
-        rest = rows.copy()
-        rest[np.arange(len(rows)), cols] = 0.0
-        return (gamma - self.score_rows(rest)) / weights.take(cols)
+    def room(self, rows, gamma):
+        """Per row whose moved columns read 0, the room they leave: gamma - S(row)
+        for a full sum; over w_j, the largest x_j with S <= gamma, where j is
+        the one such column."""
+        return gamma - self.score_rows(rows)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -108,8 +106,8 @@ class Ratio(_Aggregate):
     def room_columns(self, n):
         return (0,)
 
-    def room(self, rows, cols, gamma):
-        """gamma (x_2 + ... + x_n + eta) per row, the numerator's (every col is 0)."""
+    def room(self, rows, gamma):
+        """gamma (x_2 + ... + x_n + eta) per row: the numerator's room."""
         return gamma * (np.einsum("ij->i", rows[:, 1:]) + self.eta)
 
     def score_rows(self, rows):
@@ -348,7 +346,8 @@ class _GammaEmbedding:
         firsts = {group[c]: c for c in self.room_columns[::-1]}
         self._room_tables = [(c, group == j) for j, c in firsts.items()]
         terms = importance.summands(len(marginals))
-        self._weights = None if terms is None else np.asarray(terms[0], dtype=float)
+        # each column's w_j, over which its room divides: 1 where S is no sum
+        self._weights = np.ones(len(marginals)) if terms is None else np.asarray(terms[0], float)
 
     def rates(self):
         raise ValueError("rates() is only defined for poisson problems")
@@ -382,33 +381,6 @@ class _GammaEmbedding:
             out[undecided] = score(rows) <= gamma
         return out
 
-    def room(self, states, cols, gamma):
-        """Per row i of levels, a level a_lo <= the largest of column cols[i]
-        with S <= gamma given the others: ``importance.room`` on the bracket's
-        ``hi``, above every "I" and below every "D" coordinate, as a level."""
-        bracket = self.bracket
-        return self._level(self.importance.room(bracket.hi.take(bracket.cells(states)),
-                                                cols, gamma), cols)
-
-    def clone_room(self, states, idx, rows, cols, gamma):
-        """Per clone rows[i] of parent states[idx[i]], a level a_lo of its
-        column j = cols[idx[i], -1] within the clone's own room, after the
-        moves of cols[idx[i], :-1]: gamma minus S of the parent's ``hi`` row with
-        every column of cols[idx[i]] zeroed (once per parent), minus w_c times
-        the ``hi`` of each moved column c at the clone's level, in order, over
-        w_j.  It reads no level of column j, so a move within it keeps the law."""
-        bracket, n = self.bracket, rows.shape[1]
-        rest = bracket.hi.take(bracket.cells(states))
-        rest[np.arange(len(states))[:, None], cols] = 0.0
-        x = gamma - self.importance.score_rows(rest)
-        x, cols = x.take(idx), cols.take(idx, axis=0)
-        flat, at = rows.reshape(-1), np.arange(0, rows.size, n)
-        for c in cols[:, :-1].T:
-            g = flat.take(at + c)
-            x -= self._weights.take(c) * bracket.hi.take(bracket.cells(g, c))
-        x /= self._weights.take(cols[:, -1])
-        return self._level(x, cols[:, -1])
-
     def _level(self, x, cols):
         """Per entry of ``x``, the bracket's level of column cols[i] at and below
         which the embedding is at most x[i] (``_SurvivalBracket.below``)."""
@@ -425,21 +397,38 @@ class _GammaEmbedding:
         """Moves of each clone rows[i] of parent states[idx[i]] at time t > 0,
         in place.  Each parent draws min(ROOM_MOVES, m) distinct columns of
         the m room columns (``_room_picks``; none where m is 1, so no bits), and
-        each clone takes one ``move`` of each in turn: the first within its
-        parent's ``room``, computed once per parent, each later one within
-        the clone's own room (``clone_room``)."""
-        columns = self.room_columns
-        if columns.size == 1:  # a ratio's numerator: no pick, no gather
-            col = columns[0]
-            self.move(rows, col, self.room(states, col, gamma).take(idx), t, rng)
+        each clone takes one ``move`` of each in turn, within its room.  The
+        parents' ``hi`` rows are gathered once; each pick zeroes its column
+        in them, and ``importance.room`` reads, once per parent, the room the
+        columns picked so far leave.  Over w_j it is the first move's room of
+        the parent's clones, equal rows until then; a later move's, per
+        clone, first subtracts w_c times the ``hi`` of each column c the
+        clone moved before, at its new level.  No room reads a level of the
+        column it moves, so each move keeps the law."""
+        bracket, columns, weights = self.bracket, self.room_columns, self._weights
+        rest = bracket.hi.take(bracket.cells(states))
+        if columns.size == 1:  # one room column (a ratio's): no pick, no column gather
+            j = columns[0]
+            rest[:, j] = 0.0
+            a_lo = self._level(self.importance.room(rest, gamma) / weights[j], j)
+            self.move(rows, j, a_lo.take(idx), t, rng)
             return
         cols = columns.take(_room_picks(rng.gen, columns.size, len(states),
                                         min(ROOM_MOVES, columns.size)))
-        ours = cols.take(idx, axis=0)
-        self.move(rows, ours[:, 0], self.room(states, cols[:, 0], gamma).take(idx), t, rng)
-        for k in range(2, cols.shape[1] + 1):
-            self.move(rows, ours[:, k - 1], self.clone_room(states, idx, rows, cols[:, :k], gamma),
-                      t, rng)
+        ours, parents = cols.take(idx, axis=0), np.arange(len(states))
+        flat, starts = rows.reshape(-1), np.arange(0, rows.size, rows.shape[1])
+        for k, j in enumerate(cols.T):
+            rest[parents, j] = 0.0
+            x = self.importance.room(rest, gamma)
+            if k == 0:
+                a_lo = self._level(x / weights.take(j), j).take(idx)
+            else:
+                x = x.take(idx)
+                for c in ours[:, :k].T:
+                    x -= weights.take(c) * bracket.hi.take(bracket.cells(flat.take(starts + c), c))
+                x /= weights.take(ours[:, k])
+                a_lo = self._level(x, ours[:, k])
+            self.move(rows, ours[:, k], a_lo, t, rng)
 
     def move(self, rows, cols, a_lo, t, rng):
         """One independence Metropolis-Hastings update of level g = rows[i, cols[i]]

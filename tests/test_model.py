@@ -999,13 +999,28 @@ class TestGammaRefresh:
             assert min(self.refreshed(*passes)[2]) < 1e-3, passes
 
 
-def room_from_lo(self, states, cols, gamma):
-    """``_GammaEmbedding.room`` read from the bracket's ``lo`` bounds, which
-    lie below every "I" and above every "D" coordinate: an a_lo above the true room."""
+def room_from_scratch(problem, rows, cols, gamma):
+    """Per row i, the level of column j = cols[i] within its room, read from
+    the row's own ``hi`` row alone: ``importance.room`` on that row with
+    column j zeroed, over w_j (1 where S is no sum), as ``process._level``'s level."""
+    bracket, terms = problem.process.bracket, problem.importance.summands(problem.n)
+    rest = bracket.hi.take(bracket.cells(rows))
+    rest[np.arange(len(rows)), cols] = 0.0
+    weights = np.ones(problem.n) if terms is None else np.asarray(terms[0], dtype=float)
+    return problem.process._level(problem.importance.room(rest, gamma) / weights.take(cols), cols)
+
+
+MOVES = model._GammaEmbedding.moves
+
+
+def moves_from_lo(self, states, rows, idx, gamma, t, rng):
+    """``_GammaEmbedding.moves`` with every room read from the bracket's ``lo``
+    bounds, which lie below every "I" and above every "D" coordinate: an
+    a_lo above the true room."""
     swapped = copy.copy(self)
     swapped.bracket = copy.copy(self.bracket)
-    swapped.bracket.hi = self.bracket.lo
-    return ROOM(swapped, states, cols, gamma)
+    swapped.bracket.hi, swapped.bracket._guides = self.bracket.lo, {}
+    MOVES(swapped, states, rows, idx, gamma, t, rng)
 
 
 def move_with_exponent_one(self, rows, cols, a_lo, t, rng):
@@ -1025,13 +1040,18 @@ def same_column_once_in_m(gen, m, c, depth):
     return np.stack([first, (first + 1 + gen.integers(0, m, c)) % m], axis=1)
 
 
-ROOM = model._GammaEmbedding.room
-
-
-def stale_clone_room(self, states, idx, rows, cols, gamma):
-    """``_GammaEmbedding.clone_room`` read from the parent's rest: the room of
-    the column before the clone's first move, which may have grown into it."""
-    return ROOM(self, states, cols[:, -1], gamma).take(idx)
+def moves_in_the_parents_rooms(problem):
+    """``_GammaEmbedding.moves`` of ``problem`` whose every move is within the
+    parent's room of its column alone, read from the parent's rest: after
+    the clone's first move that room is stale, and may have grown into it."""
+    def moves(self, states, rows, idx, gamma, t, rng):
+        columns = self.room_columns
+        cols = columns.take(model._room_picks(rng.gen, columns.size, len(states),
+                                              min(model.ROOM_MOVES, columns.size)))
+        for j in cols.T:
+            self.move(rows, j.take(idx), room_from_scratch(problem, states, j, gamma).take(idx),
+                      t, rng)
+    return moves
 
 
 def moved_rows(problem, start, reference, gamma, t, calls, seed, depth=model.ROOM_MOVES):
@@ -1108,7 +1128,7 @@ class TestRatioMove:
         assert min(p) > 1e-3, p
 
     def test_fails_a_room_above_the_true_one(self, monkeypatch):
-        monkeypatch.setattr(model._GammaEmbedding, "room", room_from_lo)
+        monkeypatch.setattr(model._GammaEmbedding, "moves", moves_from_lo)
         for calls in (1, 5):
             assert self.moved(calls)[0] < self.ROWS, calls
 
@@ -1129,7 +1149,7 @@ class TestRatioMove:
         # gathered by idx, is the room of each clone, bit for bit
         seen, problem = refreshed_levels("VI", 0.001, "iccdf")
         for before, cols, a_lo, _ in seen:
-            assert np.array_equal(a_lo, problem.process.room(before, cols, problem.gamma))
+            assert np.array_equal(a_lo, room_from_scratch(problem, before, cols, problem.gamma))
             assert len(np.unique(a_lo)) < len(a_lo) / 2
 
 
@@ -1139,7 +1159,9 @@ class TestSumMove:
     its rejection samples, at one move (seed 9231) and at two
     (``model.ROOM_MOVES``, seed 9232); and the unbiasedness gate's weighted
     sum of a LogNormal and a Gamma column at gamma = 0.05, at two moves
-    (samples on seeds 9234 and 9236, moves on 9235).  Each row is its own
+    (samples on seeds 9234 and 9236, moves on 9235), and with weights
+    (0, 2), whose one room column takes ``moves``' one-column shortcut
+    (samples on seeds 9243 and 9245, moves on 9244).  Each row is its own
     parent and draws its columns uniformly.  Settings, seeds and call counts
     were fixed before the first run.  The law test holds when every row
     survives every call and each column's KS p-value against the independent
@@ -1151,16 +1173,16 @@ class TestSumMove:
     it comes once in two, the test fails it."""
 
     CALLS = (1, 15)
-    SEEDS = {("V", 1): 9231, ("V", 2): 9232, ("two_columns", 2): 9235}
+    SEEDS = {("V", 1): 9231, ("V", 2): 9232, ("two_columns", 2): 9235, ("one_column", 1): 9244}
 
     @staticmethod
     @functools.cache
-    def two_columns():
+    def two_columns(weights=(1.0, 2.0), seeds=(9234, 9236)):
         """The weighted sum, ``TestGammaRefresh.ROWS`` rejection samples of
         its survivors' levels at T to move, and as many independent ones."""
         problem, out = ProblemSpec((LogNormal(0.0, 1.5), Gamma(0.5, 1.0)), ("I", "I"),
-                                   WeightedSum((1.0, 2.0)), 0.05, "continuous"), []
-        for seed in (9234, 9236):
+                                   WeightedSum(weights), 0.05, "continuous"), []
+        for seed in seeds:
             rng, kept = RngStream(seed), []
             while sum(map(len, kept)) < TestGammaRefresh.ROWS:
                 g = rng.gen.standard_gamma(TestGammaRefresh.T, size=(200_000, problem.n))
@@ -1168,9 +1190,14 @@ class TestSumMove:
             out.append(np.concatenate(kept)[:TestGammaRefresh.ROWS])
         return problem, *out
 
+    def setting(self, setting):
+        """(problem, rows to move, independent rows) of a setting."""
+        if setting == "one_column":
+            return self.two_columns((0.0, 2.0), (9243, 9245))
+        return TestGammaRefresh.samples() if setting == "V" else self.two_columns()
+
     def law_holds(self, calls, depth, setting="V"):
-        problem, start, reference = (TestGammaRefresh.samples() if setting == "V"
-                                     else self.two_columns())
+        problem, start, reference = self.setting(setting)
         alive, changed, p = moved_rows(problem, start, reference, problem.gamma,
                                        TestGammaRefresh.T, calls, self.SEEDS[setting, depth], depth)
         assert changed > 0.5, changed  # most rows move: the test sees the move
@@ -1185,8 +1212,13 @@ class TestSumMove:
     def test_keeps_the_survivors_law_two_deep(self, calls, setting):
         assert self.law_holds(calls, 2, setting)
 
+    @pytest.mark.parametrize("calls", CALLS)
+    def test_keeps_the_survivors_law_on_one_room_column(self, calls):
+        # the shortcut zeroes the column and divides by its weight, as the loop does
+        assert self.law_holds(calls, 1, "one_column")
+
     def test_fails_a_room_above_the_true_one(self, monkeypatch):
-        monkeypatch.setattr(model._GammaEmbedding, "room", room_from_lo)
+        monkeypatch.setattr(model._GammaEmbedding, "moves", moves_from_lo)
         for depth in (1, 2):
             assert not all(self.law_holds(calls, depth) for calls in self.CALLS), depth
 
@@ -1201,7 +1233,8 @@ class TestSumMove:
 
     @pytest.mark.parametrize("setting", ["V", "two_columns"])
     def test_fails_a_second_room_read_from_the_parents_rest(self, setting, monkeypatch):
-        monkeypatch.setattr(model._GammaEmbedding, "clone_room", stale_clone_room)
+        monkeypatch.setattr(model._GammaEmbedding, "moves",
+                            moves_in_the_parents_rooms(self.setting(setting)[0]))
         assert not all(self.law_holds(calls, 2, setting) for calls in self.CALLS)
 
     def test_each_parent_picks_distinct_columns_uniformly(self):
@@ -1217,31 +1250,37 @@ class TestSumMove:
 
     @staticmethod
     @functools.cache
-    def second_rooms():
-        """(problem, 300 parents, idx of 3000 clones, each parent's two
-        columns, the clones after their first move, their second rooms) on
-        ``TestGammaRefresh``'s rejection samples; seed fixed before the first run."""
+    def second_rooms(level=None):
+        """(problem, 300 parents, idx of 3000 clones, each clone's two columns,
+        the clones after their first move, their second rooms) of one
+        ``process.moves`` call on ``TestGammaRefresh``'s rejection samples,
+        with each clone's second column set to ``level`` between its two
+        moves where one is given; seed fixed before the first run."""
         problem, start, _ = TestGammaRefresh.samples()
         gamma, t, rng = TestGammaRefresh.GAMMA, TestGammaRefresh.T, RngStream(9233)
         parents = start[:300]
         idx = rng.gen.integers(0, len(parents), 3000)
-        cols = model._room_picks(rng.gen, problem.n, len(parents), 2)
-        rows = parents.take(idx, axis=0)
-        room = problem.process.room(parents, cols[:, 0], gamma)
-        problem.process.move(rows, cols[idx, 0], room.take(idx), t, rng)
-        assert (rows != parents[idx]).any(axis=1).mean() > 0.5
-        return problem, parents, idx, cols, rows, problem.process.clone_room(
-            parents, idx, rows, cols, gamma)
+        rows, seen, move = parents.take(idx, axis=0), [], problem.process.move
+        second = None if level is None else TestSumMove.second_rooms()[3][:, 1]
+
+        def recorded(rows, cols, a_lo, t, rng):  # the second move is only recorded
+            seen.append((rows.copy(), cols, a_lo))
+            if len(seen) == 1:
+                move(rows, cols, a_lo, t, rng)
+                if second is not None:
+                    rows[np.arange(len(rows)), second] = level
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(problem.process, "move", recorded)
+            problem.process.moves(parents, rows, idx, gamma, t, rng)
+        (first, j1, _), (moved, j2, a_lo) = seen
+        assert (moved != first).any(axis=1).mean() > 0.5
+        return problem, parents, idx, np.stack([j1, j2], axis=1), moved, a_lo
 
     def test_the_second_room_reads_no_level_of_its_column(self):
-        problem, parents, idx, cols, rows, a_lo = self.second_rooms()
-        clones = np.arange(len(idx))
+        a_lo = self.second_rooms()[5]
         for level in (0.0, 1e-9, 0.5, 30.0, 2000.0, np.inf, np.nan):
-            perturbed = rows.copy()
-            perturbed[clones, cols[idx, 1]] = level
-            again = problem.process.clone_room(parents, idx, perturbed, cols,
-                                               TestGammaRefresh.GAMMA)
-            assert again.tobytes() == a_lo.tobytes(), level
+            assert self.second_rooms(level)[5].tobytes() == a_lo.tobytes(), level
         assert (a_lo > 0).mean() > 0.9
 
     def test_the_second_room_is_each_clones_room_from_scratch(self):
@@ -1249,14 +1288,31 @@ class TestSumMove:
         # columns zeroed, minus the moved column's hi, at the bracket's level
         problem, _, idx, cols, rows, a_lo = self.second_rooms()
         bracket, clones = problem.process.bracket, np.arange(len(idx))
-        j1, j2 = cols[idx, 0], cols[idx, 1]
+        j1, j2 = cols[:, 0], cols[:, 1]
         hi = bracket.hi.take(bracket.cells(rows))
         rest = hi.copy()
         rest[clones, j1] = rest[clones, j2] = 0.0
         x = TestGammaRefresh.GAMMA - problem.importance.score_rows(rest) - hi[clones, j1]
         assert a_lo.tobytes() == problem.process._level(x, j2).tobytes()
         # and it is the first move's room of each clone, read from its own row
-        assert a_lo.tobytes() == problem.process.room(rows, j2, TestGammaRefresh.GAMMA).tobytes()
+        assert a_lo.tobytes() == room_from_scratch(problem, rows, j2,
+                                                   TestGammaRefresh.GAMMA).tobytes()
+
+    def test_gathers_the_parents_hi_once_per_level(self, monkeypatch):
+        # every move of a level reads the one gather of its parents' hi rows;
+        # only the moved columns of the clones are read again, one at a time
+        problem, start, _ = TestGammaRefresh.samples()
+        parents, idx = start[:300], np.arange(3000) % 300
+        dims, cells = [], model._SurvivalBracket.cells
+
+        def counted(self, g, cols=None):
+            dims.append(g.ndim)
+            return cells(self, g, cols)
+
+        monkeypatch.setattr(model._SurvivalBracket, "cells", counted)
+        problem.process.moves(parents, parents.take(idx, axis=0), idx, problem.gamma,
+                              TestGammaRefresh.T, RngStream(9238))
+        assert dims.count(2) == 1 and dims.count(1) == model.ROOM_MOVES - 1, dims
 
     def test_every_moved_row_survives(self):
         seen, problem = refreshed_levels("V", 1.39, "lb")
@@ -1272,7 +1328,7 @@ class TestSumMove:
         # the first of each level's moves reads its parents' rooms
         seen, problem = refreshed_levels("V", 1.39, "lb")
         for before, cols, a_lo, _ in seen[::model.ROOM_MOVES]:
-            assert np.array_equal(a_lo, problem.process.room(before, cols, problem.gamma))
+            assert np.array_equal(a_lo, room_from_scratch(problem, before, cols, problem.gamma))
             assert len(np.unique(a_lo)) < len(a_lo) / 2
 
     def test_each_clone_moves_two_distinct_columns(self):
@@ -1303,8 +1359,9 @@ def bisected_room(spec, row, j, gamma):
 class TestRoom:
     """``_Aggregate.room`` against a bisection on ``score_rows``, for every
     aggregate with room columns, on rows with ties; and the bracket form,
-    ``process.room``, whose level's embedding never exceeds the bisection's
-    room on surviving rows.  Sizes and seeds were fixed before the first run."""
+    ``room_from_scratch``, whose level's embedding never exceeds the
+    bisection's room on surviving rows.  Sizes and seeds were fixed before
+    the first run."""
 
     AGGREGATES = [Sum(), WeightedSum((1.0, 0.0, 2.5, 1.0)), OrderedPartialSum(4)]
 
@@ -1322,7 +1379,9 @@ class TestRoom:
         columns = spec.room_columns(4)
         cols = np.array(columns).take(gen.integers(0, len(columns), len(rows)))
         gamma = 5.0
-        got = spec.room(rows, cols, gamma)
+        rest = rows.copy()
+        rest[np.arange(len(rows)), cols] = 0.0
+        got = spec.room(rest, gamma) / np.asarray(spec.summands(4)[0]).take(cols)
         for row, j, x in zip(rows, cols, got):
             want = bisected_room(spec, row, j, gamma)
             if want == -math.inf:
@@ -1343,7 +1402,7 @@ class TestRoom:
         g = g[reference_score(problem, g) <= problem.gamma][:400]
         columns = problem.process.room_columns
         cols = columns.take(gen.integers(0, columns.size, len(g)))
-        a_lo = problem.process.room(g, cols, problem.gamma)
+        a_lo = room_from_scratch(problem, g, cols, problem.gamma)
         x = embed(g, problem.marginals, problem.directions)
         for row, j, level in zip(x, cols, a_lo):
             top = problem.marginals[j].quantile_from_neg_log_tail(np.array([level]), "upper")[0]
@@ -1358,7 +1417,7 @@ class TestRoom:
             problem = preset_problem(load_preset(table), gamma).boxed()[0]
             rows = np.full((2, problem.n), 0.01)
             rows[1, j] = level
-            a_lo = problem.process.room(rows, np.zeros(2, dtype=np.intp), gamma)
+            a_lo = room_from_scratch(problem, rows, np.zeros(2, dtype=np.intp), gamma)
             assert a_lo[0] > 0 and a_lo[1] == 0.0, (table, a_lo)
 
 

@@ -32,11 +32,12 @@ jumps whose rates are 1% too large, in the plain loop and in the
 refreshed levels' draw from the sampler's tables, a level loop that
 resamples its parents from every advanced state, failures included, a
 refresh that keeps the proposals that fail S <= gamma, at one update and
-at three, a move whose a_lo lies 10% above the room's, on the ratio
-and on the exponential sum, and on both full sums a second move whose
-column repeats the first once in m.  (A room read from the bracket's ``lo`` bounds
-puts about 0.3% of the ratio's moved clones outside the true room per
-level, below this scale's resolution: ``test_model``'s law tests catch it.)
+at three, moves whose a_lo lies 10% above the room's, on the ratio
+and on the exponential sum (every move of a clone), and on both full
+sums a second move whose column repeats the first once in m.  (A room
+read from the bracket's ``lo`` bounds puts about 0.3% of the ratio's
+moved clones outside the true room per level, below this scale's
+resolution: ``test_model``'s law tests catch it.)
 """
 
 import dataclasses
@@ -168,10 +169,10 @@ def test_every_prefix_of_a_full_sum_is_unbiased_with_the_move(family, monkeypatc
 
 
 def room_above_the_brackets(monkeypatch):
-    """Make ``process.room`` return an a_lo 10% above the bracket's."""
-    room = model._GammaEmbedding.room
-    monkeypatch.setattr(model._GammaEmbedding, "room",
-                        lambda self, states, cols, gamma: 1.1 * room(self, states, cols, gamma))
+    """Make every move's a_lo, ``process._level``'s, 10% above the bracket's."""
+    level = model._GammaEmbedding._level
+    monkeypatch.setattr(model._GammaEmbedding, "_level",
+                        lambda self, x, cols: 1.1 * level(self, x, cols))
 
 
 def test_gate_fails_a_numerator_move_past_its_room(monkeypatch):
